@@ -4,17 +4,77 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/units.hpp"
 
 namespace lumos::serve {
+
+namespace {
+
+// Zero-based nearest-rank index of quantile q among n >= 1 ascending samples.
+std::size_t rank_index(std::size_t n, double q) {
+  LUMOS_EXPECTS(q >= 0.0 && q <= 1.0);
+  const double rank = std::ceil(q * static_cast<double>(n));
+  const std::size_t index = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
+  return std::min(index, n - 1);
+}
+
+}  // namespace
 
 double percentile(std::vector<double>& samples, double q) {
   LUMOS_EXPECTS(q >= 0.0 && q <= 1.0);
   if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());
-  const double rank = std::ceil(q * static_cast<double>(samples.size()));
-  const std::size_t index = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  return samples[std::min(index, samples.size() - 1)];
+  return samples[rank_index(samples.size(), q)];
+}
+
+SampleRun::SampleRun(std::vector<double> samples) : values_(std::move(samples)) {
+  for (const double v : values_) sum_ += v;
+  std::sort(values_.begin(), values_.end());
+}
+
+void SampleRun::merge(const SampleRun& other) {
+  const auto mid = static_cast<std::ptrdiff_t>(values_.size());
+  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
+  std::inplace_merge(values_.begin(), values_.begin() + mid, values_.end());
+  sum_ += other.sum_;
+}
+
+double SampleRun::mean() const noexcept {
+  return empty() ? 0.0 : sum_ / static_cast<double>(values_.size());
+}
+
+double SampleRun::percentile(double q) const {
+  return empty() ? 0.0 : values_[rank_index(values_.size(), q)];
+}
+
+double percentile_of_runs(std::span<const SampleRun> runs, double q) {
+  std::size_t total = 0;
+  for (const SampleRun& r : runs) total += r.size();
+  if (total == 0) return 0.0;
+  // The k-th smallest v has fewer than k samples below it and at least k at
+  // or below it.  In the run holding it, it is the first element with at
+  // least k at or below: a binary search of counts, each T binary searches.
+  const std::size_t k = rank_index(total, q) + 1;
+  const auto count = [&](double v, bool inclusive) {
+    std::size_t c = 0;
+    for (const SampleRun& r : runs) {
+      const std::vector<double>& x = r.values();
+      c += static_cast<std::size_t>(
+          (inclusive ? std::upper_bound(x.begin(), x.end(), v)
+                     : std::lower_bound(x.begin(), x.end(), v)) -
+          x.begin());
+    }
+    return c;
+  };
+  for (const SampleRun& r : runs) {
+    const std::vector<double>& x = r.values();
+    const auto it = std::partition_point(
+        x.begin(), x.end(), [&](double v) { return count(v, true) < k; });
+    if (it != x.end() && count(*it, false) < k) return *it;
+  }
+  LUMOS_ENSURES(false);  // unreachable: the k-th smallest is in some run
+  return 0.0;
 }
 
 double FleetMetrics::estimate_hit_rate() const noexcept {
@@ -23,91 +83,52 @@ double FleetMetrics::estimate_hit_rate() const noexcept {
          static_cast<double>(estimate_lookups);
 }
 
-namespace {
-
-// Recomputes every percentile field of `m` from its retained latency state —
-// the same per-tenant-then-aggregate shape simulate() uses, so a merged
-// result carries the percentiles a single simulation over the union multiset
-// would have produced.
-void percentiles_from_state(FleetMetrics& m) {
-  LatencyState& st = *m.latency_state;
-  if (st.hdr) {
-    for (std::size_t w = 0; w < m.tenants.size(); ++w) {
-      if (st.tenant_hist[w].count() == 0) continue;
-      m.tenants[w].p50_latency_s = st.tenant_hist[w].percentile(0.50);
-      m.tenants[w].p99_latency_s = st.tenant_hist[w].percentile(0.99);
-    }
-    HdrHistogram all(st.hdr_relative_error);
-    for (const HdrHistogram& h : st.tenant_hist) all.merge(h);
-    if (all.count() > 0) {
-      m.p50_latency_s = all.percentile(0.50);
-      m.p95_latency_s = all.percentile(0.95);
-      m.p99_latency_s = all.percentile(0.99);
-      m.p999_latency_s = all.percentile(0.999);
-    }
-  } else {
-    std::size_t total = 0;
-    for (std::size_t w = 0; w < m.tenants.size(); ++w) {
-      std::vector<double>& samples = st.tenant_samples[w];
-      total += samples.size();
-      if (samples.empty()) continue;
-      m.tenants[w].p50_latency_s = percentile(samples, 0.50);
-      m.tenants[w].p99_latency_s = percentile(samples, 0.99);
-    }
-    std::vector<double> all;
-    all.reserve(total);
-    for (const std::vector<double>& samples : st.tenant_samples) {
-      all.insert(all.end(), samples.begin(), samples.end());
-    }
-    if (!all.empty()) {
-      m.p50_latency_s = percentile(all, 0.50);
-      m.p95_latency_s = percentile(all, 0.95);
-      m.p99_latency_s = percentile(all, 0.99);
-      m.p999_latency_s = percentile(all, 0.999);
+void finalize_latency(FleetMetrics& m) {
+  const LatencyState& st = *m.latency_state;
+  // A SampleRun and an HdrHistogram answer the same mean/max/percentile
+  // calls; the fleet sketch merges the tenants' (bucket counts add).
+  HdrHistogram all(st.hdr ? st.hdr_relative_error : 0.01);
+  const auto tenant = [&](TenantMetrics& t, const auto& samples) {
+    t.mean_latency_s = samples.mean();
+    t.max_latency_s = samples.max();
+    t.p50_latency_s = samples.percentile(0.50);
+    t.p99_latency_s = samples.percentile(0.99);
+    m.max_latency_s = std::max(m.max_latency_s, t.max_latency_s);
+  };
+  for (std::size_t w = 0; w < m.tenants.size(); ++w) {
+    if (st.hdr) {
+      all.merge(st.tenant_hist[w]);
+      tenant(m.tenants[w], st.tenant_hist[w]);
+    } else {
+      tenant(m.tenants[w], st.tenant_samples[w]);
     }
   }
-  if (!st.session_samples.empty()) {
-    double sum = 0.0;
-    double max = 0.0;
-    for (const double v : st.session_samples) {
-      sum += v;
-      max = std::max(max, v);
-    }
-    m.mean_session_s = sum / static_cast<double>(st.session_samples.size());
-    m.max_session_s = max;
-    m.p50_session_s = percentile(st.session_samples, 0.50);
-    m.p99_session_s = percentile(st.session_samples, 0.99);
-  }
+  const auto fleet = [&](double q) {
+    return st.hdr ? all.percentile(q) : percentile_of_runs(st.tenant_samples, q);
+  };
+  m.p50_latency_s = fleet(0.50);
+  m.p95_latency_s = fleet(0.95);
+  m.p99_latency_s = fleet(0.99);
+  m.p999_latency_s = fleet(0.999);
+  m.mean_session_s = st.session_samples.mean();
+  m.max_session_s = st.session_samples.max();
+  m.p50_session_s = st.session_samples.percentile(0.50);
+  m.p99_session_s = st.session_samples.percentile(0.99);
   // Decode phase latencies are always sample-exact (see LatencyState), so the
-  // merged TTFT/TPOT statistics are true union percentiles, not a weighted
-  // approximation.
-  if (!st.ttft_samples.empty()) {
-    double sum = 0.0;
-    double max = 0.0;
-    for (const double v : st.ttft_samples) {
-      sum += v;
-      max = std::max(max, v);
-    }
-    m.mean_ttft_s = sum / static_cast<double>(st.ttft_samples.size());
-    m.max_ttft_s = max;
-    m.p50_ttft_s = percentile(st.ttft_samples, 0.50);
-    m.p95_ttft_s = percentile(st.ttft_samples, 0.95);
-    m.p99_ttft_s = percentile(st.ttft_samples, 0.99);
-  }
-  if (!st.tpot_samples.empty()) {
-    double sum = 0.0;
-    double max = 0.0;
-    for (const double v : st.tpot_samples) {
-      sum += v;
-      max = std::max(max, v);
-    }
-    m.mean_tpot_s = sum / static_cast<double>(st.tpot_samples.size());
-    m.max_tpot_s = max;
-    m.p50_tpot_s = percentile(st.tpot_samples, 0.50);
-    m.p95_tpot_s = percentile(st.tpot_samples, 0.95);
-    m.p99_tpot_s = percentile(st.tpot_samples, 0.99);
-  }
+  // merged TTFT/TPOT statistics are true union percentiles.
+  m.mean_ttft_s = st.ttft_samples.mean();
+  m.max_ttft_s = st.ttft_samples.max();
+  m.p50_ttft_s = st.ttft_samples.percentile(0.50);
+  m.p95_ttft_s = st.ttft_samples.percentile(0.95);
+  m.p99_ttft_s = st.ttft_samples.percentile(0.99);
+  m.mean_tpot_s = st.tpot_samples.mean();
+  m.max_tpot_s = st.tpot_samples.max();
+  m.p50_tpot_s = st.tpot_samples.percentile(0.50);
+  m.p95_tpot_s = st.tpot_samples.percentile(0.95);
+  m.p99_tpot_s = st.tpot_samples.percentile(0.99);
 }
+
+namespace {
 
 // Count-weighted recombination of two per-run averages (the labelled
 // approximation for percentiles when no raw state is retained; exact for
@@ -164,18 +185,16 @@ void FleetMetrics::merge(const FleetMetrics& other) {
         st.tenant_hist[w].merge(ot.tenant_hist[w]);  // throws on eps mismatch
       }
     } else {
-      for (std::size_t w = 0; w < st.tenant_samples.size(); ++w) {
-        st.tenant_samples[w].insert(st.tenant_samples[w].end(),
-                                    ot.tenant_samples[w].begin(),
-                                    ot.tenant_samples[w].end());
-      }
+      // Tenants' runs are disjoint: each merges on its own pool task.
+      parallel_for(0, st.tenant_samples.size(), 1, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t w = begin; w < end; ++w) {
+          st.tenant_samples[w].merge(ot.tenant_samples[w]);
+        }
+      });
     }
-    st.session_samples.insert(st.session_samples.end(), ot.session_samples.begin(),
-                              ot.session_samples.end());
-    st.ttft_samples.insert(st.ttft_samples.end(), ot.ttft_samples.begin(),
-                           ot.ttft_samples.end());
-    st.tpot_samples.insert(st.tpot_samples.end(), ot.tpot_samples.begin(),
-                           ot.tpot_samples.end());
+    st.session_samples.merge(ot.session_samples);
+    st.ttft_samples.merge(ot.ttft_samples);
+    st.tpot_samples.merge(ot.tpot_samples);
   } else {
     // One side (or both) discarded its samples: percentiles degrade to the
     // documented weighted approximation below, and no state survives.
@@ -188,8 +207,8 @@ void FleetMetrics::merge(const FleetMetrics& other) {
     const TenantMetrics& o = other.tenants[w];
     const double ta = static_cast<double>(t.completed);
     const double tb = static_cast<double>(o.completed);
-    t.mean_latency_s = weighted(t.mean_latency_s, ta, o.mean_latency_s, tb);
     if (!exact_state) {
+      t.mean_latency_s = weighted(t.mean_latency_s, ta, o.mean_latency_s, tb);
       t.p50_latency_s = weighted(t.p50_latency_s, ta, o.p50_latency_s, tb);
       t.p99_latency_s = weighted(t.p99_latency_s, ta, o.p99_latency_s, tb);
     }
@@ -313,7 +332,7 @@ void FleetMetrics::merge(const FleetMetrics& other) {
 
   // Percentiles: exact from the merged state, else the weighted fallback.
   if (exact_state) {
-    percentiles_from_state(*this);
+    finalize_latency(*this);
   } else {
     p50_latency_s = weighted(p50_latency_s, na, other.p50_latency_s, nb);
     p95_latency_s = weighted(p95_latency_s, na, other.p95_latency_s, nb);

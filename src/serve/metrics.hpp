@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,8 +17,38 @@
 namespace lumos::serve {
 
 // Exact nearest-rank percentile (q in [0, 1]) of `samples`; sorts in place.
-// 0 for an empty vector.
+// 0 for an empty vector.  The tests' reference: the library reads sorted runs.
 [[nodiscard]] double percentile(std::vector<double>& samples, double q);
+
+// An ascending run of latency samples and their sum.  Built from samples in
+// arrival order: the sum adds them in that order (bit-identical to a running
+// sum), then the run sorts once.  Percentiles are index reads and merging is
+// linear, so no later step ever re-sorts.
+class SampleRun {
+ public:
+  SampleRun() = default;
+  explicit SampleRun(std::vector<double> samples);
+
+  // Linear merge of `other`'s run into this one; the sums add.
+  void merge(const SampleRun& other);
+
+  [[nodiscard]] const std::vector<double>& values() const noexcept { return values_; }
+  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
+  // sum / count, max and nearest-rank percentile (q in [0, 1]); 0 when empty.
+  [[nodiscard]] double mean() const noexcept;
+  [[nodiscard]] double max() const noexcept { return empty() ? 0.0 : values_.back(); }
+  [[nodiscard]] double percentile(double q) const;
+
+ private:
+  std::vector<double> values_;  // ascending
+  double sum_ = 0.0;
+};
+
+// Nearest-rank percentile (q in [0, 1]) of the union of `runs`, selected
+// without merging them: always one of their elements, bit-equal to
+// percentile() over their concatenation.  0 when every run is empty.
+[[nodiscard]] double percentile_of_runs(std::span<const SampleRun> runs, double q);
 
 // How a simulation computes its latency percentiles (SimConfig.percentile_mode).
 // kExact stores and sorts every latency sample (bit-identical to the
@@ -64,23 +95,25 @@ struct SlotAvailability {
   double observed_mttr_s = 0.0;    // mean completed repair duration
 };
 
-// Raw latency state a simulation can retain for exact cross-run merging
-// (SimConfig.keep_latency_state; sharded runs always retain it per cell).
-// kExact mode keeps every per-tenant sample; kHdr keeps the per-tenant
-// sketches instead.  `FleetMetrics::merge` uses whichever is present to
-// recompute merged percentiles from the union multiset — the same numbers a
-// single simulation over the union would have produced.
+// Raw latency state of a simulation, which finalize_latency() reads and a run
+// can retain for exact cross-run merging (SimConfig.keep_latency_state;
+// sharded runs always retain it per cell).  kExact mode keeps every
+// per-tenant sample; kHdr keeps the per-tenant sketches instead.
+// `FleetMetrics::merge` merges whichever is present, so merged percentiles
+// are those of the union multiset.  Every retained sample vector is
+// ascending: each is a SampleRun, sorted once where it is produced (the
+// simulator's end of run, the closed-loop source's finish).
 struct LatencyState {
-  bool hdr = false;                                // which representation is live
-  double hdr_relative_error = 0.01;                // sketch eps (kHdr; must match to merge)
-  std::vector<std::vector<double>> tenant_samples; // kExact: per tenant, sorted
-  std::vector<HdrHistogram> tenant_hist;           // kHdr: per tenant
-  std::vector<double> session_samples;             // closed-loop session latencies
+  bool hdr = false;                      // which representation is live
+  double hdr_relative_error = 0.01;      // sketch eps (kHdr; must match to merge)
+  std::vector<SampleRun> tenant_samples; // kExact: per tenant
+  std::vector<HdrHistogram> tenant_hist; // kHdr: per tenant
+  SampleRun session_samples;             // closed-loop session latencies
   // Per-token phase latencies of decode requests (kept exact in both
   // percentile modes: decode requests are a slice of the traffic, not the
   // 100M-request firehose the hdr sketches exist for).
-  std::vector<double> ttft_samples;                // time to first token
-  std::vector<double> tpot_samples;                // mean time per output token
+  SampleRun ttft_samples;                // time to first token
+  SampleRun tpot_samples;                // mean time per output token
 };
 
 struct FleetMetrics {
@@ -218,15 +251,15 @@ struct FleetMetrics {
   //     grows/shrinks, fleet sizes (disjoint sub-fleets add; peak is the sum
   //     of per-cell peaks), estimate lookups/misses, sessions, max latency,
   //     fleet energy.
-  //   * Merge-exact via retained state: every latency percentile (p50/p95/
-  //     p99/p99.9, per-tenant p50/p99, session p50/p99) is recomputed from
-  //     the union of the two sides' samples (kExact) or merged sketches
-  //     (kHdr) when both sides carry `latency_state` of the same mode;
-  //     mismatched modes or sketch resolutions throw InvalidArgument.
-  //     Without state, percentiles fall back to a completed-weighted average
-  //     — a labelled approximation, not a percentile of the union.
+  //   * Merge-exact via retained state: when both sides carry
+  //     `latency_state` of the same mode, sorted runs merge linearly (kExact)
+  //     or sketches merge (kHdr), and finalize_latency() recomputes every
+  //     percentile and the per-tenant/session/TTFT/TPOT means (carried
+  //     sums) over the union; mismatched modes or sketch resolutions throw
+  //     InvalidArgument.  Without state, those fall back to a count-weighted
+  //     average — a labelled approximation, not a percentile of the union.
   //   * Recomputed from merged primitives: throughput/goodput/attainment/
-  //     mean latency/mean batch/drop rate/energy per request.
+  //     mean latency (count-weighted)/mean batch/drop rate/energy per request.
   //   * Per-run-only (merged by convention, approximate across unequal
   //     horizons): duration_s takes the max (cells run concurrently);
   //     offered_qps adds; mean_queue_depth, mean_fleet_size, utilization,
@@ -242,5 +275,12 @@ struct FleetMetrics {
   // One row per tenant: priority, SLO, attainment, goodput, tail latency.
   [[nodiscard]] Table tenant_table(const std::string& title) const;
 };
+
+// The one latency finalise, run by simulate() and FleetMetrics::merge: sets
+// every per-tenant, fleet, session, TTFT and TPOT mean, max and percentile
+// (except the fleet mean) from `m.latency_state` (non-null; one entry per
+// tenant).  Means divide carried sums; percentiles are index reads, or a
+// selection across the tenants' runs for the fleet, so nothing re-sorts.
+void finalize_latency(FleetMetrics& m);
 
 }  // namespace lumos::serve

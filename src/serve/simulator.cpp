@@ -415,8 +415,8 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   std::size_t within_slo = 0;
   double dispatched_energy_j = 0.0;
   double depth_time = 0.0;
-  // Latency samples: the exact mode stores every sample per tenant (sorted at
-  // the end — the historical bit-identical path); kHdr streams them into
+  // Latency samples: the exact mode stores every sample per tenant (sorted
+  // once at the end, into the LatencyState); kHdr streams them into
   // bounded-error sketches instead, so memory stays flat at 100M-request
   // scale.  `tenant_completed` counts completions in both modes.
   const bool hdr = sim.percentile_mode == PercentileMode::kHdr;
@@ -424,8 +424,6 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   std::vector<HdrHistogram> tenant_hist(
       hdr ? catalog.size() : 0, HdrHistogram(hdr ? sim.hdr_relative_error : 0.01));
   std::vector<std::size_t> tenant_completed(catalog.size(), 0);
-  std::vector<double> tenant_sum(catalog.size(), 0.0);
-  std::vector<double> tenant_max(catalog.size(), 0.0);
   std::vector<std::size_t> tenant_within(catalog.size(), 0);
   std::vector<std::size_t> tenant_shed(catalog.size(), 0);
   std::vector<std::size_t> tenant_timed_out(catalog.size(), 0);
@@ -577,10 +575,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       tenant_latencies[w].push_back(latency);
     }
     ++tenant_completed[w];
-    tenant_sum[w] += latency;
-    tenant_max[w] = std::max(tenant_max[w], latency);
     latency_sum += latency;
-    m.max_latency_s = std::max(m.max_latency_s, latency);
     const bool in_slo = latency <= slo_of[w];
     if (in_slo) {
       ++within_slo;
@@ -1198,8 +1193,8 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   m.drop_rate = static_cast<double>(m.shed_requests + m.timed_out_requests) /
                 static_cast<double>(total_requests);
 
-  // Per-tenant breakdown, then the aggregate percentiles over the union of
-  // the tenants' samples (the same multiset the pre-tenant simulator sorted).
+  // Per-tenant counters and rates; the latency statistics come from the
+  // LatencyState once the source has added its sessions (below).
   m.tenants.resize(catalog.size());
   for (std::uint32_t w = 0; w < catalog.size(); ++w) {
     TenantMetrics& t = m.tenants[w];
@@ -1208,7 +1203,6 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     t.slo_latency_s = slo_of[w];
     t.completed = tenant_completed[w];
     t.within_slo = tenant_within[w];
-    t.max_latency_s = tenant_max[w];
     t.shed = tenant_shed[w];
     t.timed_out = tenant_timed_out[w];
     t.cost_usd = tenant_cost_usd[w];
@@ -1221,36 +1215,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
                          static_cast<double>(t.completed);
       t.goodput_qps =
           static_cast<double>(tenant_within[w]) / std::max(duration_s, 1e-300);
-      t.mean_latency_s = tenant_sum[w] / static_cast<double>(t.completed);
-      if (hdr) {
-        t.p50_latency_s = tenant_hist[w].percentile(0.50);
-        t.p99_latency_s = tenant_hist[w].percentile(0.99);
-      } else {
-        t.p50_latency_s = percentile(tenant_latencies[w], 0.50);
-        t.p99_latency_s = percentile(tenant_latencies[w], 0.99);
-      }
     }
-  }
-  if (hdr) {
-    // Aggregate sketch: merging the tenants' histograms is exact (bucket
-    // counts add), so the fleet percentiles see the same multiset the exact
-    // path sorts.
-    HdrHistogram all(sim.hdr_relative_error);
-    for (const HdrHistogram& h : tenant_hist) all.merge(h);
-    m.p50_latency_s = all.percentile(0.50);
-    m.p95_latency_s = all.percentile(0.95);
-    m.p99_latency_s = all.percentile(0.99);
-    m.p999_latency_s = all.percentile(0.999);
-  } else {
-    std::vector<double> latencies;
-    latencies.reserve(m.completed);
-    for (const std::vector<double>& samples : tenant_latencies) {
-      latencies.insert(latencies.end(), samples.begin(), samples.end());
-    }
-    m.p50_latency_s = percentile(latencies, 0.50);
-    m.p95_latency_s = percentile(latencies, 0.95);
-    m.p99_latency_s = percentile(latencies, 0.99);
-    m.p999_latency_s = percentile(latencies, 0.999);
   }
   m.mean_queue_depth = depth_time / std::max(duration_s, 1e-300);
   m.mean_batch_size =
@@ -1274,28 +1239,6 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     }
     m.mean_decode_occupancy =
         steps > 0 ? static_cast<double>(lane_steps) / static_cast<double>(steps) : 0.0;
-    if (!ttft_samples.empty()) {
-      double sum = 0.0;
-      for (const double v : ttft_samples) {
-        sum += v;
-        m.max_ttft_s = std::max(m.max_ttft_s, v);
-      }
-      m.mean_ttft_s = sum / static_cast<double>(ttft_samples.size());
-      m.p50_ttft_s = percentile(ttft_samples, 0.50);
-      m.p95_ttft_s = percentile(ttft_samples, 0.95);
-      m.p99_ttft_s = percentile(ttft_samples, 0.99);
-    }
-    if (!tpot_samples.empty()) {
-      double sum = 0.0;
-      for (const double v : tpot_samples) {
-        sum += v;
-        m.max_tpot_s = std::max(m.max_tpot_s, v);
-      }
-      m.mean_tpot_s = sum / static_cast<double>(tpot_samples.size());
-      m.p50_tpot_s = percentile(tpot_samples, 0.50);
-      m.p95_tpot_s = percentile(tpot_samples, 0.95);
-      m.p99_tpot_s = percentile(tpot_samples, 0.99);
-    }
   }
 
   // Energy and utilization integrate each slot over its active window
@@ -1371,24 +1314,23 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     m.observed_mttr_s =
         repairs_total > 0 ? repair_total_s / static_cast<double>(repairs_total) : 0.0;
   }
-  // Exact-merge support: hand the raw latency state to the caller before the
-  // source reports (a closed-loop source appends its session samples to it).
-  // The samples land sorted (percentile() sorts in place above); merge
-  // re-sorts unions anyway.
-  if (sim.keep_latency_state) {
-    auto st = std::make_shared<LatencyState>();
-    st->hdr = hdr;
-    st->hdr_relative_error = sim.hdr_relative_error;
-    if (hdr) {
-      st->tenant_hist = std::move(tenant_hist);
-    } else {
-      st->tenant_samples = std::move(tenant_latencies);
-    }
-    st->ttft_samples = std::move(ttft_samples);
-    st->tpot_samples = std::move(tpot_samples);
-    m.latency_state = std::move(st);
+  // Latency state: each sample vector sorts once, here, and the source adds
+  // its session samples; then the one finalise derives every latency
+  // statistic.  The state stays attached only for a caller that asked to
+  // keep it (exact merging).
+  auto st = std::make_shared<LatencyState>();
+  st->hdr = hdr;
+  st->hdr_relative_error = sim.hdr_relative_error;
+  st->tenant_hist = std::move(tenant_hist);
+  for (std::vector<double>& samples : tenant_latencies) {
+    st->tenant_samples.emplace_back(std::move(samples));
   }
+  st->ttft_samples = SampleRun(std::move(ttft_samples));
+  st->tpot_samples = SampleRun(std::move(tpot_samples));
+  m.latency_state = std::move(st);
   source->finish(m);
+  finalize_latency(m);
+  if (!sim.keep_latency_state) m.latency_state.reset();
   if constexpr (kObs) {
     if (observation != nullptr) *observation = hub->take();
   }

@@ -142,25 +142,9 @@ void ClosedLoopSource::on_complete(const Request& request, double time_s,
 }
 
 void ClosedLoopSource::finish(FleetMetrics& metrics) {
+  LUMOS_EXPECTS(metrics.latency_state != nullptr);
   metrics.sessions = session_latencies_s_.size();
-  if (session_latencies_s_.empty()) return;
-  if (metrics.latency_state) {
-    // Exact-merge support: stash the raw session latencies so a sharded
-    // run's merge can recompute session percentiles over the union.
-    metrics.latency_state->session_samples.insert(
-        metrics.latency_state->session_samples.end(), session_latencies_s_.begin(),
-        session_latencies_s_.end());
-  }
-  double sum = 0.0;
-  double max = 0.0;
-  for (const double v : session_latencies_s_) {
-    sum += v;
-    max = std::max(max, v);
-  }
-  metrics.mean_session_s = sum / static_cast<double>(session_latencies_s_.size());
-  metrics.max_session_s = max;
-  metrics.p50_session_s = percentile(session_latencies_s_, 0.50);
-  metrics.p99_session_s = percentile(session_latencies_s_, 0.99);
+  metrics.latency_state->session_samples = SampleRun(std::move(session_latencies_s_));
 }
 
 std::unique_ptr<TrafficSource> make_traffic_source(const WorkloadCatalog& catalog,

@@ -86,8 +86,10 @@ class TrafficSource {
   virtual void on_complete(const Request& request, double time_s,
                            CompletionStatus status) = 0;
 
-  // Writes source-side results (session counts and latencies) into `metrics`
-  // once the loop has drained.  Open-loop sources report nothing.
+  // Writes source-side results into `metrics` once the loop has drained: the
+  // session count, and the session latencies as a sorted run in
+  // `metrics.latency_state`, which the simulator attaches before this call
+  // and finalises after it.  Open-loop sources report nothing.
   virtual void finish(FleetMetrics& metrics) = 0;
 };
 

@@ -12,6 +12,7 @@
 
 #include "arch/registry.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "perf_report_matchers.hpp"
 #include "serve/campaign.hpp"
 #include "serve/simulator.hpp"
@@ -321,6 +322,54 @@ TEST(Percentile, NearestRankOnKnownSamples) {
   EXPECT_EQ(percentile(v, 0.0), 1.0);
   std::vector<double> empty;
   EXPECT_EQ(percentile(empty, 0.99), 0.0);
+}
+
+TEST(Percentile, SampleRunSumsInArrivalOrderSortsAndMerges) {
+  // (0.3 + 0.2) + 0.1 and (0.1 + 0.2) + 0.3 round differently: the carried
+  // sum must be the arrival-order one a running sum would give.
+  SampleRun run({0.3, 0.2, 0.1});
+  EXPECT_EQ(run.mean(), ((0.3 + 0.2) + 0.1) / 3.0);
+  EXPECT_NE(run.mean(), ((0.1 + 0.2) + 0.3) / 3.0);
+  EXPECT_EQ(run.values(), (std::vector<double>{0.1, 0.2, 0.3}));
+  EXPECT_EQ(run.max(), 0.3);
+  EXPECT_EQ(run.percentile(0.5), 0.2);
+
+  run.merge(SampleRun({0.25, 0.0}));
+  EXPECT_EQ(run.values(), (std::vector<double>{0.0, 0.1, 0.2, 0.25, 0.3}));
+  EXPECT_EQ(run.mean(), (((0.3 + 0.2) + 0.1) + (0.25 + 0.0)) / 5.0);
+
+  const SampleRun none;
+  EXPECT_EQ(none.mean(), 0.0);
+  EXPECT_EQ(none.max(), 0.0);
+  EXPECT_EQ(none.percentile(0.99), 0.0);
+}
+
+// The fleet percentiles select across the tenants' sorted runs instead of
+// sorting their union; the selection must return exactly what sorting the
+// concatenation would.  0-8 runs, with empty runs, singletons, and values on
+// four levels in every other trial so ties straddle runs.
+TEST(Percentile, SelectionAcrossRunsMatchesSortedConcatenation) {
+  Rng rng(17);
+  for (std::uint32_t trial = 0; trial < 360; ++trial) {
+    std::vector<SampleRun> runs;
+    std::vector<double> all;
+    for (std::uint32_t r = 0; r < trial % 9; ++r) {
+      const std::uint32_t size = rng.next_below(3) == 0 ? rng.next_below(2) : rng.next_below(40);
+      std::vector<double> samples;
+      for (std::uint32_t i = 0; i < size; ++i) {
+        samples.push_back(trial % 2 == 0 ? static_cast<double>(rng.next_below(4))
+                                         : rng.uniform(0.0, 1e-3));
+      }
+      all.insert(all.end(), samples.begin(), samples.end());
+      runs.emplace_back(std::move(samples));
+    }
+    for (const double q : {0.0, 0.5, 0.95, 0.99, 0.999, 1.0}) {
+      std::vector<double> sorted = all;
+      EXPECT_EQ(percentile_of_runs(runs, q), percentile(sorted, q))
+          << "trial " << trial << ", " << runs.size() << " runs, " << all.size()
+          << " samples, q=" << q;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@
 //   * for fixed K, simulate_sharded equals the serial ascending fold of the
 //     plan's cells — independent of LUMOS_THREADS (CI runs 1 and 4);
 //   * FleetMetrics::merge is pairwise commutative, and with retained latency
-//     state its percentiles are exact over the union multiset;
+//     state (every vector ascending) its percentiles are exact over the
+//     union multiset;
 //   * CalendarQueue pops the same total order EventHeap does;
 //   * RequestArena never hands out a buffer that is still live.
 #include <gtest/gtest.h>
@@ -258,8 +259,8 @@ TEST(MetricsMerge, ExactStatePercentilesMatchUnionMultiset) {
   // Manual union of every tenant sample from both runs.
   std::vector<double> all;
   for (const FleetMetrics* m : {&a, &b}) {
-    for (const std::vector<double>& samples : m->latency_state->tenant_samples) {
-      all.insert(all.end(), samples.begin(), samples.end());
+    for (const SampleRun& run : m->latency_state->tenant_samples) {
+      all.insert(all.end(), run.values().begin(), run.values().end());
     }
   }
   ASSERT_EQ(all.size(), a.completed + b.completed);
@@ -273,6 +274,113 @@ TEST(MetricsMerge, ExactStatePercentilesMatchUnionMultiset) {
   // The merged state survived (both sides carried one), so a further merge
   // stays exact.
   EXPECT_TRUE(merged.latency_state != nullptr);
+}
+
+// A closed-loop decoding fleet that keeps its latency state, so every
+// retained sample kind — tenant, session, TTFT and TPOT — is populated.
+Scenario closed_loop_decode_scenario() {
+  Scenario s;
+  s.fleet = FleetConfig::homogeneous("tron", 8);
+  s.catalog = WorkloadCatalog::tron_default();
+  s.catalog.apply_decode(SeqLenDist::kLogNormal, 16);
+  s.batch.max_batch = 8;
+  s.sim.decode_mode = DecodeMode::kContinuous;
+  s.sim.keep_latency_state = true;
+  s.traffic.mode = LoopMode::kClosed;
+  s.traffic.closed.sessions = 64;
+  s.traffic.closed.requests_per_session = 24;
+  return s;
+}
+
+TEST(MetricsMerge, KeptStateVectorsAreAscending) {
+  const FleetMetrics m = simulate(closed_loop_decode_scenario());
+  ASSERT_NE(m.latency_state, nullptr);
+  const LatencyState& st = *m.latency_state;
+  const auto ascending = [](const SampleRun& run) {
+    return std::is_sorted(run.values().begin(), run.values().end());
+  };
+  ASSERT_EQ(st.tenant_samples.size(), m.tenants.size());
+  for (const SampleRun& run : st.tenant_samples) EXPECT_TRUE(ascending(run));
+  EXPECT_EQ(st.session_samples.size(), m.sessions);
+  EXPECT_TRUE(ascending(st.session_samples));
+  EXPECT_EQ(st.ttft_samples.size(), m.decode_requests);
+  EXPECT_TRUE(ascending(st.ttft_samples));
+  EXPECT_FALSE(st.tpot_samples.empty());
+  EXPECT_TRUE(ascending(st.tpot_samples));
+  // Keeping the state changes nothing the run reports.
+  Scenario dropped = closed_loop_decode_scenario();
+  dropped.sim.keep_latency_state = false;
+  const FleetMetrics d = simulate(dropped);
+  EXPECT_EQ(d.latency_state, nullptr);
+  expect_bit_identical(m, d);
+  EXPECT_EQ(m.mean_ttft_s, d.mean_ttft_s);
+  EXPECT_EQ(m.p99_ttft_s, d.p99_ttft_s);
+  EXPECT_EQ(m.mean_tpot_s, d.mean_tpot_s);
+  EXPECT_EQ(m.p99_tpot_s, d.p99_tpot_s);
+}
+
+// A four-cell closed-loop decode run: every merged percentile equals the
+// sorting reference over the concatenated per-cell states (simulate_sharded
+// folds exactly these cells), and the maxima match; the means divide carried
+// sums, so they agree with a re-summed union to within rounding.
+TEST(MetricsMerge, ShardedClosedLoopDecodeMatchesConcatenatedCellStates) {
+  const Scenario s = closed_loop_decode_scenario();
+  const FleetMetrics merged = simulate_sharded(s, 4);
+  ASSERT_NE(merged.latency_state, nullptr);
+
+  const CellPlan plan = CellPlan::build(s, 4);
+  std::vector<std::vector<double>> tenants(merged.tenants.size());
+  std::vector<double> fleet, sessions, ttft, tpot;
+  const auto append = [](std::vector<double>& to, const SampleRun& run) {
+    to.insert(to.end(), run.values().begin(), run.values().end());
+  };
+  for (const Scenario& cell : plan.cells) {
+    const FleetMetrics m = simulate(cell);
+    for (std::size_t w = 0; w < tenants.size(); ++w) {
+      append(tenants[w], m.latency_state->tenant_samples[w]);
+      append(fleet, m.latency_state->tenant_samples[w]);
+    }
+    append(sessions, m.latency_state->session_samples);
+    append(ttft, m.latency_state->ttft_samples);
+    append(tpot, m.latency_state->tpot_samples);
+  }
+  ASSERT_FALSE(sessions.empty());
+  ASSERT_FALSE(ttft.empty());
+  ASSERT_FALSE(tpot.empty());
+
+  for (std::size_t w = 0; w < tenants.size(); ++w) {
+    if (tenants[w].empty()) continue;
+    EXPECT_EQ(merged.tenants[w].p50_latency_s, percentile(tenants[w], 0.50)) << w;
+    EXPECT_EQ(merged.tenants[w].p99_latency_s, percentile(tenants[w], 0.99)) << w;
+    EXPECT_EQ(merged.tenants[w].max_latency_s, tenants[w].back()) << w;
+  }
+  EXPECT_EQ(merged.p50_latency_s, percentile(fleet, 0.50));
+  EXPECT_EQ(merged.p95_latency_s, percentile(fleet, 0.95));
+  EXPECT_EQ(merged.p99_latency_s, percentile(fleet, 0.99));
+  EXPECT_EQ(merged.p999_latency_s, percentile(fleet, 0.999));
+  EXPECT_EQ(merged.max_latency_s, fleet.back());
+
+  EXPECT_EQ(merged.sessions, sessions.size());
+  EXPECT_EQ(merged.p50_session_s, percentile(sessions, 0.50));
+  EXPECT_EQ(merged.p99_session_s, percentile(sessions, 0.99));
+  EXPECT_EQ(merged.max_session_s, sessions.back());
+  EXPECT_EQ(merged.p50_ttft_s, percentile(ttft, 0.50));
+  EXPECT_EQ(merged.p95_ttft_s, percentile(ttft, 0.95));
+  EXPECT_EQ(merged.p99_ttft_s, percentile(ttft, 0.99));
+  EXPECT_EQ(merged.max_ttft_s, ttft.back());
+  EXPECT_EQ(merged.p50_tpot_s, percentile(tpot, 0.50));
+  EXPECT_EQ(merged.p95_tpot_s, percentile(tpot, 0.95));
+  EXPECT_EQ(merged.p99_tpot_s, percentile(tpot, 0.99));
+  EXPECT_EQ(merged.max_tpot_s, tpot.back());
+
+  const auto mean = [](const std::vector<double>& v) {
+    double sum = 0.0;
+    for (const double x : v) sum += x;
+    return sum / static_cast<double>(v.size());
+  };
+  EXPECT_NEAR(merged.mean_session_s, mean(sessions), 1e-12 * mean(sessions));
+  EXPECT_NEAR(merged.mean_ttft_s, mean(ttft), 1e-12 * mean(ttft));
+  EXPECT_NEAR(merged.mean_tpot_s, mean(tpot), 1e-12 * mean(tpot));
 }
 
 TEST(MetricsMerge, HdrStatesMergeAndMismatchesThrow) {
