@@ -25,17 +25,14 @@
 #include <limits>
 #include <fstream>
 #include <iostream>
-#include <queue>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "common/provenance.hpp"
-#include "common/rng.hpp"
 #include "serve/cache.hpp"
 #include "serve/campaign.hpp"
-#include "serve/event_heap.hpp"
 #include "serve/observe.hpp"
 #include "serve/shard.hpp"
 #include "sim/registry.hpp"
@@ -564,105 +561,6 @@ HybridFleetResult run_hybrid_fleet_scenario(bool smoke) {
   return out;
 }
 
-// Event-queue micro-benchmark: the classic hold model (prefill H events, then
-// N rounds of pop-min + push at popped time + exponential increment) over the
-// three containers a simulation could schedule with.  All three pop the same
-// total order (EventHeap/CalendarQueue by contract, std::priority_queue by
-// construction), so the popped-time checksums must match exactly — the bench
-// aborts if they do not.  ops_per_s is gated in the timing band.
-struct QueueBenchResult {
-  std::string label;
-  std::size_t events = 0;
-  double wall_s = 0.0;  // best-of-3
-  double ops_per_s = 0.0;
-  double checksum = 0.0;
-};
-
-struct BenchEvent {
-  double time_s = 0.0;
-  std::uint64_t seq = 0;
-};
-struct BenchEventLater {
-  bool operator()(const BenchEvent& a, const BenchEvent& b) const noexcept {
-    if (a.time_s != b.time_s) return a.time_s > b.time_s;
-    return a.seq > b.seq;
-  }
-};
-
-// One hold-model run: returns the popped-time checksum (kept out of the
-// timed loop's dead-code reach).
-template <typename PushFn, typename PopFn>
-double hold_model(std::size_t hold, std::size_t rounds, PushFn&& push, PopFn&& pop) {
-  Rng rng(1234);
-  std::uint64_t seq = 0;
-  double t = 0.0;
-  for (std::size_t i = 0; i < hold; ++i) {
-    t += rng.exponential(1e-4);
-    push(BenchEvent{t, seq++});
-  }
-  double checksum = 0.0;
-  for (std::size_t i = 0; i < rounds; ++i) {
-    const BenchEvent e = pop();
-    checksum += e.time_s;
-    push(BenchEvent{e.time_s + rng.exponential(1e-4), seq++});
-  }
-  for (std::size_t i = 0; i < hold; ++i) checksum += pop().time_s;
-  return checksum;
-}
-
-std::vector<QueueBenchResult> run_event_queue_bench(bool smoke) {
-  const std::size_t hold = 4096;
-  const std::size_t rounds = smoke ? 200000 : 2000000;
-  constexpr int kReps = 3;
-  std::vector<QueueBenchResult> out;
-
-  const auto time_variant = [&](const std::string& label, auto make_run) {
-    QueueBenchResult r;
-    r.label = label;
-    r.events = rounds;
-    r.wall_s = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      r.checksum = make_run();
-      const auto t1 = std::chrono::steady_clock::now();
-      r.wall_s = std::min(r.wall_s, std::chrono::duration<double>(t1 - t0).count());
-    }
-    r.ops_per_s = static_cast<double>(rounds) / r.wall_s;
-    out.push_back(r);
-  };
-
-  time_variant("event_heap", [&] {
-    serve::EventHeap<BenchEvent, BenchEventLater> q;
-    q.reserve(hold + 1);
-    return hold_model(hold, rounds, [&](BenchEvent e) { q.push(e); },
-                      [&] { return q.pop(); });
-  });
-  time_variant("calendar_queue", [&] {
-    // Bucket width ~ the mean inter-event gap: about one event per day.
-    serve::CalendarQueue<BenchEvent, BenchEventLater> q(1e-4, 1024);
-    return hold_model(hold, rounds, [&](BenchEvent e) { q.push(e); },
-                      [&] { return q.pop(); });
-  });
-  time_variant("std_priority_queue", [&] {
-    std::priority_queue<BenchEvent, std::vector<BenchEvent>, BenchEventLater> q;
-    return hold_model(hold, rounds, [&](BenchEvent e) { q.push(e); }, [&] {
-      BenchEvent e = q.top();
-      q.pop();
-      return e;
-    });
-  });
-
-  for (const QueueBenchResult& r : out) {
-    if (r.checksum != out.front().checksum) {
-      std::fprintf(stderr, "error: event-queue checksum mismatch: %s %.17g vs %s %.17g\n",
-                   r.label.c_str(), r.checksum, out.front().label.c_str(),
-                   out.front().checksum);
-      std::exit(1);
-    }
-  }
-  return out;
-}
-
 void write_indented_campaign(std::ofstream& f, const serve::CampaignConfig& config,
                              const std::vector<serve::CampaignPoint>& points) {
   std::ostringstream campaign;
@@ -695,9 +593,7 @@ bool write_json(const std::vector<ScenarioResult>& scenarios,
                 const ClosedLoopResult& closed, const ScenarioResult& overload,
                 const ObserverOverhead& observer, const ShardedResult& sharded,
                 const ContinuousBatchingResult& batching,
-                const HybridFleetResult& hybrid,
-                const std::vector<QueueBenchResult>& queues, const std::string& path,
-                bool smoke) {
+                const HybridFleetResult& hybrid, const std::string& path, bool smoke) {
   std::ofstream f(path);
   f << "{\n  \"bench\": \"serve\",\n";
   f << "  " << provenance_json(ThreadPool::global().thread_count()) << ",\n";
@@ -744,14 +640,6 @@ bool write_json(const std::vector<ScenarioResult>& scenarios,
     << ", \"scale_completed\": " << sharded.scale_completed
     << ", \"scale_p99_latency_s\": " << sharded.scale_p99_latency_s
     << ", \"scale_goodput_qps\": " << sharded.scale_goodput_qps << "}\n";
-  f << "  ],\n  \"event_queue\": [\n";
-  for (std::size_t i = 0; i < queues.size(); ++i) {
-    const QueueBenchResult& q = queues[i];
-    f << "    {\"label\": \"" << q.label << "\", \"events\": " << q.events
-      << ", \"wall_s\": " << q.wall_s << ", \"ops_per_s\": " << q.ops_per_s
-      << ", \"checksum\": " << q.checksum << "}" << (i + 1 < queues.size() ? "," : "")
-      << "\n";
-  }
   f << "  ],\n  \"headlines\": [\n";
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const Headline& h = scenarios[i].headline;
@@ -1003,7 +891,6 @@ int main(int argc, char** argv) {
   const ShardedResult sharded = run_sharded_scenario(smoke);
   const ContinuousBatchingResult batching = run_continuous_batching_scenario(smoke);
   const HybridFleetResult hybrid = run_hybrid_fleet_scenario(smoke);
-  const std::vector<QueueBenchResult> queues = run_event_queue_bench(smoke);
 
   for (const ScenarioResult& s : scenarios) {
     serve::campaign_table(s.points, s.config.name).print(std::cout);
@@ -1071,14 +958,8 @@ int main(int argc, char** argv) {
                 p.cost_per_request_usd);
   }
   std::printf("\n");
-  for (const QueueBenchResult& q : queues) {
-    std::printf("event_queue %s: %zu hold-model rounds in %.3f s (%.0f ops/s)\n",
-                q.label.c_str(), q.events, q.wall_s, q.ops_per_s);
-  }
-  std::printf("\n");
-
-  if (!write_json(scenarios, closed, overload, observer, sharded, batching, hybrid,
-                  queues, out_path, smoke)) {
+  if (!write_json(scenarios, closed, overload, observer, sharded, batching, hybrid, out_path,
+                  smoke)) {
     std::fprintf(stderr, "error: could not write %s\n", out_path.c_str());
     return 1;
   }

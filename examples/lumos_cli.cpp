@@ -22,10 +22,10 @@
 //     mixed   alternating TRON+GHOST fleet over the combined mix with
 //             kind-aware routing (multi-tenant serving)
 //     spec[,spec...]  explicit registry spec names cycled across the slots —
-//             hybrid photonic/electronic fleets ("tron,v100", "a100",
-//             "tron,xeon@2.0").  The catalog follows the kinds the specs
-//             serve: transformer-only, GNN-only, or the combined mix
-//             (electronic platforms serve both)
+//             full/eco variants ("tron,tron-eco"), hybrid photonic/electronic
+//             fleets ("tron,v100", "a100", "tron,xeon@2.0").  The catalog
+//             follows the kinds the specs serve: transformer-only, GNN-only,
+//             or the combined mix (electronic platforms serve both)
 //
 //   serve flags:
 //     --loop <m>         open | closed (default open): open-loop offered-QPS
@@ -61,8 +61,6 @@
 //     --routing <r>      first-idle | energy-aware | cost-aware (default
 //                        first-idle; cost-aware picks the cheapest idle slot
 //                        still predicted to make the tenant's SLO)
-//     --hetero           alternate full/eco accelerator variants (photonic
-//                        fleets only: electronic platforms have no eco variant)
 //     --fleets <grid>    fleet-template campaign axis: semicolon-separated
 //                        templates, each a comma-separated spec list
 //                        ("tron;v100;tron,v100" compares photonic, electronic,
@@ -223,7 +221,7 @@ int usage() {
                    "            [--tpot-slo-us t]\n"
                    "            [--sched fifo|batch] [--max-batch n] [--max-wait-us w] "
                    "[--bursty]\n"
-                   "            [--routing first-idle|energy-aware|cost-aware] [--hetero] "
+                   "            [--routing first-idle|energy-aware|cost-aware] "
                    "[--seed s] [--priority]\n"
                    "            [--fleets t1;t2;...]  (each t a spec[,spec...] template)\n"
                    "            [--usd-per-kwh x] [--usd-per-watt-hour x] "
@@ -547,7 +545,6 @@ int run_serve(const std::vector<std::string>& args, bool json) {
   double qps = 0.0;
   std::size_t fleet = 4;
   std::size_t max_batch = 8;
-  bool hetero = false;
   bool priority = false;
   bool sessions_given = false;
   // Mode-gated knobs: track use so a knob without its enabling mode errors
@@ -671,8 +668,6 @@ int run_serve(const std::vector<std::string>& args, bool json) {
         if (semi == std::string::npos) break;
         rest_templates = rest_templates.substr(semi + 1);
       }
-    } else if (a == "--hetero") {
-      hetero = true;
     } else if (a == "--seed") {
       cfg.seed = parse_size(value(), "--seed");
     } else if (a == "--priority") {
@@ -824,13 +819,8 @@ int run_serve(const std::vector<std::string>& args, bool json) {
   }
   if (!cfg.fleet_templates.empty()) {
     // The template axis multiplies the campaign grid; the single-fleet paths
-    // (closed loop, observed runs, --hetero's template rewrite) serve exactly
-    // one fleet, so combining them would silently drop the sweep.
-    if (hetero) {
-      throw InvalidArgument(
-          "--hetero cannot combine with --fleets: list eco variants explicitly "
-          "in the templates instead");
-    }
+    // (closed loop, observed runs) serve exactly one fleet, so combining them
+    // would silently drop the sweep.
     if (loop == serve::LoopMode::kClosed) {
       throw InvalidArgument(
           "--fleets sweeps a campaign axis; closed-loop runs serve one fleet");
@@ -840,22 +830,6 @@ int run_serve(const std::vector<std::string>& args, bool json) {
           "--fleets sweeps a campaign axis; observers trace one run");
     }
     cfg.fleet_template = cfg.fleet_templates.front();  // labels + default QPS
-  }
-  if (hetero) {
-    // Alternate each family's full and eco variants across the slots.  Eco
-    // variants are a photonic notion (tron-eco / ghost-eco tune the fabric);
-    // electronic platforms scale with "@<x>" instead.
-    std::vector<std::string> with_eco;
-    for (const std::string& spec : cfg.fleet_template) {
-      if (arch::is_platform_spec(spec)) {
-        throw InvalidArgument("--hetero needs a photonic fleet: '" + spec +
-                              "' has no eco variant (scale electronic platforms with "
-                              "<spec>@<x> instead)");
-      }
-      with_eco.push_back(spec);
-      with_eco.push_back(spec + "-eco");
-    }
-    cfg.fleet_template = std::move(with_eco);
   }
   cfg.fleet_sizes = {fleet};
   cfg.max_batches = {max_batch};

@@ -1,4 +1,4 @@
-// Pending-event containers for the serving event loop.
+// The pending-event container of the serving event loop.
 //
 // `EventHeap<T, Less>` is the one binary-heap idiom behind every pending-event
 // set in the simulator: the completion heap and retry heap (simulator.cpp)
@@ -11,27 +11,15 @@
 // sequence tie-breaks), the pop sequence is a property of the comparator
 // alone — any container honouring it replays the identical event sequence.
 //
-// `CalendarQueue<T, Less>` is the alternative bucketed structure (Brown '88)
-// behind the same contract: events hash into days of a fixed `bucket_width_s`
-// on a circular calendar, pushes are O(1), and pops scan the current day's
-// bucket instead of percolating a heap.  It exists as the benchmarked
-// alternative backend (see bench_serve's `event_queue` section and
-// tests/test_shard.cpp's pop-order equivalence pin); the simulator ships on
-// `EventHeap`, whose log-depth percolation beats the calendar's bucket scans
-// at the event-count scales the serving loop actually holds (tens of pending
-// events, not tens of thousands).
-//
-// Both containers require `T::time_s` (the event instant, finite — push
+// The container requires `T::time_s` (the event instant, finite — push
 // `serve::kNever` nowhere) and a `Less` that totally orders events.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "common/error.hpp"
 #include "serve/event.hpp"
 
 namespace lumos::serve {
@@ -70,152 +58,6 @@ class EventHeap {
 
  private:
   std::vector<T> items_;
-};
-
-// Calendar queue: a circular array of day buckets of width `bucket_width_s`.
-// An event at time t lives in bucket (t / width) mod bucket_count; the pop
-// cursor walks days forward (simulated time never runs backwards, so popped
-// days are never revisited) and scans at most one bucket per day until it
-// finds the current day's earliest event.  When a whole calendar year is
-// empty — events sparser than bucket_count days — the pop falls back to one
-// global min scan and jumps the cursor there, so sparse regions cost O(n)
-// once instead of unbounded day-walking.  The bucket count doubles when
-// occupancy passes two events per bucket, keeping day scans O(1) amortised.
-//
-// Pop order is identical to EventHeap's for any total-order `Less`: the
-// in-bucket scan selects the Less-minimum, never "whatever the layout
-// yields".
-template <typename T, typename Less>
-class CalendarQueue {
- public:
-  // `bucket_width_s` should approximate the typical inter-event gap; the
-  // structure stays correct (just slower) when it does not.
-  explicit CalendarQueue(double bucket_width_s, std::size_t bucket_count = 64)
-      : width_(bucket_width_s) {
-    LUMOS_EXPECTS_MSG(bucket_width_s > 0.0, "CalendarQueue bucket width must be > 0");
-    std::size_t n = 4;
-    while (n < bucket_count) n <<= 1;
-    buckets_.resize(n);
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
-  [[nodiscard]] double next_time_s() {
-    if (size_ == 0) return kNever;
-    locate();
-    return buckets_[min_bucket_][min_index_].time_s;
-  }
-
-  [[nodiscard]] const T& top() {
-    locate();
-    return buckets_[min_bucket_][min_index_];
-  }
-
-  void push(T item) {
-    const std::uint64_t day = day_of(item.time_s);
-    // An event may land on the day being drained (retry scheduled "now");
-    // days strictly before the cursor are impossible in a simulator whose
-    // clock is monotone, but clamp defensively so a stale push still pops.
-    if (day < cursor_day_) cursor_day_ = day;
-    buckets_[day & mask()].push_back(std::move(item));
-    ++size_;
-    located_ = false;
-    if (size_ > 2 * buckets_.size()) rehash(buckets_.size() * 2);
-  }
-
-  T pop() {
-    locate();
-    std::vector<T>& bucket = buckets_[min_bucket_];
-    T out = std::move(bucket[min_index_]);
-    // Swap-erase: in-bucket layout is irrelevant because locate() selects by
-    // Less, not by position.
-    bucket[min_index_] = std::move(bucket.back());
-    bucket.pop_back();
-    --size_;
-    located_ = false;
-    return out;
-  }
-
- private:
-  [[nodiscard]] std::size_t mask() const noexcept { return buckets_.size() - 1; }
-  [[nodiscard]] std::uint64_t day_of(double time_s) const noexcept {
-    return static_cast<std::uint64_t>(time_s / width_);
-  }
-
-  // Finds the Less-minimum event and caches its position.  Walks the
-  // calendar forward from the cursor day; one full empty year falls back to
-  // a global scan.
-  void locate() {
-    LUMOS_EXPECTS_MSG(size_ > 0, "CalendarQueue is empty");
-    if (located_) return;
-    std::uint64_t day = cursor_day_;
-    for (std::size_t walked = 0; walked < buckets_.size(); ++walked, ++day) {
-      if (scan_bucket_day(day & mask(), day)) {
-        cursor_day_ = day;
-        located_ = true;
-        return;
-      }
-    }
-    // Sparse region: nothing within a calendar year of the cursor.  One
-    // global scan finds the true minimum and jumps the cursor to its day.
-    const T* best = nullptr;
-    std::size_t best_bucket = 0;
-    std::size_t best_index = 0;
-    for (std::size_t b = 0; b < buckets_.size(); ++b) {
-      const std::vector<T>& bucket = buckets_[b];
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        if (best == nullptr || Less{}(*best, bucket[i])) {
-          best = &bucket[i];
-          best_bucket = b;
-          best_index = i;
-        }
-      }
-    }
-    cursor_day_ = day_of(best->time_s);
-    min_bucket_ = best_bucket;
-    min_index_ = best_index;
-    located_ = true;
-  }
-
-  // Less-minimum among `bucket`'s events belonging to virtual day `day`
-  // (other years' events share the bucket and must not match).  True when
-  // one was found (cached in min_bucket_/min_index_).
-  bool scan_bucket_day(std::size_t bucket_index, std::uint64_t day) {
-    const std::vector<T>& bucket = buckets_[bucket_index];
-    const T* best = nullptr;
-    std::size_t best_index = 0;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if (day_of(bucket[i].time_s) != day) continue;
-      if (best == nullptr || Less{}(*best, bucket[i])) {
-        best = &bucket[i];
-        best_index = i;
-      }
-    }
-    if (best == nullptr) return false;
-    min_bucket_ = bucket_index;
-    min_index_ = best_index;
-    return true;
-  }
-
-  void rehash(std::size_t new_count) {
-    std::vector<std::vector<T>> old = std::move(buckets_);
-    buckets_.assign(new_count, {});
-    for (std::vector<T>& bucket : old) {
-      for (T& item : bucket) {
-        buckets_[day_of(item.time_s) & mask()].push_back(std::move(item));
-      }
-    }
-    located_ = false;
-  }
-
-  double width_;
-  std::vector<std::vector<T>> buckets_;
-  std::size_t size_ = 0;
-  std::uint64_t cursor_day_ = 0;
-  bool located_ = false;
-  std::size_t min_bucket_ = 0;
-  std::size_t min_index_ = 0;
 };
 
 }  // namespace lumos::serve

@@ -83,12 +83,78 @@ double FleetMetrics::estimate_hit_rate() const noexcept {
          static_cast<double>(estimate_lookups);
 }
 
-void finalize_latency(FleetMetrics& m) {
+Tally& Tally::operator+=(const Tally& other) noexcept {
+  latency_s += other.latency_s;
+  busy_slot_s += other.busy_slot_s;
+  active_slot_s += other.active_slot_s;
+  queue_depth_s += other.queue_depth_s;
+  window_slot_s += other.window_slot_s;
+  down_slot_s += other.down_slot_s;
+  repair_s += other.repair_s;
+  return *this;
+}
+
+namespace {
+
+// num / den, or `none` when nothing was counted.
+double ratio(double num, std::size_t den, double none = 0.0) {
+  return den > 0 ? num / static_cast<double>(den) : none;
+}
+double ratio(std::size_t num, std::size_t den, double none = 0.0) {
+  return ratio(static_cast<double>(num), den, none);
+}
+
+}  // namespace
+
+void finalize(FleetMetrics& m) {
+  const Tally& tally = m.tally;
+  const double duration = std::max(m.duration_s, 1e-300);
+  const auto per_s = [&](std::size_t count) { return static_cast<double>(count) / duration; };
+
+  // Traffic, queueing and batching.
+  m.throughput_qps = per_s(m.completed);
+  m.goodput_qps = per_s(m.within_slo);
+  m.slo_attainment = ratio(m.within_slo, m.completed);
+  m.mean_latency_s = ratio(tally.latency_s, m.completed);
+  m.drop_rate = ratio(m.shed_requests + m.timed_out_requests,
+                      m.completed + m.shed_requests + m.timed_out_requests);
+  m.mean_queue_depth = tally.queue_depth_s / duration;
+  m.mean_batch_size = static_cast<double>(m.completed) /
+                      static_cast<double>(std::max<std::size_t>(m.dispatches, 1));
+
+  // Fleet time, energy, dollars and availability.
+  m.mean_fleet_size = tally.active_slot_s / duration;
+  m.fleet_utilization = tally.busy_slot_s / std::max(tally.active_slot_s, 1e-300);
+  m.energy_per_request_j = ratio(m.fleet_energy_j, m.completed);
+  m.cost_per_request_usd = ratio(m.fleet_cost_usd, m.completed);
+  m.fleet_availability =
+      tally.window_slot_s > 0.0
+          ? std::max(0.0, tally.window_slot_s - tally.down_slot_s) / tally.window_slot_s
+          : 1.0;
+  m.observed_mttr_s = ratio(tally.repair_s, m.slot_recoveries);
+
+  // Decode.
+  m.tokens_per_s = per_s(m.generated_tokens);
+  m.ttft_attainment = ratio(m.within_ttft_slo, m.ttft_slo_requests, 1.0);
+  m.tpot_attainment = ratio(m.within_tpot_slo, m.tpot_slo_requests, 1.0);
+  std::size_t steps = 0;
+  std::size_t lane_steps = 0;
+  for (std::size_t lanes = 0; lanes < m.decode_occupancy.size(); ++lanes) {
+    steps += m.decode_occupancy[lanes];
+    lane_steps += lanes * m.decode_occupancy[lanes];
+  }
+  m.mean_decode_occupancy = ratio(lane_steps, steps);
+
+  // Latency statistics.  A SampleRun and an HdrHistogram answer the same
+  // mean/max/percentile calls; the fleet sketch merges the tenants' (bucket
+  // counts add).
   const LatencyState& st = *m.latency_state;
-  // A SampleRun and an HdrHistogram answer the same mean/max/percentile
-  // calls; the fleet sketch merges the tenants' (bucket counts add).
   HdrHistogram all(st.hdr ? st.hdr_relative_error : 0.01);
+  m.max_latency_s = 0.0;
   const auto tenant = [&](TenantMetrics& t, const auto& samples) {
+    t.drop_rate = ratio(t.shed + t.timed_out, t.completed + t.shed + t.timed_out);
+    t.slo_attainment = ratio(t.within_slo, t.completed);
+    t.goodput_qps = per_s(t.within_slo);
     t.mean_latency_s = samples.mean();
     t.max_latency_s = samples.max();
     t.p50_latency_s = samples.percentile(0.50);
@@ -130,12 +196,10 @@ void finalize_latency(FleetMetrics& m) {
 
 namespace {
 
-// Count-weighted recombination of two per-run averages (the labelled
-// approximation for percentiles when no raw state is retained; exact for
-// true means).  Commutative: a*wa + b*wb adds bit-identically either way.
-double weighted(double a, double wa, double b, double wb) {
-  const double w = wa + wb;
-  return w > 0.0 ? (a * wa + b * wb) / w : 0.0;
+// Element-wise `into += from`, growing `into` to cover `from`.
+void add_histogram(std::vector<std::size_t>& into, const std::vector<std::size_t>& from) {
+  if (into.size() < from.size()) into.resize(from.size(), 0);
+  for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
 }
 
 }  // namespace
@@ -147,93 +211,61 @@ void FleetMetrics::merge(const FleetMetrics& other) {
                           std::to_string(other.tenants.size()) +
                           "): both sides must describe the same catalog");
   }
-
-  // Horizon primitives of both sides, read before anything is overwritten.
-  const double dur_a = duration_s;
-  const double dur_b = other.duration_s;
-  const double merged_dur = std::max(dur_a, dur_b);
-  const double slot_time_a = mean_fleet_size * dur_a;
-  const double slot_time_b = other.mean_fleet_size * dur_b;
-  const double busy = fleet_utilization * slot_time_a +
-                      other.fleet_utilization * slot_time_b;
-  const double depth_time = mean_queue_depth * dur_a + other.mean_queue_depth * dur_b;
-  const double latency_sum = mean_latency_s * static_cast<double>(completed) +
-                             other.mean_latency_s * static_cast<double>(other.completed);
-  const double na = static_cast<double>(completed);
-  const double nb = static_cast<double>(other.completed);
-  const double sess_a = static_cast<double>(sessions);
-  const double sess_b = static_cast<double>(other.sessions);
-  const double dec_a = static_cast<double>(decode_requests);
-  const double dec_b = static_cast<double>(other.decode_requests);
-
-  // Latency state: merged exactly when both sides retained the same mode.
-  const bool exact_state = latency_state != nullptr && other.latency_state != nullptr;
-  if (exact_state) {
-    if (latency_state->hdr != other.latency_state->hdr) {
-      throw InvalidArgument(
-          "FleetMetrics::merge: latency states mix exact and hdr modes");
-    }
-    // Copy-on-write: a shared state (metrics copied with its pointer) must
-    // not be mutated behind the copy's back.
-    if (latency_state.use_count() > 1) {
-      latency_state = std::make_shared<LatencyState>(*latency_state);
-    }
-    LatencyState& st = *latency_state;
-    const LatencyState& ot = *other.latency_state;
-    if (st.hdr) {
-      for (std::size_t w = 0; w < st.tenant_hist.size(); ++w) {
-        st.tenant_hist[w].merge(ot.tenant_hist[w]);  // throws on eps mismatch
-      }
-    } else {
-      // Tenants' runs are disjoint: each merges on its own pool task.
-      parallel_for(0, st.tenant_samples.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t w = begin; w < end; ++w) {
-          st.tenant_samples[w].merge(ot.tenant_samples[w]);
-        }
-      });
-    }
-    st.session_samples.merge(ot.session_samples);
-    st.ttft_samples.merge(ot.ttft_samples);
-    st.tpot_samples.merge(ot.tpot_samples);
-  } else {
-    // One side (or both) discarded its samples: percentiles degrade to the
-    // documented weighted approximation below, and no state survives.
-    latency_state.reset();
+  if (latency_state == nullptr || other.latency_state == nullptr) {
+    throw InvalidArgument(
+        "FleetMetrics::merge: both sides must retain their latency state "
+        "(run them with SimConfig::keep_latency_state set)");
+  }
+  if (latency_state->hdr != other.latency_state->hdr) {
+    throw InvalidArgument("FleetMetrics::merge: latency states mix exact and hdr modes");
   }
 
-  // Per-tenant: counters add; rates recompute from the merged counters.
+  // Latency state.  Copy-on-write: a shared state (metrics copied with its
+  // pointer) must not be mutated behind the copy's back.
+  if (latency_state.use_count() > 1) {
+    latency_state = std::make_shared<LatencyState>(*latency_state);
+  }
+  LatencyState& st = *latency_state;
+  const LatencyState& ot = *other.latency_state;
+  if (st.hdr) {
+    for (std::size_t w = 0; w < st.tenant_hist.size(); ++w) {
+      st.tenant_hist[w].merge(ot.tenant_hist[w]);  // throws on eps mismatch
+    }
+  } else {
+    // Tenants' runs are disjoint: each merges on its own pool task.
+    parallel_for(0, st.tenant_samples.size(), 1, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t w = begin; w < end; ++w) {
+        st.tenant_samples[w].merge(ot.tenant_samples[w]);
+      }
+    });
+  }
+  st.session_samples.merge(ot.session_samples);
+  st.ttft_samples.merge(ot.ttft_samples);
+  st.tpot_samples.merge(ot.tpot_samples);
+
+  // Counters and raw sums add; maxima take the max.
   for (std::size_t w = 0; w < tenants.size(); ++w) {
     TenantMetrics& t = tenants[w];
     const TenantMetrics& o = other.tenants[w];
-    const double ta = static_cast<double>(t.completed);
-    const double tb = static_cast<double>(o.completed);
-    if (!exact_state) {
-      t.mean_latency_s = weighted(t.mean_latency_s, ta, o.mean_latency_s, tb);
-      t.p50_latency_s = weighted(t.p50_latency_s, ta, o.p50_latency_s, tb);
-      t.p99_latency_s = weighted(t.p99_latency_s, ta, o.p99_latency_s, tb);
-    }
     t.completed += o.completed;
     t.within_slo += o.within_slo;
     t.shed += o.shed;
     t.timed_out += o.timed_out;
-    t.cost_usd += o.cost_usd;  // disjoint completions: dollars add exactly
-    t.max_latency_s = std::max(t.max_latency_s, o.max_latency_s);
+    t.cost_usd += o.cost_usd;
     t.slo_latency_s = std::max(t.slo_latency_s, o.slo_latency_s);
-    const std::size_t issued = t.completed + t.shed + t.timed_out;
-    t.drop_rate = issued > 0 ? static_cast<double>(t.shed + t.timed_out) /
-                                   static_cast<double>(issued)
-                             : 0.0;
-    t.slo_attainment = t.completed > 0 ? static_cast<double>(t.within_slo) /
-                                             static_cast<double>(t.completed)
-                                       : 0.0;
-    t.goodput_qps =
-        static_cast<double>(t.within_slo) / std::max(merged_dur, 1e-300);
   }
-
-  // Merge-exact counters and maxima.
+  offered_qps += other.offered_qps;
   completed += other.completed;
   within_slo += other.within_slo;
   dispatches += other.dispatches;
+  add_histogram(batch_histogram, other.batch_histogram);
+  fleet_energy_j += other.fleet_energy_j;
+  fleet_cost_usd += other.fleet_cost_usd;
+  autoscale_grows += other.autoscale_grows;
+  autoscale_shrinks += other.autoscale_shrinks;
+  initial_fleet_size += other.initial_fleet_size;
+  peak_fleet_size += other.peak_fleet_size;
+  final_fleet_size += other.final_fleet_size;
   shed_requests += other.shed_requests;
   timed_out_requests += other.timed_out_requests;
   attempt_timeouts += other.attempt_timeouts;
@@ -242,27 +274,9 @@ void FleetMetrics::merge(const FleetMetrics& other) {
   requeued_requests += other.requeued_requests;
   slot_failures += other.slot_failures;
   slot_recoveries += other.slot_recoveries;
-  autoscale_grows += other.autoscale_grows;
-  autoscale_shrinks += other.autoscale_shrinks;
-  initial_fleet_size += other.initial_fleet_size;
-  peak_fleet_size += other.peak_fleet_size;  // sum of per-cell peaks
-  final_fleet_size += other.final_fleet_size;
-  estimate_lookups += other.estimate_lookups;
-  estimate_misses += other.estimate_misses;
-  sessions += other.sessions;
-  max_latency_s = std::max(max_latency_s, other.max_latency_s);
-  slo_latency_s = std::max(slo_latency_s, other.slo_latency_s);
-  peak_queue_depth = std::max(peak_queue_depth, other.peak_queue_depth);
-  fleet_energy_j += other.fleet_energy_j;
-  fleet_cost_usd += other.fleet_cost_usd;  // disjoint slot-time and energy
-  if (batch_histogram.size() < other.batch_histogram.size()) {
-    batch_histogram.resize(other.batch_histogram.size(), 0);
-  }
-  for (std::size_t b = 0; b < other.batch_histogram.size(); ++b) {
-    batch_histogram[b] += other.batch_histogram[b];
-  }
   slot_availability.insert(slot_availability.end(), other.slot_availability.begin(),
                            other.slot_availability.end());
+  sessions += other.sessions;
   decode_requests += other.decode_requests;
   generated_tokens += other.generated_tokens;
   aborted_decode_tokens += other.aborted_decode_tokens;
@@ -271,88 +285,14 @@ void FleetMetrics::merge(const FleetMetrics& other) {
   within_ttft_slo += other.within_ttft_slo;
   tpot_slo_requests += other.tpot_slo_requests;
   within_tpot_slo += other.within_tpot_slo;
-  if (decode_occupancy.size() < other.decode_occupancy.size()) {
-    decode_occupancy.resize(other.decode_occupancy.size(), 0);
-  }
-  for (std::size_t lanes = 0; lanes < other.decode_occupancy.size(); ++lanes) {
-    decode_occupancy[lanes] += other.decode_occupancy[lanes];
-  }
-
-  // Concurrent-partition horizon semantics: offered load adds, the merged
-  // run lasts as long as its slowest partition, and time-weighted gauges
-  // recombine over their own horizons.
-  offered_qps += other.offered_qps;
-  duration_s = merged_dur;
-  throughput_qps = static_cast<double>(completed) / std::max(merged_dur, 1e-300);
-  goodput_qps = static_cast<double>(within_slo) / std::max(merged_dur, 1e-300);
-  slo_attainment = completed > 0 ? static_cast<double>(within_slo) /
-                                       static_cast<double>(completed)
-                                 : 0.0;
-  mean_latency_s =
-      completed > 0 ? latency_sum / static_cast<double>(completed) : 0.0;
-  const std::size_t issued = completed + shed_requests + timed_out_requests;
-  drop_rate = issued > 0 ? static_cast<double>(shed_requests + timed_out_requests) /
-                               static_cast<double>(issued)
-                         : 0.0;
-  mean_queue_depth = depth_time / std::max(merged_dur, 1e-300);
-  mean_batch_size = static_cast<double>(completed) /
-                    static_cast<double>(std::max<std::size_t>(dispatches, 1));
-  energy_per_request_j =
-      completed > 0 ? fleet_energy_j / static_cast<double>(completed) : 0.0;
-  cost_per_request_usd =
-      completed > 0 ? fleet_cost_usd / static_cast<double>(completed) : 0.0;
-  const double slot_time = slot_time_a + slot_time_b;
-  mean_fleet_size = slot_time / std::max(merged_dur, 1e-300);
-  fleet_utilization = busy / std::max(slot_time, 1e-300);
-  fleet_availability = slot_time > 0.0
-                           ? weighted(fleet_availability, slot_time_a,
-                                      other.fleet_availability, slot_time_b)
-                           : 1.0;
-  observed_mttr_s =
-      weighted(observed_mttr_s, static_cast<double>(slot_recoveries - other.slot_recoveries),
-               other.observed_mttr_s, static_cast<double>(other.slot_recoveries));
-  tokens_per_s = static_cast<double>(generated_tokens) / std::max(merged_dur, 1e-300);
-  ttft_attainment = ttft_slo_requests > 0 ? static_cast<double>(within_ttft_slo) /
-                                                static_cast<double>(ttft_slo_requests)
-                                          : 1.0;
-  tpot_attainment = tpot_slo_requests > 0 ? static_cast<double>(within_tpot_slo) /
-                                                static_cast<double>(tpot_slo_requests)
-                                          : 1.0;
-  {
-    // Mean occupancy recomputes exactly from the merged histogram.
-    std::size_t steps = 0;
-    std::size_t lane_steps = 0;
-    for (std::size_t lanes = 0; lanes < decode_occupancy.size(); ++lanes) {
-      steps += decode_occupancy[lanes];
-      lane_steps += lanes * decode_occupancy[lanes];
-    }
-    mean_decode_occupancy =
-        steps > 0 ? static_cast<double>(lane_steps) / static_cast<double>(steps) : 0.0;
-  }
-
-  // Percentiles: exact from the merged state, else the weighted fallback.
-  if (exact_state) {
-    finalize_latency(*this);
-  } else {
-    p50_latency_s = weighted(p50_latency_s, na, other.p50_latency_s, nb);
-    p95_latency_s = weighted(p95_latency_s, na, other.p95_latency_s, nb);
-    p99_latency_s = weighted(p99_latency_s, na, other.p99_latency_s, nb);
-    p999_latency_s = weighted(p999_latency_s, na, other.p999_latency_s, nb);
-    mean_session_s = weighted(mean_session_s, sess_a, other.mean_session_s, sess_b);
-    p50_session_s = weighted(p50_session_s, sess_a, other.p50_session_s, sess_b);
-    p99_session_s = weighted(p99_session_s, sess_a, other.p99_session_s, sess_b);
-    max_session_s = std::max(max_session_s, other.max_session_s);
-    mean_ttft_s = weighted(mean_ttft_s, dec_a, other.mean_ttft_s, dec_b);
-    p50_ttft_s = weighted(p50_ttft_s, dec_a, other.p50_ttft_s, dec_b);
-    p95_ttft_s = weighted(p95_ttft_s, dec_a, other.p95_ttft_s, dec_b);
-    p99_ttft_s = weighted(p99_ttft_s, dec_a, other.p99_ttft_s, dec_b);
-    max_ttft_s = std::max(max_ttft_s, other.max_ttft_s);
-    mean_tpot_s = weighted(mean_tpot_s, dec_a, other.mean_tpot_s, dec_b);
-    p50_tpot_s = weighted(p50_tpot_s, dec_a, other.p50_tpot_s, dec_b);
-    p95_tpot_s = weighted(p95_tpot_s, dec_a, other.p95_tpot_s, dec_b);
-    p99_tpot_s = weighted(p99_tpot_s, dec_a, other.p99_tpot_s, dec_b);
-    max_tpot_s = std::max(max_tpot_s, other.max_tpot_s);
-  }
+  add_histogram(decode_occupancy, other.decode_occupancy);
+  estimate_lookups += other.estimate_lookups;
+  estimate_misses += other.estimate_misses;
+  tally += other.tally;
+  duration_s = std::max(duration_s, other.duration_s);
+  slo_latency_s = std::max(slo_latency_s, other.slo_latency_s);
+  peak_queue_depth = std::max(peak_queue_depth, other.peak_queue_depth);
+  finalize(*this);
 }
 
 Table FleetMetrics::to_table(const std::string& title) const {

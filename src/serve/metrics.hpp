@@ -95,14 +95,14 @@ struct SlotAvailability {
   double observed_mttr_s = 0.0;    // mean completed repair duration
 };
 
-// Raw latency state of a simulation, which finalize_latency() reads and a run
-// can retain for exact cross-run merging (SimConfig.keep_latency_state;
-// sharded runs always retain it per cell).  kExact mode keeps every
-// per-tenant sample; kHdr keeps the per-tenant sketches instead.
-// `FleetMetrics::merge` merges whichever is present, so merged percentiles
-// are those of the union multiset.  Every retained sample vector is
-// ascending: each is a SampleRun, sorted once where it is produced (the
-// simulator's end of run, the closed-loop source's finish).
+// Raw latency state of a simulation, which finalize() reads and a run can
+// retain for exact cross-run merging (SimConfig.keep_latency_state; sharded
+// runs always retain it per cell).  kExact mode keeps every per-tenant
+// sample; kHdr keeps the per-tenant sketches instead.  `FleetMetrics::merge`
+// merges whichever is present, so merged percentiles are those of the union
+// multiset.  Every retained sample vector is ascending: each is a SampleRun,
+// sorted once where it is produced (the simulator's end of run, the
+// closed-loop source's finish).
 struct LatencyState {
   bool hdr = false;                      // which representation is live
   double hdr_relative_error = 0.01;      // sketch eps (kHdr; must match to merge)
@@ -114,6 +114,21 @@ struct LatencyState {
   // 100M-request firehose the hdr sketches exist for).
   SampleRun ttft_samples;                // time to first token
   SampleRun tpot_samples;                // mean time per output token
+};
+
+// The raw sums behind the fleet means and rates that no counter can rebuild.
+// Purely additive: merging two runs adds their tallies field by field.
+struct Tally {
+  double latency_s = 0.0;      // completed requests' latencies (mean latency)
+  double busy_slot_s = 0.0;    // slot-time spent serving (utilization)
+  double active_slot_s = 0.0;  // slot-time of the active windows (mean fleet size)
+  double queue_depth_s = 0.0;  // time integral of the queue depth
+  double window_slot_s = 0.0;  // fault-injected runs: active-window slot-time
+  double down_slot_s = 0.0;    // ... of which the slots were down (availability)
+  double repair_s = 0.0;       // completed repair durations (MTTR)
+
+  Tally& operator+=(const Tally& other) noexcept;
+  bool operator==(const Tally&) const = default;
 };
 
 struct FleetMetrics {
@@ -231,6 +246,9 @@ struct FleetMetrics {
   std::size_t estimate_lookups = 0;
   std::size_t estimate_misses = 0;
 
+  // Raw sums behind the derived means and rates (see Tally).
+  Tally tally;
+
   // Retained raw latency state (null unless SimConfig.keep_latency_state was
   // set — sharded cell runs set it so the merge can recompute percentiles
   // exactly).  shared_ptr keeps FleetMetrics cheaply copyable.
@@ -241,31 +259,21 @@ struct FleetMetrics {
   [[nodiscard]] double estimate_hit_rate() const noexcept;
 
   // Folds `other` — the metrics of an *independent, concurrently simulated*
-  // partition (a shard cell, a disjoint sub-fleet) — into this object.  The
-  // merge is commutative pairwise; the cell merge folds in ascending cell
-  // order so multi-way results are deterministic.  Field semantics:
+  // partition (a shard cell, a disjoint sub-fleet) — into this object: raw
+  // sums add, then the one finalize() derives every rate, mean, attainment
+  // and percentile from them.  Nothing is rebuilt from a derived value, so a
+  // pairwise merge gives the same bits in either order.
   //
-  //   * Merge-exact (counters add; maxima take the max): completed,
-  //     within_slo, dispatches, batch_histogram, shed/timed-out/retried/
-  //     requeued/failed-batch counts, slot failures/recoveries, autoscale
-  //     grows/shrinks, fleet sizes (disjoint sub-fleets add; peak is the sum
-  //     of per-cell peaks), estimate lookups/misses, sessions, max latency,
-  //     fleet energy.
-  //   * Merge-exact via retained state: when both sides carry
-  //     `latency_state` of the same mode, sorted runs merge linearly (kExact)
-  //     or sketches merge (kHdr), and finalize_latency() recomputes every
-  //     percentile and the per-tenant/session/TTFT/TPOT means (carried
-  //     sums) over the union; mismatched modes or sketch resolutions throw
-  //     InvalidArgument.  Without state, those fall back to a count-weighted
-  //     average — a labelled approximation, not a percentile of the union.
-  //   * Recomputed from merged primitives: throughput/goodput/attainment/
-  //     mean latency (count-weighted)/mean batch/drop rate/energy per request.
-  //   * Per-run-only (merged by convention, approximate across unequal
-  //     horizons): duration_s takes the max (cells run concurrently);
-  //     offered_qps adds; mean_queue_depth, mean_fleet_size, utilization,
-  //     and availability recombine time-weighted by each side's duration or
-  //     slot-time; peak_queue_depth takes the max of per-cell peaks (cells
-  //     queue independently — there is no fleet-wide instant to align).
+  //   * Add: every counter, histogram, dollar and energy total, the tally,
+  //     offered_qps (concurrent cells' loads add) and the fleet sizes
+  //     (disjoint sub-fleets; the peak is the sum of per-cell peaks).
+  //   * Max: duration_s (cells run concurrently), the SLO, and
+  //     peak_queue_depth (cells queue independently — there is no
+  //     fleet-wide instant to align).
+  //   * Latency state: sorted runs merge linearly (kExact) or sketches merge
+  //     (kHdr), so percentiles and maxima are those of the union.  Both sides
+  //     must carry `latency_state` (SimConfig::keep_latency_state) of the
+  //     same mode and sketch resolution, or InvalidArgument.
   //   * Positional: tenants merge element-wise (both sides must describe the
   //     same catalog, or InvalidArgument); slot_availability concatenates in
   //     call order.
@@ -276,11 +284,12 @@ struct FleetMetrics {
   [[nodiscard]] Table tenant_table(const std::string& title) const;
 };
 
-// The one latency finalise, run by simulate() and FleetMetrics::merge: sets
-// every per-tenant, fleet, session, TTFT and TPOT mean, max and percentile
-// (except the fleet mean) from `m.latency_state` (non-null; one entry per
-// tenant).  Means divide carried sums; percentiles are index reads, or a
-// selection across the tenants' runs for the fleet, so nothing re-sorts.
-void finalize_latency(FleetMetrics& m);
+// The one derivation, run by simulate() and FleetMetrics::merge: sets every
+// derived FleetMetrics and TenantMetrics field — rates, means, attainments,
+// maxima and percentiles — from three inputs: the counters, `m.tally` and
+// `m.latency_state` (non-null; one entry per tenant).  Means divide sums;
+// percentiles are index reads, or a selection across the tenants' runs for
+// the fleet, so nothing re-sorts.
+void finalize(FleetMetrics& m);
 
 }  // namespace lumos::serve

@@ -64,9 +64,9 @@ CellPlan CellPlan::build(const Scenario& scenario, std::size_t cells) {
         scenario.fleet.accelerators.begin() +
             static_cast<std::ptrdiff_t>(slot_begin + cell_slots));
     slot_begin += cell_slots;
-    // Cells retain raw latency state so the merge recomputes percentiles
-    // exactly; simulate_sharded drops it from the merged result unless the
-    // top-level scenario asked to keep it.
+    // Cells retain raw latency state, which the merge needs to recompute
+    // percentiles exactly; simulate_sharded drops it from the merged result
+    // unless the top-level scenario asked to keep it.
     cell.sim.keep_latency_state = true;
     cell.sim.faults.seed += cell_salt(c);
     cell.sim.retry.seed += cell_salt(c);

@@ -18,11 +18,6 @@ FleetConfig FleetConfig::homogeneous(const std::string& spec, std::size_t count,
   return cycled({spec}, count, routing);
 }
 
-FleetConfig FleetConfig::heterogeneous(const std::string& primary, const std::string& eco,
-                                       std::size_t count, RoutingPolicy routing) {
-  return cycled({primary, eco}, count, routing);
-}
-
 FleetConfig FleetConfig::cycled(const std::vector<std::string>& specs, std::size_t count,
                                 RoutingPolicy routing) {
   if (specs.empty()) throw InvalidArgument("FleetConfig specs must not be empty");
@@ -189,6 +184,7 @@ void validate_scenario(const Scenario& scenario) {
     throw InvalidArgument("Scenario.sim: SimConfig.hdr_relative_error must be in (0, 1)");
   }
   if (!scenario.trace.empty()) {
+    double previous_s = 0.0;
     for (const Request& r : scenario.trace) {
       if (r.workload >= scenario.catalog.size()) {
         throw InvalidArgument("Scenario.trace: request " + std::to_string(r.id) +
@@ -196,6 +192,12 @@ void validate_scenario(const Scenario& scenario) {
                               ", but the catalog holds " +
                               std::to_string(scenario.catalog.size()) + " workloads");
       }
+      if (!std::isfinite(r.arrival_s) || r.arrival_s < previous_s) {
+        throw InvalidArgument("Scenario.trace: request " + std::to_string(r.id) +
+                              " has arrival_s " + std::to_string(r.arrival_s) +
+                              "; arrivals must be finite, >= 0 and in arrival order");
+      }
+      previous_s = r.arrival_s;
     }
     return;
   }
@@ -405,38 +407,39 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     for (std::size_t i = 0; i < slots.size(); ++i) faults->add_slot(0.0);
   }
 
+  // The loop adds straight into the counters and the tally of `m`;
+  // finalize() derives every rate and mean from them once it drains.
   FleetMetrics m;
   m.batch_histogram.assign(
       (scenario.scheduler == SchedulerKind::kFifo ? std::size_t{1} : policy.max_batch) + 1,
       0);
   m.initial_fleet_size = slots.size();
   m.peak_fleet_size = slots.size();
-  double latency_sum = 0.0;
-  std::size_t within_slo = 0;
-  double dispatched_energy_j = 0.0;
-  double depth_time = 0.0;
+  m.slo_latency_s = slo_s;
+  m.tenants.resize(catalog.size());
+  for (std::uint32_t w = 0; w < catalog.size(); ++w) {
+    TenantMetrics& t = m.tenants[w];
+    t.name = catalog.workload(w).name();
+    t.priority = catalog.at(w).priority;
+    t.slo_latency_s = slo_of[w];
+  }
   // Latency samples: the exact mode stores every sample per tenant (sorted
   // once at the end, into the LatencyState); kHdr streams them into
   // bounded-error sketches instead, so memory stays flat at 100M-request
-  // scale.  `tenant_completed` counts completions in both modes.
+  // scale.
   const bool hdr = sim.percentile_mode == PercentileMode::kHdr;
   std::vector<std::vector<double>> tenant_latencies(hdr ? 0 : catalog.size());
   std::vector<HdrHistogram> tenant_hist(
       hdr ? catalog.size() : 0, HdrHistogram(hdr ? sim.hdr_relative_error : 0.01));
-  std::vector<std::size_t> tenant_completed(catalog.size(), 0);
-  std::vector<std::size_t> tenant_within(catalog.size(), 0);
-  std::vector<std::size_t> tenant_shed(catalog.size(), 0);
-  std::vector<std::size_t> tenant_timed_out(catalog.size(), 0);
   // Dollars attributed per tenant: served slot-time at the slot's hourly rate
   // plus batch energy at $/J, charged wherever dispatched energy is (batch
   // completions and pro-rata fault aborts).  Sums to <= the fleet cost —
   // idle slot-time and idle static energy stay unattributed.
-  std::vector<double> tenant_cost_usd(catalog.size(), 0.0);
   const double usd_per_joule = fleet.cost.usd_per_joule;
   const auto attribute_cost = [&](std::uint32_t w, double served_s, double energy_j,
                                   std::size_t cache) {
-    tenant_cost_usd[w] += served_s / 3600.0 * rate_of_cache[cache] +
-                          energy_j * usd_per_joule;
+    m.tenants[w].cost_usd += served_s / 3600.0 * rate_of_cache[cache] +
+                             energy_j * usd_per_joule;
   };
   // Terminal outcomes (completed + shed + timed out): the loop's stop target.
   std::size_t terminal = 0;
@@ -551,7 +554,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       retry_heap.push({again.arrival_s, retry_seq++, std::move(again)});
     } else {
       ++m.timed_out_requests;
-      ++tenant_timed_out[req.workload];
+      ++m.tenants[req.workload].timed_out;
       ++terminal;
       if constexpr (kObs) {
         obs->on_complete(req, now_s, CompletionStatus::kTimeout,
@@ -574,12 +577,13 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     } else {
       tenant_latencies[w].push_back(latency);
     }
-    ++tenant_completed[w];
-    latency_sum += latency;
+    TenantMetrics& tenant = m.tenants[w];
+    ++tenant.completed;
+    m.tally.latency_s += latency;
     const bool in_slo = latency <= slo_of[w];
     if (in_slo) {
-      ++within_slo;
-      ++tenant_within[w];
+      ++m.within_slo;
+      ++tenant.within_slo;
     }
     ++m.completed;
     ++terminal;
@@ -737,7 +741,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     if constexpr (kObs) obs->on_admission(r, now_s, admitted);
     if (!admitted) {
       ++m.shed_requests;
-      ++tenant_shed[r.workload];
+      ++m.tenants[r.workload].shed;
       ++terminal;
       if constexpr (kObs) {
         obs->on_complete(r, now_s, CompletionStatus::kShed, now_s - r.first_arrival_s,
@@ -888,7 +892,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
           if (span > 0.0) {
             const double served_s = t_ev - s.inflight_start_s;
             const double energy_j = s.inflight_energy_j * (served_s / span);
-            dispatched_energy_j += energy_j;
+            m.fleet_energy_j += energy_j;
             const std::uint32_t aborted_w =
                 s.decoding ? s.decode_workload : s.inflight.front().workload;
             attribute_cost(aborted_w, served_s, energy_j, s.cache);
@@ -1032,7 +1036,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
                               : kNever;
     const double t = std::min({t_arr, t_retry, t_done, t_dead, t_fault, next_eval_s});
     LUMOS_ENSURES(t >= now_s && t < kNever);
-    depth_time += static_cast<double>(sched->queued()) * (t - now_s);
+    m.tally.queue_depth_s += static_cast<double>(sched->queued()) * (t - now_s);
     if (scaler && t > now_s) {
       // Exact per-family busy-slot time integral for the utilization signal.
       const double dt = t - now_s;
@@ -1053,7 +1057,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
         // Token boundary: the decode step finished; each active lane emits
         // one token, drained lanes complete, and the slot decides whether
         // another step runs (see continue_decode).
-        dispatched_energy_j += acc.inflight_energy_j;
+        m.fleet_energy_j += acc.inflight_energy_j;
         attribute_cost(acc.decode_workload, acc.inflight_done_s - acc.inflight_start_s,
                        acc.inflight_energy_j, acc.cache);
         ++m.decode_steps;
@@ -1083,7 +1087,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       std::vector<Request> batch = std::move(acc.inflight);
       acc.inflight.clear();
       acc.inflight_seq = kNoBatch;
-      dispatched_energy_j += acc.inflight_energy_j;
+      m.fleet_energy_j += acc.inflight_energy_j;
       // Batches never mix workloads, so the head names the paying tenant.
       attribute_cost(batch.front().workload, acc.inflight_done_s - acc.inflight_start_s,
                      acc.inflight_energy_j, acc.cache);
@@ -1177,147 +1181,55 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   }
   if constexpr (kObs) obs->finish(now_s);
 
-  const double duration_s = now_s;
+  // End of run: the sums only the slots can give.  Energy, dollars and
+  // utilization integrate each slot over its active window (activation to
+  // retirement, or simulation end); availability counts its down time.
   m.offered_qps = static_cast<double>(total_requests) / std::max(last_arrival_s, 1e-300);
-  m.duration_s = duration_s;
-  m.throughput_qps = static_cast<double>(m.completed) / std::max(duration_s, 1e-300);
-  m.goodput_qps = static_cast<double>(within_slo) / std::max(duration_s, 1e-300);
-  m.slo_latency_s = slo_s;
-  m.within_slo = within_slo;
-  m.slo_attainment =
-      m.completed > 0
-          ? static_cast<double>(within_slo) / static_cast<double>(m.completed)
-          : 0.0;
-  m.mean_latency_s =
-      m.completed > 0 ? latency_sum / static_cast<double>(m.completed) : 0.0;
-  m.drop_rate = static_cast<double>(m.shed_requests + m.timed_out_requests) /
-                static_cast<double>(total_requests);
-
-  // Per-tenant counters and rates; the latency statistics come from the
-  // LatencyState once the source has added its sessions (below).
-  m.tenants.resize(catalog.size());
-  for (std::uint32_t w = 0; w < catalog.size(); ++w) {
-    TenantMetrics& t = m.tenants[w];
-    t.name = catalog.workload(w).name();
-    t.priority = catalog.at(w).priority;
-    t.slo_latency_s = slo_of[w];
-    t.completed = tenant_completed[w];
-    t.within_slo = tenant_within[w];
-    t.shed = tenant_shed[w];
-    t.timed_out = tenant_timed_out[w];
-    t.cost_usd = tenant_cost_usd[w];
-    const std::size_t issued = t.completed + t.shed + t.timed_out;
-    if (issued > 0) {
-      t.drop_rate = static_cast<double>(t.shed + t.timed_out) / static_cast<double>(issued);
-    }
-    if (t.completed > 0) {
-      t.slo_attainment = static_cast<double>(tenant_within[w]) /
-                         static_cast<double>(t.completed);
-      t.goodput_qps =
-          static_cast<double>(tenant_within[w]) / std::max(duration_s, 1e-300);
-    }
-  }
-  m.mean_queue_depth = depth_time / std::max(duration_s, 1e-300);
-  m.mean_batch_size =
-      static_cast<double>(m.completed) / static_cast<double>(std::max<std::size_t>(m.dispatches, 1));
-  if (has_decode) {
-    m.tokens_per_s =
-        static_cast<double>(m.generated_tokens) / std::max(duration_s, 1e-300);
-    m.ttft_attainment = m.ttft_slo_requests > 0
-                            ? static_cast<double>(m.within_ttft_slo) /
-                                  static_cast<double>(m.ttft_slo_requests)
-                            : 1.0;
-    m.tpot_attainment = m.tpot_slo_requests > 0
-                            ? static_cast<double>(m.within_tpot_slo) /
-                                  static_cast<double>(m.tpot_slo_requests)
-                            : 1.0;
-    std::size_t steps = 0;
-    std::size_t lane_steps = 0;
-    for (std::size_t lanes = 0; lanes < m.decode_occupancy.size(); ++lanes) {
-      steps += m.decode_occupancy[lanes];
-      lane_steps += lanes * m.decode_occupancy[lanes];
-    }
-    m.mean_decode_occupancy =
-        steps > 0 ? static_cast<double>(lane_steps) / static_cast<double>(steps) : 0.0;
-  }
-
-  // Energy and utilization integrate each slot over its active window
-  // (activation to retirement, or simulation end).  Static fleets have one
-  // full-duration window per slot, matching the pre-elastic accounting.
-  double busy_total = 0.0;
+  m.duration_s = now_s;
   double idle_static_j = 0.0;
-  double slot_time_s = 0.0;
   double slot_cost_usd = 0.0;
-  std::size_t final_active = 0;
   for (const Slot& s : slots) {
-    const double window_s =
-        (s.active_end_s >= 0.0 ? s.active_end_s : duration_s) - s.active_start_s;
-    busy_total += s.busy_s;
-    slot_time_s += window_s;
+    const double window_end_s = s.active_end_s >= 0.0 ? s.active_end_s : now_s;
+    const double window_s = window_end_s - s.active_start_s;
+    m.tally.busy_slot_s += s.busy_s;
+    m.tally.active_slot_s += window_s;
     slot_cost_usd += window_s / 3600.0 * rate_of_cache[s.cache];
     idle_static_j += std::max(0.0, window_s - s.busy_s) * caches[s.cache].static_power_w();
-    if (!s.retired && !s.draining) ++final_active;
+    if (!s.retired && !s.draining) ++m.final_fleet_size;
+    if (!faults) continue;
+    double down_s = s.down_total_s;
+    if (s.failed) down_s += std::max(0.0, window_end_s - s.down_since_s);
+    SlotAvailability a;
+    a.spec = caches[s.cache].spec().name;
+    a.failures = s.failures;
+    a.repairs = s.repairs;
+    a.uptime_fraction = window_s > 0.0 ? std::max(0.0, window_s - down_s) / window_s : 1.0;
+    a.observed_mttr_s =
+        s.repairs > 0 ? s.repair_total_s / static_cast<double>(s.repairs) : 0.0;
+    m.slot_availability.push_back(std::move(a));
+    m.tally.window_slot_s += window_s;
+    m.tally.down_slot_s += down_s;
+    m.tally.repair_s += s.repair_total_s;
   }
   if (m.autoscale_grows == 0 && m.autoscale_shrinks == 0) {
     // Static fleet: every window is the full duration; the product keeps the
     // utilization denominator bit-identical to the pre-elastic simulator
     // (repeated addition can round differently from multiplication).
-    slot_time_s = static_cast<double>(slots.size()) * duration_s;
+    m.tally.active_slot_s = static_cast<double>(slots.size()) * now_s;
   }
-  m.final_fleet_size = final_active;
-  m.mean_fleet_size = slot_time_s / std::max(duration_s, 1e-300);
-  m.fleet_energy_j = dispatched_energy_j + idle_static_j;
-  m.energy_per_request_j =
-      m.completed > 0 ? m.fleet_energy_j / static_cast<double>(m.completed) : 0.0;
+  m.fleet_energy_j += idle_static_j;
   // Fleet dollars: every active slot-hour at its amortised rate plus all
-  // energy at the marginal $/J (per-tenant attribution above covers only the
+  // energy at the marginal $/J (per-tenant attribution covers only the
   // served share; the idle burn lands here).
   m.fleet_cost_usd = slot_cost_usd + m.fleet_energy_j * fleet.cost.usd_per_joule;
-  m.cost_per_request_usd =
-      m.completed > 0 ? m.fleet_cost_usd / static_cast<double>(m.completed) : 0.0;
-  m.fleet_utilization = busy_total / std::max(slot_time_s, 1e-300);
   for (const EstimateCache& c : caches) {
     m.estimate_lookups += c.lookups();
     m.estimate_misses += c.misses();
   }
-
-  // Availability: up slot-time over each slot's active window.
-  if (faults) {
-    m.slot_availability.reserve(slots.size());
-    double window_total_s = 0.0;
-    double down_total_s = 0.0;
-    double repair_total_s = 0.0;
-    std::size_t repairs_total = 0;
-    for (const Slot& s : slots) {
-      const double window_end_s = s.active_end_s >= 0.0 ? s.active_end_s : duration_s;
-      const double window_s = window_end_s - s.active_start_s;
-      double down_s = s.down_total_s;
-      if (s.failed) down_s += std::max(0.0, window_end_s - s.down_since_s);
-      SlotAvailability a;
-      a.spec = caches[s.cache].spec().name;
-      a.failures = s.failures;
-      a.repairs = s.repairs;
-      a.uptime_fraction =
-          window_s > 0.0 ? std::max(0.0, window_s - down_s) / window_s : 1.0;
-      a.observed_mttr_s =
-          s.repairs > 0 ? s.repair_total_s / static_cast<double>(s.repairs) : 0.0;
-      m.slot_availability.push_back(std::move(a));
-      window_total_s += window_s;
-      down_total_s += down_s;
-      repair_total_s += s.repair_total_s;
-      repairs_total += s.repairs;
-    }
-    m.fleet_availability =
-        window_total_s > 0.0
-            ? std::max(0.0, window_total_s - down_total_s) / window_total_s
-            : 1.0;
-    m.observed_mttr_s =
-        repairs_total > 0 ? repair_total_s / static_cast<double>(repairs_total) : 0.0;
-  }
   // Latency state: each sample vector sorts once, here, and the source adds
-  // its session samples; then the one finalise derives every latency
-  // statistic.  The state stays attached only for a caller that asked to
-  // keep it (exact merging).
+  // its session samples; then the one finalize derives every statistic.  The
+  // state stays attached only for a caller that asked to keep it (exact
+  // merging).
   auto st = std::make_shared<LatencyState>();
   st->hdr = hdr;
   st->hdr_relative_error = sim.hdr_relative_error;
@@ -1329,7 +1241,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   st->tpot_samples = SampleRun(std::move(tpot_samples));
   m.latency_state = std::move(st);
   source->finish(m);
-  finalize_latency(m);
+  finalize(m);
   if (!sim.keep_latency_state) m.latency_state.reset();
   if constexpr (kObs) {
     if (observation != nullptr) *observation = hub->take();

@@ -122,11 +122,8 @@ struct FleetConfig {
   [[nodiscard]] static FleetConfig homogeneous(
       const std::string& spec, std::size_t count,
       RoutingPolicy routing = RoutingPolicy::kFirstIdle);
-  // Alternates `primary` and `eco` slots (primary first).
-  [[nodiscard]] static FleetConfig heterogeneous(
-      const std::string& primary, const std::string& eco, std::size_t count,
-      RoutingPolicy routing = RoutingPolicy::kEnergyAware);
-  // Cycles `specs` across `count` slots (mixed TRON+GHOST fleets).
+  // Cycles `specs` across `count` slots: full/eco variants ({"tron",
+  // "tron-eco"}), mixed TRON+GHOST fleets, photonic+electronic hybrids.
   [[nodiscard]] static FleetConfig cycled(
       const std::vector<std::string>& specs, std::size_t count,
       RoutingPolicy routing = RoutingPolicy::kFirstIdle);
@@ -166,9 +163,9 @@ struct SimConfig {
   DecodeMode decode_mode = DecodeMode::kContinuous;
   // Retain the raw latency state (per-tenant samples or sketches, session
   // latencies) in `FleetMetrics::latency_state` so this run's metrics can be
-  // merged exactly with another's (see FleetMetrics::merge).  Sharded runs
-  // set this per cell internally; off by default because exact-mode state
-  // holds every sample.
+  // merged with another's (FleetMetrics::merge needs it on both sides).
+  // Sharded runs set this per cell internally; off by default because
+  // exact-mode state holds every sample.
   bool keep_latency_state = false;
 };
 
@@ -194,8 +191,9 @@ struct Scenario {
 // Throws `InvalidArgument` naming the bad field: empty fleets, empty
 // catalogs, out-of-range batch policies, bad traffic knobs (non-positive
 // offered QPS / request counts / sessions / think times), explicit-trace
-// requests naming workload indices outside the catalog, and bad autoscaler,
-// fault, retry, or admission configs.
+// requests naming workload indices outside the catalog or arriving out of
+// order (non-finite, negative, or earlier than the request before), and bad
+// autoscaler, fault, retry, or admission configs.
 void validate_scenario(const Scenario& scenario);
 
 // Simulates the scenario (`fleet.accelerators` are the initial slots of an

@@ -5,10 +5,12 @@
 // same point).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "arch/registry.hpp"
 #include "common/error.hpp"
@@ -455,7 +457,8 @@ TEST(Simulator, RunsAreBitReproducible) {
 
 TEST(Simulator, HeterogeneousEnergyRoutingCompletes) {
   const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
-  const FleetConfig fleet = FleetConfig::heterogeneous("tron", "tron-eco", 4);
+  const FleetConfig fleet =
+      FleetConfig::cycled({"tron", "tron-eco"}, 4, RoutingPolicy::kEnergyAware);
   TraceConfig cfg;
   cfg.offered_qps = 0.3 * fleet_capacity_qps(catalog, "tron", 4, 8);
   cfg.request_count = 5000;
@@ -587,6 +590,24 @@ TEST(Validation, ScenarioNamesBadField) {
   expect_invalid(
       [&] { (void)simulate_trace(fleet, catalog, bogus, SchedulerKind::kFifo, BatchPolicy{}); },
       "workload index");
+  // Explicit traces must be arrival-ordered: reversed, negative and NaN
+  // arrival times name the request instead of tripping an internal check.
+  // Equal times stay legal.
+  std::vector<Request> reversed = trace;
+  std::reverse(reversed.begin(), reversed.end());
+  std::vector<Request> negative = trace;
+  negative[3].arrival_s = -1e-3;
+  std::vector<Request> not_a_number = trace;
+  not_a_number[0].arrival_s = std::nan("");
+  for (const std::vector<Request>* bad : {&reversed, &negative, &not_a_number}) {
+    expect_invalid(
+        [&] { (void)simulate_trace(fleet, catalog, *bad, SchedulerKind::kFifo, BatchPolicy{}); },
+        "arrival_s");
+  }
+  std::vector<Request> ties = trace;
+  for (Request& r : ties) r.arrival_s = ties.front().arrival_s;
+  EXPECT_EQ(simulate_trace(fleet, catalog, ties, SchedulerKind::kFifo, BatchPolicy{}).completed,
+            ties.size());
 
   // Traffic-config validation: an empty explicit trace means "generate", so
   // the generator knobs must be sane.

@@ -1,19 +1,21 @@
 // Tests for cell-sharded simulation (serve/shard.hpp), the metrics merge
-// (FleetMetrics::merge), the event-queue containers (serve/event_heap.hpp),
-// and the batch-buffer arena (serve/arena.hpp).  The load-bearing contracts:
+// (FleetMetrics::merge), the event heap (serve/event_heap.hpp), and the
+// batch-buffer arena (serve/arena.hpp).  The load-bearing contracts:
 //
 //   * cells == 1 is bit-identical to the serial simulator;
 //   * for fixed K, simulate_sharded equals the serial ascending fold of the
 //     plan's cells — independent of LUMOS_THREADS (CI runs 1 and 4);
-//   * FleetMetrics::merge is pairwise commutative, and with retained latency
-//     state (every vector ascending) its percentiles are exact over the
-//     union multiset;
-//   * CalendarQueue pops the same total order EventHeap does;
+//   * FleetMetrics::merge adds raw sums and finalizes once: it is pairwise
+//     commutative bit for bit, the merged tally is the sum of the cells',
+//     and its percentiles are exact over the union multiset;
 //   * RequestArena never hands out a buffer that is still live.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -52,57 +54,104 @@ Scenario faulted_scenario(std::size_t fleet_size, std::size_t requests) {
   return s;
 }
 
+// Every scalar field of `a` and `b`, and of their tenants, agrees bit for bit.
 void expect_bit_identical(const FleetMetrics& a, const FleetMetrics& b) {
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.within_slo, b.within_slo);
-  EXPECT_EQ(a.dispatches, b.dispatches);
-  EXPECT_EQ(a.shed_requests, b.shed_requests);
-  EXPECT_EQ(a.timed_out_requests, b.timed_out_requests);
-  EXPECT_EQ(a.attempt_timeouts, b.attempt_timeouts);
-  EXPECT_EQ(a.retried_attempts, b.retried_attempts);
-  EXPECT_EQ(a.failed_batches, b.failed_batches);
-  EXPECT_EQ(a.requeued_requests, b.requeued_requests);
-  EXPECT_EQ(a.slot_failures, b.slot_failures);
-  EXPECT_EQ(a.slot_recoveries, b.slot_recoveries);
-  EXPECT_EQ(a.duration_s, b.duration_s);
-  EXPECT_EQ(a.offered_qps, b.offered_qps);
-  EXPECT_EQ(a.throughput_qps, b.throughput_qps);
-  EXPECT_EQ(a.goodput_qps, b.goodput_qps);
-  EXPECT_EQ(a.slo_attainment, b.slo_attainment);
-  EXPECT_EQ(a.mean_latency_s, b.mean_latency_s);
-  EXPECT_EQ(a.max_latency_s, b.max_latency_s);
-  EXPECT_EQ(a.p50_latency_s, b.p50_latency_s);
-  EXPECT_EQ(a.p95_latency_s, b.p95_latency_s);
-  EXPECT_EQ(a.p99_latency_s, b.p99_latency_s);
-  EXPECT_EQ(a.p999_latency_s, b.p999_latency_s);
-  EXPECT_EQ(a.mean_queue_depth, b.mean_queue_depth);
-  EXPECT_EQ(a.peak_queue_depth, b.peak_queue_depth);
-  EXPECT_EQ(a.mean_batch_size, b.mean_batch_size);
-  EXPECT_EQ(a.fleet_energy_j, b.fleet_energy_j);
-  EXPECT_EQ(a.energy_per_request_j, b.energy_per_request_j);
-  EXPECT_EQ(a.fleet_utilization, b.fleet_utilization);
-  EXPECT_EQ(a.fleet_availability, b.fleet_availability);
-  EXPECT_EQ(a.observed_mttr_s, b.observed_mttr_s);
-  EXPECT_EQ(a.drop_rate, b.drop_rate);
-  EXPECT_EQ(a.mean_fleet_size, b.mean_fleet_size);
-  EXPECT_EQ(a.batch_histogram, b.batch_histogram);
+#define EXPECT_SAME(field) EXPECT_EQ(a.field, b.field) << #field
+  EXPECT_SAME(offered_qps);
+  EXPECT_SAME(completed);
+  EXPECT_SAME(within_slo);
+  EXPECT_SAME(duration_s);
+  EXPECT_SAME(throughput_qps);
+  EXPECT_SAME(goodput_qps);
+  EXPECT_SAME(slo_latency_s);
+  EXPECT_SAME(slo_attainment);
+  EXPECT_SAME(p50_latency_s);
+  EXPECT_SAME(p95_latency_s);
+  EXPECT_SAME(p99_latency_s);
+  EXPECT_SAME(p999_latency_s);
+  EXPECT_SAME(mean_latency_s);
+  EXPECT_SAME(max_latency_s);
+  EXPECT_SAME(mean_queue_depth);
+  EXPECT_SAME(peak_queue_depth);
+  EXPECT_SAME(dispatches);
+  EXPECT_SAME(batch_histogram);
+  EXPECT_SAME(mean_batch_size);
+  EXPECT_SAME(fleet_energy_j);
+  EXPECT_SAME(energy_per_request_j);
+  EXPECT_SAME(fleet_utilization);
+  EXPECT_SAME(fleet_cost_usd);
+  EXPECT_SAME(cost_per_request_usd);
+  EXPECT_SAME(autoscale_grows);
+  EXPECT_SAME(autoscale_shrinks);
+  EXPECT_SAME(initial_fleet_size);
+  EXPECT_SAME(peak_fleet_size);
+  EXPECT_SAME(final_fleet_size);
+  EXPECT_SAME(mean_fleet_size);
+  EXPECT_SAME(shed_requests);
+  EXPECT_SAME(timed_out_requests);
+  EXPECT_SAME(attempt_timeouts);
+  EXPECT_SAME(retried_attempts);
+  EXPECT_SAME(failed_batches);
+  EXPECT_SAME(requeued_requests);
+  EXPECT_SAME(slot_failures);
+  EXPECT_SAME(slot_recoveries);
+  EXPECT_SAME(drop_rate);
+  EXPECT_SAME(fleet_availability);
+  EXPECT_SAME(observed_mttr_s);
+  EXPECT_SAME(sessions);
+  EXPECT_SAME(mean_session_s);
+  EXPECT_SAME(p50_session_s);
+  EXPECT_SAME(p99_session_s);
+  EXPECT_SAME(max_session_s);
+  EXPECT_SAME(decode_requests);
+  EXPECT_SAME(generated_tokens);
+  EXPECT_SAME(aborted_decode_tokens);
+  EXPECT_SAME(decode_steps);
+  EXPECT_SAME(tokens_per_s);
+  EXPECT_SAME(mean_ttft_s);
+  EXPECT_SAME(p50_ttft_s);
+  EXPECT_SAME(p95_ttft_s);
+  EXPECT_SAME(p99_ttft_s);
+  EXPECT_SAME(max_ttft_s);
+  EXPECT_SAME(mean_tpot_s);
+  EXPECT_SAME(p50_tpot_s);
+  EXPECT_SAME(p95_tpot_s);
+  EXPECT_SAME(p99_tpot_s);
+  EXPECT_SAME(max_tpot_s);
+  EXPECT_SAME(ttft_slo_requests);
+  EXPECT_SAME(within_ttft_slo);
+  EXPECT_SAME(tpot_slo_requests);
+  EXPECT_SAME(within_tpot_slo);
+  EXPECT_SAME(ttft_attainment);
+  EXPECT_SAME(tpot_attainment);
+  EXPECT_SAME(decode_occupancy);
+  EXPECT_SAME(mean_decode_occupancy);
+  EXPECT_SAME(estimate_lookups);
+  EXPECT_SAME(estimate_misses);
+  EXPECT_SAME(tally);
+#undef EXPECT_SAME
   ASSERT_EQ(a.tenants.size(), b.tenants.size());
   for (std::size_t w = 0; w < a.tenants.size(); ++w) {
-    EXPECT_EQ(a.tenants[w].completed, b.tenants[w].completed);
-    EXPECT_EQ(a.tenants[w].within_slo, b.tenants[w].within_slo);
-    EXPECT_EQ(a.tenants[w].shed, b.tenants[w].shed);
-    EXPECT_EQ(a.tenants[w].timed_out, b.tenants[w].timed_out);
-    EXPECT_EQ(a.tenants[w].mean_latency_s, b.tenants[w].mean_latency_s);
-    EXPECT_EQ(a.tenants[w].p50_latency_s, b.tenants[w].p50_latency_s);
-    EXPECT_EQ(a.tenants[w].p99_latency_s, b.tenants[w].p99_latency_s);
-    EXPECT_EQ(a.tenants[w].max_latency_s, b.tenants[w].max_latency_s);
-    EXPECT_EQ(a.tenants[w].goodput_qps, b.tenants[w].goodput_qps);
+    const TenantMetrics& ta = a.tenants[w];
+    const TenantMetrics& tb = b.tenants[w];
+#define EXPECT_SAME(field) EXPECT_EQ(ta.field, tb.field) << #field << " of tenant " << w
+    EXPECT_SAME(name);
+    EXPECT_SAME(priority);
+    EXPECT_SAME(slo_latency_s);
+    EXPECT_SAME(completed);
+    EXPECT_SAME(within_slo);
+    EXPECT_SAME(slo_attainment);
+    EXPECT_SAME(goodput_qps);
+    EXPECT_SAME(mean_latency_s);
+    EXPECT_SAME(p50_latency_s);
+    EXPECT_SAME(p99_latency_s);
+    EXPECT_SAME(max_latency_s);
+    EXPECT_SAME(shed);
+    EXPECT_SAME(timed_out);
+    EXPECT_SAME(drop_rate);
+    EXPECT_SAME(cost_usd);
+#undef EXPECT_SAME
   }
-  EXPECT_EQ(a.sessions, b.sessions);
-  EXPECT_EQ(a.mean_session_s, b.mean_session_s);
-  EXPECT_EQ(a.p50_session_s, b.p50_session_s);
-  EXPECT_EQ(a.p99_session_s, b.p99_session_s);
-  EXPECT_EQ(a.max_session_s, b.max_session_s);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,38 +261,78 @@ TEST(Shard, ExplicitTraceDealsRoundRobin) {
 // FleetMetrics::merge
 // ---------------------------------------------------------------------------
 
-// Counters commute exactly; derived weighted means commute only to ULP
-// tolerance (FMA contraction of a*wa + b*wb is order-sensitive).  The
-// sharded fold never relies on commutativity — it merges in fixed ascending
-// cell order — this pins that neither direction loses or double-counts.
+// A closed-loop decoding fleet that keeps its latency state, so every
+// retained sample kind — tenant, session, TTFT and TPOT — is populated.
+Scenario closed_loop_decode_scenario() {
+  Scenario s;
+  s.fleet = FleetConfig::homogeneous("tron", 8);
+  s.catalog = WorkloadCatalog::tron_default();
+  s.catalog.apply_decode(SeqLenDist::kLogNormal, 16);
+  s.batch.max_batch = 8;
+  s.sim.decode_mode = DecodeMode::kContinuous;
+  s.sim.keep_latency_state = true;
+  s.traffic.mode = LoopMode::kClosed;
+  s.traffic.closed.sessions = 64;
+  s.traffic.closed.requests_per_session = 24;
+  return s;
+}
+
+// The same fleet under seeded slot faults: availability and MTTR go live too.
+Scenario faulted_closed_loop_decode_scenario(std::uint64_t seed) {
+  Scenario s = closed_loop_decode_scenario();
+  s.sim.faults.mtbf_s = 0.01;
+  s.sim.faults.mttr_s = 0.002;
+  s.sim.faults.seed = seed;
+  s.traffic.closed.seed = seed;
+  return s;
+}
+
+// Every field finalize() derives.
+constexpr double FleetMetrics::*kDerived[] = {
+    &FleetMetrics::throughput_qps,       &FleetMetrics::goodput_qps,
+    &FleetMetrics::slo_attainment,       &FleetMetrics::p50_latency_s,
+    &FleetMetrics::p95_latency_s,        &FleetMetrics::p99_latency_s,
+    &FleetMetrics::p999_latency_s,       &FleetMetrics::mean_latency_s,
+    &FleetMetrics::max_latency_s,        &FleetMetrics::mean_queue_depth,
+    &FleetMetrics::mean_batch_size,      &FleetMetrics::energy_per_request_j,
+    &FleetMetrics::fleet_utilization,    &FleetMetrics::cost_per_request_usd,
+    &FleetMetrics::mean_fleet_size,      &FleetMetrics::drop_rate,
+    &FleetMetrics::fleet_availability,   &FleetMetrics::observed_mttr_s,
+    &FleetMetrics::mean_session_s,       &FleetMetrics::p50_session_s,
+    &FleetMetrics::p99_session_s,        &FleetMetrics::max_session_s,
+    &FleetMetrics::tokens_per_s,         &FleetMetrics::mean_ttft_s,
+    &FleetMetrics::p50_ttft_s,           &FleetMetrics::p95_ttft_s,
+    &FleetMetrics::p99_ttft_s,           &FleetMetrics::max_ttft_s,
+    &FleetMetrics::mean_tpot_s,          &FleetMetrics::p50_tpot_s,
+    &FleetMetrics::p95_tpot_s,           &FleetMetrics::p99_tpot_s,
+    &FleetMetrics::max_tpot_s,           &FleetMetrics::ttft_attainment,
+    &FleetMetrics::tpot_attainment,      &FleetMetrics::mean_decode_occupancy,
+};
+constexpr double TenantMetrics::*kTenantDerived[] = {
+    &TenantMetrics::slo_attainment, &TenantMetrics::goodput_qps,
+    &TenantMetrics::mean_latency_s, &TenantMetrics::p50_latency_s,
+    &TenantMetrics::p99_latency_s,  &TenantMetrics::max_latency_s,
+    &TenantMetrics::drop_rate,
+};
+
+// Raw sums add and one finalize derives the rest, so a merge gives the same
+// bits in either order — on runs where every metric family is live:
+// availability, MTTR, sessions, TTFT and TPOT.
 TEST(MetricsMerge, PairwiseCommutative) {
-  Scenario sa = open_loop_scenario(4, 8000);
-  sa.sim.keep_latency_state = true;
-  Scenario sb = open_loop_scenario(4, 6000);
-  sb.traffic.open.seed = 77;
-  sb.sim.keep_latency_state = true;
-  const FleetMetrics a = simulate(sa);
-  const FleetMetrics b = simulate(sb);
+  const FleetMetrics a = simulate(faulted_closed_loop_decode_scenario(7));
+  const FleetMetrics b = simulate(faulted_closed_loop_decode_scenario(8));
+  for (const FleetMetrics* m : {&a, &b}) {
+    ASSERT_LT(m->fleet_availability, 1.0);
+    ASSERT_GT(m->observed_mttr_s, 0.0);
+    ASSERT_GT(m->sessions, 0u);
+    ASSERT_GT(m->mean_ttft_s, 0.0);
+    ASSERT_GT(m->mean_tpot_s, 0.0);
+  }
   FleetMetrics ab = a;
   ab.merge(b);
   FleetMetrics ba = b;
   ba.merge(a);
-  EXPECT_EQ(ab.completed, ba.completed);
-  EXPECT_EQ(ab.within_slo, ba.within_slo);
-  EXPECT_DOUBLE_EQ(ab.mean_latency_s, ba.mean_latency_s);
-  // Exact-state percentiles recompute over the union multiset: bit-equal.
-  EXPECT_EQ(ab.p50_latency_s, ba.p50_latency_s);
-  EXPECT_EQ(ab.p99_latency_s, ba.p99_latency_s);
-  EXPECT_EQ(ab.p999_latency_s, ba.p999_latency_s);
-  EXPECT_EQ(ab.max_latency_s, ba.max_latency_s);
-  EXPECT_EQ(ab.duration_s, ba.duration_s);
-  EXPECT_DOUBLE_EQ(ab.throughput_qps, ba.throughput_qps);
-  EXPECT_DOUBLE_EQ(ab.mean_queue_depth, ba.mean_queue_depth);
-  EXPECT_DOUBLE_EQ(ab.fleet_energy_j, ba.fleet_energy_j);
-  for (std::size_t w = 0; w < ab.tenants.size(); ++w) {
-    EXPECT_EQ(ab.tenants[w].p99_latency_s, ba.tenants[w].p99_latency_s);
-    EXPECT_DOUBLE_EQ(ab.tenants[w].mean_latency_s, ba.tenants[w].mean_latency_s);
-  }
+  expect_bit_identical(ab, ba);
 }
 
 TEST(MetricsMerge, ExactStatePercentilesMatchUnionMultiset) {
@@ -274,22 +363,6 @@ TEST(MetricsMerge, ExactStatePercentilesMatchUnionMultiset) {
   // The merged state survived (both sides carried one), so a further merge
   // stays exact.
   EXPECT_TRUE(merged.latency_state != nullptr);
-}
-
-// A closed-loop decoding fleet that keeps its latency state, so every
-// retained sample kind — tenant, session, TTFT and TPOT — is populated.
-Scenario closed_loop_decode_scenario() {
-  Scenario s;
-  s.fleet = FleetConfig::homogeneous("tron", 8);
-  s.catalog = WorkloadCatalog::tron_default();
-  s.catalog.apply_decode(SeqLenDist::kLogNormal, 16);
-  s.batch.max_batch = 8;
-  s.sim.decode_mode = DecodeMode::kContinuous;
-  s.sim.keep_latency_state = true;
-  s.traffic.mode = LoopMode::kClosed;
-  s.traffic.closed.sessions = 64;
-  s.traffic.closed.requests_per_session = 24;
-  return s;
 }
 
 TEST(MetricsMerge, KeptStateVectorsAreAscending) {
@@ -420,23 +493,57 @@ TEST(MetricsMerge, MismatchedCatalogsThrow) {
   EXPECT_THROW(m.merge(b), InvalidArgument);
 }
 
-TEST(MetricsMerge, StatelessFallbackIsCompletedWeighted) {
-  Scenario sa = open_loop_scenario(4, 4000);
-  Scenario sb = open_loop_scenario(4, 2000);
-  sb.traffic.open.seed = 5;
-  const FleetMetrics a = simulate(sa);
-  const FleetMetrics b = simulate(sb);
-  FleetMetrics merged = a;
-  merged.merge(b);
-  const double na = static_cast<double>(a.completed);
-  const double nb = static_cast<double>(b.completed);
-  EXPECT_DOUBLE_EQ(merged.p99_latency_s,
-                   (a.p99_latency_s * na + b.p99_latency_s * nb) / (na + nb));
-  EXPECT_EQ(merged.latency_state, nullptr);
+// The tally is additive: a sharded run's tally is the sum of its cells',
+// added in ascending cell order, and finalize() on the merged counters, that
+// tally and the merged state reassigns every derived field to the same bits.
+TEST(MetricsMerge, ShardedTallyIsTheCellSumAndFinalizeReproducesIt) {
+  const Scenario s = faulted_closed_loop_decode_scenario(7);
+  const FleetMetrics merged = simulate_sharded(s, 4);
+  ASSERT_NE(merged.latency_state, nullptr);
+  const CellPlan plan = CellPlan::build(s, 4);
+  Tally sum;
+  for (const Scenario& cell : plan.cells) sum += simulate(cell).tally;
+  EXPECT_EQ(merged.tally, sum);
+  EXPECT_GT(sum.down_slot_s, 0.0);
+  EXPECT_GT(sum.repair_s, 0.0);
+
+  FleetMetrics refinalized = merged;
+  refinalized.tally = sum;
+  const double poison = std::nan("");
+  for (const auto field : kDerived) refinalized.*field = poison;
+  for (TenantMetrics& t : refinalized.tenants) {
+    for (const auto field : kTenantDerived) t.*field = poison;
+  }
+  finalize(refinalized);
+  expect_bit_identical(merged, refinalized);
+}
+
+// A merge needs both sides' latency state, and the error names the knob
+// that keeps it.
+TEST(MetricsMerge, MergeWithoutStateThrows) {
+  Scenario kept = open_loop_scenario(4, 4000);
+  kept.sim.keep_latency_state = true;
+  Scenario dropped = open_loop_scenario(4, 2000);
+  dropped.traffic.open.seed = 5;
+  const FleetMetrics with_state = simulate(kept);
+  const FleetMetrics without_state = simulate(dropped);
+  ASSERT_EQ(without_state.latency_state, nullptr);
+  for (const auto& [into, from] : {std::pair{&with_state, &without_state},
+                                   std::pair{&without_state, &with_state},
+                                   std::pair{&without_state, &without_state}}) {
+    FleetMetrics m = *into;
+    try {
+      m.merge(*from);
+      FAIL() << "a merge without latency state must throw";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("keep_latency_state"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Event-queue containers
+// EventHeap
 // ---------------------------------------------------------------------------
 
 struct Ev {
@@ -449,50 +556,6 @@ struct EvLater {
     return a.seq > b.seq;
   }
 };
-
-TEST(EventQueues, CalendarQueuePopsEventHeapOrder) {
-  // Clustered times (equal-time ties included) across a span much wider than
-  // the calendar, forcing wraps, day-walks, the sparse fallback, and a
-  // rehash; interleaved pops exercise cursor resets from mid-queue state.
-  Rng rng(42);
-  EventHeap<Ev, EvLater> heap;
-  CalendarQueue<Ev, EvLater> cal(/*bucket_width_s=*/0.01, /*bucket_count=*/8);
-  std::uint64_t seq = 0;
-  std::vector<double> drained_heap;
-  std::vector<double> drained_cal;
-  const auto push_both = [&](double t) {
-    heap.push({t, seq});
-    cal.push({t, seq});
-    ++seq;
-  };
-  for (std::size_t round = 0; round < 50; ++round) {
-    const std::size_t burst = 1 + rng.next_below(40);
-    const double base = rng.uniform(0.0, 50.0);
-    for (std::size_t i = 0; i < burst; ++i) {
-      // Quantised offsets manufacture equal-time collisions.
-      push_both(base + 1e-3 * static_cast<double>(rng.next_below(5)));
-    }
-    const std::size_t pops = rng.next_below(burst + 4);
-    for (std::size_t i = 0; i < pops && !heap.empty(); ++i) {
-      ASSERT_EQ(heap.next_time_s(), cal.next_time_s());
-      const Ev a = heap.pop();
-      const Ev c = cal.pop();
-      ASSERT_EQ(a.time_s, c.time_s);
-      ASSERT_EQ(a.seq, c.seq);  // total order: identical event, not just time
-      drained_heap.push_back(a.time_s);
-      drained_cal.push_back(c.time_s);
-    }
-  }
-  while (!heap.empty()) {
-    const Ev a = heap.pop();
-    const Ev c = cal.pop();
-    ASSERT_EQ(a.seq, c.seq);
-  }
-  EXPECT_TRUE(cal.empty());
-  EXPECT_EQ(cal.next_time_s(), kNever);
-  EXPECT_EQ(heap.next_time_s(), kNever);
-  EXPECT_EQ(drained_heap, drained_cal);
-}
 
 TEST(EventQueues, EventHeapIsStableTotalOrderAtEqualTimes) {
   EventHeap<Ev, EvLater> heap;

@@ -349,18 +349,6 @@ def check_hybrid_fleet(baseline, current, time_tol, det_tol, errors):
                     )
 
 
-def check_event_queue(baseline, current, time_tol, errors):
-    cur_entries = {q["label"]: q for q in current.get("event_queue", [])}
-    for base in baseline.get("event_queue", []):
-        label = base["label"]
-        cur = cur_entries.get(label)
-        if cur is None:
-            errors.append(f"serve: event_queue '{label}' missing from current")
-            continue
-        check_timing(f"serve event_queue '{label}'", base, cur, ["ops_per_s"],
-                     time_tol, errors)
-
-
 def check_serve(baseline, current, time_tol, det_tol, errors):
     cur_headlines = {h["fleet_label"]: h for h in current.get("headlines", [])}
     for base in baseline.get("headlines", []):
@@ -466,7 +454,6 @@ def run_check(baseline, current, time_tol, det_tol, overhead_tol=0.35):
         check_sharded(baseline, current, time_tol, det_tol, errors)
         check_continuous_batching(baseline, current, time_tol, det_tol, errors)
         check_hybrid_fleet(baseline, current, time_tol, det_tol, errors)
-        check_event_queue(baseline, current, time_tol, errors)
     else:
         errors.append(f"unknown bench kind: {kind!r}")
     return errors
@@ -580,13 +567,6 @@ def self_test(baseline, time_tol, det_tol):
         if not run_check(lost, lost, time_tol, det_tol):
             print("bench_check self-test FAILED: hybrid fleet losing tier-0 "
                   "attainment to the worse homogeneous fleet was not detected")
-            return 1
-    if baseline.get("event_queue"):
-        slow_queue = copy.deepcopy(baseline)
-        slow_queue["event_queue"][0]["ops_per_s"] /= 100.0
-        if not run_check(baseline, slow_queue, time_tol, det_tol):
-            print("bench_check self-test FAILED: event_queue regression "
-                  "was not detected")
             return 1
     if baseline.get("observer_overhead"):
         # Runaway observer overhead must trip the gate by itself ...
