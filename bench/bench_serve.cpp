@@ -1,16 +1,19 @@
 // Serving-campaign benchmark: sweeps offered QPS x scheduler across TRON,
 // GHOST, and mixed TRON+GHOST fleets and records the saturation knee (p99
-// latency, goodput, energy per request) plus a headline event-loop throughput
-// number (1M requests through a 4-accelerator fleet) per fleet.  The mixed
-// scenario exercises the multi-tenant path: one catalog mixing transformer
-// and GNN workloads over a fleet alternating TRON and GHOST slots with
-// kind-aware routing.  The elastic scenario starts the same mixed fleet at
-// two slots under bursty traffic and compares autoscaling policies (static
-// vs queue-depth vs target-utilization) with two-tier priorities, recording
-// per-tenant SLO attainment.  The closed-loop scenario swaps the open-loop
-// trace for a session pool (per-tenant clients with exponential think times
-// and log-normal per-request sequence lengths) and records end-to-end
-// session latencies — the feedback path through serve::ClosedLoopSource.
+// latency, goodput, energy per request) plus a timed headline point for the
+// GHOST, mixed and elastic fleets (TRON's is observer_overhead's unobserved
+// run).  The mixed scenario exercises the multi-tenant path: one catalog
+// mixing transformer and GNN workloads over a fleet alternating TRON and
+// GHOST slots with kind-aware routing.  The elastic scenario starts the same
+// mixed fleet at two slots under bursty traffic and compares autoscaling
+// policies (static vs queue-depth vs target-utilization) with two-tier
+// priorities, recording per-tenant SLO attainment.  The closed-loop scenario
+// swaps the open-loop trace for a session pool (per-tenant clients with
+// exponential think times and log-normal per-request sequence lengths) and
+// records end-to-end session latencies — the feedback path through
+// serve::ClosedLoopSource.  Throughput of the serial and sharded TRON paths
+// is fleetbench's job (medians, provenance, a ledger); the simulated results
+// here are gated field by field by tools/bench_check.py.
 // Self-contained like bench_kernels (steady_clock, no framework); emits
 // BENCH_serve.json alongside the human-readable tables.
 //
@@ -22,11 +25,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -41,6 +44,29 @@ namespace {
 
 using namespace lumos;
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+// The open-loop point the headlines, observer_overhead and sharded sections
+// run: `fleet` slots cycled from `fleet_template`, dynamic batching up to 8,
+// offered 80% of the batched knee.
+serve::Scenario knee_scenario(const std::vector<std::string>& fleet_template,
+                              std::size_t fleet, const serve::WorkloadCatalog& catalog,
+                              bool smoke) {
+  const std::size_t max_batch = 8;
+  serve::Scenario scenario;
+  scenario.fleet = serve::FleetConfig::cycled(fleet_template, fleet);
+  scenario.catalog = catalog;
+  scenario.scheduler = serve::SchedulerKind::kDynamicBatch;
+  scenario.batch.max_batch = max_batch;
+  scenario.traffic.open.offered_qps =
+      0.8 * serve::fleet_capacity_qps(catalog, scenario.fleet, max_batch);
+  scenario.traffic.open.request_count = smoke ? 50000 : 1000000;
+  scenario.traffic.open.seed = 11;
+  return scenario;
+}
+
 struct Headline {
   std::string fleet_label;
   std::size_t requests = 0;
@@ -51,57 +77,46 @@ struct Headline {
   double goodput_qps = 0.0;
 };
 
-// One fleet scenario: the knee sweep plus the timed 1M-request point.
+// One timed simulate: trace generation plus the event loop.
+Headline run_headline(const std::string& label, const serve::Scenario& scenario) {
+  Headline out;
+  out.fleet_label = label;
+  out.requests = scenario.traffic.open.request_count;
+  out.fleet = scenario.fleet.accelerators.size();
+  const auto t0 = std::chrono::steady_clock::now();
+  const serve::FleetMetrics m = serve::simulate(scenario);
+  out.wall_s = seconds_since(t0);
+  out.requests_per_s = static_cast<double>(out.requests) / out.wall_s;
+  out.p99_latency_s = m.p99_latency_s;
+  out.goodput_qps = m.goodput_qps;
+  return out;
+}
+
 struct ScenarioResult {
   serve::CampaignConfig config;
   std::vector<serve::CampaignPoint> points;
-  Headline headline;
 };
 
-ScenarioResult run_scenario(const std::string& label,
-                            const std::vector<std::string>& fleet_template,
-                            const serve::WorkloadCatalog& catalog, bool smoke) {
-  ScenarioResult out;
+// One fleet's knee sweep: below / near / past the batched knee (FIFO
+// saturates far earlier, which is exactly the point of the comparison).
+ScenarioResult run_sweep(const std::string& label,
+                         const std::vector<std::string>& fleet_template,
+                         const serve::WorkloadCatalog& catalog, bool smoke) {
   const std::size_t fleet = 4;
   const std::size_t max_batch = 8;
-  const serve::FleetConfig fleet_cfg = serve::FleetConfig::cycled(fleet_template, fleet);
-  const double capacity = serve::fleet_capacity_qps(catalog, fleet_cfg, max_batch);
+  const double capacity = serve::fleet_capacity_qps(
+      catalog, serve::FleetConfig::cycled(fleet_template, fleet), max_batch);
 
-  serve::CampaignConfig cfg;
-  cfg.name = label + " saturation sweep";
-  cfg.fleet_template = fleet_template;
-  // Below / near / past the batched knee (FIFO saturates far earlier, which
-  // is exactly the point of the comparison).
-  cfg.qps = {0.5 * capacity, 0.8 * capacity, 1.1 * capacity};
-  cfg.schedulers = {serve::SchedulerKind::kFifo, serve::SchedulerKind::kDynamicBatch};
-  cfg.fleet_sizes = {fleet};
-  cfg.max_batches = {max_batch};
-  cfg.requests_per_point = smoke ? 10000 : 200000;
-  cfg.seed = 7;
-  out.points = serve::run_campaign(cfg, catalog);
-  out.config = cfg;
-
-  // Headline: one timed point (trace generation + event loop) at 80% of the
-  // batched knee.
-  serve::Scenario scenario;
-  scenario.fleet = fleet_cfg;
-  scenario.catalog = catalog;
-  scenario.scheduler = serve::SchedulerKind::kDynamicBatch;
-  scenario.batch.max_batch = max_batch;
-  scenario.traffic.open.offered_qps = 0.8 * capacity;
-  scenario.traffic.open.request_count = smoke ? 50000 : 1000000;
-  scenario.traffic.open.seed = 11;
-  const auto t0 = std::chrono::steady_clock::now();
-  const serve::FleetMetrics m = serve::simulate(scenario);
-  const auto t1 = std::chrono::steady_clock::now();
-  out.headline.fleet_label = label;
-  out.headline.requests = scenario.traffic.open.request_count;
-  out.headline.fleet = fleet;
-  out.headline.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  out.headline.requests_per_s =
-      static_cast<double>(out.headline.requests) / out.headline.wall_s;
-  out.headline.p99_latency_s = m.p99_latency_s;
-  out.headline.goodput_qps = m.goodput_qps;
+  ScenarioResult out;
+  out.config.name = label + " saturation sweep";
+  out.config.fleet_template = fleet_template;
+  out.config.qps = {0.5 * capacity, 0.8 * capacity, 1.1 * capacity};
+  out.config.schedulers = {serve::SchedulerKind::kFifo, serve::SchedulerKind::kDynamicBatch};
+  out.config.fleet_sizes = {fleet};
+  out.config.max_batches = {max_batch};
+  out.config.requests_per_point = smoke ? 10000 : 200000;
+  out.config.seed = 7;
+  out.points = serve::run_campaign(out.config, catalog);
   return out;
 }
 
@@ -137,25 +152,29 @@ ClosedLoopResult run_closed_loop_scenario(bool smoke) {
   out.config = scenario.traffic.closed;
   const auto t0 = std::chrono::steady_clock::now();
   out.metrics = serve::simulate(scenario);
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  out.wall_s = seconds_since(t0);
   out.requests_per_s = static_cast<double>(out.metrics.completed) / out.wall_s;
   return out;
 }
 
-// Observer-overhead comparison: the TRON headline scenario run unobserved and
-// then with the tracer (sampled), timeline, and profiler enabled.  Observers
-// must never change results (p99/goodput parity is gated by bench_check.py)
-// and must stay cheap (overhead_fraction gated too).
+// Observer-overhead comparison: the TRON knee scenario run unobserved and
+// with the tracer (sampled) and timeline enabled, in alternating pairs so
+// host drift lands on both sides alike.  Observers must never change results
+// (p99/goodput parity is gated by bench_check.py) and must stay cheap: the
+// median per-pair overhead is gated too, and its quartiles are reported as
+// info.
 struct ObserverOverhead {
   std::string label = "TRON observed";
   std::size_t requests = 0;
   double trace_sample = 0.0;
-  double off_wall_s = 0.0;
+  std::size_t pairs = 0;
+  double off_wall_s = 0.0;  // median over pairs
   double off_requests_per_s = 0.0;
-  double on_wall_s = 0.0;
+  double on_wall_s = 0.0;  // median over pairs
   double on_requests_per_s = 0.0;
-  double overhead_fraction = 0.0;  // on_wall / off_wall - 1
+  double overhead_fraction = 0.0;  // median of per-pair on_wall / off_wall - 1
+  double overhead_fraction_q1 = 0.0;
+  double overhead_fraction_q3 = 0.0;
   double off_p99_latency_s = 0.0;
   double on_p99_latency_s = 0.0;
   double off_goodput_qps = 0.0;
@@ -167,62 +186,53 @@ struct ObserverOverhead {
 };
 
 ObserverOverhead run_observer_overhead(bool smoke) {
-  const serve::WorkloadCatalog catalog = serve::WorkloadCatalog::tron_default();
-  const std::size_t fleet = 4;
-  const std::size_t max_batch = 8;
-  const serve::FleetConfig fleet_cfg = serve::FleetConfig::cycled({"tron"}, fleet);
-  const double capacity = serve::fleet_capacity_qps(catalog, fleet_cfg, max_batch);
-
-  serve::Scenario scenario;
-  scenario.fleet = fleet_cfg;
-  scenario.catalog = catalog;
-  scenario.scheduler = serve::SchedulerKind::kDynamicBatch;
-  scenario.batch.max_batch = max_batch;
-  scenario.traffic.open.offered_qps = 0.8 * capacity;
-  scenario.traffic.open.request_count = smoke ? 50000 : 1000000;
-  scenario.traffic.open.seed = 11;
-
+  const serve::Scenario off_scenario =
+      knee_scenario({"tron"}, 4, serve::WorkloadCatalog::tron_default(), smoke);
   ObserverOverhead out;
-  out.requests = scenario.traffic.open.request_count;
+  out.requests = off_scenario.traffic.open.request_count;
   out.trace_sample = 1.0 / 64.0;
-
-  // Best-of-3 wall times: the simulations are deterministic (identical
-  // metrics every rep), only the timing is noisy, and the min is the stablest
-  // estimator for a CI-gated ratio.
-  constexpr int kReps = 3;
-  serve::FleetMetrics off;
-  out.off_wall_s = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    off = serve::simulate(scenario);
-    const auto t1 = std::chrono::steady_clock::now();
-    out.off_wall_s = std::min(out.off_wall_s, std::chrono::duration<double>(t1 - t0).count());
-  }
-  out.off_requests_per_s = static_cast<double>(out.requests) / out.off_wall_s;
-  out.off_p99_latency_s = off.p99_latency_s;
-  out.off_goodput_qps = off.goodput_qps;
+  out.pairs = 5;
 
   // The gated overhead is the cost of *passive* observation (sampled tracing
   // + windowed timelines), the configuration a production-style run would
   // leave on.  The event-loop profiler is excluded: it reads steady_clock
   // several times per loop iteration by design (self-measurement), and its
   // cost is reported in its own table rather than gated here.
-  scenario.observe.trace.enabled = true;
-  scenario.observe.trace.sample = out.trace_sample;
-  scenario.observe.timeline.enabled = true;
-  scenario.observe.timeline.window_s = 1e-3;
+  serve::Scenario on_scenario = off_scenario;
+  on_scenario.observe.trace.enabled = true;
+  on_scenario.observe.trace.sample = out.trace_sample;
+  on_scenario.observe.timeline.enabled = true;
+  on_scenario.observe.timeline.window_s = 1e-3;
+
+  // The simulations are deterministic (identical metrics every pair); only
+  // the timing varies.
+  std::vector<double> off_walls, on_walls, overheads;
+  serve::FleetMetrics off, on;
   serve::Observation obs;
-  serve::FleetMetrics on;
-  out.on_wall_s = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
+  for (std::size_t pair = 0; pair < out.pairs; ++pair) {
+    auto t0 = std::chrono::steady_clock::now();
+    off = serve::simulate(off_scenario);
+    off_walls.push_back(seconds_since(t0));
     obs = serve::Observation{};
-    const auto t2 = std::chrono::steady_clock::now();
-    on = serve::simulate(scenario, &obs);
-    const auto t3 = std::chrono::steady_clock::now();
-    out.on_wall_s = std::min(out.on_wall_s, std::chrono::duration<double>(t3 - t2).count());
+    t0 = std::chrono::steady_clock::now();
+    on = serve::simulate(on_scenario, &obs);
+    on_walls.push_back(seconds_since(t0));
+    overheads.push_back(on_walls.back() / off_walls.back() - 1.0);
   }
+  // The q-quantile of a sample, read at the nearest sorted index.
+  const auto quantile = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) + 0.5)];
+  };
+  out.off_wall_s = quantile(off_walls, 0.5);
+  out.on_wall_s = quantile(on_walls, 0.5);
+  out.off_requests_per_s = static_cast<double>(out.requests) / out.off_wall_s;
   out.on_requests_per_s = static_cast<double>(out.requests) / out.on_wall_s;
-  out.overhead_fraction = out.on_wall_s / out.off_wall_s - 1.0;
+  out.overhead_fraction = quantile(overheads, 0.5);
+  out.overhead_fraction_q1 = quantile(overheads, 0.25);
+  out.overhead_fraction_q3 = quantile(overheads, 0.75);
+  out.off_p99_latency_s = off.p99_latency_s;
+  out.off_goodput_qps = off.goodput_qps;
   out.on_p99_latency_s = on.p99_latency_s;
   out.on_goodput_qps = on.goodput_qps;
   out.sampled_requests = obs.tracer->sampled_requests();
@@ -232,22 +242,18 @@ ObserverOverhead run_observer_overhead(bool smoke) {
   return out;
 }
 
-// Cell-sharded scaling: one 16-slot TRON scenario simulated serially and as
-// {1, 2, 4, 8} independent cells on the thread pool (serve/shard.hpp), plus a
-// 10M-request HDR-percentile 8-cell run — the "datacenter, not a rack" scale
-// point.  The cells == 1 point is gated bit-identical to the serial run by
-// bench_check.py (in-file parity at zero tolerance); cells > 1 points are
-// deterministic for a fixed cell count, so their simulated results are gated
-// at det tolerance like every other deterministic field.  Speedups are
-// wall-clock vs the serial run (best-of-3 each) and scale with the host's
-// core count — `threads` is recorded so a 1-core runner's ~1x does not read
-// as a regression against an 8-core baseline (speedup is gated in the timing
-// band, relative to the committed baseline, not as an absolute floor).
+// Cell-sharded simulation: one 16-slot TRON scenario simulated serially and
+// as {1, 2, 4, 8} independent cells on the thread pool (serve/shard.hpp),
+// plus a 10M-request HDR-percentile 8-cell run — the "datacenter, not a
+// rack" scale point.  The cells == 1 point is gated bit-identical to the
+// serial run by bench_check.py (in-file parity at zero tolerance); cells > 1
+// points are deterministic for a fixed cell count, so their simulated
+// results are gated at det tolerance like every other deterministic field.
+// Sharded throughput is timed by fleetbench's serve_tron_sharded workload;
+// only the HDR scale point, which fleetbench does not run, keeps its wall
+// time here.
 struct ShardedPoint {
   std::size_t cells = 0;
-  double wall_s = 0.0;  // best-of-3
-  double requests_per_s = 0.0;
-  double speedup = 0.0;  // serial wall / this wall
   std::size_t completed = 0;
   double p99_latency_s = 0.0;
   double goodput_qps = 0.0;
@@ -257,9 +263,6 @@ struct ShardedResult {
   std::string label = "TRON sharded";
   std::size_t requests = 0;
   std::size_t fleet = 0;
-  std::size_t threads = 0;
-  double serial_wall_s = 0.0;
-  double serial_requests_per_s = 0.0;
   std::size_t serial_completed = 0;
   double serial_p99_latency_s = 0.0;
   double serial_goodput_qps = 0.0;
@@ -275,59 +278,20 @@ struct ShardedResult {
 };
 
 ShardedResult run_sharded_scenario(bool smoke) {
-  const serve::WorkloadCatalog catalog = serve::WorkloadCatalog::tron_default();
-  const std::size_t fleet = 16;
-  const std::size_t max_batch = 8;
-  const serve::FleetConfig fleet_cfg = serve::FleetConfig::cycled({"tron"}, fleet);
-  const double capacity = serve::fleet_capacity_qps(catalog, fleet_cfg, max_batch);
-
-  serve::Scenario scenario;
-  scenario.fleet = fleet_cfg;
-  scenario.catalog = catalog;
-  scenario.scheduler = serve::SchedulerKind::kDynamicBatch;
-  scenario.batch.max_batch = max_batch;
-  scenario.traffic.open.offered_qps = 0.8 * capacity;
-  scenario.traffic.open.request_count = smoke ? 50000 : 1000000;
-  scenario.traffic.open.seed = 11;
-
+  const serve::Scenario scenario =
+      knee_scenario({"tron"}, 16, serve::WorkloadCatalog::tron_default(), smoke);
   ShardedResult out;
   out.requests = scenario.traffic.open.request_count;
-  out.fleet = fleet;
-  out.threads = ThreadPool::global().thread_count();
+  out.fleet = scenario.fleet.accelerators.size();
 
-  constexpr int kReps = 3;
-  serve::FleetMetrics serial;
-  out.serial_wall_s = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    serial = serve::simulate(scenario);
-    const auto t1 = std::chrono::steady_clock::now();
-    out.serial_wall_s =
-        std::min(out.serial_wall_s, std::chrono::duration<double>(t1 - t0).count());
-  }
-  out.serial_requests_per_s = static_cast<double>(out.requests) / out.serial_wall_s;
+  const serve::FleetMetrics serial = serve::simulate(scenario);
   out.serial_completed = serial.completed;
   out.serial_p99_latency_s = serial.p99_latency_s;
   out.serial_goodput_qps = serial.goodput_qps;
-
   for (const std::size_t cells : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                   std::size_t{8}}) {
-    ShardedPoint point;
-    point.cells = cells;
-    point.wall_s = std::numeric_limits<double>::infinity();
-    serve::FleetMetrics m;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      m = serve::simulate_sharded(scenario, cells);
-      const auto t1 = std::chrono::steady_clock::now();
-      point.wall_s = std::min(point.wall_s, std::chrono::duration<double>(t1 - t0).count());
-    }
-    point.requests_per_s = static_cast<double>(out.requests) / point.wall_s;
-    point.speedup = out.serial_wall_s / point.wall_s;
-    point.completed = m.completed;
-    point.p99_latency_s = m.p99_latency_s;
-    point.goodput_qps = m.goodput_qps;
-    out.points.push_back(point);
+    const serve::FleetMetrics m = serve::simulate_sharded(scenario, cells);
+    out.points.push_back({cells, m.completed, m.p99_latency_s, m.goodput_qps});
   }
 
   // The 10M-request scale run: HDR percentile sketches keep latency memory
@@ -339,8 +303,7 @@ ShardedResult run_sharded_scenario(bool smoke) {
   out.scale_cells = 8;
   const auto t0 = std::chrono::steady_clock::now();
   const serve::FleetMetrics m = serve::simulate_sharded(scale, out.scale_cells);
-  const auto t1 = std::chrono::steady_clock::now();
-  out.scale_wall_s = std::chrono::duration<double>(t1 - t0).count();
+  out.scale_wall_s = seconds_since(t0);
   out.scale_requests_per_s = static_cast<double>(out.scale_requests) / out.scale_wall_s;
   out.scale_completed = m.completed;
   out.scale_p99_latency_s = m.p99_latency_s;
@@ -439,8 +402,7 @@ ContinuousBatchingResult run_continuous_batching_scenario(bool smoke) {
     p.ttft_ratio = p.cont.mean_ttft_s > 0.0 ? p.mono.mean_ttft_s / p.cont.mean_ttft_s : 0.0;
     out.points.push_back(p);
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  out.wall_s = seconds_since(t0);
   out.requests_per_s =
       static_cast<double>(2 * out.points.size() * out.requests) / out.wall_s;
   return out;
@@ -554,8 +516,7 @@ HybridFleetResult run_hybrid_fleet_scenario(bool smoke) {
       out.points.push_back(std::move(p));
     }
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  out.wall_s = seconds_since(t0);
   out.requests_per_s =
       static_cast<double>(out.points.size() * out.requests) / out.wall_s;
   return out;
@@ -590,9 +551,9 @@ void write_decode_mode_fields(std::ofstream& f, const char* prefix,
 }
 
 bool write_json(const std::vector<ScenarioResult>& scenarios,
-                const ClosedLoopResult& closed, const ScenarioResult& overload,
-                const ObserverOverhead& observer, const ShardedResult& sharded,
-                const ContinuousBatchingResult& batching,
+                const std::vector<Headline>& headlines, const ClosedLoopResult& closed,
+                const ScenarioResult& overload, const ObserverOverhead& observer,
+                const ShardedResult& sharded, const ContinuousBatchingResult& batching,
                 const HybridFleetResult& hybrid, const std::string& path, bool smoke) {
   std::ofstream f(path);
   f << "{\n  \"bench\": \"serve\",\n";
@@ -601,12 +562,14 @@ bool write_json(const std::vector<ScenarioResult>& scenarios,
   f << "  \"threads\": " << ThreadPool::global().thread_count() << ",\n";
   f << "  \"observer_overhead\": [\n";
   f << "    {\"label\": \"" << observer.label << "\", \"requests\": " << observer.requests
-    << ", \"trace_sample\": " << observer.trace_sample
+    << ", \"trace_sample\": " << observer.trace_sample << ", \"pairs\": " << observer.pairs
     << ", \"off_wall_s\": " << observer.off_wall_s
     << ", \"off_requests_per_s\": " << observer.off_requests_per_s
     << ", \"on_wall_s\": " << observer.on_wall_s
     << ", \"on_requests_per_s\": " << observer.on_requests_per_s
     << ", \"overhead_fraction\": " << observer.overhead_fraction
+    << ", \"overhead_fraction_q1\": " << observer.overhead_fraction_q1
+    << ", \"overhead_fraction_q3\": " << observer.overhead_fraction_q3
     << ", \"off_p99_latency_s\": " << observer.off_p99_latency_s
     << ", \"on_p99_latency_s\": " << observer.on_p99_latency_s
     << ", \"off_goodput_qps\": " << observer.off_goodput_qps
@@ -617,18 +580,14 @@ bool write_json(const std::vector<ScenarioResult>& scenarios,
     << ", \"timeline_windows\": " << observer.timeline_windows << "}\n";
   f << "  ],\n  \"sharded\": [\n";
   f << "    {\"label\": \"" << sharded.label << "\", \"requests\": " << sharded.requests
-    << ", \"fleet\": " << sharded.fleet << ", \"threads\": " << sharded.threads
-    << ", \"serial_wall_s\": " << sharded.serial_wall_s
-    << ", \"serial_requests_per_s\": " << sharded.serial_requests_per_s
+    << ", \"fleet\": " << sharded.fleet
     << ", \"serial_completed\": " << sharded.serial_completed
     << ", \"serial_p99_latency_s\": " << sharded.serial_p99_latency_s
     << ", \"serial_goodput_qps\": " << sharded.serial_goodput_qps
     << ",\n     \"points\": [\n";
   for (std::size_t i = 0; i < sharded.points.size(); ++i) {
     const ShardedPoint& p = sharded.points[i];
-    f << "       {\"cells\": " << p.cells << ", \"wall_s\": " << p.wall_s
-      << ", \"requests_per_s\": " << p.requests_per_s << ", \"speedup\": " << p.speedup
-      << ", \"completed\": " << p.completed
+    f << "       {\"cells\": " << p.cells << ", \"completed\": " << p.completed
       << ", \"p99_latency_s\": " << p.p99_latency_s
       << ", \"goodput_qps\": " << p.goodput_qps << "}"
       << (i + 1 < sharded.points.size() ? "," : "") << "\n";
@@ -641,14 +600,14 @@ bool write_json(const std::vector<ScenarioResult>& scenarios,
     << ", \"scale_p99_latency_s\": " << sharded.scale_p99_latency_s
     << ", \"scale_goodput_qps\": " << sharded.scale_goodput_qps << "}\n";
   f << "  ],\n  \"headlines\": [\n";
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const Headline& h = scenarios[i].headline;
+  for (std::size_t i = 0; i < headlines.size(); ++i) {
+    const Headline& h = headlines[i];
     f << "    {\"fleet_label\": \"" << h.fleet_label << "\", \"requests\": " << h.requests
       << ", \"fleet\": " << h.fleet << ", \"wall_s\": " << h.wall_s
       << ", \"requests_per_s\": " << h.requests_per_s
       << ", \"p99_latency_s\": " << h.p99_latency_s
       << ", \"goodput_qps\": " << h.goodput_qps << "}"
-      << (i + 1 < scenarios.size() ? "," : "") << "\n";
+      << (i + 1 < headlines.size() ? "," : "") << "\n";
   }
   f << "  ],\n  \"closed_loop\": [\n";
   {
@@ -726,7 +685,7 @@ bool write_json(const std::vector<ScenarioResult>& scenarios,
 // sized for 4 slots — the static point saturates, the autoscaling points must
 // grow into the load.  One campaign sweeps the policy axis; the headline
 // times the queue-depth policy end to end.
-ScenarioResult run_elastic_scenario(bool smoke) {
+std::pair<ScenarioResult, Headline> run_elastic_scenario(bool smoke) {
   serve::WorkloadCatalog catalog = serve::WorkloadCatalog::mixed_default();
   catalog.apply_default_tiers();
   const std::vector<std::string> fleet_template{"tron", "ghost"};
@@ -765,18 +724,7 @@ ScenarioResult run_elastic_scenario(bool smoke) {
   scenario.traffic.open.request_count = smoke ? 50000 : 1000000;
   scenario.traffic.open.process = serve::ArrivalProcess::kBursty;
   scenario.traffic.open.seed = 19;
-  const auto t0 = std::chrono::steady_clock::now();
-  const serve::FleetMetrics m = serve::simulate(scenario);
-  const auto t1 = std::chrono::steady_clock::now();
-  out.headline.fleet_label = "TRON+GHOST elastic";
-  out.headline.requests = scenario.traffic.open.request_count;
-  out.headline.fleet = initial_fleet;
-  out.headline.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  out.headline.requests_per_s =
-      static_cast<double>(out.headline.requests) / out.headline.wall_s;
-  out.headline.p99_latency_s = m.p99_latency_s;
-  out.headline.goodput_qps = m.goodput_qps;
-  return out;
+  return {out, run_headline("TRON+GHOST elastic", scenario)};
 }
 
 // Overload + faults scenario: a TRON fleet driven from half to 4x its
@@ -800,8 +748,8 @@ ScenarioResult run_overload_faults_scenario(bool smoke) {
 
   const std::size_t fleet = 4;
   const std::size_t max_batch = 8;
-  const serve::FleetConfig fleet_cfg = serve::FleetConfig::cycled({"tron"}, fleet);
-  const double capacity = serve::fleet_capacity_qps(catalog, fleet_cfg, max_batch);
+  const double capacity = serve::fleet_capacity_qps(
+      catalog, serve::FleetConfig::cycled({"tron"}, fleet), max_batch);
   // The tier-1 SLO mirrors the simulator's fallback (slo_scale x slowest
   // batch-1 latency); the premium tenant's contract is 3x that — loose
   // enough that its partial batches (it is ~2.5% of traffic, so its batches
@@ -832,32 +780,6 @@ ScenarioResult run_overload_faults_scenario(bool smoke) {
   cfg.seed = 29;
   out.points = serve::run_campaign(cfg, catalog);
   out.config = cfg;
-
-  // Headline: the 2x-overload tier-shed point, timed end to end.
-  serve::Scenario scenario;
-  scenario.fleet = fleet_cfg;
-  scenario.catalog = catalog;
-  scenario.scheduler = serve::SchedulerKind::kDynamicBatch;
-  scenario.batch.max_batch = max_batch;
-  scenario.sim.faults = cfg.faults;
-  scenario.sim.faults.mtbf_s = cfg.fault_mtbfs_s.front();
-  scenario.sim.retry = cfg.retry;
-  scenario.sim.admission = cfg.admission;
-  scenario.sim.admission.policy = serve::AdmissionPolicy::kTierShed;
-  scenario.traffic.open.offered_qps = 2.0 * capacity;
-  scenario.traffic.open.request_count = smoke ? 50000 : 500000;
-  scenario.traffic.open.seed = 31;
-  const auto t0 = std::chrono::steady_clock::now();
-  const serve::FleetMetrics m = serve::simulate(scenario);
-  const auto t1 = std::chrono::steady_clock::now();
-  out.headline.fleet_label = "TRON overload+faults";
-  out.headline.requests = scenario.traffic.open.request_count;
-  out.headline.fleet = fleet;
-  out.headline.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  out.headline.requests_per_s =
-      static_cast<double>(out.headline.requests) / out.headline.wall_s;
-  out.headline.p99_latency_s = m.p99_latency_s;
-  out.headline.goodput_qps = m.goodput_qps;
   return out;
 }
 
@@ -878,13 +800,19 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ScenarioResult> scenarios;
+  std::vector<Headline> headlines;
+  const serve::WorkloadCatalog ghost = serve::WorkloadCatalog::ghost_default();
+  const serve::WorkloadCatalog mixed = serve::WorkloadCatalog::mixed_default();
   scenarios.push_back(
-      run_scenario("TRON", {"tron"}, serve::WorkloadCatalog::tron_default(), smoke));
-  scenarios.push_back(
-      run_scenario("GHOST", {"ghost"}, serve::WorkloadCatalog::ghost_default(), smoke));
-  scenarios.push_back(run_scenario("TRON+GHOST mixed", {"tron", "ghost"},
-                                   serve::WorkloadCatalog::mixed_default(), smoke));
-  scenarios.push_back(run_elastic_scenario(smoke));
+      run_sweep("TRON", {"tron"}, serve::WorkloadCatalog::tron_default(), smoke));
+  scenarios.push_back(run_sweep("GHOST", {"ghost"}, ghost, smoke));
+  scenarios.push_back(run_sweep("TRON+GHOST mixed", {"tron", "ghost"}, mixed, smoke));
+  headlines.push_back(run_headline("GHOST", knee_scenario({"ghost"}, 4, ghost, smoke)));
+  headlines.push_back(
+      run_headline("TRON+GHOST mixed", knee_scenario({"tron", "ghost"}, 4, mixed, smoke)));
+  auto [elastic, elastic_headline] = run_elastic_scenario(smoke);
+  scenarios.push_back(std::move(elastic));
+  headlines.push_back(std::move(elastic_headline));
   const ClosedLoopResult closed = run_closed_loop_scenario(smoke);
   const ScenarioResult overload = run_overload_faults_scenario(smoke);
   const ObserverOverhead observer = run_observer_overhead(smoke);
@@ -894,12 +822,14 @@ int main(int argc, char** argv) {
 
   for (const ScenarioResult& s : scenarios) {
     serve::campaign_table(s.points, s.config.name).print(std::cout);
-    std::printf("%s headline: %zu requests / %zu accelerators in %.3f s (%.0f req/s, "
-                "p99 %.1f us, goodput %.0f QPS)\n\n",
-                s.headline.fleet_label.c_str(), s.headline.requests, s.headline.fleet,
-                s.headline.wall_s, s.headline.requests_per_s,
-                s.headline.p99_latency_s * 1e6, s.headline.goodput_qps);
   }
+  for (const Headline& h : headlines) {
+    std::printf("%s headline: %zu requests / %zu accelerators in %.3f s (%.0f req/s, "
+                "p99 %.1f us, goodput %.0f QPS)\n",
+                h.fleet_label.c_str(), h.requests, h.fleet, h.wall_s, h.requests_per_s,
+                h.p99_latency_s * 1e6, h.goodput_qps);
+  }
+  std::printf("\n");
   closed.metrics.to_table(closed.label).print(std::cout);
   std::printf("%s: %zu sessions x %zu requests in %.3f s (%.0f req/s, "
               "p99 session %.2f ms)\n\n",
@@ -907,28 +837,21 @@ int main(int argc, char** argv) {
               closed.config.requests_per_session, closed.wall_s, closed.requests_per_s,
               closed.metrics.p99_session_s * 1e3);
   serve::campaign_table(overload.points, overload.config.name).print(std::cout);
-  std::printf("%s headline: %zu requests / %zu accelerators in %.3f s (%.0f req/s, "
-              "p99 %.1f us, goodput %.0f QPS)\n\n",
-              overload.headline.fleet_label.c_str(), overload.headline.requests,
-              overload.headline.fleet, overload.headline.wall_s,
-              overload.headline.requests_per_s, overload.headline.p99_latency_s * 1e6,
-              overload.headline.goodput_qps);
-  std::printf("%s: %zu requests unobserved in %.3f s (%.0f req/s) vs observed "
-              "(trace 1/64 + timeline) in %.3f s (%.0f req/s): "
-              "overhead %.1f%%, %zu request events, %zu batch spans, %zu windows\n\n",
-              observer.label.c_str(), observer.requests, observer.off_wall_s,
+  std::printf("%s: %zu requests, %zu alternating pairs: unobserved median %.3f s (%.0f "
+              "req/s) vs observed (trace 1/64 + timeline) %.3f s (%.0f req/s): overhead "
+              "median %.1f%% [quartiles %.1f%%, %.1f%%], %zu request events, %zu batch "
+              "spans, %zu windows\n\n",
+              observer.label.c_str(), observer.requests, observer.pairs, observer.off_wall_s,
               observer.off_requests_per_s, observer.on_wall_s, observer.on_requests_per_s,
-              100.0 * observer.overhead_fraction, observer.request_events,
+              100.0 * observer.overhead_fraction, 100.0 * observer.overhead_fraction_q1,
+              100.0 * observer.overhead_fraction_q3, observer.request_events,
               observer.batch_spans, observer.timeline_windows);
-  std::printf("%s: %zu requests / %zu slots, %zu pool thread(s); serial %.3f s "
-              "(%.0f req/s)\n",
-              sharded.label.c_str(), sharded.requests, sharded.fleet, sharded.threads,
-              sharded.serial_wall_s, sharded.serial_requests_per_s);
+  std::printf("%s: %zu requests / %zu slots; serial p99 %.1f us, goodput %.0f QPS\n",
+              sharded.label.c_str(), sharded.requests, sharded.fleet,
+              sharded.serial_p99_latency_s * 1e6, sharded.serial_goodput_qps);
   for (const ShardedPoint& p : sharded.points) {
-    std::printf("  cells=%zu: %.3f s (%.0f req/s, %.2fx serial, p99 %.1f us, "
-                "goodput %.0f QPS)\n",
-                p.cells, p.wall_s, p.requests_per_s, p.speedup, p.p99_latency_s * 1e6,
-                p.goodput_qps);
+    std::printf("  cells=%zu: p99 %.1f us, goodput %.0f QPS\n", p.cells,
+                p.p99_latency_s * 1e6, p.goodput_qps);
   }
   std::printf("  scale: %zu requests / %zu cells (hdr percentiles) in %.3f s "
               "(%.0f req/s, p99 %.1f us)\n\n",
@@ -958,8 +881,8 @@ int main(int argc, char** argv) {
                 p.cost_per_request_usd);
   }
   std::printf("\n");
-  if (!write_json(scenarios, closed, overload, observer, sharded, batching, hybrid, out_path,
-                  smoke)) {
+  if (!write_json(scenarios, headlines, closed, overload, observer, sharded, batching, hybrid,
+                  out_path, smoke)) {
     std::fprintf(stderr, "error: could not write %s\n", out_path.c_str());
     return 1;
   }

@@ -157,8 +157,8 @@ void validate_scenario(const Scenario& scenario) {
                           std::to_string(BatchPolicy::kMaxBatchLimit) + "], got " +
                           std::to_string(scenario.batch.max_batch));
   }
-  if (scenario.batch.max_wait_s < 0.0) {
-    throw InvalidArgument("Scenario.batch: BatchPolicy.max_wait_s must be >= 0");
+  if (!(scenario.batch.max_wait_s >= 0.0) || !std::isfinite(scenario.batch.max_wait_s)) {
+    throw InvalidArgument("Scenario.batch: BatchPolicy.max_wait_s must be finite and >= 0");
   }
   const CostModel& cost = scenario.fleet.cost;
   if (!(cost.usd_per_watt_hour >= 0.0) || !std::isfinite(cost.usd_per_watt_hour)) {
@@ -205,8 +205,9 @@ void validate_scenario(const Scenario& scenario) {
     validate_closed_loop(scenario.traffic.closed);
     return;
   }
-  if (!(scenario.traffic.open.offered_qps > 0.0)) {
-    throw InvalidArgument("Scenario.traffic: TraceConfig.offered_qps must be positive");
+  if (!(scenario.traffic.open.offered_qps > 0.0) ||
+      !std::isfinite(scenario.traffic.open.offered_qps)) {
+    throw InvalidArgument("Scenario.traffic: TraceConfig.offered_qps must be finite and positive");
   }
   if (scenario.traffic.open.request_count < 1) {
     throw InvalidArgument("Scenario.traffic: TraceConfig.request_count must be >= 1");

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -586,6 +587,17 @@ TEST(Validation, ScenarioNamesBadField) {
   expect_invalid(
       [&] { (void)simulate_trace(fleet, catalog, trace, SchedulerKind::kDynamicBatch, zero); },
       "max_batch");
+  // A deadline that never fires (or compares false) names the field instead
+  // of tripping the event loop's or the scheduler's internal checks.
+  for (const double wait : {std::numeric_limits<double>::infinity(), std::nan("")}) {
+    BatchPolicy endless;
+    endless.max_wait_s = wait;
+    expect_invalid(
+        [&] {
+          (void)simulate_trace(fleet, catalog, trace, SchedulerKind::kDynamicBatch, endless);
+        },
+        "max_wait_s");
+  }
   const std::vector<Request> bogus{{0, 0.0, 99}};  // workload index out of range
   expect_invalid(
       [&] { (void)simulate_trace(fleet, catalog, bogus, SchedulerKind::kFifo, BatchPolicy{}); },
@@ -617,8 +629,10 @@ TEST(Validation, ScenarioNamesBadField) {
   scenario.traffic.open.request_count = 0;
   expect_invalid([&] { (void)simulate(scenario); }, "request_count");
   scenario.traffic.open.request_count = 100;
-  scenario.traffic.open.offered_qps = -1.0;
-  expect_invalid([&] { (void)simulate(scenario); }, "offered_qps");
+  for (const double qps : {-1.0, std::numeric_limits<double>::infinity(), std::nan("")}) {
+    scenario.traffic.open.offered_qps = qps;
+    expect_invalid([&] { (void)simulate(scenario); }, "offered_qps");
+  }
   scenario.traffic.open.offered_qps = 1000.0;
   scenario.traffic.mode = LoopMode::kClosed;
   scenario.traffic.closed.sessions = 0;

@@ -1,599 +1,300 @@
 #!/usr/bin/env python3
 """CI bench-regression gate.
 
-Compares a freshly produced BENCH_*_smoke.json against the committed
-per-scenario baseline (bench/baselines/) and exits non-zero on regression, so
-perf regressions fail the job instead of shipping silently behind a `cat`.
+Compares a freshly produced BENCH_*_smoke.json against the committed baseline
+(bench/baselines/) and exits non-zero on any finding, so regressions fail the
+job instead of shipping silently behind a `cat`.
 
-Two metric classes, two tolerance bands:
+One walker pairs every leaf of the baseline with the current file: object
+keys by name, list items by position.  Every key of a baseline object must
+exist in the current object; extra current keys are ignored (a bench that grew
+a field still passes).  A current list may be longer than the baseline's, but
+never shorter.  One name rule (`classify`) decides how each leaf compares:
 
-* deterministic metrics (simulated latencies, goodput, SLO attainment, queue
-  depths, ...) are bit-reproducible by the simulator's contract and must match
-  the baseline within --det-tol relative error (default 1e-3, loose enough to
-  absorb compiler/fp-contraction differences across the CI matrix);
-* timing metrics (median_ms, requests_per_s, wall_s) are hardware- and
-  load-dependent: they only fail when worse than the baseline by more than
-  --time-tol x (default 4.0), a band wide enough for runner noise yet narrow
-  enough to catch order-of-magnitude regressions.
+* the `provenance` object and `threads` are context for humans and are
+  skipped, so a baseline from another toolchain still diffs on its numbers;
+* names ending in `wall_s`, and `overhead_fraction` with its spread fields,
+  are info and never compared;
+* names ending in `requests_per_s`, and `speedup`, are host timing where higher
+  is better; names ending in `median_ms` are host timing where lower is better.
+  They fail only when worse than the baseline by more than --time-tol x
+  (default 4.0: wide enough for runner noise, narrow enough for an
+  order-of-magnitude regression).  `--time-tol inf` turns timing off;
+* every other number is deterministic (bit-reproducible by the simulator's
+  contract) and must match within --det-tol relative error (default 1e-3,
+  which absorbs fp-contraction differences across the CI compilers);
+* strings and booleans must be equal, so labels and grid keys are checked too.
 
-The serve observer_overhead section gets two extra gates: the observed run's
-p99/goodput must match the unobserved run within --det-tol (observers must
-never change results), and the relative wall-clock overhead of observing must
-stay under --overhead-tol (default 0.35; the denominator is the *unobserved*
-loop, which the `if constexpr` observer-free instantiation made faster — the
-same absolute observer cost now reads as a larger fraction).
+Four in-file gates read the current file alone, whatever the baseline says:
 
-The "provenance" object (compiler, build type, schema version, threads) is
-context for humans, never gated: baselines produced by a different toolchain
-still diff cleanly on their numbers.
+* observer_overhead: the observed run's p99 and goodput equal the unobserved
+  run's within --det-tol (observers never change results), and the median
+  overhead fraction stays under OVERHEAD_BOUND (host timing: off with
+  `--time-tol inf`);
+* sharded: the cells=1 point is bit-identical to the serial run;
+* continuous_batching: continuous mean TTFT is no worse than monolithic at
+  every load;
+* hybrid_fleet: the hybrid fleet's tier-0 attainment is no worse than the
+  worse homogeneous fleet's at every load.
 
-The serve continuous_batching section carries its own in-file acceptance
-gate on top of the baseline diff: at every load point, continuous batching's
-mean TTFT must not lose to the monolithic (static-batching) baseline — the
-section's whole reason to exist — independent of what the committed baseline
-recorded.
-
-`--baseline`/`--current` repeat to check several pairs in one invocation
-(paired in order); every failing gate across every pair is reported before
-the nonzero exit, so one CI run surfaces the full regression list.
+`--self-test` checks the gate itself on a baseline: the file must pass against
+itself with timing off; perturbing every leaf by its class in one copy must
+give exactly one finding per deterministic and timing leaf and none elsewhere;
+and each in-file gate must fire on an injected violation.
 
 Usage:
-  bench_check.py --baseline bench/baselines/BENCH_serve_smoke.json \
-                 --current BENCH_serve_smoke.json [--time-tol 4.0] [--det-tol 1e-3] \
-                 [--overhead-tol 0.25]
-  bench_check.py --baseline <kernels baseline> --current <kernels current> \
+  bench_check.py --baseline bench/baselines/BENCH_serve_smoke.json \\
+                 --current BENCH_serve_smoke.json [--time-tol 4.0] [--det-tol 1e-3]
+  bench_check.py --baseline <kernels baseline> --current <kernels current> \\
                  --baseline <serve baseline> --current <serve current>
-  bench_check.py --self-test --baseline <file>   # gate must pass the baseline
-                                                 # against itself and fail an
-                                                 # injected regression
+  bench_check.py --self-test --baseline <file> [--baseline <file> ...]
 
-The file kind (kernels / serve) is auto-detected from the "bench" field.
+Pairs are checked in order, and every finding across every pair is reported
+before the nonzero exit, so one CI run surfaces the full regression list.
 """
 
 import argparse
+import collections
 import copy
 import json
+import math
 import sys
 
-# Deterministic fields of a serve campaign point / headline / tenant entry.
-DET_POINT_FIELDS = [
-    "offered_qps", "throughput_qps", "goodput_qps", "slo_latency_s",
-    "slo_attainment", "p50_latency_s", "p95_latency_s", "p99_latency_s",
-    "p999_latency_s", "mean_queue_depth", "peak_queue_depth", "mean_batch",
-    "energy_per_request_j", "fleet_energy_j", "utilization", "peak_fleet",
-    "final_fleet", "mean_fleet", "autoscale_grows", "autoscale_shrinks",
-    # Robustness counters (PR 6): seeded fault injection, timeouts/retries,
-    # and admission shedding are all bit-reproducible by contract.
-    "shed", "timed_out", "retries", "failed_batches", "requeued",
-    "slot_failures", "availability", "drop_rate",
-]
-DET_HEADLINE_FIELDS = ["p99_latency_s", "goodput_qps"]
-DET_TENANT_FIELDS = [
-    "priority", "slo_latency_s", "completed", "slo_attainment", "goodput_qps",
-    "p50_latency_s", "p99_latency_s", "shed", "timed_out", "drop_rate",
-]
-# Closed-loop scenario entries: per-request tails plus end-to-end session
-# latencies and the cache counters (all bit-reproducible by contract).
-DET_CLOSED_LOOP_FIELDS = [
-    "sessions", "requests_per_session", "completed", "throughput_qps",
-    "goodput_qps", "slo_attainment", "p50_latency_s", "p99_latency_s",
-    "mean_session_s", "p50_session_s", "p99_session_s", "max_session_s",
-    "mean_batch", "estimate_lookups", "estimate_misses",
-]
-TIMING_HEADLINE_FIELDS = ["requests_per_s"]  # higher is better
-# Observer-overhead entries: the simulated results (bit-reproducible, and
-# identical whether or not observers watch the run) plus the trace/timeline
-# volume counters, which are functions of the same deterministic event stream.
-DET_OBSERVER_FIELDS = [
-    "requests", "trace_sample", "off_p99_latency_s", "on_p99_latency_s",
-    "off_goodput_qps", "on_goodput_qps", "sampled_requests", "request_events",
-    "batch_spans", "timeline_windows",
-]
-TIMING_OBSERVER_FIELDS = ["off_requests_per_s", "on_requests_per_s"]
-# Sharded-simulation entries: simulated results are deterministic for a fixed
-# cell count (salted per-cell seeds, ascending merge), so they are gated like
-# every other det field; wall clocks and speedups are host-dependent timing.
-# `threads` is context (like provenance): a 1-core runner's ~1x speedup only
-# fails against its own 1-core baseline's band, never an absolute floor.
-DET_SHARDED_FIELDS = [
-    "requests", "fleet", "serial_completed", "serial_p99_latency_s",
-    "serial_goodput_qps", "scale_requests", "scale_cells", "scale_completed",
-    "scale_p99_latency_s", "scale_goodput_qps",
-]
-DET_SHARDED_POINT_FIELDS = ["completed", "p99_latency_s", "goodput_qps"]
-TIMING_SHARDED_FIELDS = ["serial_requests_per_s", "scale_requests_per_s"]
-TIMING_SHARDED_POINT_FIELDS = ["requests_per_s", "speedup"]  # higher is better
-# Continuous-batching entries: the monolithic-vs-continuous decode comparison.
-# Every simulated per-mode metric is deterministic; requests_per_s is the
-# only timing field (wall clock over all four runs).
-DET_CONTINUOUS_FIELDS = ["requests", "fleet", "decode_tokens", "capacity_qps"]
-DET_CONTINUOUS_POINT_FIELDS = [
-    "capacity_x", "offered_qps",
-    "mono_mean_ttft_s", "mono_p95_ttft_s", "mono_mean_tpot_s", "mono_p95_tpot_s",
-    "mono_tokens_per_s", "mono_p99_latency_s", "mono_goodput_qps",
-    "mono_ttft_attainment", "mono_decode_occupancy",
-    "cont_mean_ttft_s", "cont_p95_ttft_s", "cont_mean_tpot_s", "cont_p95_tpot_s",
-    "cont_tokens_per_s", "cont_p99_latency_s", "cont_goodput_qps",
-    "cont_ttft_attainment", "cont_decode_occupancy", "ttft_ratio",
-]
-TIMING_CONTINUOUS_FIELDS = ["requests_per_s"]
-# Hybrid-fleet TCO entries: photonic / electronic / hybrid fleets serving one
-# decode catalog under cost-aware routing.  Every simulated metric — dollar
-# costs included — is deterministic; requests_per_s is the only timing field.
-DET_HYBRID_FIELDS = ["requests", "fleet", "capacity_qps"]
-DET_HYBRID_POINT_FIELDS = [
-    "capacity_x", "offered_qps", "completed", "p99_latency_s", "goodput_qps",
-    "slo_attainment", "tier0_attainment", "mean_ttft_s", "tokens_per_s",
-    "energy_per_request_j", "fleet_cost_usd", "cost_per_request_usd",
-]
-TIMING_HYBRID_FIELDS = ["requests_per_s"]
+OVERHEAD_BOUND = 0.35  # observed / unobserved wall time - 1, median over pairs
+
+SKIP, INFO, DET, HIGHER, LOWER = "skip", "info", "det", "higher", "lower"
 
 
-class Failure(Exception):
-    pass
+def classify(name):
+    """The one rule: how a leaf named `name` (or a list under it) compares."""
+    if name in ("provenance", "threads"):
+        return SKIP
+    if name.endswith("wall_s") or name.startswith("overhead_fraction"):
+        return INFO
+    if name.endswith("requests_per_s") or name == "speedup":
+        return HIGHER
+    if name.endswith("median_ms"):
+        return LOWER
+    return DET
 
 
 def rel_diff(a, b):
-    denom = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) / denom
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def check_det(what, baseline, current, fields, det_tol, errors):
-    for field in fields:
-        if field not in baseline:
-            continue  # older baseline without the field: nothing to pin
-        if field not in current:
-            errors.append(f"{what}: deterministic field '{field}' missing from current")
-            continue
-        base_v, cur_v = baseline[field], current[field]
-        if rel_diff(float(base_v), float(cur_v)) > det_tol:
-            errors.append(
-                f"{what}: deterministic field '{field}' drifted: "
-                f"baseline {base_v} vs current {cur_v}"
-            )
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def check_kernels(baseline, current, time_tol, det_tol, errors):
-    del det_tol  # kernel medians are all timing
-    cur_by_name = {r["name"]: r for r in current.get("results", [])}
-    for base in baseline.get("results", []):
-        name = base["name"]
-        cur = cur_by_name.get(name)
-        if cur is None:
-            errors.append(f"kernels: scenario '{name}' missing from current results")
-            continue
-        if "median_ms" not in cur:
-            errors.append(f"kernels: '{name}' has no median_ms in current results")
-            continue
-        if cur["median_ms"] > base["median_ms"] * time_tol:
-            errors.append(
-                f"kernels: '{name}' regressed: median {cur['median_ms']:.4f} ms vs "
-                f"baseline {base['median_ms']:.4f} ms (tolerance {time_tol}x)"
-            )
+def compare(kind, base, cur, det_tol, time_tol):
+    """Why leaf `cur` fails against `base` under its class, or None."""
+    if not is_number(base):
+        return None if cur == base else f"changed: {base!r} -> {cur!r}"
+    if not is_number(cur):
+        return f"expected a number, got {cur!r}"
+    if kind == DET and rel_diff(base, cur) > det_tol:
+        return f"drifted: baseline {base} vs current {cur}"
+    if kind == HIGHER and cur * time_tol < base:
+        return f"regressed: {cur:.4g} vs baseline {base:.4g} (tolerance {time_tol}x)"
+    if kind == LOWER and cur > base * time_tol:
+        return f"regressed: {cur:.4g} vs baseline {base:.4g} (tolerance {time_tol}x)"
+    return None
 
 
-def check_observer_overhead(baseline, current, time_tol, det_tol, overhead_tol,
-                            errors):
-    cur_entries = {o["label"]: o for o in current.get("observer_overhead", [])}
-    for base in baseline.get("observer_overhead", []):
-        label = base["label"]
-        cur = cur_entries.get(label)
-        if cur is None:
-            errors.append(f"serve: observer_overhead '{label}' missing from current")
-            continue
-        what = f"serve observer_overhead '{label}'"
-        check_det(what, base, cur, DET_OBSERVER_FIELDS, det_tol, errors)
-        # Observers must not change results: on-vs-off parity within the
-        # current file (not just vs the baseline).
+def walk(base, cur, det_tol, time_tol, kind=DET, path=""):
+    """Yield (path, why) for every baseline leaf the current file fails."""
+    if kind in (SKIP, INFO):
+        return
+    if isinstance(base, dict):
+        if not isinstance(cur, dict):
+            yield path, f"expected an object, got {type(cur).__name__}"
+            return
+        for key, child in base.items():
+            sub = f"{path}.{key}" if path else key
+            if key not in cur:
+                yield sub, "missing from current"
+            else:
+                yield from walk(child, cur[key], det_tol, time_tol, classify(key), sub)
+    elif isinstance(base, list):
+        if not isinstance(cur, list) or len(cur) < len(base):
+            got = len(cur) if isinstance(cur, list) else type(cur).__name__
+            yield path, f"expected a list of at least {len(base)} item(s), got {got}"
+            return
+        for i, (b, c) in enumerate(zip(base, cur)):
+            yield from walk(b, c, det_tol, time_tol, kind, f"{path}[{i}]")
+    else:
+        why = compare(kind, base, cur, det_tol, time_tol)
+        if why:
+            yield path, why
+
+
+# In-file gates: each reads the current file alone and yields (path, why).
+
+def observer_gate(data, det_tol, time_tol):
+    for i, o in enumerate(data.get("observer_overhead", [])):
         for metric in ("p99_latency_s", "goodput_qps"):
-            off_v, on_v = cur.get(f"off_{metric}"), cur.get(f"on_{metric}")
-            if off_v is None or on_v is None:
+            off, on = o[f"off_{metric}"], o[f"on_{metric}"]
+            if rel_diff(off, on) > det_tol:
+                yield (f"observer_overhead[{i}].on_{metric}",
+                       f"observed run changed {metric}: unobserved {off} vs observed {on}")
+        if math.isfinite(time_tol) and o["overhead_fraction"] > OVERHEAD_BOUND:
+            yield (f"observer_overhead[{i}].overhead_fraction",
+                   f"observer overhead {o['overhead_fraction']:.3f} exceeds {OVERHEAD_BOUND}")
+
+
+def sharded_gate(data, det_tol, time_tol):
+    for i, s in enumerate(data.get("sharded", [])):
+        for j, p in enumerate(s["points"]):
+            for field in ("completed", "p99_latency_s", "goodput_qps"):
+                if p["cells"] == 1 and p[field] != s[f"serial_{field}"]:
+                    yield (f"sharded[{i}].points[{j}].{field}",
+                           f"cells=1 broke bit-parity with the serial run: "
+                           f"{p[field]} vs {s[f'serial_{field}']}")
+
+
+def continuous_gate(data, det_tol, time_tol):
+    for i, c in enumerate(data.get("continuous_batching", [])):
+        for j, p in enumerate(c["points"]):
+            if p["cont_mean_ttft_s"] > p["mono_mean_ttft_s"]:
+                yield (f"continuous_batching[{i}].points[{j}].cont_mean_ttft_s",
+                       f"continuous batching lost to monolithic on mean TTFT: "
+                       f"{p['cont_mean_ttft_s']} vs {p['mono_mean_ttft_s']}")
+
+
+def hybrid_gate(data, det_tol, time_tol):
+    for i, h in enumerate(data.get("hybrid_fleet", [])):
+        by_load = collections.defaultdict(list)
+        for j, p in enumerate(h["points"]):
+            by_load[p["capacity_x"]].append((j, p))
+        for x, points in sorted(by_load.items()):
+            homogeneous = [p["tier0_attainment"] for _, p in points
+                           if "hybrid" not in p["fleet_label"]]
+            if not homogeneous:
                 continue
-            if rel_diff(float(off_v), float(on_v)) > det_tol:
-                errors.append(
-                    f"{what}: observed run changed {metric}: "
-                    f"unobserved {off_v} vs observed {on_v}"
-                )
-        if "overhead_fraction" in cur and cur["overhead_fraction"] > overhead_tol:
-            errors.append(
-                f"{what}: observer overhead {cur['overhead_fraction']:.3f} exceeds "
-                f"tolerance {overhead_tol}"
-            )
-        for field in TIMING_OBSERVER_FIELDS:
-            if field not in base or field not in cur:
-                continue
-            if cur[field] * time_tol < base[field]:
-                errors.append(
-                    f"{what}: {field} regressed: {cur[field]:.0f} vs baseline "
-                    f"{base[field]:.0f} (tolerance {time_tol}x)"
-                )
+            floor = min(homogeneous)
+            for j, p in points:
+                if "hybrid" in p["fleet_label"] and p["tier0_attainment"] < floor - 1e-9:
+                    yield (f"hybrid_fleet[{i}].points[{j}].tier0_attainment",
+                           f"'{p['fleet_label']}' tier-0 attainment {p['tier0_attainment']} "
+                           f"at {x}x lost to the worse homogeneous fleet's {floor}")
 
 
-def check_timing(what, baseline, current, fields, time_tol, errors):
-    """Higher-is-better timing fields: fail when worse than baseline / time_tol."""
-    for field in fields:
-        if field not in baseline:
-            continue
-        if field not in current:
-            errors.append(f"{what}: timing field '{field}' missing from current")
-            continue
-        if current[field] * time_tol < baseline[field]:
-            errors.append(
-                f"{what}: {field} regressed: {current[field]:.2f} vs baseline "
-                f"{baseline[field]:.2f} (tolerance {time_tol}x)"
-            )
+GATES = (observer_gate, sharded_gate, continuous_gate, hybrid_gate)
 
 
-def check_sharded(baseline, current, time_tol, det_tol, errors):
-    cur_entries = {s["label"]: s for s in current.get("sharded", [])}
-    for base in baseline.get("sharded", []):
-        label = base["label"]
-        cur = cur_entries.get(label)
-        if cur is None:
-            errors.append(f"serve: sharded scenario '{label}' missing from current")
-            continue
-        what = f"serve sharded '{label}'"
-        check_det(what, base, cur, DET_SHARDED_FIELDS, det_tol, errors)
-        check_timing(what, base, cur, TIMING_SHARDED_FIELDS, time_tol, errors)
-        base_points = {p["cells"]: p for p in base.get("points", [])}
-        cur_points = {p["cells"]: p for p in cur.get("points", [])}
-        for cells, base_point in base_points.items():
-            cur_point = cur_points.get(cells)
-            if cur_point is None:
-                errors.append(f"{what}: cells={cells} point missing from current")
-                continue
-            point_what = f"{what} cells={cells}"
-            check_det(point_what, base_point, cur_point, DET_SHARDED_POINT_FIELDS,
-                      det_tol, errors)
-            check_timing(point_what, base_point, cur_point,
-                         TIMING_SHARDED_POINT_FIELDS, time_tol, errors)
-        # In-file parity at zero tolerance: the cells == 1 point ran the same
-        # binary in the same process as the serial reference, so its simulated
-        # results must be bit-identical (the cells == 1 contract), not merely
-        # within det tolerance.
-        one = cur_points.get(1)
-        if one is not None:
-            for point_field, serial_field in (
-                    ("completed", "serial_completed"),
-                    ("p99_latency_s", "serial_p99_latency_s"),
-                    ("goodput_qps", "serial_goodput_qps")):
-                if point_field not in one or serial_field not in cur:
-                    continue
-                if one[point_field] != cur[serial_field]:
-                    errors.append(
-                        f"{what}: cells=1 broke bit-parity with the serial run: "
-                        f"{point_field} {one[point_field]} vs {cur[serial_field]}"
-                    )
+def run_check(baseline, current, det_tol, time_tol):
+    """Every finding of `current` against `baseline`, as (path, why) pairs."""
+    findings = list(walk(baseline, current, det_tol, time_tol))
+    for gate in GATES:
+        try:
+            findings += gate(current, det_tol, time_tol)
+        except (KeyError, TypeError) as e:
+            findings.append((gate.__name__, f"cannot evaluate ({e!r})"))
+    return findings
 
 
-def check_continuous_batching(baseline, current, time_tol, det_tol, errors):
-    cur_entries = {c["label"]: c for c in current.get("continuous_batching", [])}
-    for base in baseline.get("continuous_batching", []):
-        label = base["label"]
-        cur = cur_entries.get(label)
-        if cur is None:
-            errors.append(f"serve: continuous_batching '{label}' missing from current")
-            continue
-        what = f"serve continuous_batching '{label}'"
-        check_det(what, base, cur, DET_CONTINUOUS_FIELDS, det_tol, errors)
-        check_timing(what, base, cur, TIMING_CONTINUOUS_FIELDS, time_tol, errors)
-        base_points = base.get("points", [])
-        cur_points = cur.get("points", [])
-        if len(base_points) != len(cur_points):
-            errors.append(
-                f"{what}: point count changed "
-                f"({len(base_points)} -> {len(cur_points)})"
-            )
-            continue
-        for i, (base_point, cur_point) in enumerate(zip(base_points, cur_points)):
-            point_what = f"{what} point {i} ({cur_point.get('capacity_x', '?')}x)"
-            check_det(point_what, base_point, cur_point,
-                      DET_CONTINUOUS_POINT_FIELDS, det_tol, errors)
-            # In-file acceptance gate, independent of the baseline: at every
-            # load, continuous batching must not lose to the static-batching
-            # baseline on mean TTFT (freeing lanes at token boundaries can
-            # only admit waiting prefills earlier).
-            mono = cur_point.get("mono_mean_ttft_s")
-            cont = cur_point.get("cont_mean_ttft_s")
-            if mono is not None and cont is not None and cont > mono:
-                errors.append(
-                    f"{point_what}: continuous batching lost to monolithic on "
-                    f"mean TTFT: {cont} vs {mono}"
-                )
+def perturb(node, timing_on, kind=DET, path=""):
+    """Perturb every leaf under `node` in place by its class, yielding
+    (path, class, flagged) per leaf; the paths and classes are the ones
+    `walk` reports and compares by, and each flagged leaf must give exactly
+    one walker finding."""
+    for key in (node.keys() if isinstance(node, dict) else range(len(node))):
+        if isinstance(node, dict):
+            sub = f"{path}.{key}" if path else key
+            child_kind = kind if kind in (SKIP, INFO) else classify(key)
+        else:
+            sub, child_kind = f"{path}[{key}]", kind
+        value = node[key]
+        if isinstance(value, (dict, list)):
+            yield from perturb(value, timing_on, child_kind, sub)
+        elif child_kind in (HIGHER, LOWER):
+            node[key] = value / 100.0 if child_kind == HIGHER else value * 100.0
+            yield sub, child_kind, timing_on
+        elif is_number(value):
+            node[key] = value * 1.5 if value else value + 1
+            yield sub, child_kind, child_kind == DET
+        else:
+            node[key] = not value if isinstance(value, bool) else f"{value}~"
+            yield sub, "label" if child_kind == DET else child_kind, child_kind == DET
 
 
-def check_hybrid_fleet(baseline, current, time_tol, det_tol, errors):
-    cur_entries = {h["label"]: h for h in current.get("hybrid_fleet", [])}
-    for base in baseline.get("hybrid_fleet", []):
-        label = base["label"]
-        cur = cur_entries.get(label)
-        if cur is None:
-            errors.append(f"serve: hybrid_fleet '{label}' missing from current")
-            continue
-        what = f"serve hybrid_fleet '{label}'"
-        check_det(what, base, cur, DET_HYBRID_FIELDS, det_tol, errors)
-        check_timing(what, base, cur, TIMING_HYBRID_FIELDS, time_tol, errors)
-        base_points = {(p["fleet_label"], p["capacity_x"]): p
-                       for p in base.get("points", [])}
-        cur_points = {(p["fleet_label"], p["capacity_x"]): p
-                      for p in cur.get("points", [])}
-        for key, base_point in base_points.items():
-            cur_point = cur_points.get(key)
-            if cur_point is None:
-                errors.append(f"{what}: point {key} missing from current")
-                continue
-            check_det(f"{what} point {key}", base_point, cur_point,
-                      DET_HYBRID_POINT_FIELDS, det_tol, errors)
-        # In-file acceptance gate, independent of the baseline: at every load,
-        # the hybrid fleet's tier-0 attainment must not lose to the *worse*
-        # homogeneous fleet (adding slots of a second fabric may not help the
-        # premium tenant, but cost-aware routing must never leave it worse off
-        # than the weaker single-fabric fleet).
-        by_capacity = {}
-        for point in cur.get("points", []):
-            by_capacity.setdefault(point["capacity_x"], {})[
-                point["fleet_label"]] = point
-        for capacity_x, points in sorted(by_capacity.items()):
-            hybrid = [p for name, p in points.items() if "hybrid" in name]
-            homogeneous = [p for name, p in points.items() if "hybrid" not in name]
-            if not hybrid or not homogeneous:
-                continue
-            floor = min(p.get("tier0_attainment", 0.0) for p in homogeneous)
-            for p in hybrid:
-                if p.get("tier0_attainment", 0.0) < floor - 1e-9:
-                    errors.append(
-                        f"{what} at {capacity_x}x: hybrid fleet "
-                        f"'{p['fleet_label']}' tier-0 attainment "
-                        f"{p.get('tier0_attainment')} lost to the worse "
-                        f"homogeneous fleet's {floor}"
-                    )
+def gate_injections(data, time_tol):
+    """(what, injected copy) for each in-file gate that `data` exercises."""
+    def cells_one(s):
+        for p in s["points"]:
+            if p["cells"] == 1:
+                p["p99_latency_s"] *= 1.0 + 1e-12
+
+    def cont_loses(c):
+        for p in c["points"]:
+            p["cont_mean_ttft_s"] = 2.0 * p["mono_mean_ttft_s"]
+
+    def hybrid_loses(h):
+        for p in h["points"]:
+            if "hybrid" in p["fleet_label"]:
+                p["tier0_attainment"] = -1.0
+
+    def overhead(o):
+        o["overhead_fraction"] = 10.0
+
+    def observed_drift(o):
+        o["on_p99_latency_s"] = 1.5 * o["off_p99_latency_s"]
+
+    injections = [("cells=1 p99 x (1 + 1e-12)", "sharded", cells_one),
+                  ("continuous mean TTFT 2x monolithic", "continuous_batching", cont_loses),
+                  ("hybrid tier-0 attainment -1", "hybrid_fleet", hybrid_loses),
+                  ("observed p99 1.5x unobserved", "observer_overhead", observed_drift)]
+    if math.isfinite(time_tol):  # the overhead bound is host timing
+        injections.append(("observer overhead 10", "observer_overhead", overhead))
+    for what, section, mutate in injections:
+        if data.get(section):
+            injected = copy.deepcopy(data)
+            for entry in injected[section]:
+                mutate(entry)
+            yield what, injected
 
 
-def check_serve(baseline, current, time_tol, det_tol, errors):
-    cur_headlines = {h["fleet_label"]: h for h in current.get("headlines", [])}
-    for base in baseline.get("headlines", []):
-        label = base["fleet_label"]
-        cur = cur_headlines.get(label)
-        if cur is None:
-            errors.append(f"serve: headline '{label}' missing from current results")
-            continue
-        check_det(f"serve headline '{label}'", base, cur, DET_HEADLINE_FIELDS,
-                  det_tol, errors)
-        for field in TIMING_HEADLINE_FIELDS:
-            if field not in base:
-                continue
-            if field not in cur:
-                errors.append(
-                    f"serve headline '{label}': timing field '{field}' missing "
-                    f"from current"
-                )
-                continue
-            if cur[field] * time_tol < base[field]:
-                errors.append(
-                    f"serve headline '{label}': {field} regressed: "
-                    f"{cur[field]:.0f} vs baseline {base[field]:.0f} "
-                    f"(tolerance {time_tol}x)"
-                )
+def self_test(data, det_tol, time_tol):
+    """0 when every gate passes `data` against itself and fails on cue."""
+    problems = [f"clean pass: {p}: {why}" for p, why in run_check(data, data, det_tol, math.inf)]
 
-    cur_closed = {c["label"]: c for c in current.get("closed_loop", [])}
-    for base in baseline.get("closed_loop", []):
-        label = base["label"]
-        cur = cur_closed.get(label)
-        if cur is None:
-            errors.append(f"serve: closed-loop scenario '{label}' missing from current")
-            continue
-        what = f"serve closed-loop '{label}'"
-        check_det(what, base, cur, DET_CLOSED_LOOP_FIELDS, det_tol, errors)
-        for field in TIMING_HEADLINE_FIELDS:
-            if field not in base:
-                continue
-            if field not in cur:
-                errors.append(f"{what}: timing field '{field}' missing from current")
-                continue
-            if cur[field] * time_tol < base[field]:
-                errors.append(
-                    f"{what}: {field} regressed: {cur[field]:.0f} vs baseline "
-                    f"{base[field]:.0f} (tolerance {time_tol}x)"
-                )
-
-    # Both campaign-shaped sections share one checker: the ordinary saturation
-    # sweeps and the overload_faults robustness sweep (shed / retry /
-    # availability counters gated at det tolerance like every other
-    # deterministic field).
-    for section in ("campaigns", "overload_faults"):
-        cur_campaigns = {c["campaign"]: c for c in current.get(section, [])}
-        for base_campaign in baseline.get(section, []):
-            name = base_campaign["campaign"]
-            cur_campaign = cur_campaigns.get(name)
-            if cur_campaign is None:
-                errors.append(
-                    f"serve: {section} campaign '{name}' missing from current results"
-                )
-                continue
-            base_points = base_campaign.get("points", [])
-            cur_points = cur_campaign.get("points", [])
-            if len(base_points) != len(cur_points):
-                errors.append(
-                    f"serve campaign '{name}': point count changed "
-                    f"({len(base_points)} -> {len(cur_points)})"
-                )
-                continue
-            for i, (base, cur) in enumerate(zip(base_points, cur_points)):
-                what = f"serve campaign '{name}' point {i}"
-                for key in ("fleet", "scheduler", "max_batch", "autoscaler",
-                            "admission", "fault_mtbf_s"):
-                    if key in base and base.get(key) != cur.get(key):
-                        errors.append(
-                            f"{what}: grid key '{key}' changed "
-                            f"({base.get(key)} -> {cur.get(key)})"
-                        )
-                check_det(what, base, cur, DET_POINT_FIELDS, det_tol, errors)
-                base_tenants = base.get("tenants", [])
-                cur_tenants = {t["name"]: t for t in cur.get("tenants", [])}
-                for tenant in base_tenants:
-                    cur_tenant = cur_tenants.get(tenant["name"])
-                    if cur_tenant is None:
-                        errors.append(f"{what}: tenant '{tenant['name']}' missing")
-                        continue
-                    check_det(f"{what} tenant '{tenant['name']}'", tenant, cur_tenant,
-                              DET_TENANT_FIELDS, det_tol, errors)
-
-
-def run_check(baseline, current, time_tol, det_tol, overhead_tol=0.35):
-    kind = baseline.get("bench")
-    if current.get("bench") != kind:
-        return [f"bench kind mismatch: baseline '{kind}' vs current "
-                f"'{current.get('bench')}'"]
-    errors = []
-    if kind == "kernels":
-        check_kernels(baseline, current, time_tol, det_tol, errors)
-    elif kind == "serve":
-        check_serve(baseline, current, time_tol, det_tol, errors)
-        check_observer_overhead(baseline, current, time_tol, det_tol, overhead_tol,
-                                errors)
-        check_sharded(baseline, current, time_tol, det_tol, errors)
-        check_continuous_batching(baseline, current, time_tol, det_tol, errors)
-        check_hybrid_fleet(baseline, current, time_tol, det_tol, errors)
-    else:
-        errors.append(f"unknown bench kind: {kind!r}")
-    return errors
-
-
-def inject_regression(data):
-    """Perturb one timing and one deterministic metric far past any band."""
     perturbed = copy.deepcopy(data)
-    if perturbed.get("bench") == "kernels":
-        perturbed["results"][0]["median_ms"] *= 100.0
-    else:
-        perturbed["headlines"][0]["requests_per_s"] /= 100.0
-        perturbed["campaigns"][0]["points"][0]["p99_latency_s"] *= 1.5
-        if perturbed.get("closed_loop"):
-            perturbed["closed_loop"][0]["p99_session_s"] *= 1.5
-        if perturbed.get("overload_faults"):
-            perturbed["overload_faults"][0]["points"][0]["availability"] *= 0.5
-    return perturbed
+    leaves = list(perturb(perturbed, math.isfinite(time_tol)))
+    must_flag = {path for path, _, flagged in leaves if flagged}
+    counts = collections.Counter(kind for _, kind, _ in leaves)
+    found = collections.Counter(p for p, _ in walk(data, perturbed, det_tol, time_tol))
+    problems += [f"perturbed leaf not flagged: {p}" for p in sorted(must_flag - set(found))]
+    problems += [f"unexpected finding at {p} (x{n})" for p, n in sorted(found.items())
+                 if p not in must_flag or n != 1]
 
+    # The walk rules: a missing baseline key and a shorter list fail; an
+    # extra current key and another toolchain's provenance pass.
+    missing = {k: v for k, v in data.items() if k != "bench"}
+    shorter = {k: v[:-1] if isinstance(v, list) else v for k, v in data.items()}
+    for what, current, should_fail in (("a missing key", missing, True),
+                                       ("shorter lists", shorter, True),
+                                       ("an extra key", dict(data, extra=1), False),
+                                       ("other provenance", dict(data, provenance={}), False)):
+        if any(walk(data, current, det_tol, time_tol)) != should_fail:
+            problems.append(f"walk rule broken: {what}")
 
-def self_test(baseline, time_tol, det_tol):
-    clean = run_check(baseline, baseline, time_tol, det_tol)
-    if clean:
-        print("bench_check self-test FAILED: baseline does not pass against itself:")
-        for e in clean:
-            print(f"  {e}")
+    # Each in-file gate must fire on its injection.  The injected file is read
+    # against itself, so no walker finding can stand in for the gate's.
+    clean = set(run_check(data, data, det_tol, time_tol))
+    injections = list(gate_injections(data, time_tol))
+    for what, injected in injections:
+        if not set(run_check(injected, injected, det_tol, time_tol)) - clean:
+            problems.append(f"in-file gate missed: {what}")
+
+    if problems:
+        print(f"bench_check self-test FAILED ({data.get('bench')}):")
+        for p in problems:
+            print(f"  {p}")
         return 1
-    dirty = run_check(baseline, inject_regression(baseline), time_tol, det_tol)
-    if not dirty:
-        print("bench_check self-test FAILED: injected regression was not detected")
-        return 1
-    if baseline.get("closed_loop"):
-        # The closed-loop section must be gated on its own, not ride along on
-        # the headline/campaign perturbations.
-        closed_only = copy.deepcopy(baseline)
-        closed_only["closed_loop"][0]["p99_session_s"] *= 1.5
-        if not run_check(baseline, closed_only, time_tol, det_tol):
-            print("bench_check self-test FAILED: closed-loop regression was not detected")
-            return 1
-    if baseline.get("overload_faults"):
-        # The overload_faults section must be gated on its own too: an
-        # availability regression (more down slot-time than the seeded fault
-        # process should produce) has to trip the gate by itself.
-        avail_only = copy.deepcopy(baseline)
-        avail_only["overload_faults"][0]["points"][0]["availability"] *= 0.5
-        if not run_check(baseline, avail_only, time_tol, det_tol):
-            print("bench_check self-test FAILED: overload_faults availability "
-                  "regression was not detected")
-            return 1
-    if baseline.get("sharded"):
-        # A sharded point's simulated result drifting must trip the gate by
-        # itself (det band) ...
-        drifted = copy.deepcopy(baseline)
-        drifted["sharded"][0]["points"][-1]["p99_latency_s"] *= 1.5
-        if not run_check(baseline, drifted, time_tol, det_tol):
-            print("bench_check self-test FAILED: sharded point drift was not detected")
-            return 1
-        # ... and so must a cells=1 result that is no longer bit-identical to
-        # the serial run, even when the drift is far below det tolerance.
-        parity = copy.deepcopy(baseline)
-        for point in parity["sharded"][0].get("points", []):
-            if point.get("cells") == 1:
-                point["p99_latency_s"] *= 1.0 + 1e-12
-        if not run_check(baseline, parity, time_tol, det_tol):
-            print("bench_check self-test FAILED: sharded cells=1 parity break "
-                  "was not detected")
-            return 1
-        # A collapsed speedup (e.g. the cells all serialised behind a lock)
-        # must trip the timing band.
-        slow = copy.deepcopy(baseline)
-        for point in slow["sharded"][0].get("points", []):
-            point["speedup"] /= 100.0
-            point["requests_per_s"] /= 100.0
-        if not run_check(baseline, slow, time_tol, det_tol):
-            print("bench_check self-test FAILED: sharded speedup collapse "
-                  "was not detected")
-            return 1
-    if baseline.get("continuous_batching"):
-        # A drifting decode metric must trip the det band by itself ...
-        drifted = copy.deepcopy(baseline)
-        drifted["continuous_batching"][0]["points"][0]["cont_mean_ttft_s"] *= 1.5
-        if not run_check(baseline, drifted, time_tol, det_tol):
-            print("bench_check self-test FAILED: continuous_batching drift "
-                  "was not detected")
-            return 1
-        # ... and the in-file TTFT gate must fire on its own: a file whose
-        # continuous mode lost to monolithic fails even as its own baseline
-        # (no det drift to ride on).
-        lost = copy.deepcopy(baseline)
-        for point in lost["continuous_batching"][0].get("points", []):
-            point["cont_mean_ttft_s"] = point.get("mono_mean_ttft_s", 1.0) * 2.0
-        if not run_check(lost, lost, time_tol, det_tol):
-            print("bench_check self-test FAILED: continuous batching losing to "
-                  "monolithic on TTFT was not detected")
-            return 1
-    if baseline.get("hybrid_fleet"):
-        # A drifting dollar metric must trip the det band by itself ...
-        drifted = copy.deepcopy(baseline)
-        drifted["hybrid_fleet"][0]["points"][0]["cost_per_request_usd"] *= 1.5
-        if not run_check(baseline, drifted, time_tol, det_tol):
-            print("bench_check self-test FAILED: hybrid_fleet cost drift "
-                  "was not detected")
-            return 1
-        # ... and the in-file tier-0 gate must fire on its own: a file whose
-        # hybrid fleet lost to the worse homogeneous fleet fails even as its
-        # own baseline (no det drift to ride on).
-        lost = copy.deepcopy(baseline)
-        for point in lost["hybrid_fleet"][0].get("points", []):
-            if "hybrid" in point.get("fleet_label", ""):
-                point["tier0_attainment"] = -1.0
-        if not run_check(lost, lost, time_tol, det_tol):
-            print("bench_check self-test FAILED: hybrid fleet losing tier-0 "
-                  "attainment to the worse homogeneous fleet was not detected")
-            return 1
-    if baseline.get("observer_overhead"):
-        # Runaway observer overhead must trip the gate by itself ...
-        slow_observed = copy.deepcopy(baseline)
-        slow_observed["observer_overhead"][0]["overhead_fraction"] = 10.0
-        if not run_check(baseline, slow_observed, time_tol, det_tol):
-            print("bench_check self-test FAILED: observer overhead regression "
-                  "was not detected")
-            return 1
-        # ... and so must an observed run that changed the simulated results.
-        parity_broken = copy.deepcopy(baseline)
-        parity_broken["observer_overhead"][0]["on_p99_latency_s"] = (
-            parity_broken["observer_overhead"][0].get("off_p99_latency_s", 1.0) * 1.5)
-        if not run_check(baseline, parity_broken, time_tol, det_tol):
-            print("bench_check self-test FAILED: observer result-parity break "
-                  "was not detected")
-            return 1
-    # Provenance is context, never a gated value: a baseline produced by a
-    # different toolchain must still pass on its numbers.
-    other_toolchain = copy.deepcopy(baseline)
-    other_toolchain["provenance"] = {"schema_version": 0, "compiler": "other 0.0",
-                                     "build_type": "debug", "threads": 1}
-    if run_check(baseline, other_toolchain, time_tol, det_tol):
-        print("bench_check self-test FAILED: provenance differences were gated")
-        return 1
-    print(f"bench_check self-test OK: baseline passes, injected regression "
-          f"caught ({len(dirty)} finding(s))")
+    print(f"bench_check self-test OK ({data.get('bench')}): {len(must_flag)} of "
+          f"{len(leaves)} perturbed leaves flagged once each, the rest none "
+          f"(leaves per class: {dict(counts)}); {len(injections)} in-file gate "
+          f"injection(s) caught")
     return 0
 
 
@@ -607,14 +308,13 @@ def main():
                         help="freshly produced bench JSON (repeat to match "
                              "each --baseline, paired in order)")
     parser.add_argument("--time-tol", type=float, default=4.0,
-                        help="allowed slowdown factor for timing metrics (default 4.0)")
+                        help="allowed slowdown factor for timing metrics (default 4.0; "
+                             "inf turns every timing comparison off)")
     parser.add_argument("--det-tol", type=float, default=1e-3,
                         help="relative tolerance for deterministic metrics (default 1e-3)")
-    parser.add_argument("--overhead-tol", type=float, default=0.35,
-                        help="allowed observer_overhead fraction (default 0.35)")
     parser.add_argument("--self-test", action="store_true",
-                        help="verify the gate passes the baseline against itself and "
-                             "fails an injected regression")
+                        help="verify the gate passes each baseline against itself and "
+                             "fails every injected regression")
     args = parser.parse_args()
 
     baselines = []
@@ -623,35 +323,27 @@ def main():
             baselines.append(json.load(f))
 
     if args.self_test:
-        rc = 0
-        for baseline in baselines:
-            rc = max(rc, self_test(baseline, args.time_tol, args.det_tol))
-        sys.exit(rc)
+        sys.exit(max(self_test(b, args.det_tol, args.time_tol) for b in baselines))
 
-    if not args.current:
-        parser.error("--current is required unless --self-test is given")
-    if len(args.current) != len(args.baseline):
+    if len(args.current or []) != len(args.baseline):
         parser.error(f"--baseline given {len(args.baseline)} time(s) but --current "
-                     f"{len(args.current)} time(s); they pair in order")
+                     f"{len(args.current or [])} time(s); they pair in order unless "
+                     f"--self-test is given")
 
-    # Check every pair and report every failing gate before exiting nonzero,
-    # so one CI run surfaces the complete regression list.
-    total_errors = 0
+    total = 0
     for base_path, cur_path, baseline in zip(args.baseline, args.current, baselines):
         with open(cur_path) as f:
             current = json.load(f)
-        errors = run_check(baseline, current, args.time_tol, args.det_tol,
-                           args.overhead_tol)
-        if errors:
-            total_errors += len(errors)
-            print(f"bench_check: {len(errors)} regression(s) vs {base_path}:")
-            for e in errors:
-                print(f"  {e}")
+        findings = run_check(baseline, current, args.det_tol, args.time_tol)
+        if findings:
+            total += len(findings)
+            print(f"bench_check: {len(findings)} finding(s) vs {base_path}:")
+            for path, why in findings:
+                print(f"  {path}: {why}")
         else:
             print(f"bench_check OK: {cur_path} within tolerance of {base_path}")
-    if total_errors:
-        print(f"bench_check: {total_errors} total regression(s) across "
-              f"{len(args.baseline)} pair(s)")
+    if total:
+        print(f"bench_check: {total} total finding(s) across {len(args.baseline)} pair(s)")
         sys.exit(1)
 
 

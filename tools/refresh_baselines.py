@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Regenerate the committed smoke bench baselines (bench/baselines/).
 
-Growing a bench adds sections the committed baselines do not carry yet (the
-gate skips sections absent from the baseline), so after landing a new section
-the baselines must be refreshed for CI to start gating it.  A blind overwrite
-would also silently absorb *regressions* in the pre-existing sections, so this
-tool verifies before it writes:
+Growing a bench adds fields the committed baselines do not carry yet (the
+gate ignores current-file keys absent from the baseline), so after landing a
+new field the baselines must be refreshed for CI to start gating it.  A blind
+overwrite would also silently absorb *regressions* in the pre-existing fields,
+so this tool verifies before it writes:
 
 1. run the smoke benches from --build-dir into a scratch directory;
-2. check every committed baseline against its fresh run with bench_check at
-   --det-tol 0 (pre-existing deterministic sections must be bit-identical;
-   the timing band is disabled — wall clocks differ per host) — any drift
-   aborts the refresh with the full finding list;
+2. check every committed baseline against its fresh run with bench_check's
+   walker and in-file gates at --det-tol 0 with timing off (wall clocks and
+   the observer-overhead bound depend on the host): every pre-existing
+   deterministic field must be bit-identical, and any finding aborts the
+   refresh with the full finding list;
 3. run bench_check --self-test against each fresh file (the gate must pass it
-   against itself and catch injected regressions, new sections included);
+   against itself and catch every injected regression, new fields included);
 4. only then overwrite the committed baselines.
 
 Pass --det-tol to loosen step 2 when a refresh intentionally changes
@@ -27,6 +28,7 @@ Usage:
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,24 +80,21 @@ def main():
             else:
                 with open(committed_path) as f:
                     committed = json.load(f)
-                # The committed file drives the section walk, so sections it
-                # does not carry yet (the ones this refresh introduces) are
-                # not compared; the timing band is effectively off.
-                errors = run_check(committed, fresh, time_tol=1e18,
-                                   det_tol=args.det_tol)
-                if errors:
-                    failures += len(errors)
-                    print(f"refresh_baselines: {name}: {len(errors)} "
-                          f"pre-existing section(s) drifted at "
-                          f"det-tol {args.det_tol}:")
-                    for e in errors:
-                        print(f"  {e}")
+                # The committed file drives the walk, so fields it does not
+                # carry yet (the ones this refresh introduces) are not compared.
+                findings = run_check(committed, fresh, args.det_tol, math.inf)
+                if findings:
+                    failures += len(findings)
+                    print(f"refresh_baselines: {name}: {len(findings)} "
+                          f"finding(s) at det-tol {args.det_tol}:")
+                    for path, why in findings:
+                        print(f"  {path}: {why}")
                     if args.det_tol == 0.0:
                         continue  # abort this file (and the run) below
                     print(f"refresh_baselines: {name}: --det-tol "
                           f"{args.det_tol} given; proceeding despite drift")
                 else:
-                    print(f"refresh_baselines: {name}: pre-existing sections "
+                    print(f"refresh_baselines: {name}: pre-existing fields "
                           f"bit-identical to the committed baseline")
 
         if failures and args.det_tol == 0.0:
@@ -108,9 +107,9 @@ def main():
             with open(fresh_paths[name]) as f:
                 fresh = json.load(f)
             # The gate must pass the fresh file against itself and catch
-            # injected regressions — new sections included — before it
+            # injected regressions — new fields included — before it
             # becomes the thing CI trusts.
-            if self_test(fresh, time_tol=4.0, det_tol=1e-3):
+            if self_test(fresh, det_tol=1e-3, time_tol=4.0):
                 print(f"refresh_baselines: {name}: fresh file failed the "
                       f"bench_check self-test; not overwriting")
                 return 1
