@@ -229,23 +229,24 @@ std::vector<BenchResult> run_benches(bool smoke) {
 bool write_json(const std::vector<BenchResult>& results, const std::string& path,
                 bool smoke) {
   std::ofstream f(path);
-  f << "{\n  \"bench\": \"kernels\",\n";
-  f << "  " << provenance_json(ThreadPool::global().thread_count()) << ",\n";
-  f << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
-  f << "  \"threads\": " << ThreadPool::global().thread_count() << ",\n";
-  f << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BenchResult& r = results[i];
-    f << "    {\"name\": \"" << json_escape(r.name) << "\", \"detail\": \""
-      << json_escape(r.detail) << "\", \"median_ms\": " << r.median_ms;
+  const std::size_t threads = ThreadPool::global().thread_count();
+  JsonWriter w(f);
+  w.begin_object().field("bench", "kernels");
+  write_provenance(w, threads);
+  w.field("smoke", smoke).field("threads", threads).begin_array("results");
+  for (const BenchResult& r : results) {
+    w.begin_object()
+        .field("name", r.name)
+        .field("detail", r.detail)
+        .field("median_ms", r.median_ms);
     if (r.has_baseline) {
-      f << ", \"baseline\": \"" << json_escape(r.baseline)
-        << "\", \"baseline_median_ms\": " << r.baseline_median_ms
-        << ", \"speedup\": " << r.speedup();
+      w.field("baseline", r.baseline)
+          .field("baseline_median_ms", r.baseline_median_ms)
+          .field("speedup", r.speedup());
     }
-    f << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+    w.end();
   }
-  f << "  ]\n}\n";
+  w.end().end();
   return static_cast<bool>(f);
 }
 

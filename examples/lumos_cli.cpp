@@ -131,12 +131,12 @@
 //   lumos_cli serve tron --seqlen-dist lognormal --qps 20000
 //   lumos_cli serve tron --decode 32 --decode-dist lognormal --ttft-slo-us 300
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -172,28 +172,29 @@ void print_report(const PerfReport& r) {
 }
 
 void print_report_json(const PerfReport& r) {
-  std::cout << "{\n"
-            << "  \"platform\": \"" << json_escape(r.platform) << "\",\n"
-            << "  \"workload\": \"" << json_escape(r.workload) << "\",\n"
-            << "  \"latency_s\": " << r.latency_s << ",\n"
-            << "  \"ops_per_second\": " << r.ops_per_second() << ",\n"
-            << "  \"energy_per_bit_j\": " << r.energy_per_bit_j() << ",\n"
-            << "  \"dynamic_energy_j\": " << r.dynamic_energy_j << ",\n"
-            << "  \"static_energy_j\": " << r.static_energy_j << ",\n"
-            << "  \"total_energy_j\": " << r.total_energy_j << ",\n"
-            << "  \"average_power_w\": " << r.average_power_w() << ",\n"
-            << "  \"op_count\": " << r.op_count << ",\n"
-            << "  \"bits\": " << r.bits << ",\n"
-            << "  \"memory_stall_s\": " << r.breakdown.memory_stall_s << ",\n"
-            << "  \"breakdown\": [\n";
-  const std::vector<arch::BreakdownEntry> entries = arch::breakdown_entries(r);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    std::cout << "    {\"stage\": \"" << entries[i].stage
-              << "\", \"time_s\": " << entries[i].time_s
-              << ", \"energy_j\": " << entries[i].energy_j << "}"
-              << (i + 1 < entries.size() ? "," : "") << "\n";
+  JsonWriter w(std::cout);
+  w.begin_object()
+      .field("platform", r.platform)
+      .field("workload", r.workload)
+      .field("latency_s", r.latency_s)
+      .field("ops_per_second", r.ops_per_second())
+      .field("energy_per_bit_j", r.energy_per_bit_j())
+      .field("dynamic_energy_j", r.dynamic_energy_j)
+      .field("static_energy_j", r.static_energy_j)
+      .field("total_energy_j", r.total_energy_j)
+      .field("average_power_w", r.average_power_w())
+      .field("op_count", r.op_count)
+      .field("bits", r.bits)
+      .field("memory_stall_s", r.breakdown.memory_stall_s)
+      .begin_array("breakdown");
+  for (const arch::BreakdownEntry& e : arch::breakdown_entries(r)) {
+    w.begin_object()
+        .field("stage", e.stage)
+        .field("time_s", e.time_s)
+        .field("energy_j", e.energy_j)
+        .end();
   }
-  std::cout << "  ]\n}\n";
+  w.end().end();
 }
 
 // Every accepted mode and flag must appear here: the arg parsers below throw
@@ -263,35 +264,44 @@ double parse_double(const std::string& arg, const char* what) {
   return v;
 }
 
-void print_names_json(const char* key, const std::vector<std::string>& names, bool last) {
-  std::cout << "  \"" << key << "\": [";
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    std::cout << "\"" << json_escape(names[i]) << "\"" << (i + 1 < names.size() ? ", " : "");
+// A `*-us` duration flag, returned in seconds: finite, and positive unless
+// `allow_zero`.
+double parse_us(const std::string& arg, const std::string& flag, bool allow_zero = false) {
+  const double us = parse_double(arg, flag.c_str());
+  if (!std::isfinite(us) || us < 0.0 || (us == 0.0 && !allow_zero)) {
+    throw InvalidArgument(flag + (allow_zero ? " must be finite and >= 0"
+                                             : " must be finite and positive"));
   }
-  std::cout << "]" << (last ? "" : ",") << "\n";
+  return us * 1e-6;
 }
 
 // `list`: every name the registries and serve enums accept, so scripts can
 // discover valid arguments without parsing usage text.
 int run_list(bool json) {
   if (json) {
-    std::cout << "{\n";
-    print_names_json("transformer_models", sim::transformer_names(), false);
-    print_names_json("gnn_models", sim::gnn_names(), false);
-    print_names_json("datasets", sim::dataset_names(), false);
-    print_names_json("accelerator_specs", arch::spec_names(), false);
-    print_names_json("arrival_processes", serve::process_names(), false);
-    print_names_json("schedulers", serve::scheduler_names(), false);
-    print_names_json("routing_policies", serve::routing_names(), false);
-    print_names_json("autoscalers", serve::autoscaler_names(), false);
-    print_names_json("loop_modes", serve::loop_mode_names(), false);
-    print_names_json("seqlen_dists", serve::seqlen_dist_names(), false);
-    print_names_json("admission_policies", serve::admission_names(), false);
-    print_names_json("completion_statuses", serve::completion_status_names(), false);
-    print_names_json("percentile_modes", serve::percentile_mode_names(), false);
-    print_names_json("decode_dists", serve::seqlen_dist_names(), false);
-    print_names_json("decode_modes", serve::decode_mode_names(), true);
-    std::cout << "}\n";
+    JsonWriter w(std::cout);
+    const auto names = [&](const char* key, const std::vector<std::string>& values) {
+      w.begin_array(key);
+      for (const std::string& v : values) w.element(v);
+      w.end();
+    };
+    w.begin_object();
+    names("transformer_models", sim::transformer_names());
+    names("gnn_models", sim::gnn_names());
+    names("datasets", sim::dataset_names());
+    names("accelerator_specs", arch::spec_names());
+    names("arrival_processes", serve::process_names());
+    names("schedulers", serve::scheduler_names());
+    names("routing_policies", serve::routing_names());
+    names("autoscalers", serve::autoscaler_names());
+    names("loop_modes", serve::loop_mode_names());
+    names("seqlen_dists", serve::seqlen_dist_names());
+    names("admission_policies", serve::admission_names());
+    names("completion_statuses", serve::completion_status_names());
+    names("percentile_modes", serve::percentile_mode_names());
+    names("decode_dists", serve::seqlen_dist_names());
+    names("decode_modes", serve::decode_mode_names());
+    w.end();
   } else {
     std::cout << "transformer models : " << sim::joined_names(sim::transformer_names())
               << "\ngnn models         : " << sim::joined_names(sim::gnn_names())
@@ -328,25 +338,9 @@ struct ObserveOut {
   std::string timeline_path;
 };
 
-// `"profile": {...}` JSON member for the event-loop self-profile (no
-// surrounding comma).
-std::string profile_json(const serve::EventLoopProfiler& p) {
-  std::ostringstream os;
-  os << "\"profile\": {\"iterations\": " << p.iterations()
-     << ", \"accounted_wall_s\": " << p.accounted_wall_s() << ", \"sources\": [";
-  for (std::size_t i = 0; i < static_cast<std::size_t>(serve::LoopSource::kCount); ++i) {
-    const auto src = static_cast<serve::LoopSource>(i);
-    os << (i == 0 ? "" : ", ") << "{\"source\": \""
-       << json_escape(serve::loop_source_name(src)) << "\", \"events\": " << p.events(src)
-       << ", \"wall_s\": " << p.wall_s(src) << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
 // Writes the run's trace / timeline files and (text mode) the profile table.
-// JSON-mode callers splice `profile_json` into their own object instead so
-// stdout stays one well-formed JSON value.
+// JSON mode writes the profile into the run's object instead, so stdout
+// stays one well-formed JSON value.
 void export_observation(const serve::Observation& obs, const ObserveOut& out, bool json) {
   if (obs.tracer) {
     std::ofstream f(out.trace_path);
@@ -367,129 +361,91 @@ void export_observation(const serve::Observation& obs, const ObserveOut& out, bo
   }
 }
 
-// `"trace": {...}` JSON member summarising the tracer's buffers.
-std::string trace_summary_json(const serve::LifecycleTracer& t) {
-  std::ostringstream os;
-  os << "\"trace\": {\"sampled_requests\": " << t.sampled_requests()
-     << ", \"request_events\": " << t.request_events().size()
-     << ", \"batch_spans\": " << t.batch_spans().size()
-     << ", \"dropped_requests\": " << t.dropped_requests()
-     << ", \"dropped_batch_spans\": " << t.dropped_batch_spans() << "}";
-  return os.str();
+// One single-run result as a flat JSON object: the closed loop, or an
+// observed open-loop run, with their observers' summaries.
+void print_run_json(const serve::Scenario& scenario, const serve::FleetMetrics& m,
+                    const serve::Observation& obs) {
+  const bool closed = scenario.traffic.mode == serve::LoopMode::kClosed;
+  JsonWriter w(std::cout);
+  w.begin_object().field("fleet", scenario.fleet.label()).field("loop", closed ? "closed" : "open");
+  if (closed) {
+    w.field("sessions", m.sessions);
+  } else {
+    w.field("offered_qps", scenario.traffic.open.offered_qps)
+        .field("requests", scenario.traffic.open.request_count);
+  }
+  w.field("completed", m.completed)
+      .field("throughput_qps", m.throughput_qps)
+      .field("goodput_qps", m.goodput_qps)
+      .field("slo_attainment", m.slo_attainment)
+      .field("p50_latency_s", m.p50_latency_s)
+      .field("p99_latency_s", m.p99_latency_s);
+  if (closed) {
+    w.field("mean_session_s", m.mean_session_s)
+        .field("p50_session_s", m.p50_session_s)
+        .field("p99_session_s", m.p99_session_s)
+        .field("max_session_s", m.max_session_s);
+  } else {
+    w.field("p999_latency_s", m.p999_latency_s);
+  }
+  w.field("mean_batch", m.mean_batch_size)
+      .field("fleet_energy_j", m.fleet_energy_j)
+      .field("fleet_cost_usd", m.fleet_cost_usd)
+      .field("cost_per_request_usd", m.cost_per_request_usd);
+  if (closed) {
+    w.field("estimate_lookups", m.estimate_lookups).field("estimate_misses", m.estimate_misses);
+  }
+  w.field("shed", m.shed_requests)
+      .field("timed_out", m.timed_out_requests)
+      .field("retries", m.retried_attempts)
+      .field("drop_rate", m.drop_rate)
+      .field("availability", m.fleet_availability);
+  if (obs.tracer) {
+    const serve::LifecycleTracer& t = *obs.tracer;
+    w.begin_object("trace")
+        .field("sampled_requests", t.sampled_requests())
+        .field("request_events", t.request_events().size())
+        .field("batch_spans", t.batch_spans().size())
+        .field("dropped_requests", t.dropped_requests())
+        .field("dropped_batch_spans", t.dropped_batch_spans())
+        .end();
+  }
+  if (obs.timeline) w.field("timeline_windows", obs.timeline->windows().size());
+  if (obs.profiler) {
+    const serve::EventLoopProfiler& p = *obs.profiler;
+    w.begin_object("profile")
+        .field("iterations", p.iterations())
+        .field("accounted_wall_s", p.accounted_wall_s())
+        .begin_array("sources");
+    for (std::size_t i = 0; i < static_cast<std::size_t>(serve::LoopSource::kCount); ++i) {
+      const auto src = static_cast<serve::LoopSource>(i);
+      w.begin_object()
+          .field("source", serve::loop_source_name(src))
+          .field("events", p.events(src))
+          .field("wall_s", p.wall_s(src))
+          .end();
+    }
+    w.end().end();
+  }
+  w.end();
 }
 
-// Closed-loop runs bypass the (offered-QPS-sweeping) campaign machinery: one
-// Scenario, one simulate, metric + tenant tables or a flat JSON object.
-int run_closed_loop(serve::Scenario scenario, const serve::ClosedLoopConfig& closed,
-                    std::size_t cells, bool priority, bool json, const ObserveOut& out) {
-  scenario.traffic.mode = serve::LoopMode::kClosed;
-  scenario.traffic.closed = closed;
+// Closed-loop and observed runs bypass the (offered-QPS-sweeping) campaign:
+// one Scenario, one simulate, metric (+ tenant) tables or one JSON object.
+int run_single(const serve::Scenario& scenario, std::size_t cells, bool tenant_table,
+               bool json, const ObserveOut& out) {
   serve::Observation obs;
   const serve::FleetMetrics m =
       cells > 1 ? serve::simulate_sharded(scenario, cells)
                 : serve::simulate(scenario, scenario.observe.enabled() ? &obs : nullptr);
   if (json) {
-    std::cout << "{\n"
-              << "  \"fleet\": \"" << json_escape(scenario.fleet.label()) << "\",\n"
-              << "  \"loop\": \"closed\",\n"
-              << "  \"sessions\": " << m.sessions << ",\n"
-              << "  \"completed\": " << m.completed << ",\n"
-              << "  \"throughput_qps\": " << m.throughput_qps << ",\n"
-              << "  \"goodput_qps\": " << m.goodput_qps << ",\n"
-              << "  \"slo_attainment\": " << m.slo_attainment << ",\n"
-              << "  \"p50_latency_s\": " << m.p50_latency_s << ",\n"
-              << "  \"p99_latency_s\": " << m.p99_latency_s << ",\n"
-              << "  \"mean_session_s\": " << m.mean_session_s << ",\n"
-              << "  \"p50_session_s\": " << m.p50_session_s << ",\n"
-              << "  \"p99_session_s\": " << m.p99_session_s << ",\n"
-              << "  \"max_session_s\": " << m.max_session_s << ",\n"
-              << "  \"mean_batch\": " << m.mean_batch_size << ",\n"
-              << "  \"fleet_energy_j\": " << m.fleet_energy_j << ",\n"
-              << "  \"fleet_cost_usd\": " << m.fleet_cost_usd << ",\n"
-              << "  \"cost_per_request_usd\": " << m.cost_per_request_usd << ",\n"
-              << "  \"estimate_lookups\": " << m.estimate_lookups << ",\n"
-              << "  \"estimate_misses\": " << m.estimate_misses << ",\n"
-              << "  \"shed\": " << m.shed_requests << ",\n"
-              << "  \"timed_out\": " << m.timed_out_requests << ",\n"
-              << "  \"retries\": " << m.retried_attempts << ",\n"
-              << "  \"drop_rate\": " << m.drop_rate << ",\n"
-              << "  \"availability\": " << m.fleet_availability;
-    if (obs.tracer) std::cout << ",\n  " << trace_summary_json(*obs.tracer);
-    if (obs.timeline) std::cout << ",\n  \"timeline_windows\": " << obs.timeline->windows().size();
-    if (obs.profiler) std::cout << ",\n  " << profile_json(*obs.profiler);
-    std::cout << "\n}\n";
+    print_run_json(scenario, m, obs);
   } else {
-    m.to_table(scenario.fleet.label() + " closed-loop serve").print(std::cout);
-    if (priority) m.tenant_table("per-tenant breakdown").print(std::cout);
-  }
-  export_observation(obs, out, json);
-  return 0;
-}
-
-// Observed open-loop runs also bypass the campaign: one Scenario built to
-// match campaign grid point 0 (same derived trace seed), simulated directly
-// so the observers can be handed back and exported.
-int run_open_observed(const serve::CampaignConfig& cfg, const serve::WorkloadCatalog& catalog,
-                      double qps, std::size_t fleet, std::size_t max_batch, bool priority,
-                      const serve::ObserveConfig& observe, const ObserveOut& out, bool json) {
-  serve::Scenario scenario;
-  scenario.fleet = serve::FleetConfig::cycled(cfg.fleet_template, fleet, cfg.routing);
-  scenario.fleet.cost = cfg.cost;
-  scenario.catalog = catalog;
-  scenario.scheduler = cfg.schedulers.front();
-  // Campaign FIFO points pin max_batch to 1; mirror that for bit parity.
-  scenario.batch.max_batch =
-      cfg.schedulers.front() == serve::SchedulerKind::kFifo ? 1 : max_batch;
-  scenario.batch.max_wait_s = cfg.max_wait_s;
-  scenario.sim.slo_scale = cfg.slo_scale;
-  scenario.sim.autoscaler = cfg.autoscale;
-  scenario.sim.autoscaler.policy = cfg.autoscalers.front();
-  scenario.sim.admission = cfg.admission;
-  scenario.sim.admission.policy = cfg.admissions.front();
-  scenario.sim.faults = cfg.faults;
-  scenario.sim.faults.mtbf_s = cfg.fault_mtbfs_s.front();
-  scenario.sim.retry = cfg.retry;
-  scenario.sim.percentile_mode = cfg.percentile_mode;
-  scenario.sim.hdr_relative_error = cfg.hdr_relative_error;
-  scenario.sim.decode_mode = cfg.decode_mode;
-  scenario.traffic.open.offered_qps = qps;
-  scenario.traffic.open.request_count = cfg.requests_per_point;
-  scenario.traffic.open.process = cfg.process;
-  scenario.traffic.open.seed = cfg.seed + 0x9E3779B9u;  // campaign point 0
-  scenario.observe = observe;
-  serve::Observation obs;
-  const serve::FleetMetrics m = serve::simulate(scenario, &obs);
-  if (json) {
-    std::cout << "{\n"
-              << "  \"fleet\": \"" << json_escape(scenario.fleet.label()) << "\",\n"
-              << "  \"loop\": \"open\",\n"
-              << "  \"offered_qps\": " << qps << ",\n"
-              << "  \"requests\": " << cfg.requests_per_point << ",\n"
-              << "  \"completed\": " << m.completed << ",\n"
-              << "  \"throughput_qps\": " << m.throughput_qps << ",\n"
-              << "  \"goodput_qps\": " << m.goodput_qps << ",\n"
-              << "  \"slo_attainment\": " << m.slo_attainment << ",\n"
-              << "  \"p50_latency_s\": " << m.p50_latency_s << ",\n"
-              << "  \"p99_latency_s\": " << m.p99_latency_s << ",\n"
-              << "  \"p999_latency_s\": " << m.p999_latency_s << ",\n"
-              << "  \"mean_batch\": " << m.mean_batch_size << ",\n"
-              << "  \"fleet_energy_j\": " << m.fleet_energy_j << ",\n"
-              << "  \"fleet_cost_usd\": " << m.fleet_cost_usd << ",\n"
-              << "  \"cost_per_request_usd\": " << m.cost_per_request_usd << ",\n"
-              << "  \"shed\": " << m.shed_requests << ",\n"
-              << "  \"timed_out\": " << m.timed_out_requests << ",\n"
-              << "  \"retries\": " << m.retried_attempts << ",\n"
-              << "  \"drop_rate\": " << m.drop_rate << ",\n"
-              << "  \"availability\": " << m.fleet_availability;
-    if (obs.tracer) std::cout << ",\n  " << trace_summary_json(*obs.tracer);
-    if (obs.timeline) std::cout << ",\n  \"timeline_windows\": " << obs.timeline->windows().size();
-    if (obs.profiler) std::cout << ",\n  " << profile_json(*obs.profiler);
-    std::cout << "\n}\n";
-  } else {
-    m.to_table(scenario.fleet.label() + " observed open-loop serve").print(std::cout);
-    if (priority || cfg.autoscalers.front() != serve::AutoscalerPolicy::kNone) {
-      m.tenant_table("per-tenant breakdown").print(std::cout);
-    }
+    const bool closed = scenario.traffic.mode == serve::LoopMode::kClosed;
+    m.to_table(scenario.fleet.label() +
+               (closed ? " closed-loop serve" : " observed open-loop serve"))
+        .print(std::cout);
+    if (tenant_table) m.tenant_table("per-tenant breakdown").print(std::cout);
   }
   export_observation(obs, out, json);
   return 0;
@@ -588,10 +544,7 @@ int run_serve(const std::vector<std::string>& args, bool json) {
       sessions_given = true;
     } else if (a == "--think-time-us") {
       closed_only_flag = a;
-      closed.think_time_mean_s = parse_double(value(), "--think-time-us") * 1e-6;
-      if (closed.think_time_mean_s < 0.0) {
-        throw InvalidArgument("--think-time-us must be >= 0");
-      }
+      closed.think_time_mean_s = parse_us(value(), a, /*allow_zero=*/true);
     } else if (a == "--seqlen-dist") {
       catalog.apply_seqlen_dist(serve::seqlen_dist_from_name(value()));
     } else if (a == "--decode") {
@@ -604,11 +557,9 @@ int run_serve(const std::vector<std::string>& args, bool json) {
       decode_mode_given = true;
       cfg.decode_mode = serve::decode_mode_from_name(value());
     } else if (a == "--ttft-slo-us") {
-      ttft_slo_s = parse_double(value(), "--ttft-slo-us") * 1e-6;
-      if (ttft_slo_s <= 0.0) throw InvalidArgument("--ttft-slo-us must be positive");
+      ttft_slo_s = parse_us(value(), a);
     } else if (a == "--tpot-slo-us") {
-      tpot_slo_s = parse_double(value(), "--tpot-slo-us") * 1e-6;
-      if (tpot_slo_s <= 0.0) throw InvalidArgument("--tpot-slo-us must be positive");
+      tpot_slo_s = parse_us(value(), a);
     } else if (a == "--fleet") {
       fleet = parse_size(value(), "--fleet");
     } else if (a == "--sched") {
@@ -616,8 +567,7 @@ int run_serve(const std::vector<std::string>& args, bool json) {
     } else if (a == "--max-batch") {
       max_batch = parse_size(value(), "--max-batch");
     } else if (a == "--max-wait-us") {
-      cfg.max_wait_s = parse_double(value(), "--max-wait-us") * 1e-6;
-      if (cfg.max_wait_s < 0.0) throw InvalidArgument("--max-wait-us must be >= 0");
+      cfg.max_wait_s = parse_us(value(), a, /*allow_zero=*/true);
     } else if (a == "--bursty") {
       open_only_flag = a;
       cfg.process = serve::ArrivalProcess::kBursty;
@@ -676,10 +626,7 @@ int run_serve(const std::vector<std::string>& args, bool json) {
       cfg.autoscalers = {serve::autoscaler_from_name(value())};
     } else if (a == "--scale-interval-us") {
       knob_without_policy = a;
-      cfg.autoscale.interval_s = parse_double(value(), "--scale-interval-us") * 1e-6;
-      if (cfg.autoscale.interval_s <= 0.0) {
-        throw InvalidArgument("--scale-interval-us must be positive");
-      }
+      cfg.autoscale.interval_s = parse_us(value(), a);
     } else if (a == "--min-fleet") {
       knob_without_policy = a;
       cfg.autoscale.min_slots = parse_size(value(), "--min-fleet");
@@ -693,15 +640,12 @@ int run_serve(const std::vector<std::string>& args, bool json) {
         throw InvalidArgument("--grow-scale must be positive");
       }
     } else if (a == "--mtbf-us") {
-      mtbf_s = parse_double(value(), "--mtbf-us") * 1e-6;
-      if (mtbf_s <= 0.0) throw InvalidArgument("--mtbf-us must be positive");
+      mtbf_s = parse_us(value(), a);
     } else if (a == "--mttr-us") {
       mttr_given = true;
-      cfg.faults.mttr_s = parse_double(value(), "--mttr-us") * 1e-6;
-      if (cfg.faults.mttr_s <= 0.0) throw InvalidArgument("--mttr-us must be positive");
+      cfg.faults.mttr_s = parse_us(value(), a);
     } else if (a == "--timeout-us") {
-      timeout_s = parse_double(value(), "--timeout-us") * 1e-6;
-      if (timeout_s <= 0.0) throw InvalidArgument("--timeout-us must be positive");
+      timeout_s = parse_us(value(), a);
     } else if (a == "--retries") {
       retries_given = true;
       cfg.retry.max_attempts = parse_size(value(), "--retries");
@@ -739,10 +683,7 @@ int run_serve(const std::vector<std::string>& args, bool json) {
       observe.timeline.enabled = true;
     } else if (a == "--window-us") {
       window_given = true;
-      observe.timeline.window_s = parse_double(value(), "--window-us") * 1e-6;
-      if (observe.timeline.window_s <= 0.0) {
-        throw InvalidArgument("--window-us must be positive");
-      }
+      observe.timeline.window_s = parse_us(value(), a);
     } else if (a == "--profile") {
       observe.profile = true;
     } else {
@@ -849,45 +790,34 @@ int run_serve(const std::vector<std::string>& args, bool json) {
     }
     closed.requests_per_session = cfg.requests_per_point / closed.sessions;
     closed.seed = cfg.seed;
-    serve::Scenario scenario;
-    scenario.fleet = serve::FleetConfig::cycled(cfg.fleet_template, fleet, cfg.routing);
-    scenario.fleet.cost = cfg.cost;
-    scenario.catalog = catalog;
-    scenario.scheduler = cfg.schedulers.front();
-    scenario.batch.max_batch = max_batch;
-    scenario.batch.max_wait_s = cfg.max_wait_s;
-    scenario.sim.slo_scale = cfg.slo_scale;
-    scenario.sim.autoscaler = cfg.autoscale;
-    scenario.sim.autoscaler.policy = cfg.autoscalers.front();
-    scenario.sim.faults = cfg.faults;
-    scenario.sim.faults.mtbf_s = mtbf_s;
-    scenario.sim.retry = cfg.retry;
-    scenario.sim.admission = cfg.admission;
-    scenario.sim.admission.policy = cfg.admissions.front();
-    scenario.sim.percentile_mode = cfg.percentile_mode;
-    scenario.sim.hdr_relative_error = cfg.hdr_relative_error;
-    scenario.sim.decode_mode = cfg.decode_mode;
-    scenario.observe = observe;
-    return run_closed_loop(std::move(scenario), closed, cfg.cells, priority, json, out);
-  }
-
-  if (qps <= 0.0) {
+  } else if (qps <= 0.0) {
     const std::size_t capacity_batch =
         cfg.schedulers.front() == serve::SchedulerKind::kFifo ? 1 : max_batch;
     qps = 0.7 * serve::fleet_capacity_qps(
                     catalog, serve::FleetConfig::cycled(cfg.fleet_template, fleet),
                     capacity_batch);
   }
+  // The closed loop's 0 QPS is never read: its sessions replace the trace.
   cfg.qps = {qps};
 
-  if (observe.enabled()) {
-    return run_open_observed(cfg, catalog, qps, fleet, max_batch, priority, observe, out,
-                             json);
+  if (loop == serve::LoopMode::kClosed || observe.enabled()) {
+    serve::Scenario scenario =
+        serve::campaign_scenario(cfg, catalog, serve::campaign_grid(cfg).front(), 0);
+    scenario.observe = observe;
+    bool tenant_table = priority;
+    if (loop == serve::LoopMode::kClosed) {
+      scenario.traffic.mode = serve::LoopMode::kClosed;
+      scenario.traffic.closed = closed;
+    } else {
+      tenant_table = tenant_table || cfg.autoscalers.front() != serve::AutoscalerPolicy::kNone;
+    }
+    return run_single(scenario, cfg.cells, tenant_table, json, out);
   }
 
   const std::vector<serve::CampaignPoint> points = serve::run_campaign(cfg, catalog);
   if (json) {
-    serve::write_campaign_json(cfg, points, std::cout);
+    JsonWriter w(std::cout);
+    serve::write_campaign_json(w, cfg, points);
   } else {
     const serve::FleetConfig fleet_cfg = serve::FleetConfig::cycled(cfg.fleet_template, fleet);
     const std::string title = fleet_cfg.label() + " serve campaign (" +

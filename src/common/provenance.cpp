@@ -27,10 +27,13 @@ std::string build_type() {
 #endif
 }
 
-std::string provenance_json(std::size_t threads) {
-  return "\"provenance\": {\"schema_version\": " + std::to_string(kBenchSchemaVersion) +
-         ", \"compiler\": \"" + json_escape(build_compiler()) + "\", \"build_type\": \"" +
-         json_escape(build_type()) + "\", \"threads\": " + std::to_string(threads) + "}";
+void write_provenance(JsonWriter& w, std::size_t threads) {
+  w.begin_object("provenance")
+      .field("schema_version", kBenchSchemaVersion)
+      .field("compiler", build_compiler())
+      .field("build_type", build_type())
+      .field("threads", threads)
+      .end();
 }
 
 }  // namespace lumos

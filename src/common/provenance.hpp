@@ -10,6 +10,8 @@
 
 namespace lumos {
 
+class JsonWriter;
+
 // Version of the bench JSON schema; bump when a bench emitter changes its
 // field layout so stale baselines are recognisable at a glance.
 inline constexpr int kBenchSchemaVersion = 2;
@@ -21,9 +23,9 @@ inline constexpr int kBenchSchemaVersion = 2;
 // "release" (NDEBUG) or "debug".
 [[nodiscard]] std::string build_type();
 
-// The complete `"provenance": {...}` JSON member (no surrounding comma):
-// schema version, compiler, build type, and the effective worker-thread
-// count (`threads` — pass ThreadPool::global().thread_count()).
-[[nodiscard]] std::string provenance_json(std::size_t threads);
+// Writes the `provenance` member of the enclosing JSON object: schema
+// version, compiler, build type, and the effective worker-thread count
+// (`threads` — pass ThreadPool::global().thread_count()).
+void write_provenance(JsonWriter& w, std::size_t threads);
 
 }  // namespace lumos

@@ -1,7 +1,6 @@
 #include "serve/campaign.hpp"
 
 #include <limits>
-#include <ostream>
 #include <utility>
 
 #include "arch/registry.hpp"
@@ -253,11 +252,7 @@ void validate_campaign(const CampaignConfig& config) {
   }
 }
 
-std::vector<CampaignPoint> run_campaign(const CampaignConfig& config,
-                                        const WorkloadCatalog& catalog) {
-  validate_campaign(config);
-  if (catalog.empty()) throw InvalidArgument("WorkloadCatalog must not be empty");
-
+std::vector<CampaignPoint> campaign_grid(const CampaignConfig& config) {
   // The template axis is outermost so a single-template campaign enumerates
   // its points — and therefore derives its per-point trace seeds — exactly as
   // the pre-axis campaign did.
@@ -292,39 +287,51 @@ std::vector<CampaignPoint> run_campaign(const CampaignConfig& config,
       }
     }
   }
+  return points;
+}
 
+Scenario campaign_scenario(const CampaignConfig& config, const WorkloadCatalog& catalog,
+                           const CampaignPoint& point, std::size_t index) {
+  Scenario scenario;
+  scenario.fleet = FleetConfig::cycled(point.fleet_template, point.fleet_size, config.routing);
+  scenario.fleet.cost = config.cost;
+  scenario.catalog = catalog;
+  scenario.scheduler = point.scheduler;
+  scenario.batch.max_batch = point.max_batch;
+  scenario.batch.max_wait_s = config.max_wait_s;
+  scenario.sim.slo_scale = config.slo_scale;
+  scenario.sim.autoscaler = config.autoscale;
+  scenario.sim.autoscaler.policy = point.autoscaler;
+  scenario.sim.admission = config.admission;
+  scenario.sim.admission.policy = point.admission;
+  scenario.sim.faults = config.faults;
+  scenario.sim.faults.mtbf_s = point.fault_mtbf_s;
+  scenario.sim.retry = config.retry;
+  scenario.sim.percentile_mode = config.percentile_mode;
+  scenario.sim.hdr_relative_error = config.hdr_relative_error;
+  scenario.sim.decode_mode = config.decode_mode;
+  scenario.traffic.open.offered_qps = point.qps;
+  scenario.traffic.open.request_count = config.requests_per_point;
+  scenario.traffic.open.process = config.process;
+  // Trace seeds mix the grid index so points draw independent arrival
+  // sequences.
+  scenario.traffic.open.seed =
+      config.seed + 0x9E3779B9u * (static_cast<std::uint64_t>(index) + 1);
+  return scenario;
+}
+
+std::vector<CampaignPoint> run_campaign(const CampaignConfig& config,
+                                        const WorkloadCatalog& catalog) {
+  validate_campaign(config);
+  if (catalog.empty()) throw InvalidArgument("WorkloadCatalog must not be empty");
+  std::vector<CampaignPoint> points = campaign_grid(config);
   // Grid points are independent; each simulates serially in its own chunk and
   // writes only its own slot, so the sweep is bit-reproducible across thread
-  // counts.  Trace seeds mix the grid index so points draw independent
-  // arrival sequences.
+  // counts.
   parallel_for(0, points.size(), 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      CampaignPoint& p = points[i];
-      Scenario scenario;
-      scenario.fleet =
-          FleetConfig::cycled(p.fleet_template, p.fleet_size, config.routing);
-      scenario.fleet.cost = config.cost;
-      scenario.catalog = catalog;
-      scenario.scheduler = p.scheduler;
-      scenario.batch.max_batch = p.max_batch;
-      scenario.batch.max_wait_s = config.max_wait_s;
-      scenario.sim.slo_scale = config.slo_scale;
-      scenario.sim.autoscaler = config.autoscale;
-      scenario.sim.autoscaler.policy = p.autoscaler;
-      scenario.sim.admission = config.admission;
-      scenario.sim.admission.policy = p.admission;
-      scenario.sim.faults = config.faults;
-      scenario.sim.faults.mtbf_s = p.fault_mtbf_s;
-      scenario.sim.retry = config.retry;
-      scenario.sim.percentile_mode = config.percentile_mode;
-      scenario.sim.hdr_relative_error = config.hdr_relative_error;
-      scenario.sim.decode_mode = config.decode_mode;
-      scenario.traffic.open.offered_qps = p.qps;
-      scenario.traffic.open.request_count = config.requests_per_point;
-      scenario.traffic.open.process = config.process;
-      scenario.traffic.open.seed =
-          config.seed + 0x9E3779B9u * (static_cast<std::uint64_t>(i) + 1);
-      p.metrics = simulate_sharded(scenario, config.cells);
+      points[i].metrics =
+          simulate_sharded(campaign_scenario(config, catalog, points[i], i), config.cells);
     }
   });
   return points;
@@ -396,91 +403,91 @@ Table campaign_table(const std::vector<CampaignPoint>& points, const std::string
   return t;
 }
 
-void write_campaign_json(const CampaignConfig& config,
-                         const std::vector<CampaignPoint>& points, std::ostream& os) {
-  std::string fleet_template;
-  for (const std::string& spec : config.fleet_template) {
-    if (!fleet_template.empty()) fleet_template += '+';
-    fleet_template += spec;
-  }
-  os << "{\n";
-  os << "  \"campaign\": \"" << json_escape(config.name) << "\",\n";
-  os << "  \"fleet_template\": \"" << json_escape(fleet_template) << "\",\n";
-  os << "  \"process\": \"" << process_name(config.process) << "\",\n";
-  os << "  \"routing\": \"" << routing_name(config.routing) << "\",\n";
-  os << "  \"requests_per_point\": " << config.requests_per_point << ",\n";
-  os << "  \"cells\": " << config.cells << ",\n";
-  os << "  \"decode_mode\": \"" << decode_mode_name(config.decode_mode) << "\",\n";
-  os << "  \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const CampaignPoint& p = points[i];
+void write_campaign_json(JsonWriter& w, const CampaignConfig& config,
+                         const std::vector<CampaignPoint>& points) {
+  w.begin_object()
+      .field("campaign", config.name)
+      .field("fleet_template", template_label(config.fleet_template))
+      .field("process", process_name(config.process))
+      .field("routing", routing_name(config.routing))
+      .field("requests_per_point", config.requests_per_point)
+      .field("cells", config.cells)
+      .field("decode_mode", decode_mode_name(config.decode_mode))
+      .begin_array("points");
+  for (const CampaignPoint& p : points) {
     const FleetMetrics& m = p.metrics;
-    os << "    {\"fleet_template\": \"" << json_escape(template_label(p.fleet_template))
-       << "\", \"fleet\": " << p.fleet_size << ", \"scheduler\": \""
-       << scheduler_name(p.scheduler) << "\", \"max_batch\": " << p.max_batch
-       << ", \"autoscaler\": \"" << autoscaler_name(p.autoscaler) << "\""
-       << ", \"admission\": \"" << admission_name(p.admission) << "\""
-       << ", \"fault_mtbf_s\": " << p.fault_mtbf_s
-       << ", \"offered_qps\": " << p.qps << ", \"throughput_qps\": " << m.throughput_qps
-       << ", \"goodput_qps\": " << m.goodput_qps
-       << ", \"slo_latency_s\": " << m.slo_latency_s
-       << ", \"slo_attainment\": " << m.slo_attainment
-       << ", \"p50_latency_s\": " << m.p50_latency_s
-       << ", \"p95_latency_s\": " << m.p95_latency_s
-       << ", \"p99_latency_s\": " << m.p99_latency_s
-       << ", \"p999_latency_s\": " << m.p999_latency_s
-       << ", \"mean_queue_depth\": " << m.mean_queue_depth
-       << ", \"peak_queue_depth\": " << m.peak_queue_depth
-       << ", \"mean_batch\": " << m.mean_batch_size
-       << ", \"energy_per_request_j\": " << m.energy_per_request_j
-       << ", \"fleet_energy_j\": " << m.fleet_energy_j
-       << ", \"fleet_cost_usd\": " << m.fleet_cost_usd
-       << ", \"cost_per_request_usd\": " << m.cost_per_request_usd
-       << ", \"utilization\": " << m.fleet_utilization
-       << ", \"peak_fleet\": " << m.peak_fleet_size
-       << ", \"final_fleet\": " << m.final_fleet_size
-       << ", \"mean_fleet\": " << m.mean_fleet_size
-       << ", \"autoscale_grows\": " << m.autoscale_grows
-       << ", \"autoscale_shrinks\": " << m.autoscale_shrinks
-       << ", \"estimate_lookups\": " << m.estimate_lookups
-       << ", \"estimate_misses\": " << m.estimate_misses
-       << ", \"shed\": " << m.shed_requests
-       << ", \"timed_out\": " << m.timed_out_requests
-       << ", \"retries\": " << m.retried_attempts
-       << ", \"failed_batches\": " << m.failed_batches
-       << ", \"requeued\": " << m.requeued_requests
-       << ", \"slot_failures\": " << m.slot_failures
-       << ", \"availability\": " << m.fleet_availability
-       << ", \"drop_rate\": " << m.drop_rate
-       << ", \"decode_requests\": " << m.decode_requests
-       << ", \"generated_tokens\": " << m.generated_tokens
-       << ", \"aborted_decode_tokens\": " << m.aborted_decode_tokens
-       << ", \"tokens_per_s\": " << m.tokens_per_s
-       << ", \"mean_ttft_s\": " << m.mean_ttft_s
-       << ", \"p95_ttft_s\": " << m.p95_ttft_s
-       << ", \"p99_ttft_s\": " << m.p99_ttft_s
-       << ", \"mean_tpot_s\": " << m.mean_tpot_s
-       << ", \"p95_tpot_s\": " << m.p95_tpot_s
-       << ", \"ttft_attainment\": " << m.ttft_attainment
-       << ", \"tpot_attainment\": " << m.tpot_attainment
-       << ", \"mean_decode_occupancy\": " << m.mean_decode_occupancy << ",\n"
-       << "     \"tenants\": [\n";
-    for (std::size_t w = 0; w < m.tenants.size(); ++w) {
-      const TenantMetrics& t = m.tenants[w];
-      os << "      {\"name\": \"" << json_escape(t.name) << "\", \"priority\": " << t.priority
-         << ", \"slo_latency_s\": " << t.slo_latency_s << ", \"completed\": " << t.completed
-         << ", \"slo_attainment\": " << t.slo_attainment
-         << ", \"goodput_qps\": " << t.goodput_qps
-         << ", \"shed\": " << t.shed << ", \"timed_out\": " << t.timed_out
-         << ", \"drop_rate\": " << t.drop_rate
-         << ", \"cost_usd\": " << t.cost_usd
-         << ", \"p50_latency_s\": " << t.p50_latency_s
-         << ", \"p99_latency_s\": " << t.p99_latency_s << "}"
-         << (w + 1 < m.tenants.size() ? "," : "") << "\n";
+    w.begin_object()
+        .field("fleet_template", template_label(p.fleet_template))
+        .field("fleet", p.fleet_size)
+        .field("scheduler", scheduler_name(p.scheduler))
+        .field("max_batch", p.max_batch)
+        .field("autoscaler", autoscaler_name(p.autoscaler))
+        .field("admission", admission_name(p.admission))
+        .field("fault_mtbf_s", p.fault_mtbf_s)
+        .field("offered_qps", p.qps)
+        .field("throughput_qps", m.throughput_qps)
+        .field("goodput_qps", m.goodput_qps)
+        .field("slo_latency_s", m.slo_latency_s)
+        .field("slo_attainment", m.slo_attainment)
+        .field("p50_latency_s", m.p50_latency_s)
+        .field("p95_latency_s", m.p95_latency_s)
+        .field("p99_latency_s", m.p99_latency_s)
+        .field("p999_latency_s", m.p999_latency_s)
+        .field("mean_queue_depth", m.mean_queue_depth)
+        .field("peak_queue_depth", m.peak_queue_depth)
+        .field("mean_batch", m.mean_batch_size)
+        .field("energy_per_request_j", m.energy_per_request_j)
+        .field("fleet_energy_j", m.fleet_energy_j)
+        .field("fleet_cost_usd", m.fleet_cost_usd)
+        .field("cost_per_request_usd", m.cost_per_request_usd)
+        .field("utilization", m.fleet_utilization)
+        .field("peak_fleet", m.peak_fleet_size)
+        .field("final_fleet", m.final_fleet_size)
+        .field("mean_fleet", m.mean_fleet_size)
+        .field("autoscale_grows", m.autoscale_grows)
+        .field("autoscale_shrinks", m.autoscale_shrinks)
+        .field("estimate_lookups", m.estimate_lookups)
+        .field("estimate_misses", m.estimate_misses)
+        .field("shed", m.shed_requests)
+        .field("timed_out", m.timed_out_requests)
+        .field("retries", m.retried_attempts)
+        .field("failed_batches", m.failed_batches)
+        .field("requeued", m.requeued_requests)
+        .field("slot_failures", m.slot_failures)
+        .field("availability", m.fleet_availability)
+        .field("drop_rate", m.drop_rate)
+        .field("decode_requests", m.decode_requests)
+        .field("generated_tokens", m.generated_tokens)
+        .field("aborted_decode_tokens", m.aborted_decode_tokens)
+        .field("tokens_per_s", m.tokens_per_s)
+        .field("mean_ttft_s", m.mean_ttft_s)
+        .field("p95_ttft_s", m.p95_ttft_s)
+        .field("p99_ttft_s", m.p99_ttft_s)
+        .field("mean_tpot_s", m.mean_tpot_s)
+        .field("p95_tpot_s", m.p95_tpot_s)
+        .field("ttft_attainment", m.ttft_attainment)
+        .field("tpot_attainment", m.tpot_attainment)
+        .field("mean_decode_occupancy", m.mean_decode_occupancy)
+        .begin_array("tenants");
+    for (const TenantMetrics& t : m.tenants) {
+      w.begin_object()
+          .field("name", t.name)
+          .field("priority", t.priority)
+          .field("slo_latency_s", t.slo_latency_s)
+          .field("completed", t.completed)
+          .field("slo_attainment", t.slo_attainment)
+          .field("goodput_qps", t.goodput_qps)
+          .field("shed", t.shed)
+          .field("timed_out", t.timed_out)
+          .field("drop_rate", t.drop_rate)
+          .field("cost_usd", t.cost_usd)
+          .field("p50_latency_s", t.p50_latency_s)
+          .field("p99_latency_s", t.p99_latency_s)
+          .end();
     }
-    os << "     ]}" << (i + 1 < points.size() ? "," : "") << "\n";
+    w.end().end();
   }
-  os << "  ]\n}\n";
+  w.end().end();
 }
 
 }  // namespace lumos::serve

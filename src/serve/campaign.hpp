@@ -10,10 +10,10 @@
 // results bit-reproducible across `LUMOS_THREADS` settings.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "serve/simulator.hpp"
 
@@ -91,6 +91,17 @@ struct CampaignPoint {
   FleetMetrics metrics;
 };
 
+// The campaign's grid points in grid order, with empty metrics.
+[[nodiscard]] std::vector<CampaignPoint> campaign_grid(const CampaignConfig& config);
+
+// The Scenario that `point`, grid point `index` of the campaign, simulates:
+// the point's axes over the config's shared knobs, with a trace seed mixed
+// from the campaign seed and `index`.  The CLI's single-run paths build
+// their runs as point 0, so a traced run reproduces the first sweep point.
+[[nodiscard]] Scenario campaign_scenario(const CampaignConfig& config,
+                                         const WorkloadCatalog& catalog,
+                                         const CampaignPoint& point, std::size_t index);
+
 // Runs every grid point (in parallel) and returns them in grid order.
 // Validates `config` (see validate_campaign) and the catalog's coverage.
 [[nodiscard]] std::vector<CampaignPoint> run_campaign(const CampaignConfig& config,
@@ -122,8 +133,9 @@ struct CampaignPoint {
 [[nodiscard]] Table campaign_table(const std::vector<CampaignPoint>& points,
                                    const std::string& title);
 
-// Machine-readable campaign dump (one JSON object; points as an array).
-void write_campaign_json(const CampaignConfig& config,
-                         const std::vector<CampaignPoint>& points, std::ostream& os);
+// Machine-readable campaign dump: writes one JSON object (points as an
+// array) as the root or the next element of `w`.
+void write_campaign_json(JsonWriter& w, const CampaignConfig& config,
+                         const std::vector<CampaignPoint>& points);
 
 }  // namespace lumos::serve

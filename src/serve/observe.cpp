@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -20,14 +20,6 @@ std::uint64_t splitmix64(std::uint64_t x) noexcept {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
-}
-
-// Trace emission helpers.  Timestamps are microseconds (the trace_event
-// contract); `%.3f` keeps nanosecond resolution without 17-digit noise.
-std::string us(double time_s) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", time_s * 1e6);
-  return buf;
 }
 
 // tid layout: 1 is the synthetic "clients" thread (arrivals, request spans),
@@ -200,105 +192,129 @@ void LifecycleTracer::on_complete(const Request& request, double now_s,
 }
 
 void LifecycleTracer::write_chrome_trace(std::ostream& os) const {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](const std::string& json) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n" << json;
+  // Timestamps are microseconds (the trace_event contract); fixed 3 digits
+  // keep nanosecond resolution without 17-digit noise.
+  const std::ios::fmtflags flags = os.flags();
+  const std::streamsize precision = os.precision();
+  os << std::fixed << std::setprecision(3);
+  JsonWriter json(os);
+  json.begin_object().field("displayTimeUnit", "ms").begin_array("traceEvents");
+  // Closes the open event with a one-member `args` object.
+  const auto args = [&](const char* key, const auto& value) {
+    json.begin_object("args").field(key, value).end().end();
   };
 
   // Metadata: name the process and every thread lane.
-  emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-       "\"args\":{\"name\":\"lumos serve\"}}");
-  emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-       std::to_string(kClientsTid) + ",\"args\":{\"name\":\"clients\"}}");
+  const auto metadata = [&](const char* name, int tid, const std::string& value) {
+    json.begin_object().field("name", name).field("ph", "M").field("pid", 1).field("tid", tid);
+    args("name", value);
+  };
+  metadata("process_name", 0, "lumos serve");
+  metadata("thread_name", kClientsTid, "clients");
   for (std::size_t i = 0; i < slot_specs_.size(); ++i) {
-    emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-         std::to_string(slot_tid(i)) + ",\"args\":{\"name\":\"slot " + std::to_string(i) +
-         " [" + json_escape(slot_specs_[i]) + "]\"}}");
+    metadata("thread_name", slot_tid(i),
+             "slot " + std::to_string(i) + " [" + slot_specs_[i] + "]");
   }
 
   // Batch spans, ring order (seq in args recovers dispatch order).
   for (const BatchSpan& span : spans_) {
-    const std::string name = json_escape(catalog_->workload(span.workload).name());
-    std::ostringstream ev;
-    ev << "{\"name\":\"" << name << " x" << span.size << "\",\"cat\":\"batch\","
-       << "\"ph\":\"X\",\"ts\":" << us(span.start_s)
-       << ",\"dur\":" << us(std::max(0.0, span.end_s - span.start_s))
-       << ",\"pid\":1,\"tid\":" << slot_tid(span.slot) << ",\"args\":{\"seq\":" << span.seq
-       << ",\"batch\":" << span.size << ",\"aborted\":" << (span.aborted ? "true" : "false")
-       << "}}";
-    emit(ev.str());
+    json.begin_object()
+        .field("name", catalog_->workload(span.workload).name() + " x" + std::to_string(span.size))
+        .field("cat", "batch")
+        .field("ph", "X")
+        .field("ts", span.start_s * 1e6)
+        .field("dur", std::max(0.0, span.end_s - span.start_s) * 1e6)
+        .field("pid", 1)
+        .field("tid", slot_tid(span.slot))
+        .begin_object("args")
+        .field("seq", span.seq)
+        .field("batch", span.size)
+        .field("aborted", span.aborted)
+        .end()
+        .end();
     if (span.aborted) {
-      std::ostringstream ab;
-      ab << "{\"name\":\"batch-abort\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":"
-         << us(span.end_s) << ",\"pid\":1,\"tid\":" << slot_tid(span.slot)
-         << ",\"args\":{\"seq\":" << span.seq << "}}";
-      emit(ab.str());
+      json.begin_object()
+          .field("name", "batch-abort")
+          .field("cat", "fault")
+          .field("ph", "i")
+          .field("s", "t")
+          .field("ts", span.end_s * 1e6)
+          .field("pid", 1)
+          .field("tid", slot_tid(span.slot));
+      args("seq", span.seq);
     }
   }
 
   // Request lifecycles: one async span per request (cat "req", id = request
   // id) from arrival to its terminal event, instants for the transitions, and
   // flow arrows from each queue entry ("s" on the clients lane) to the
-  // dispatch that drained it ("f" on the slot lane).
+  // dispatch that drained it ("f" on the slot lane).  `event` opens one event
+  // of request `ev` and writes its keys up to `tid`.
+  const auto event = [&](const RequestEvent& ev, const std::string& name, const char* ph,
+                         const char* cat, int tid) -> JsonWriter& {
+    json.begin_object().field("name", name).field("ph", ph);
+    if (std::string_view(ph) == "f") json.field("bp", "e");
+    return json.field("cat", cat)
+        .field("id", ev.id)
+        .field("ts", ev.time_s * 1e6)
+        .field("pid", 1)
+        .field("tid", tid);
+  };
   for (const RequestEvent& ev : events_) {
-    const std::string id = std::to_string(ev.id);
-    const std::string ts = us(ev.time_s);
-    const std::string common = "\"cat\":\"req\",\"id\":" + id + ",\"ts\":" + ts +
-                               ",\"pid\":1,\"tid\":" + std::to_string(kClientsTid);
-    const std::string flow_common =
-        "\"cat\":\"queue\",\"id\":" + id + ",\"ts\":" + ts + ",\"pid\":1";
+    const std::string span = "req " + std::to_string(ev.id);
+    const auto instant = [&](const char* name) -> JsonWriter& {
+      return event(ev, name, "n", "req", kClientsTid);
+    };
+    const auto enqueue = [&] { event(ev, "queue", "s", "queue", kClientsTid).end(); };
     switch (ev.kind) {
       case RequestEventKind::kArrival:
-        emit("{\"name\":\"req " + id + "\",\"ph\":\"b\"," + common +
-             ",\"args\":{\"workload\":\"" +
-             json_escape(catalog_->workload(ev.workload).name()) + "\"}}");
-        emit("{\"name\":\"queue\",\"ph\":\"s\"," + flow_common +
-             ",\"tid\":" + std::to_string(kClientsTid) + "}");
+        event(ev, span, "b", "req", kClientsTid);
+        args("workload", catalog_->workload(ev.workload).name());
+        enqueue();
         break;
       case RequestEventKind::kDispatch:
-        emit("{\"name\":\"dispatch\",\"ph\":\"n\"," + common + ",\"args\":{\"slot\":" +
-             std::to_string(ev.slot) + ",\"attempt\":" + std::to_string(ev.attempt) + "}}");
-        emit("{\"name\":\"queue\",\"ph\":\"f\",\"bp\":\"e\"," + flow_common +
-             ",\"tid\":" + std::to_string(slot_tid(static_cast<std::size_t>(
-                               std::max<std::int32_t>(ev.slot, 0)))) +
-             "}");
+        instant("dispatch")
+            .begin_object("args")
+            .field("slot", ev.slot)
+            .field("attempt", ev.attempt)
+            .end()
+            .end();
+        event(ev, "queue", "f", "queue",
+              slot_tid(static_cast<std::size_t>(std::max<std::int32_t>(ev.slot, 0))))
+            .end();
         break;
       case RequestEventKind::kRequeue:
-        emit("{\"name\":\"requeue\",\"ph\":\"n\"," + common + "}");
-        emit("{\"name\":\"queue\",\"ph\":\"s\"," + flow_common +
-             ",\"tid\":" + std::to_string(kClientsTid) + "}");
+        instant("requeue").end();
+        enqueue();
         break;
       case RequestEventKind::kAttemptTimeout:
-        emit("{\"name\":\"attempt-timeout\",\"ph\":\"n\"," + common + ",\"args\":{\"attempt\":" +
-             std::to_string(ev.attempt) + "}}");
+        instant("attempt-timeout");
+        args("attempt", ev.attempt);
         break;
       case RequestEventKind::kRetry:
-        emit("{\"name\":\"retry\",\"ph\":\"n\"," + common + ",\"args\":{\"attempt\":" +
-             std::to_string(ev.attempt) + "}}");
-        emit("{\"name\":\"queue\",\"ph\":\"s\"," + flow_common +
-             ",\"tid\":" + std::to_string(kClientsTid) + "}");
+        instant("retry");
+        args("attempt", ev.attempt);
+        enqueue();
         break;
       case RequestEventKind::kShed:
-        emit("{\"name\":\"shed\",\"ph\":\"n\"," + common + "}");
-        emit("{\"name\":\"req " + id + "\",\"ph\":\"e\"," + common +
-             ",\"args\":{\"status\":\"shed\"}}");
+        instant("shed").end();
+        event(ev, span, "e", "req", kClientsTid);
+        args("status", "shed");
         break;
       case RequestEventKind::kTimeout:
-        emit("{\"name\":\"timeout\",\"ph\":\"n\"," + common + "}");
-        emit("{\"name\":\"req " + id + "\",\"ph\":\"e\"," + common +
-             ",\"args\":{\"status\":\"timeout\"}}");
+        instant("timeout").end();
+        event(ev, span, "e", "req", kClientsTid);
+        args("status", "timeout");
         break;
       case RequestEventKind::kComplete:
-        emit("{\"name\":\"req " + id + "\",\"ph\":\"e\"," + common +
-             ",\"args\":{\"status\":\"ok\"}}");
+        event(ev, span, "e", "req", kClientsTid);
+        args("status", "ok");
         break;
     }
   }
-  os << "\n]}";
-  os << "\n";
+  json.end().end();
+  os.flags(flags);
+  os.precision(precision);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,40 +466,46 @@ void TimelineRecorder::write_csv(std::ostream& os) const {
 }
 
 void TimelineRecorder::write_json(std::ostream& os) const {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", config_.window_s);
-  os << "{\n  \"window_s\": " << buf << ",\n  \"tenants\": [";
-  for (std::size_t i = 0; i < catalog_->size(); ++i) {
-    os << (i == 0 ? "" : ", ") << "\"" << json_escape(catalog_->workload(i).name()) << "\"";
-  }
-  os << "],\n  \"windows\": [";
+  // Nine significant digits, like write_csv's times and rates.
+  const std::ios::fmtflags flags = os.flags();
+  const std::streamsize precision = os.precision();
+  os << std::defaultfloat << std::setprecision(9);
+  JsonWriter json(os);
+  json.begin_object().field("window_s", config_.window_s).begin_array("tenants");
+  for (std::size_t i = 0; i < catalog_->size(); ++i) json.element(catalog_->workload(i).name());
+  json.end().begin_array("windows");
   for (std::size_t i = 0; i < windows_.size(); ++i) {
     const TimelineWindow& w = windows_[i];
-    std::snprintf(buf, sizeof buf, "%.9g", static_cast<double>(i) * config_.window_s);
-    os << (i == 0 ? "" : ",") << "\n    {\"t_s\": " << buf << ", \"arrivals\": " << w.arrivals
-       << ", \"admitted\": " << w.admitted << ", \"shed\": " << w.shed
-       << ", \"completed\": " << w.completed << ", \"within_slo\": " << w.within_slo
-       << ", \"timed_out\": " << w.timed_out << ", \"attempt_timeouts\": " << w.attempt_timeouts
-       << ", \"retries\": " << w.retries << ", \"requeued\": " << w.requeued
-       << ", \"dispatches\": " << w.dispatches << ", \"batch_aborts\": " << w.batch_aborts
-       << ", \"slot_failures\": " << w.slot_failures
-       << ", \"slot_recoveries\": " << w.slot_recoveries
-       << ", \"autoscale_grows\": " << w.autoscale_grows
-       << ", \"autoscale_shrinks\": " << w.autoscale_shrinks
-       << ", \"queue_depth_last\": " << w.queue_depth_last
-       << ", \"queue_depth_max\": " << w.queue_depth_max
-       << ", \"active_slots\": " << w.active_slots << ", \"failed_slots\": " << w.failed_slots
-       << ", \"tenant_completed\": [";
-    for (std::size_t t = 0; t < w.tenant_completed.size(); ++t) {
-      os << (t == 0 ? "" : ", ") << w.tenant_completed[t];
-    }
-    os << "], \"tenant_within_slo\": [";
-    for (std::size_t t = 0; t < w.tenant_within_slo.size(); ++t) {
-      os << (t == 0 ? "" : ", ") << w.tenant_within_slo[t];
-    }
-    os << "]}";
+    json.begin_object()
+        .field("t_s", static_cast<double>(i) * config_.window_s)
+        .field("arrivals", w.arrivals)
+        .field("admitted", w.admitted)
+        .field("shed", w.shed)
+        .field("completed", w.completed)
+        .field("within_slo", w.within_slo)
+        .field("timed_out", w.timed_out)
+        .field("attempt_timeouts", w.attempt_timeouts)
+        .field("retries", w.retries)
+        .field("requeued", w.requeued)
+        .field("dispatches", w.dispatches)
+        .field("batch_aborts", w.batch_aborts)
+        .field("slot_failures", w.slot_failures)
+        .field("slot_recoveries", w.slot_recoveries)
+        .field("autoscale_grows", w.autoscale_grows)
+        .field("autoscale_shrinks", w.autoscale_shrinks)
+        .field("queue_depth_last", w.queue_depth_last)
+        .field("queue_depth_max", w.queue_depth_max)
+        .field("active_slots", w.active_slots)
+        .field("failed_slots", w.failed_slots)
+        .begin_array("tenant_completed");
+    for (const std::size_t n : w.tenant_completed) json.element(n);
+    json.end().begin_array("tenant_within_slo");
+    for (const std::size_t n : w.tenant_within_slo) json.element(n);
+    json.end().end();
   }
-  os << "\n  ]\n}\n";
+  json.end().end();
+  os.flags(flags);
+  os.precision(precision);
 }
 
 // ---------------------------------------------------------------------------
@@ -574,19 +596,12 @@ ObserverHub::ObserverHub(const ObserveConfig& config, const WorkloadCatalog& cat
   if (config.profile) profiler_ = std::make_unique<EventLoopProfiler>();
 }
 
-void ObserverHub::add(std::unique_ptr<Observer> observer) {
-  LUMOS_EXPECTS(observer != nullptr);
-  custom_.push_back(std::move(observer));
-}
-
-// Fan-out order: tracer, timeline, then custom observers.  The built-in calls
-// go through the concrete (final) types, so hooks a built-in does not
-// override cost nothing here.
-#define LUMOS_OBSERVE_FANOUT(call)                  \
-  do {                                              \
-    if (tracer_) tracer_->call;                     \
-    if (timeline_) timeline_->call;                 \
-    for (const auto& o : custom_) o->call;          \
+// Fan-out order: tracer, then timeline.  The calls go through the concrete
+// (final) types, so hooks an observer does not override cost nothing here.
+#define LUMOS_OBSERVE_FANOUT(call)  \
+  do {                              \
+    if (tracer_) tracer_->call;     \
+    if (timeline_) timeline_->call; \
   } while (0)
 
 void ObserverHub::on_slot_added(std::size_t slot, const std::string& spec, double now_s) {

@@ -424,9 +424,6 @@ class ObserverHub {
   // Validates `config`; `catalog` must outlive the hub.
   ObserverHub(const ObserveConfig& config, const WorkloadCatalog& catalog);
 
-  // Registers an additional custom observer (tests, future exporters).
-  void add(std::unique_ptr<Observer> observer);
-
   [[nodiscard]] EventLoopProfiler* profiler() noexcept { return profiler_.get(); }
 
   void on_slot_added(std::size_t slot, const std::string& spec, double now_s);
@@ -454,13 +451,11 @@ class ObserverHub {
   [[nodiscard]] Observation take();
 
  private:
-  // The built-in observers are held by concrete (final) type and called
-  // directly, so their hooks devirtualise and unoverridden no-ops inline away
-  // — the fan-out loop only runs for registered custom observers.
+  // The observers are held by concrete (final) type and called directly, so
+  // their hooks devirtualise and unoverridden no-ops inline away.
   std::unique_ptr<LifecycleTracer> tracer_;
   std::unique_ptr<TimelineRecorder> timeline_;
   std::unique_ptr<EventLoopProfiler> profiler_;
-  std::vector<std::unique_ptr<Observer>> custom_;
 };
 
 }  // namespace lumos::serve

@@ -348,14 +348,11 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   }
 
   // Simulation-wide fallback SLO, then each tenant's own contract.
-  double slo_s = sim.slo_latency_s;
-  if (slo_s <= 0.0) {
-    double slowest = 0.0;
-    for (std::uint32_t w = 0; w < catalog.size(); ++w) {
-      slowest = std::max(slowest, caches[first_serving_cache[w]].estimate(w, 1).latency_s);
-    }
-    slo_s = sim.slo_scale * slowest;
+  double slowest = 0.0;
+  for (std::uint32_t w = 0; w < catalog.size(); ++w) {
+    slowest = std::max(slowest, caches[first_serving_cache[w]].estimate(w, 1).latency_s);
   }
+  const double slo_s = sim.slo_scale * slowest;
   std::vector<double> slo_of(catalog.size(), slo_s);
   for (std::uint32_t w = 0; w < catalog.size(); ++w) {
     if (catalog.at(w).slo_latency_s > 0.0) slo_of[w] = catalog.at(w).slo_latency_s;

@@ -133,12 +133,10 @@ struct FleetConfig {
 };
 
 struct SimConfig {
-  // Simulation-wide fallback SLO for goodput: `slo_latency_s` when positive,
-  // otherwise `slo_scale` times the slowest workload's unloaded batch-1
-  // latency, each workload scored on the first fleet slot that can serve it.
-  // Catalog entries with their own `slo_latency_s` are scored against that
-  // instead (per-tenant SLOs).
-  double slo_latency_s = 0.0;
+  // Simulation-wide fallback SLO for goodput: `slo_scale` times the slowest
+  // workload's unloaded batch-1 latency, each workload scored on the first
+  // fleet slot that can serve it.  Catalog entries with their own
+  // `slo_latency_s` are scored against that instead (per-tenant SLOs).
   double slo_scale = 10.0;
   // Elastic serving; `policy == kNone` (the default) keeps the fleet static.
   AutoscalerConfig autoscaler;

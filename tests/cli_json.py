@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""JSON contracts of lumos_cli's --json mode (run by ctest).
+
+usage: cli_json.py <path/to/lumos_cli> parse|point0|threads
+
+  parse    the stdout of every --json mode, and a --timeline-out *.json
+           file, load with the json module
+  point0   an observed run (--profile) reports the same p50/p99/p99.9
+           latency and goodput as campaign grid point 0
+  threads  campaign JSON is byte-identical under LUMOS_THREADS=1 and 4
+"""
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def run(cli, *args, threads=None):
+    env = dict(os.environ)
+    if threads is not None:
+        env["LUMOS_THREADS"] = str(threads)
+    return subprocess.run([cli, "--json", *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def check_parse(cli):
+    with tempfile.TemporaryDirectory() as tmp:
+        timeline = os.path.join(tmp, "timeline.json")
+        modes = [
+            ["list"],
+            ["tron", "bert-base"],
+            ["ghost", "gat", "cora"],
+            ["generate", "gpt2", "16", "8"],
+            ["serve", "mixed", "--requests", "4000"],
+            ["serve", "tron", "--loop", "closed", "--sessions", "8", "--requests", "2000"],
+            ["serve", "tron", "--requests", "2000", "--profile",
+             "--timeline-out", timeline],
+        ]
+        for args in modes:
+            json.loads(run(cli, *args))
+        with open(timeline) as f:
+            json.load(f)
+    return f"{len(modes)} --json outputs and a timeline parse"
+
+
+def check_point0(cli):
+    args = ["serve", "tron", "--requests", "4000"]
+    point = json.loads(run(cli, *args))["points"][0]
+    observed = json.loads(run(cli, *args, "--profile"))
+    for key in ("p50_latency_s", "p99_latency_s", "p999_latency_s", "goodput_qps"):
+        if point[key] != observed[key]:
+            raise SystemExit(f"{key}: campaign point 0 {point[key]} vs observed "
+                             f"{observed[key]}")
+    return "observed run matches campaign point 0"
+
+
+def check_threads(cli):
+    for args in (["serve", "mixed", "--sched", "fifo", "--requests", "4000"],
+                 ["serve", "tron", "--fleet", "8", "--cells", "4", "--requests", "8000"]):
+        if run(cli, *args, threads=1) != run(cli, *args, threads=4):
+            raise SystemExit(f"{' '.join(args)}: JSON differs between 1 and 4 threads")
+    return "campaign JSON is thread-count invariant"
+
+
+def main():
+    checks = {"parse": check_parse, "point0": check_point0, "threads": check_threads}
+    if len(sys.argv) != 3 or sys.argv[2] not in checks:
+        raise SystemExit(__doc__)
+    print("cli_json OK:", checks[sys.argv[2]](sys.argv[1]))
+
+
+if __name__ == "__main__":
+    main()

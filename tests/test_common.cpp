@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -216,7 +219,7 @@ TEST(Table, NumFormatsExtremes) {
 }
 
 // ---------------------------------------------------------------------------
-// json_escape (shared by every JSON writer: benches, campaign dumps, CLI)
+// json_escape (JsonWriter applies it to every key and string)
 // ---------------------------------------------------------------------------
 
 TEST(JsonEscape, PassesPlainTextThrough) {
@@ -243,6 +246,101 @@ TEST(JsonEscape, EscapesRemainingControlCharactersAsUnicode) {
   EXPECT_EQ(json_escape("bell\x07!"), "bell\\u0007!");
   // 0x20 (space) and above pass through untouched.
   EXPECT_EQ(json_escape(" ~"), " ~");
+}
+
+// ---------------------------------------------------------------------------
+// JsonWriter (the one writer behind every JSON the library emits)
+// ---------------------------------------------------------------------------
+
+TEST(JsonWriter, PlacesCommasAndFollowsTheLayoutRule) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.begin_object().field("name", "x").field("count", std::size_t{3}).field("ok", true);
+  w.begin_array("empty").end();
+  w.begin_array("ints").element(1).element(-2).end();
+  w.begin_object("inline").field("a", 0.5).begin_array("tags").element("t").end().end();
+  w.begin_array("rows");
+  w.begin_object().field("i", 0).begin_array("cells");
+  w.begin_object().field("c", 1).end().begin_object().field("c", 2).end();
+  w.end().field("tail", false).end();
+  w.begin_object().field("i", 1).end();
+  w.end().end();
+  // The root object and arrays of containers put one element per line, two
+  // spaces per open container; everything else stays on its line.
+  EXPECT_EQ(os.str(),
+            "{\n"
+            "  \"name\": \"x\",\n"
+            "  \"count\": 3,\n"
+            "  \"ok\": true,\n"
+            "  \"empty\": [],\n"
+            "  \"ints\": [1, -2],\n"
+            "  \"inline\": {\"a\": 0.5, \"tags\": [\"t\"]},\n"
+            "  \"rows\": [\n"
+            "    {\"i\": 0, \"cells\": [\n"
+            "        {\"c\": 1},\n"
+            "        {\"c\": 2}\n"
+            "      ], \"tail\": false},\n"
+            "    {\"i\": 1}\n"
+            "  ]\n"
+            "}\n");
+}
+
+TEST(JsonWriter, RootArrayOfScalarsStaysOnOneLine) {
+  std::ostringstream os;
+  JsonWriter(os).begin_array().element(1).element("b").end();
+  EXPECT_EQ(os.str(), "[1, \"b\"]\n");
+}
+
+TEST(JsonWriter, EscapesKeysAndStrings) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  const std::string name = "say \"hi\"\n";
+  w.begin_object().field("k\\", name).begin_array("a").element("\t").end().end();
+  EXPECT_EQ(os.str(), "{\n  \"k\\\\\": \"say \\\"hi\\\"\\n\",\n  \"a\": [\"\\t\"]\n}\n");
+}
+
+TEST(JsonWriter, DoublesPrintAsTheStreamFormatsThem) {
+  std::ostringstream os;
+  JsonWriter(os).begin_array().element(1.0 / 3.0).element(2.5e-7).element(1e6).end();
+  EXPECT_EQ(os.str(), "[0.333333, 2.5e-07, 1e+06]\n");
+  std::ostringstream fixed;
+  fixed << std::fixed << std::setprecision(3);
+  JsonWriter(fixed).begin_array().element(1.0 / 3.0).element(std::uint64_t{7}).end();
+  EXPECT_EQ(fixed.str(), "[0.333, 7]\n");
+}
+
+TEST(JsonWriter, NonFiniteDoubleThrowsNamingItsKey) {
+  const auto message = [](double value, bool element) {
+    std::ostringstream os;
+    JsonWriter w(os);
+    try {
+      if (element) {
+        w.begin_object().begin_array("series").element(value);
+      } else {
+        w.begin_object().field("p99_latency_s", value);
+      }
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_NE(message(std::nan(""), false).find("p99_latency_s"), std::string::npos);
+  EXPECT_NE(message(std::numeric_limits<double>::infinity(), false).find("p99_latency_s"),
+            std::string::npos);
+  EXPECT_NE(message(-std::numeric_limits<double>::infinity(), true).find("series"),
+            std::string::npos);
+}
+
+TEST(JsonWriter, RejectsMisplacedValues) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  EXPECT_THROW(w.field("k", 1), InvalidArgument);  // no open object
+  w.begin_object();
+  EXPECT_THROW(w.element(1), InvalidArgument);  // objects take keyed members
+  w.begin_array("a");
+  EXPECT_THROW(w.field("k", 1), InvalidArgument);  // arrays take elements
+  w.end().end();
+  EXPECT_THROW(w.end(), InvalidArgument);  // nothing left to close
 }
 
 // Property sweep: PCG next_below stays unbiased enough across bounds.
