@@ -38,7 +38,8 @@
 //     --sessions <n>     closed loop: concurrent client sessions (default 32)
 //     --think-time-us <t> closed loop: mean exponential think time (default 2000)
 //     --seqlen-dist <d>  fixed | uniform | lognormal: per-request sequence
-//                        lengths for transformer tenants (default fixed)
+//                        lengths for transformer tenants (default fixed;
+//                        a GNN-only fleet has none)
 //     --decode <n>       mean generated tokens per request on transformer
 //                        tenants: each request runs a prefill then decodes
 //                        token by token, with waiting prefills admitted into
@@ -55,8 +56,9 @@
 //                        (needs --decode)
 //     --fleet <n>        accelerators in the (initial) fleet (default 4)
 //     --sched <s>        fifo | batch (default batch)
-//     --max-batch <n>    dynamic-batch cap (default 8)
-//     --max-wait-us <w>  dynamic-batch deadline (default 2000)
+//     --max-batch <n>    dynamic-batch cap (default 8; not with --sched fifo)
+//     --max-wait-us <w>  dynamic-batch deadline (default 2000; not with
+//                        --sched fifo)
 //     --bursty           open loop: MMPP arrivals instead of Poisson
 //     --routing <r>      first-idle | energy-aware | cost-aware (default
 //                        first-idle; cost-aware picks the cheapest idle slot
@@ -90,7 +92,7 @@
 //     --admission <p>    none | queue-cap | tier-shed | slo-aware: admission
 //                        control consulted at every arrival
 //     --queue-cap <n>    queue bound for queue-cap / tier-shed admission
-//                        (default 256; needs --admission)
+//                        (default 256; needs --admission queue-cap|tier-shed)
 //     --percentiles <m>  exact | hdr: latency percentile computation (default
 //                        exact); hdr uses a bounded-relative-error
 //                        log-bucketed histogram (see --hdr-error)
@@ -130,6 +132,7 @@
 //   lumos_cli serve mixed --loop closed --sessions 64 --think-time-us 500
 //   lumos_cli serve tron --seqlen-dist lognormal --qps 20000
 //   lumos_cli serve tron --decode 32 --decode-dist lognormal --ttft-slo-us 300
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -502,30 +505,23 @@ int run_serve(const std::vector<std::string>& args, bool json) {
   std::size_t fleet = 4;
   std::size_t max_batch = 8;
   bool priority = false;
-  bool sessions_given = false;
-  // Mode-gated knobs: track use so a knob without its enabling mode errors
-  // instead of being silently ignored.
-  std::string knob_without_policy;
-  std::string open_only_flag;
-  std::string closed_only_flag;
   double mtbf_s = 0.0;
   double timeout_s = 0.0;
   std::size_t decode_tokens = 0;  // 0: decode off
   serve::SeqLenDist decode_dist = serve::SeqLenDist::kFixed;
-  bool decode_dist_given = false;
-  bool decode_mode_given = false;
   double ttft_slo_s = 0.0;
   double tpot_slo_s = 0.0;
-  bool mttr_given = false;
-  bool retries_given = false;
-  bool queue_cap_given = false;
   serve::ObserveConfig observe;
   ObserveOut out;
-  bool trace_sample_given = false;
-  bool window_given = false;
-  bool hdr_error_given = false;
+  // Every flag given, so a knob whose mode is off errors below instead of
+  // being silently ignored.
+  std::vector<std::string> given;
+  const auto has = [&](const char* flag) {
+    return std::find(given.begin(), given.end(), flag) != given.end();
+  };
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
+    given.push_back(a);
     const auto value = [&]() -> const std::string& {
       if (i + 1 >= args.size()) throw InvalidArgument(a + " needs a value");
       return args[++i];
@@ -533,17 +529,13 @@ int run_serve(const std::vector<std::string>& args, bool json) {
     if (a == "--loop") {
       loop = serve::loop_mode_from_name(value());
     } else if (a == "--qps") {
-      open_only_flag = a;
       qps = parse_double(value(), "--qps");
       if (qps <= 0.0) throw InvalidArgument("--qps must be positive");
     } else if (a == "--requests") {
       cfg.requests_per_point = parse_size(value(), "--requests");
     } else if (a == "--sessions") {
-      closed_only_flag = a;
       closed.sessions = parse_size(value(), "--sessions");
-      sessions_given = true;
     } else if (a == "--think-time-us") {
-      closed_only_flag = a;
       closed.think_time_mean_s = parse_us(value(), a, /*allow_zero=*/true);
     } else if (a == "--seqlen-dist") {
       catalog.apply_seqlen_dist(serve::seqlen_dist_from_name(value()));
@@ -551,10 +543,8 @@ int run_serve(const std::vector<std::string>& args, bool json) {
       decode_tokens = parse_size(value(), "--decode");
       if (decode_tokens == 0) throw InvalidArgument("--decode must be >= 1");
     } else if (a == "--decode-dist") {
-      decode_dist_given = true;
       decode_dist = serve::seqlen_dist_from_name(value());
     } else if (a == "--decode-mode") {
-      decode_mode_given = true;
       cfg.decode_mode = serve::decode_mode_from_name(value());
     } else if (a == "--ttft-slo-us") {
       ttft_slo_s = parse_us(value(), a);
@@ -569,7 +559,6 @@ int run_serve(const std::vector<std::string>& args, bool json) {
     } else if (a == "--max-wait-us") {
       cfg.max_wait_s = parse_us(value(), a, /*allow_zero=*/true);
     } else if (a == "--bursty") {
-      open_only_flag = a;
       cfg.process = serve::ArrivalProcess::kBursty;
     } else if (a == "--routing") {
       cfg.routing = serve::routing_from_name(value());
@@ -625,16 +614,12 @@ int run_serve(const std::vector<std::string>& args, bool json) {
     } else if (a == "--autoscale") {
       cfg.autoscalers = {serve::autoscaler_from_name(value())};
     } else if (a == "--scale-interval-us") {
-      knob_without_policy = a;
       cfg.autoscale.interval_s = parse_us(value(), a);
     } else if (a == "--min-fleet") {
-      knob_without_policy = a;
       cfg.autoscale.min_slots = parse_size(value(), "--min-fleet");
     } else if (a == "--max-fleet") {
-      knob_without_policy = a;
       cfg.autoscale.max_slots = parse_size(value(), "--max-fleet");
     } else if (a == "--grow-scale") {
-      knob_without_policy = a;
       cfg.autoscale.grow_scale = parse_double(value(), "--grow-scale");
       if (cfg.autoscale.grow_scale <= 0.0) {
         throw InvalidArgument("--grow-scale must be positive");
@@ -642,18 +627,15 @@ int run_serve(const std::vector<std::string>& args, bool json) {
     } else if (a == "--mtbf-us") {
       mtbf_s = parse_us(value(), a);
     } else if (a == "--mttr-us") {
-      mttr_given = true;
       cfg.faults.mttr_s = parse_us(value(), a);
     } else if (a == "--timeout-us") {
       timeout_s = parse_us(value(), a);
     } else if (a == "--retries") {
-      retries_given = true;
       cfg.retry.max_attempts = parse_size(value(), "--retries");
       if (cfg.retry.max_attempts == 0) throw InvalidArgument("--retries must be >= 1");
     } else if (a == "--admission") {
       cfg.admissions = {serve::admission_from_name(value())};
     } else if (a == "--queue-cap") {
-      queue_cap_given = true;
       cfg.admission.queue_cap = parse_size(value(), "--queue-cap");
       if (cfg.admission.queue_cap == 0) throw InvalidArgument("--queue-cap must be >= 1");
     } else if (a == "--cells") {
@@ -662,7 +644,6 @@ int run_serve(const std::vector<std::string>& args, bool json) {
     } else if (a == "--percentiles") {
       cfg.percentile_mode = serve::percentile_mode_from_name(value());
     } else if (a == "--hdr-error") {
-      hdr_error_given = true;
       cfg.hdr_relative_error = parse_double(value(), "--hdr-error");
       if (!(cfg.hdr_relative_error > 0.0 && cfg.hdr_relative_error < 1.0)) {
         throw InvalidArgument("--hdr-error must be in (0, 1)");
@@ -672,7 +653,6 @@ int run_serve(const std::vector<std::string>& args, bool json) {
       if (out.trace_path.empty()) throw InvalidArgument("--trace-out needs a path");
       observe.trace.enabled = true;
     } else if (a == "--trace-sample") {
-      trace_sample_given = true;
       observe.trace.sample = parse_double(value(), "--trace-sample");
       if (observe.trace.sample < 0.0 || observe.trace.sample > 1.0) {
         throw InvalidArgument("--trace-sample must be in [0, 1]");
@@ -682,7 +662,6 @@ int run_serve(const std::vector<std::string>& args, bool json) {
       if (out.timeline_path.empty()) throw InvalidArgument("--timeline-out needs a path");
       observe.timeline.enabled = true;
     } else if (a == "--window-us") {
-      window_given = true;
       observe.timeline.window_s = parse_us(value(), a);
     } else if (a == "--profile") {
       observe.profile = true;
@@ -693,34 +672,47 @@ int run_serve(const std::vector<std::string>& args, bool json) {
   if (fleet == 0 || max_batch == 0 || cfg.requests_per_point == 0) {
     throw InvalidArgument("--fleet, --max-batch, and --requests must be positive");
   }
-  if (!knob_without_policy.empty() &&
-      cfg.autoscalers.front() == serve::AutoscalerPolicy::kNone) {
-    throw InvalidArgument(knob_without_policy +
-                          " has no effect without --autoscale queue|util");
-  }
-  if (loop == serve::LoopMode::kClosed && !open_only_flag.empty()) {
-    throw InvalidArgument(open_only_flag + " has no effect with --loop closed");
-  }
-  if (loop == serve::LoopMode::kOpen && !closed_only_flag.empty()) {
-    throw InvalidArgument(closed_only_flag + " has no effect without --loop closed");
-  }
-  if (mttr_given && mtbf_s <= 0.0) {
-    throw InvalidArgument("--mttr-us has no effect without --mtbf-us");
-  }
-  if (retries_given && timeout_s <= 0.0) {
-    throw InvalidArgument("--retries has no effect without --timeout-us");
-  }
-  if (queue_cap_given && cfg.admissions.front() == serve::AdmissionPolicy::kNone) {
-    throw InvalidArgument("--queue-cap has no effect without --admission");
-  }
-  if (trace_sample_given && !observe.trace.enabled) {
-    throw InvalidArgument("--trace-sample has no effect without --trace-out");
-  }
-  if (window_given && !observe.timeline.enabled) {
-    throw InvalidArgument("--window-us has no effect without --timeline-out");
-  }
-  if (hdr_error_given && cfg.percentile_mode != serve::PercentileMode::kHdr) {
-    throw InvalidArgument("--hdr-error has no effect without --percentiles hdr");
+  // Mode-gated knobs: each row names a flag, whether the chosen modes read
+  // it, and the mode that does not.  A given flag that the chosen modes
+  // ignore is an error (exit 2; the first such row names it), never a silent
+  // no-op.
+  const bool autoscaled = cfg.autoscalers.front() != serve::AutoscalerPolicy::kNone;
+  const bool closed_loop = loop == serve::LoopMode::kClosed;
+  const serve::AdmissionPolicy admission = cfg.admissions.front();
+  const bool batching = cfg.schedulers.front() != serve::SchedulerKind::kFifo;
+  const struct {
+    const char* flag;
+    bool active;
+    const char* unless;
+  } knobs[] = {
+      {"--scale-interval-us", autoscaled, "without --autoscale queue|util"},
+      {"--min-fleet", autoscaled, "without --autoscale queue|util"},
+      {"--max-fleet", autoscaled, "without --autoscale queue|util"},
+      {"--grow-scale", autoscaled, "without --autoscale queue|util"},
+      {"--qps", !closed_loop, "with --loop closed"},
+      {"--bursty", !closed_loop, "with --loop closed"},
+      {"--sessions", closed_loop, "without --loop closed"},
+      {"--think-time-us", closed_loop, "without --loop closed"},
+      {"--mttr-us", mtbf_s > 0.0, "without --mtbf-us"},
+      {"--retries", timeout_s > 0.0, "without --timeout-us"},
+      {"--queue-cap", admission != serve::AdmissionPolicy::kNone, "without --admission"},
+      {"--queue-cap", admission != serve::AdmissionPolicy::kSloAware,
+       "with --admission slo-aware"},
+      {"--max-batch", batching, "with --sched fifo"},
+      {"--max-wait-us", batching, "with --sched fifo"},
+      {"--trace-sample", observe.trace.enabled, "without --trace-out"},
+      {"--window-us", observe.timeline.enabled, "without --timeline-out"},
+      {"--hdr-error", cfg.percentile_mode == serve::PercentileMode::kHdr,
+       "without --percentiles hdr"},
+      {"--decode-dist", decode_tokens > 0, "without --decode"},
+      {"--decode-mode", decode_tokens > 0, "without --decode"},
+      {"--ttft-slo-us", decode_tokens > 0, "without --decode"},
+      {"--tpot-slo-us", decode_tokens > 0, "without --decode"},
+  };
+  for (const auto& knob : knobs) {
+    if (!knob.active && has(knob.flag)) {
+      throw InvalidArgument(std::string(knob.flag) + " has no effect " + knob.unless);
+    }
   }
   if (cfg.cells > 1 && observe.enabled()) {
     throw InvalidArgument(
@@ -731,22 +723,7 @@ int run_serve(const std::vector<std::string>& args, bool json) {
     throw InvalidArgument("--cells must be <= --fleet (" + std::to_string(fleet) +
                           "): every cell needs at least one slot");
   }
-  if (decode_tokens == 0) {
-    // Decode sub-knobs without --decode would be silently ignored; error like
-    // the other mode-gated knobs instead.
-    if (decode_dist_given) {
-      throw InvalidArgument("--decode-dist has no effect without --decode");
-    }
-    if (decode_mode_given) {
-      throw InvalidArgument("--decode-mode has no effect without --decode");
-    }
-    if (ttft_slo_s > 0.0) {
-      throw InvalidArgument("--ttft-slo-us has no effect without --decode");
-    }
-    if (tpot_slo_s > 0.0) {
-      throw InvalidArgument("--tpot-slo-us has no effect without --decode");
-    }
-  } else {
+  if (decode_tokens > 0) {
     catalog.apply_decode(decode_dist, decode_tokens);
     if (ttft_slo_s > 0.0 || tpot_slo_s > 0.0) {
       catalog.apply_token_slos(ttft_slo_s, tpot_slo_s);
@@ -777,7 +754,7 @@ int run_serve(const std::vector<std::string>& args, bool json) {
   if (priority) catalog.apply_default_tiers();
 
   if (loop == serve::LoopMode::kClosed) {
-    if (sessions_given && closed.sessions == 0) {
+    if (has("--sessions") && closed.sessions == 0) {
       throw InvalidArgument("--sessions must be positive");
     }
     // --requests is the total budget: split it across the session pool.  A

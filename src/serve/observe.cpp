@@ -596,67 +596,65 @@ ObserverHub::ObserverHub(const ObserveConfig& config, const WorkloadCatalog& cat
   if (config.profile) profiler_ = std::make_unique<EventLoopProfiler>();
 }
 
-// Fan-out order: tracer, then timeline.  The calls go through the concrete
-// (final) types, so hooks an observer does not override cost nothing here.
-#define LUMOS_OBSERVE_FANOUT(call)  \
-  do {                              \
-    if (tracer_) tracer_->call;     \
-    if (timeline_) timeline_->call; \
-  } while (0)
-
+// Each hook reaches only the observers that record its event, tracer first.
 void ObserverHub::on_slot_added(std::size_t slot, const std::string& spec, double now_s) {
-  LUMOS_OBSERVE_FANOUT(on_slot_added(slot, spec, now_s));
+  if (tracer_) tracer_->on_slot_added(slot, spec, now_s);
 }
 void ObserverHub::on_arrival(const Request& request, double now_s) {
-  LUMOS_OBSERVE_FANOUT(on_arrival(request, now_s));
+  if (tracer_) tracer_->on_arrival(request, now_s);
+  if (timeline_) timeline_->on_arrival(request, now_s);
 }
 void ObserverHub::on_admission(const Request& request, double now_s, bool admitted) {
-  LUMOS_OBSERVE_FANOUT(on_admission(request, now_s, admitted));
+  if (timeline_) timeline_->on_admission(request, now_s, admitted);
 }
 void ObserverHub::on_dispatch(std::size_t slot, std::uint64_t seq,
                               const std::vector<Request>& batch, double now_s,
                               double done_s) {
-  LUMOS_OBSERVE_FANOUT(on_dispatch(slot, seq, batch, now_s, done_s));
+  if (tracer_) tracer_->on_dispatch(slot, seq, batch, now_s, done_s);
+  if (timeline_) timeline_->on_dispatch(slot, seq, batch, now_s, done_s);
 }
 void ObserverHub::on_batch_complete(std::size_t slot, std::uint64_t seq, double start_s,
                                     double end_s, std::size_t size) {
-  LUMOS_OBSERVE_FANOUT(on_batch_complete(slot, seq, start_s, end_s, size));
+  if (tracer_) tracer_->on_batch_complete(slot, seq, start_s, end_s, size);
 }
 void ObserverHub::on_batch_abort(std::size_t slot, std::uint64_t seq, double start_s,
                                  double abort_s, std::size_t size) {
-  LUMOS_OBSERVE_FANOUT(on_batch_abort(slot, seq, start_s, abort_s, size));
+  if (tracer_) tracer_->on_batch_abort(slot, seq, start_s, abort_s, size);
+  if (timeline_) timeline_->on_batch_abort(slot, seq, start_s, abort_s, size);
 }
 void ObserverHub::on_requeue(const Request& request, double now_s) {
-  LUMOS_OBSERVE_FANOUT(on_requeue(request, now_s));
+  if (tracer_) tracer_->on_requeue(request, now_s);
+  if (timeline_) timeline_->on_requeue(request, now_s);
 }
 void ObserverHub::on_attempt_timeout(const Request& request, double now_s, bool will_retry) {
-  LUMOS_OBSERVE_FANOUT(on_attempt_timeout(request, now_s, will_retry));
+  if (tracer_) tracer_->on_attempt_timeout(request, now_s, will_retry);
+  if (timeline_) timeline_->on_attempt_timeout(request, now_s, will_retry);
 }
 void ObserverHub::on_retry(const Request& request, double now_s, double reissue_s) {
-  LUMOS_OBSERVE_FANOUT(on_retry(request, now_s, reissue_s));
+  if (tracer_) tracer_->on_retry(request, now_s, reissue_s);
+  if (timeline_) timeline_->on_retry(request, now_s, reissue_s);
 }
 void ObserverHub::on_complete(const Request& request, double now_s, CompletionStatus status,
                               double latency_s, bool within_slo) {
-  LUMOS_OBSERVE_FANOUT(on_complete(request, now_s, status, latency_s, within_slo));
+  if (tracer_) tracer_->on_complete(request, now_s, status, latency_s, within_slo);
+  if (timeline_) timeline_->on_complete(request, now_s, status, latency_s, within_slo);
 }
 void ObserverHub::on_slot_failure(std::size_t slot, double now_s) {
-  LUMOS_OBSERVE_FANOUT(on_slot_failure(slot, now_s));
+  if (timeline_) timeline_->on_slot_failure(slot, now_s);
 }
 void ObserverHub::on_slot_recovery(std::size_t slot, double now_s) {
-  LUMOS_OBSERVE_FANOUT(on_slot_recovery(slot, now_s));
+  if (timeline_) timeline_->on_slot_recovery(slot, now_s);
 }
 void ObserverHub::on_autoscale(std::size_t family, int delta, double now_s) {
-  LUMOS_OBSERVE_FANOUT(on_autoscale(family, delta, now_s));
+  if (timeline_) timeline_->on_autoscale(family, delta, now_s);
 }
 void ObserverHub::on_tick(double now_s, std::size_t queued, std::size_t active_slots,
                           std::size_t failed_slots) {
-  LUMOS_OBSERVE_FANOUT(on_tick(now_s, queued, active_slots, failed_slots));
+  if (timeline_) timeline_->on_tick(now_s, queued, active_slots, failed_slots);
 }
 void ObserverHub::finish(double end_s) {
-  LUMOS_OBSERVE_FANOUT(finish(end_s));
+  if (timeline_) timeline_->finish(end_s);
 }
-
-#undef LUMOS_OBSERVE_FANOUT
 
 Observation ObserverHub::take() {
   Observation out;

@@ -2,12 +2,12 @@
 // metrics, and event-loop self-profiling for the discrete-event simulator.
 //
 // The simulator's five event sources (completions, faults, arrivals/retries,
-// autoscaling, dispatch) call into a polymorphic `Observer` through an
-// `ObserverHub` owned by `simulate()`.  Observation is opt-in per scenario
-// (`Scenario::observe`); with every observer disabled — the default — the
-// simulator never constructs a hub, every hook site is one null-pointer
-// branch, and results are bit-identical to the unobserved simulator (pinned
-// by tests/test_observe.cpp the same way PR 6 pinned fault knobs).  Enabled
+// autoscaling, dispatch) call the hooks of an `ObserverHub` owned by
+// `simulate()`, which forwards each event to the observers that record it.
+// Observation is opt-in per scenario (`Scenario::observe`); with every
+// observer disabled — the default — the simulator runs an instantiation of
+// its loop with no hook sites at all, and results are bit-identical to the
+// unobserved simulator (pinned by tests/test_observe.cpp).  Enabled
 // observers only *read* the event stream, so observed runs produce the same
 // FleetMetrics bit-for-bit too — tracing a simulation can never change it.
 //
@@ -92,87 +92,6 @@ struct ObserveConfig {
 void validate_observe(const ObserveConfig& config);
 
 // ---------------------------------------------------------------------------
-// Observer interface
-// ---------------------------------------------------------------------------
-
-// Passive subscriber to the event loop.  Every hook defaults to a no-op, so
-// an observer overrides only what it needs.  Hooks are called in the loop's
-// deterministic event order with simulated timestamps; observers must not
-// mutate simulation state (they receive const views only).
-class Observer {
- public:
-  virtual ~Observer() = default;
-
-  // A fleet slot came into existence (initial slots at t=0, grown slots at
-  // their activation instant).  `spec` is the slot's registry spec name.
-  virtual void on_slot_added(std::size_t slot, const std::string& spec, double now_s) {
-    (void)slot, (void)spec, (void)now_s;
-  }
-  // A fresh request was pulled from the traffic source (retried attempts
-  // re-enter through `on_retry`, not here).
-  virtual void on_arrival(const Request& request, double now_s) {
-    (void)request, (void)now_s;
-  }
-  // Admission verdict for an arriving attempt (fresh or retried).  A false
-  // verdict is terminal: `on_complete` follows with kShed.
-  virtual void on_admission(const Request& request, double now_s, bool admitted) {
-    (void)request, (void)now_s, (void)admitted;
-  }
-  // A batch left the queue for slot `slot` (dispatch seq `seq`), due back at
-  // `done_s`.
-  virtual void on_dispatch(std::size_t slot, std::uint64_t seq,
-                           const std::vector<Request>& batch, double now_s,
-                           double done_s) {
-    (void)slot, (void)seq, (void)batch, (void)now_s, (void)done_s;
-  }
-  // The in-flight batch on `slot` finished (span [start_s, end_s]).
-  virtual void on_batch_complete(std::size_t slot, std::uint64_t seq, double start_s,
-                                 double end_s, std::size_t size) {
-    (void)slot, (void)seq, (void)start_s, (void)end_s, (void)size;
-  }
-  // The in-flight batch on `slot` was aborted by a slot failure at `abort_s`;
-  // its requests requeue (one `on_requeue` each).
-  virtual void on_batch_abort(std::size_t slot, std::uint64_t seq, double start_s,
-                              double abort_s, std::size_t size) {
-    (void)slot, (void)seq, (void)start_s, (void)abort_s, (void)size;
-  }
-  virtual void on_requeue(const Request& request, double now_s) {
-    (void)request, (void)now_s;
-  }
-  // An attempt exceeded its timeout.  `will_retry` says whether a retried
-  // attempt follows (`on_retry`) or the request terminates (kTimeout).
-  virtual void on_attempt_timeout(const Request& request, double now_s, bool will_retry) {
-    (void)request, (void)now_s, (void)will_retry;
-  }
-  // A retried attempt was scheduled to re-arrive at `reissue_s`.
-  virtual void on_retry(const Request& request, double now_s, double reissue_s) {
-    (void)request, (void)now_s, (void)reissue_s;
-  }
-  // Terminal outcome of one logical request (exactly one call per request,
-  // mirroring TrafficSource::on_complete).  `latency_s` is client-perceived
-  // (first issue to now); `within_slo` is false for non-kOk terminals.
-  virtual void on_complete(const Request& request, double now_s, CompletionStatus status,
-                           double latency_s, bool within_slo) {
-    (void)request, (void)now_s, (void)status, (void)latency_s, (void)within_slo;
-  }
-  virtual void on_slot_failure(std::size_t slot, double now_s) { (void)slot, (void)now_s; }
-  virtual void on_slot_recovery(std::size_t slot, double now_s) { (void)slot, (void)now_s; }
-  // The autoscaler applied a delta to `family` (+1 grow, -1 shrink).
-  virtual void on_autoscale(std::size_t family, int delta, double now_s) {
-    (void)family, (void)delta, (void)now_s;
-  }
-  // One event-loop iteration advanced simulated time to `now_s`.  Gauge
-  // snapshot: queued requests, active (dispatchable-family) slots, failed
-  // slots.
-  virtual void on_tick(double now_s, std::size_t queued, std::size_t active_slots,
-                       std::size_t failed_slots) {
-    (void)now_s, (void)queued, (void)active_slots, (void)failed_slots;
-  }
-  // The loop drained; `end_s` is the simulation's final instant.
-  virtual void finish(double end_s) { (void)end_s; }
-};
-
-// ---------------------------------------------------------------------------
 // Lifecycle tracer
 // ---------------------------------------------------------------------------
 
@@ -212,24 +131,25 @@ struct BatchSpan {
 // so tests and future observers can reuse the exact sampling decision.
 [[nodiscard]] bool trace_sampled(std::uint64_t id, std::uint64_t seed, double sample);
 
-class LifecycleTracer final : public Observer {
+class LifecycleTracer {
  public:
   // `catalog` must outlive the tracer (workload names in the export).
   LifecycleTracer(const TracerConfig& config, const WorkloadCatalog& catalog);
 
-  void on_slot_added(std::size_t slot, const std::string& spec, double now_s) override;
-  void on_arrival(const Request& request, double now_s) override;
+  // The events it records (see ObserverHub for each hook's meaning).
+  void on_slot_added(std::size_t slot, const std::string& spec, double now_s);
+  void on_arrival(const Request& request, double now_s);
   void on_dispatch(std::size_t slot, std::uint64_t seq, const std::vector<Request>& batch,
-                   double now_s, double done_s) override;
+                   double now_s, double done_s);
   void on_batch_complete(std::size_t slot, std::uint64_t seq, double start_s, double end_s,
-                         std::size_t size) override;
+                         std::size_t size);
   void on_batch_abort(std::size_t slot, std::uint64_t seq, double start_s, double abort_s,
-                      std::size_t size) override;
-  void on_requeue(const Request& request, double now_s) override;
-  void on_attempt_timeout(const Request& request, double now_s, bool will_retry) override;
-  void on_retry(const Request& request, double now_s, double reissue_s) override;
+                      std::size_t size);
+  void on_requeue(const Request& request, double now_s);
+  void on_attempt_timeout(const Request& request, double now_s, bool will_retry);
+  void on_retry(const Request& request, double now_s, double reissue_s);
   void on_complete(const Request& request, double now_s, CompletionStatus status,
-                   double latency_s, bool within_slo) override;
+                   double latency_s, bool within_slo);
 
   // Recorded request events, in event-loop (chronological) order.
   [[nodiscard]] const std::vector<RequestEvent>& request_events() const noexcept {
@@ -309,28 +229,29 @@ struct TimelineWindow {
   std::vector<std::size_t> tenant_within_slo;
 };
 
-class TimelineRecorder final : public Observer {
+class TimelineRecorder {
  public:
   // `catalog` must outlive the recorder (tenant names in the export).
   TimelineRecorder(const TimelineConfig& config, const WorkloadCatalog& catalog);
 
-  void on_arrival(const Request& request, double now_s) override;
-  void on_admission(const Request& request, double now_s, bool admitted) override;
+  // The events it records (see ObserverHub for each hook's meaning).
+  void on_arrival(const Request& request, double now_s);
+  void on_admission(const Request& request, double now_s, bool admitted);
   void on_dispatch(std::size_t slot, std::uint64_t seq, const std::vector<Request>& batch,
-                   double now_s, double done_s) override;
+                   double now_s, double done_s);
   void on_batch_abort(std::size_t slot, std::uint64_t seq, double start_s, double abort_s,
-                      std::size_t size) override;
-  void on_requeue(const Request& request, double now_s) override;
-  void on_attempt_timeout(const Request& request, double now_s, bool will_retry) override;
-  void on_retry(const Request& request, double now_s, double reissue_s) override;
+                      std::size_t size);
+  void on_requeue(const Request& request, double now_s);
+  void on_attempt_timeout(const Request& request, double now_s, bool will_retry);
+  void on_retry(const Request& request, double now_s, double reissue_s);
   void on_complete(const Request& request, double now_s, CompletionStatus status,
-                   double latency_s, bool within_slo) override;
-  void on_slot_failure(std::size_t slot, double now_s) override;
-  void on_slot_recovery(std::size_t slot, double now_s) override;
-  void on_autoscale(std::size_t family, int delta, double now_s) override;
+                   double latency_s, bool within_slo);
+  void on_slot_failure(std::size_t slot, double now_s);
+  void on_slot_recovery(std::size_t slot, double now_s);
+  void on_autoscale(std::size_t family, int delta, double now_s);
   void on_tick(double now_s, std::size_t queued, std::size_t active_slots,
-               std::size_t failed_slots) override;
-  void finish(double end_s) override;
+               std::size_t failed_slots);
+  void finish(double end_s);
 
   [[nodiscard]] double window_s() const noexcept { return config_.window_s; }
   [[nodiscard]] const std::vector<TimelineWindow>& windows() const noexcept {
@@ -416,9 +337,11 @@ struct Observation {
   std::unique_ptr<EventLoopProfiler> profiler;
 };
 
-// Owns the configured observers of one simulation and fans every hook out to
-// them.  The simulator holds a null hub for unobserved runs, so the disabled
-// path is one branch per hook site.
+// Owns the configured observers of one simulation and forwards each event
+// loop hook to the observers that record it.  Hooks are called in the loop's
+// deterministic event order with simulated timestamps; observers must not
+// mutate simulation state (they receive const views only).  Only observed
+// runs construct a hub (see simulate()).
 class ObserverHub {
  public:
   // Validates `config`; `catalog` must outlive the hub.
@@ -426,33 +349,53 @@ class ObserverHub {
 
   [[nodiscard]] EventLoopProfiler* profiler() noexcept { return profiler_.get(); }
 
+  // A fleet slot came into existence (initial slots at t=0, grown slots at
+  // their activation instant).  `spec` is the slot's registry spec name.
   void on_slot_added(std::size_t slot, const std::string& spec, double now_s);
+  // A fresh request was pulled from the traffic source (retried attempts
+  // re-enter through `on_retry`, not here).
   void on_arrival(const Request& request, double now_s);
+  // Admission verdict for an arriving attempt (fresh or retried).  A false
+  // verdict is terminal: `on_complete` follows with kShed.
   void on_admission(const Request& request, double now_s, bool admitted);
+  // A batch left the queue for slot `slot` (dispatch seq `seq`), due back at
+  // `done_s`.
   void on_dispatch(std::size_t slot, std::uint64_t seq, const std::vector<Request>& batch,
                    double now_s, double done_s);
+  // The in-flight batch on `slot` finished (span [start_s, end_s]).
   void on_batch_complete(std::size_t slot, std::uint64_t seq, double start_s, double end_s,
                          std::size_t size);
+  // The in-flight batch on `slot` was aborted by a slot failure at `abort_s`;
+  // its requests requeue (one `on_requeue` each).
   void on_batch_abort(std::size_t slot, std::uint64_t seq, double start_s, double abort_s,
                       std::size_t size);
   void on_requeue(const Request& request, double now_s);
+  // An attempt exceeded its timeout.  `will_retry` says whether a retried
+  // attempt follows (`on_retry`) or the request terminates (kTimeout).
   void on_attempt_timeout(const Request& request, double now_s, bool will_retry);
+  // A retried attempt was scheduled to re-arrive at `reissue_s`.
   void on_retry(const Request& request, double now_s, double reissue_s);
+  // Terminal outcome of one logical request (exactly one call per request,
+  // mirroring TrafficSource::on_complete).  `latency_s` is client-perceived
+  // (first issue to now); `within_slo` is false for non-kOk terminals.
   void on_complete(const Request& request, double now_s, CompletionStatus status,
                    double latency_s, bool within_slo);
   void on_slot_failure(std::size_t slot, double now_s);
   void on_slot_recovery(std::size_t slot, double now_s);
+  // The autoscaler applied a delta to `family` (+1 grow, -1 shrink).
   void on_autoscale(std::size_t family, int delta, double now_s);
+  // One event-loop iteration advanced simulated time to `now_s`.  Gauge
+  // snapshot: queued requests, active (non-draining) slots, and the live
+  // down slots among them.
   void on_tick(double now_s, std::size_t queued, std::size_t active_slots,
                std::size_t failed_slots);
+  // The loop drained; `end_s` is the simulation's final instant.
   void finish(double end_s);
 
   // Releases the owned observers (call after `finish`).
   [[nodiscard]] Observation take();
 
  private:
-  // The observers are held by concrete (final) type and called directly, so
-  // their hooks devirtualise and unoverridden no-ops inline away.
   std::unique_ptr<LifecycleTracer> tracer_;
   std::unique_ptr<TimelineRecorder> timeline_;
   std::unique_ptr<EventLoopProfiler> profiler_;

@@ -34,6 +34,10 @@ class FifoScheduler final : public Scheduler {
 
   [[nodiscard]] std::size_t queued() const noexcept override { return queued_; }
 
+  [[nodiscard]] std::size_t queued(std::uint32_t workload) const noexcept override {
+    return workload < queues_.size() ? queues_[workload].size() : 0;
+  }
+
   [[nodiscard]] bool ready(double, const WorkloadMask& mask) const noexcept override {
     for (std::uint32_t w = 0; w < queues_.size(); ++w) {
       if (!queues_[w].empty() && mask.allows(w)) return true;
@@ -114,11 +118,20 @@ class DynamicBatchScheduler final : public Scheduler {
   }
 
   void enqueue(const Request& request, double) override {
-    buckets_[bucket_key(request)].push_back(request);
+    buckets_[key_of(request.workload, request.seq_len)].push_back(request);
     ++queued_;
   }
 
   [[nodiscard]] std::size_t queued() const noexcept override { return queued_; }
+
+  [[nodiscard]] std::size_t queued(std::uint32_t workload) const noexcept override {
+    std::size_t n = 0;
+    for (auto it = buckets_.lower_bound(key_of(workload, 0));
+         it != buckets_.end() && workload_of(it->first) == workload; ++it) {
+      n += it->second.size();
+    }
+    return n;
+  }
 
   [[nodiscard]] bool ready(double now_s, const WorkloadMask& mask) const noexcept override {
     for (const auto& [key, bucket] : buckets_) {
@@ -182,13 +195,11 @@ class DynamicBatchScheduler final : public Scheduler {
     // One joiner at a time: always the oldest head across the workload's seq
     // buckets (tie: lowest seq bucket via map order).  max_n is a lane count
     // — small — so the repeated scan over the workload's buckets stays cheap.
-    const std::uint64_t lo = static_cast<std::uint64_t>(workload) << 32;
-    const std::uint64_t hi = (static_cast<std::uint64_t>(workload) + 1) << 32;
     std::size_t taken = 0;
     while (taken < max_n) {
       auto best = buckets_.end();
-      for (auto it = buckets_.lower_bound(lo); it != buckets_.end() && it->first < hi;
-           ++it) {
+      for (auto it = buckets_.lower_bound(key_of(workload, 0));
+           it != buckets_.end() && workload_of(it->first) == workload; ++it) {
         if (it->second.empty()) continue;
         if (best == buckets_.end() ||
             it->second.front().arrival_s < best->second.front().arrival_s) {
@@ -206,8 +217,9 @@ class DynamicBatchScheduler final : public Scheduler {
 
  private:
   // Workload-major bucket key: high 32 bits workload, low 32 bits seq bucket.
-  [[nodiscard]] static std::uint64_t bucket_key(const Request& r) noexcept {
-    return (static_cast<std::uint64_t>(r.workload) << 32) | r.seq_len;
+  [[nodiscard]] static std::uint64_t key_of(std::uint32_t workload,
+                                            std::uint32_t seq_len) noexcept {
+    return (static_cast<std::uint64_t>(workload) << 32) | seq_len;
   }
   [[nodiscard]] static std::uint32_t workload_of(std::uint64_t key) noexcept {
     return static_cast<std::uint32_t>(key >> 32);

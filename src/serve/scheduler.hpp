@@ -67,6 +67,8 @@ class Scheduler {
 
   virtual void enqueue(const Request& request, double now_s) = 0;
   [[nodiscard]] virtual std::size_t queued() const noexcept = 0;
+  // Waiting requests of one workload (the autoscaler's per-family backlog).
+  [[nodiscard]] virtual std::size_t queued(std::uint32_t workload) const noexcept = 0;
   // True if `pop` would return a non-empty batch at `now_s` under `mask`.
   [[nodiscard]] virtual bool ready(double now_s,
                                    const WorkloadMask& mask = {}) const noexcept = 0;
@@ -88,16 +90,9 @@ class Scheduler {
   // dynamic batching: across the workload's seq buckets, oldest head first —
   // a joiner need not share the batch's seq bucket, decode steps cost by the
   // widest lane's context).  Appends to `out` without clearing it and returns
-  // the joiner count.  The base implementation joins nothing, so schedulers
-  // without a phase-aware pop keep monolithic semantics.
+  // the joiner count.
   virtual std::size_t pop_joiners(std::uint32_t workload, std::size_t max_n, double now_s,
-                                  std::vector<Request>& out) {
-    (void)workload;
-    (void)max_n;
-    (void)now_s;
-    (void)out;
-    return 0;
-  }
+                                  std::vector<Request>& out) = 0;
 
   // Convenience overload returning the batch by value (tests, one-shot
   // callers; the hot loop uses the buffer-filling virtual above).

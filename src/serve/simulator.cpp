@@ -429,18 +429,30 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   std::vector<std::vector<double>> tenant_latencies(hdr ? 0 : catalog.size());
   std::vector<HdrHistogram> tenant_hist(
       hdr ? catalog.size() : 0, HdrHistogram(hdr ? sim.hdr_relative_error : 0.01));
-  // Dollars attributed per tenant: served slot-time at the slot's hourly rate
-  // plus batch energy at $/J, charged wherever dispatched energy is (batch
-  // completions and pro-rata fault aborts).  Sums to <= the fleet cost —
-  // idle slot-time and idle static energy stay unattributed.
+  // Charges dispatched work: its energy to the fleet, and its dollars to
+  // tenant `w` (served slot-time at the slot's hourly rate plus the energy at
+  // $/J) — at batch and decode-step completions and pro-rata fault aborts.
+  // Tenant dollars sum to <= the fleet cost: idle slot-time and idle static
+  // energy stay unattributed.
   const double usd_per_joule = fleet.cost.usd_per_joule;
-  const auto attribute_cost = [&](std::uint32_t w, double served_s, double energy_j,
-                                  std::size_t cache) {
+  const auto charge = [&](std::uint32_t w, double served_s, double energy_j,
+                          std::size_t cache) {
+    m.fleet_energy_j += energy_j;
     m.tenants[w].cost_usd += served_s / 3600.0 * rate_of_cache[cache] +
                              energy_j * usd_per_joule;
   };
   // Terminal outcomes (completed + shed + timed out): the loop's stop target.
+  // Every request ends here exactly once; the counters of its outcome are
+  // the caller's.
   std::size_t terminal = 0;
+  const auto terminate = [&](const Request& req, double t, CompletionStatus status,
+                             double latency_s, bool in_slo) {
+    ++terminal;
+    if constexpr (kObs) obs->on_complete(req, t, status, latency_s, in_slo);
+    // Feedback to the source: a closed-loop session may now schedule its
+    // next issue (at or after this instant).
+    source->on_complete(req, t, status);
+  };
 
   // Decode-phase setup, all skipped when nothing decodes: the gated branches
   // below then never fire, keeping decode-free runs bit-identical to the
@@ -489,11 +501,10 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     m.decode_occupancy.assign(lane_capacity + 1, 0);
   }
 
-  // Autoscaler signals: per-workload queue depths and the per-family
-  // time-integral of busy slots since the last evaluation step (exact busy
-  // fraction, not the dispatch-time batch-latency proxy — a batch longer
-  // than the interval keeps counting as busy in later intervals).
-  std::vector<std::size_t> queued_by_workload(catalog.size(), 0);
+  // Autoscaler signal: the per-family time-integral of busy slots since the
+  // last evaluation step (exact busy fraction, not the dispatch-time
+  // batch-latency proxy — a batch longer than the interval keeps counting as
+  // busy in later intervals).
   std::vector<double> family_busy_integral_s(families.size(), 0.0);
   std::uint64_t eval_count = 0;
   double next_eval_s = scaler ? sim.autoscaler.interval_s : kNever;
@@ -510,6 +521,38 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     }
   };
   rebuild_live();
+
+  // Live slot gauges, kept incrementally so neither admission nor the
+  // on_tick hook scans the fleet: active (non-draining) slots, and the down
+  // slots among them — a down slot leaves the count when it retires.
+  std::size_t active_total = slots.size();
+  std::size_t failed_total = 0;
+
+  // Takes slot `idx` out of the fleet at `t` for good: its active window
+  // ends, a down slot leaves the failed-slot gauge, and it stops failing.
+  const auto retire = [&](std::size_t idx, double t) {
+    Slot& s = slots[idx];
+    s.retired = true;
+    s.active_end_s = t;
+    if (s.failed) --failed_total;
+    if (faults) faults->remove_slot(idx);
+    rebuild_live();
+  };
+
+  // Starts a batch or decode step of `latency_s` / `energy_j` on slot `idx`
+  // at `t`: the slot turns busy and its completion joins the heap under the
+  // next dispatch seq.
+  const auto start_step = [&](std::size_t idx, double t, double latency_s, double energy_j) {
+    Slot& s = slots[idx];
+    s.idle = false;
+    s.busy_s += latency_s;
+    s.inflight_seq = dispatch_seq;
+    s.inflight_start_s = t;
+    s.inflight_done_s = t + latency_s;
+    s.inflight_energy_j = energy_j;
+    heap.push({s.inflight_done_s, dispatch_seq, idx});
+    ++dispatch_seq;
+  };
 
   // Scratch for the mixed-fleet dispatch mask: workload w is dispatchable
   // when some idle non-draining accelerator serves it.  Single-kind fleets
@@ -536,6 +579,12 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     return false;
   };
 
+  // True when `req`'s attempt is past its entry's timeout at `t`.
+  const auto expired = [&](const Request& req, double t) {
+    const double timeout_s = timeout_of[req.workload];
+    return has_timeouts && timeout_s > 0.0 && t - req.arrival_s > timeout_s;
+  };
+
   // A timed-out attempt either re-enters through the retry heap (budget
   // left) or terminates as kTimeout.
   const auto handle_timed_out_attempt = [&](const Request& req, double now_s) {
@@ -553,13 +602,23 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     } else {
       ++m.timed_out_requests;
       ++m.tenants[req.workload].timed_out;
-      ++terminal;
-      if constexpr (kObs) {
-        obs->on_complete(req, now_s, CompletionStatus::kTimeout,
-                         now_s - req.first_arrival_s, false);
-      }
-      source->on_complete(req, now_s, CompletionStatus::kTimeout);
+      terminate(req, now_s, CompletionStatus::kTimeout, now_s - req.first_arrival_s, false);
     }
+  };
+
+  // Lazy queued-timeout cancellation: the expired requests of a scheduler pop
+  // time out at `t` and leave `popped`, which keeps the rest in order.
+  const auto drop_expired = [&](std::vector<Request>& popped, double t) {
+    if (!has_timeouts) return;
+    std::size_t kept = 0;
+    for (Request& req : popped) {
+      if (expired(req, t)) {
+        handle_timed_out_attempt(req, t);
+      } else {
+        popped[kept++] = std::move(req);
+      }
+    }
+    popped.resize(kept);
   };
 
   // Full kOk-completion accounting for one request at `t` — shared by the
@@ -584,13 +643,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       ++tenant.within_slo;
     }
     ++m.completed;
-    ++terminal;
-    if constexpr (kObs) {
-      obs->on_complete(req, t, CompletionStatus::kOk, latency, in_slo);
-    }
-    // Feedback to the source: a closed-loop session may now schedule its
-    // next issue (at or after this completion's instant).
-    source->on_complete(req, t, CompletionStatus::kOk);
+    terminate(req, t, CompletionStatus::kOk, latency, in_slo);
   };
 
   // Terminal accounting for a request that decoded: the e2e completion plus
@@ -599,14 +652,14 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // usual — its generated tokens were wasted work.
   const auto finish_decode_request = [&](const Request& req, double t,
                                          double first_token_s, std::uint32_t generated) {
-    const std::uint32_t w = req.workload;
-    if (has_timeouts && timeout_of[w] > 0.0 && t - req.arrival_s > timeout_of[w]) {
+    if (expired(req, t)) {
       m.aborted_decode_tokens += generated;
       handle_timed_out_attempt(req, t);
       return;
     }
     complete_ok(req, t);
     if (generated == 0) return;  // trace-built joiner with no tokens to decode
+    const std::uint32_t w = req.workload;
     ++m.decode_requests;
     m.generated_tokens += generated;
     const double ttft = first_token_s - req.first_arrival_s;
@@ -643,22 +696,15 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     ctx = (ctx + bucket - 1) / bucket * bucket;
     const PerfReport& r =
         caches[s.cache].decode_step(w, s.lanes.size(), ctx);
-    const double step_s = r.latency_s + extra_s;
-    s.busy_s += step_s;
-    s.inflight_seq = dispatch_seq;
-    s.inflight_start_s = now_s;
-    s.inflight_done_s = now_s + step_s;
-    s.inflight_energy_j = r.total_energy_j + extra_j;
-    heap.push({s.inflight_done_s, dispatch_seq, idx});
-    ++dispatch_seq;
+    start_step(idx, now_s, r.latency_s + extra_s, r.total_energy_j + extra_j);
   };
 
-  // Token-boundary scheduling decision for slot `idx`: admit waiting prefills
-  // into free lanes (continuous mode, non-draining slots), then either run
-  // another step or — every lane drained — go idle (retiring a draining
-  // slot).  Decode steps carry no observer dispatch/complete batch hooks: the
-  // traced lifecycle stays arrival -> dispatch -> completion with the decode
-  // phase inside the request's span.
+  // The one after-step path of slot `idx` (a finished batch or decode step):
+  // admit waiting prefills into free lanes (continuous mode, non-draining
+  // slots), then either run another step or — every lane drained — go idle
+  // (retiring a draining slot).  Decode steps carry no observer
+  // dispatch/complete batch hooks: the traced lifecycle stays arrival ->
+  // dispatch -> completion with the decode phase inside the request's span.
   const auto continue_decode = [&](std::size_t idx, double now_s) {
     Slot& s = slots[idx];
     double extra_s = 0.0;
@@ -667,34 +713,23 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
         s.lanes.size() < lane_capacity) {
       const std::uint32_t w = s.decode_workload;
       joiner_buf.clear();
-      const std::size_t popped =
-          sched->pop_joiners(w, lane_capacity - s.lanes.size(), now_s, joiner_buf);
-      if (popped > 0) {
-        queued_by_workload[w] -= popped;
-        std::size_t joined = 0;
+      sched->pop_joiners(w, lane_capacity - s.lanes.size(), now_s, joiner_buf);
+      drop_expired(joiner_buf, now_s);
+      if (!joiner_buf.empty()) {
         std::uint32_t max_seq = 0;
         for (Request& req : joiner_buf) {
-          // Lazy queued-timeout cancellation, as in dispatch.
-          if (has_timeouts && timeout_of[w] > 0.0 &&
-              now_s - req.arrival_s > timeout_of[w]) {
-            handle_timed_out_attempt(req, now_s);
-            continue;
-          }
           DecodeLane lane;
           lane.remaining = req.decode_tokens;
           max_seq = std::max(max_seq, req.seq_len);
           lane.request = std::move(req);
           s.lanes.push_back(std::move(lane));
-          ++joined;
         }
-        if (joined > 0) {
-          // The joining step pays the joiners' prefill on top of the decode
-          // step: running lanes stall for it (TPOT interference), joiners
-          // get their first token at the step's end.
-          const PerfReport& pr = caches[s.cache].estimate(w, joined, max_seq);
-          extra_s = pr.latency_s;
-          extra_j = pr.total_energy_j;
-        }
+        // The joining step pays the joiners' prefill on top of the decode
+        // step: running lanes stall for it (TPOT interference), joiners get
+        // their first token at the step's end.
+        const PerfReport& pr = caches[s.cache].estimate(w, joiner_buf.size(), max_seq);
+        extra_s = pr.latency_s;
+        extra_j = pr.total_energy_j;
       }
     }
     if (!s.lanes.empty()) {
@@ -704,12 +739,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     s.decoding = false;
     s.inflight_seq = kNoBatch;
     s.idle = true;
-    if (s.draining && !s.retired) {
-      s.retired = true;
-      s.active_end_s = now_s;
-      if (faults) faults->remove_slot(idx);
-      rebuild_live();
-    }
+    if (s.draining && !s.retired) retire(idx, now_s);
   };
 
   // Admission decision for one arriving request (fresh or retried).
@@ -718,16 +748,12 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     sig.tier = catalog.at(r.workload).priority;
     sig.queued = sched->queued();
     sig.slo_s = slo_of[r.workload];
-    std::size_t active = 0;
-    for (const std::size_t i : live) {
-      const Slot& s = slots[i];
-      if (!s.draining && !s.failed) ++active;
-    }
-    sig.active_slots = active;
+    sig.active_slots = active_total - failed_total;  // up and not draining
     if (slo_admission) {
       sig.service_s = service_of[r.workload];
-      sig.predicted_wait_s = static_cast<double>(sig.queued) * mean_service_s /
-                             static_cast<double>(std::max<std::size_t>(active, 1));
+      sig.predicted_wait_s =
+          static_cast<double>(sig.queued) * mean_service_s /
+          static_cast<double>(std::max<std::size_t>(sig.active_slots, 1));
     }
     return admission->admit(sig);
   };
@@ -740,15 +766,9 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     if (!admitted) {
       ++m.shed_requests;
       ++m.tenants[r.workload].shed;
-      ++terminal;
-      if constexpr (kObs) {
-        obs->on_complete(r, now_s, CompletionStatus::kShed, now_s - r.first_arrival_s,
-                         false);
-      }
-      source->on_complete(r, now_s, CompletionStatus::kShed);
+      terminate(r, now_s, CompletionStatus::kShed, now_s - r.first_arrival_s, false);
       return;
     }
-    ++queued_by_workload[r.workload];
     sched->enqueue(r, now_s);
     m.peak_queue_depth = std::max(m.peak_queue_depth, sched->queued());
   };
@@ -763,98 +783,66 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       sched->pop(now_s, mask, batch);
       if (prof) prof->record(LoopSource::kSchedulerPop, t_pop, 1);
       LUMOS_ENSURES(!batch.empty());
-      const std::uint32_t workload = batch.front().workload;
-      queued_by_workload[workload] -= batch.size();
-      if (has_timeouts && timeout_of[workload] > 0.0) {
-        // Lazy queued-timeout cancellation: expired requests never dispatch.
-        std::size_t kept = 0;
-        for (Request& req : batch) {
-          if (now_s - req.arrival_s > timeout_of[workload]) {
-            handle_timed_out_attempt(req, now_s);
-          } else {
-            batch[kept++] = std::move(req);
-          }
-        }
-        batch.resize(kept);
-        if (batch.empty()) {
-          arena.release(std::move(batch));
-          continue;
-        }
+      drop_expired(batch, now_s);  // expired requests never dispatch
+      if (batch.empty()) {
+        arena.release(std::move(batch));
+        continue;
       }
+      const std::uint32_t workload = batch.front().workload;
       // Batching schedulers never mix seq buckets within a batch (FIFO
       // batches are single requests), so the head's sampled length prices the
       // whole batch.
       const std::uint32_t seq_len = batch.front().seq_len;
-      std::size_t chosen = kNone;
-      for (const std::size_t i : live) {
-        if (can_dispatch_to(slots[i]) && cache_serves[slots[i].cache][workload] != 0) {
-          chosen = i;
-          break;
-        }
-      }
-      LUMOS_ENSURES(chosen != kNone);
-      std::uint64_t estimate_calls = 1;  // the pricing call below
+      // Routing: one scan over the compatible idle slots in index order.
+      // First-idle takes the first; energy-aware the lowest predicted energy;
+      // cost-aware the cheapest slot still predicted to land the batch head
+      // inside the tenant's SLO, keeping the first-idle pick when none can,
+      // so overloaded fleets degrade to first-idle rather than stall.
       const auto t_est = prof_now();
-      if (fleet.routing == RoutingPolicy::kEnergyAware) {
-        double best_j = kNever;
-        for (const std::size_t i : live) {
-          if (!can_dispatch_to(slots[i]) || cache_serves[slots[i].cache][workload] == 0) {
-            continue;
-          }
-          const double j =
-              caches[slots[i].cache].estimate(workload, batch.size(), seq_len).total_energy_j;
-          ++estimate_calls;
-          if (j < best_j) {
-            best_j = j;
-            chosen = i;
-          }
-        }
-      } else if (fleet.routing == RoutingPolicy::kCostAware) {
-        // Cheapest compatible idle slot still predicted to land the batch
-        // head inside the tenant's SLO; with no such candidate `chosen` keeps
-        // the first-idle pick, so overloaded fleets degrade to first-idle
-        // rather than stall.
-        double best_usd = kNever;
-        for (const std::size_t i : live) {
-          if (!can_dispatch_to(slots[i]) || cache_serves[slots[i].cache][workload] == 0) {
-            continue;
-          }
-          const PerfReport& est = caches[slots[i].cache].estimate(workload, batch.size(), seq_len);
-          ++estimate_calls;
+      std::uint64_t estimate_calls = 1;  // the pricing call below
+      std::size_t chosen = kNone;
+      double best = kNever;
+      for (const std::size_t i : live) {
+        const Slot& c = slots[i];
+        if (!can_dispatch_to(c) || cache_serves[c.cache][workload] == 0) continue;
+        if (chosen == kNone) chosen = i;
+        if (fleet.routing == RoutingPolicy::kFirstIdle) break;
+        const PerfReport& est = caches[c.cache].estimate(workload, batch.size(), seq_len);
+        ++estimate_calls;
+        double score = est.total_energy_j;
+        if (fleet.routing == RoutingPolicy::kCostAware) {
           if (now_s + est.latency_s - batch.front().first_arrival_s > slo_of[workload]) {
             continue;
           }
-          const double usd = est.latency_s / 3600.0 * rate_of_cache[slots[i].cache] +
-                             est.total_energy_j * fleet.cost.usd_per_joule;
-          if (usd < best_usd) {
-            best_usd = usd;
-            chosen = i;
-          }
+          score = est.latency_s / 3600.0 * rate_of_cache[c.cache] +
+                  est.total_energy_j * usd_per_joule;
+        }
+        if (score < best) {
+          best = score;
+          chosen = i;
         }
       }
+      LUMOS_ENSURES(chosen != kNone);
       const PerfReport& r = caches[slots[chosen].cache].estimate(workload, batch.size(), seq_len);
       if (prof) prof->record(LoopSource::kEstimate, t_est, estimate_calls);
       Slot& sl = slots[chosen];
-      sl.idle = false;
-      sl.busy_s += r.latency_s;
       ++m.dispatches;
       ++m.batch_histogram[batch.size()];
       sl.inflight = std::move(batch);
-      sl.inflight_seq = dispatch_seq;
-      sl.inflight_start_s = now_s;
-      sl.inflight_done_s = now_s + r.latency_s;
-      sl.inflight_energy_j = r.total_energy_j;
+      start_step(chosen, now_s, r.latency_s, r.total_energy_j);
       if constexpr (kObs) {
-        obs->on_dispatch(chosen, dispatch_seq, sl.inflight, now_s, sl.inflight_done_s);
+        obs->on_dispatch(chosen, sl.inflight_seq, sl.inflight, now_s, sl.inflight_done_s);
       }
-      heap.push({sl.inflight_done_s, dispatch_seq, chosen});
-      ++dispatch_seq;
     }
   };
 
-  // Live failed-slot count for the observer gauge; kept incrementally so the
-  // on_tick hook never scans the fleet.
-  std::size_t failed_total = 0;
+  // Puts `req`, whose batch a slot failure aborted at `t`, back in the queue
+  // (the same attempt: its deadline still runs from its arrival).
+  const auto requeue = [&](const Request& req, double t) {
+    sched->enqueue(req, t);
+    ++m.requeued_requests;
+    if constexpr (kObs) obs->on_requeue(req, t);
+  };
 
   // Applies every pending fault transition up to `now_s`; returns how many it
   // applied.  A failure aborts the slot's in-flight batch (partial
@@ -889,11 +877,8 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
           const double span = s.inflight_done_s - s.inflight_start_s;
           if (span > 0.0) {
             const double served_s = t_ev - s.inflight_start_s;
-            const double energy_j = s.inflight_energy_j * (served_s / span);
-            m.fleet_energy_j += energy_j;
-            const std::uint32_t aborted_w =
-                s.decoding ? s.decode_workload : s.inflight.front().workload;
-            attribute_cost(aborted_w, served_s, energy_j, s.cache);
+            charge(s.decoding ? s.decode_workload : s.inflight.front().workload, served_s,
+                   s.inflight_energy_j * (served_s / span), s.cache);
           }
           if (s.decoding) {
             // Mid-decode failure: the KV state is gone, so each lane's
@@ -901,34 +886,20 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
             // its generated-so-far tokens count as aborted work.
             for (const DecodeLane& lane : s.lanes) {
               m.aborted_decode_tokens += lane.generated;
-              ++queued_by_workload[lane.request.workload];
-              sched->enqueue(lane.request, t_ev);
-              ++m.requeued_requests;
-              if constexpr (kObs) obs->on_requeue(lane.request, t_ev);
+              requeue(lane.request, t_ev);
             }
             s.lanes.clear();
             s.decoding = false;
           } else {
             std::vector<Request> aborted = std::move(s.inflight);
-            for (const Request& req : aborted) {
-              ++queued_by_workload[req.workload];
-              sched->enqueue(req, t_ev);
-              ++m.requeued_requests;
-              if constexpr (kObs) obs->on_requeue(req, t_ev);
-            }
+            for (const Request& req : aborted) requeue(req, t_ev);
             arena.release(std::move(aborted));
           }
           s.inflight_seq = kNoBatch;
           s.idle = true;
           m.peak_queue_depth = std::max(m.peak_queue_depth, sched->queued());
         }
-        if (s.draining && !s.retired) {
-          s.retired = true;
-          s.active_end_s = t_ev;
-          --failed_total;
-          faults->remove_slot(i);
-          rebuild_live();
-        }
+        if (s.draining && !s.retired) retire(i, t_ev);
       } else {
         s.failed = false;
         ++s.repairs;
@@ -948,11 +919,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // active slots.  Shrinks drain before retiring: the slot is closed to new
   // work immediately, retires now if idle, otherwise at its completion.
   // Failed slots are invisible (reported via `failed_slots`, not `active`).
-  // Active (dispatchable-family) slot count across all families, kept
-  // incrementally for peak tracking.
-  std::size_t active_total = slots.size();
   const auto evaluate_autoscaler = [&](double now_s) {
-    bool live_changed = false;
     for (std::size_t f = 0; f < families.size(); ++f) {
       FamilySignals signals;
       signals.min_slots = sim.autoscaler.min_slots;
@@ -970,7 +937,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       }
       const std::vector<char>& serves = cache_serves[family_cache[f]];
       for (std::uint32_t w = 0; w < catalog.size(); ++w) {
-        if (serves[w] != 0) signals.queued += queued_by_workload[w];
+        if (serves[w] != 0) signals.queued += sched->queued(w);
       }
       signals.utilization =
           signals.active_slots > 0
@@ -992,7 +959,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
           obs->on_slot_added(slots.size() - 1, caches[slots.back().cache].spec().name,
                              now_s);
         }
-        live_changed = true;
+        rebuild_live();
         ++m.autoscale_grows;
         ++active_total;
         m.peak_fleet_size = std::max(m.peak_fleet_size, active_total);
@@ -1003,18 +970,12 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
           s.draining = true;
           if constexpr (kObs) obs->on_autoscale(f, -1, now_s);
           --active_total;
-          if (s.idle) {
-            s.retired = true;
-            s.active_end_s = now_s;
-            if (faults) faults->remove_slot(i);
-            live_changed = true;
-          }
+          if (s.idle) retire(i, now_s);
           ++m.autoscale_shrinks;
           break;
         }
       }
     }
-    if (live_changed) rebuild_live();
   };
 
   double last_arrival_s = 0.0;
@@ -1055,9 +1016,8 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
         // Token boundary: the decode step finished; each active lane emits
         // one token, drained lanes complete, and the slot decides whether
         // another step runs (see continue_decode).
-        m.fleet_energy_j += acc.inflight_energy_j;
-        attribute_cost(acc.decode_workload, acc.inflight_done_s - acc.inflight_start_s,
-                       acc.inflight_energy_j, acc.cache);
+        charge(acc.decode_workload, acc.inflight_done_s - acc.inflight_start_s,
+               acc.inflight_energy_j, acc.cache);
         ++m.decode_steps;
         ++m.decode_occupancy[acc.lanes.size()];
         std::size_t kept = 0;
@@ -1085,15 +1045,12 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       std::vector<Request> batch = std::move(acc.inflight);
       acc.inflight.clear();
       acc.inflight_seq = kNoBatch;
-      m.fleet_energy_j += acc.inflight_energy_j;
       // Batches never mix workloads, so the head names the paying tenant.
-      attribute_cost(batch.front().workload, acc.inflight_done_s - acc.inflight_start_s,
-                     acc.inflight_energy_j, acc.cache);
+      charge(batch.front().workload, acc.inflight_done_s - acc.inflight_start_s,
+             acc.inflight_energy_j, acc.cache);
       const bool can_gen = has_decode && cache_generates[acc.cache] != 0;
       for (const Request& req : batch) {
-        const std::uint32_t w = req.workload;
-        if (has_timeouts && timeout_of[w] > 0.0 &&
-            done.time_s - req.arrival_s > timeout_of[w]) {
+        if (expired(req, done.time_s)) {
           // Finished past its deadline: the result is useless to the client.
           handle_timed_out_attempt(req, done.time_s);
           continue;
@@ -1122,17 +1079,8 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
         // join its free lanes starting right now.
         acc.decoding = true;
         acc.decode_workload = acc.lanes.front().request.workload;
-        continue_decode(done.acc, done.time_s);
-      } else {
-        acc.idle = true;
-        if (acc.draining) {
-          // Drained: the in-flight batch finished, the slot may now retire.
-          acc.retired = true;
-          acc.active_end_s = done.time_s;
-          if (faults) faults->remove_slot(done.acc);
-          rebuild_live();
-        }
       }
+      continue_decode(done.acc, done.time_s);
     }
     if (prof) prof->record(LoopSource::kCompletions, t_completions, completion_events);
     if (faults) {

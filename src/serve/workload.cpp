@@ -182,9 +182,11 @@ void WorkloadCatalog::set_seqlen(std::size_t i, const SeqLenConfig& config) {
 }
 
 void WorkloadCatalog::apply_seqlen_dist(SeqLenDist dist) {
+  bool any = false;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const CatalogEntry& e = entries_[i];
     if (e.workload.kind() != arch::WorkloadKind::kTransformer) continue;
+    any = true;
     if (dist == SeqLenDist::kFixed) {
       set_seqlen(i, SeqLenConfig{});
       continue;
@@ -202,6 +204,10 @@ void WorkloadCatalog::apply_seqlen_dist(SeqLenDist dist) {
       cfg.log_sigma = 0.5;
     }
     set_seqlen(i, cfg);
+  }
+  if (!any) {
+    throw InvalidArgument(
+        "apply_seqlen_dist: catalog holds no transformer entry to sample lengths for");
   }
 }
 

@@ -131,7 +131,8 @@ class WorkloadCatalog {
   // Convenience: `dist` over every transformer entry, with bounds derived
   // from each entry's native sequence length (uniform: [native/2, 2*native];
   // log-normal: median at the native length, clamped to [16, 4*native]).
-  // GNN entries stay fixed.
+  // Throws when the catalog holds no transformer entry.  GNN entries stay
+  // fixed.
   void apply_seqlen_dist(SeqLenDist dist);
 
   // Per-tenant decode-length distributions.  Validates `config` (see

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """JSON contracts of lumos_cli's --json mode (run by ctest).
 
-usage: cli_json.py <path/to/lumos_cli> parse|point0|threads
+usage: cli_json.py <path/to/lumos_cli> parse|point0|threads|gauges
 
   parse    the stdout of every --json mode, and a --timeline-out *.json
            file, load with the json module
   point0   an observed run (--profile) reports the same p50/p99/p99.9
            latency and goodput as campaign grid point 0
   threads  campaign JSON is byte-identical under LUMOS_THREADS=1 and 4
+  gauges   a faulted, autoscaled run's timeline never counts more down slots
+           than active ones (failed_slots <= active_slots in every window)
 """
 import json
 import os
@@ -63,8 +65,26 @@ def check_threads(cli):
     return "campaign JSON is thread-count invariant"
 
 
+def check_gauges(cli):
+    # The autoscaler shrinks this fleet while slots are down, so a retired
+    # down slot must leave the failed-slot gauge.
+    with tempfile.TemporaryDirectory() as tmp:
+        timeline = os.path.join(tmp, "timeline.json")
+        run(cli, "serve", "tron", "--requests", "100000", "--autoscale", "util",
+            "--mtbf-us", "5000", "--mttr-us", "2000", "--fleet", "4", "--max-fleet", "4",
+            "--scale-interval-us", "1000", "--timeline-out", timeline)
+        with open(timeline) as f:
+            windows = json.load(f)["windows"]
+    over = [i for i, w in enumerate(windows) if w["failed_slots"] > w["active_slots"]]
+    if over:
+        raise SystemExit(f"{len(over)} of {len(windows)} timeline windows count more "
+                         f"failed than active slots (first: window {over[0]})")
+    return f"failed_slots <= active_slots in all {len(windows)} timeline windows"
+
+
 def main():
-    checks = {"parse": check_parse, "point0": check_point0, "threads": check_threads}
+    checks = {"parse": check_parse, "point0": check_point0, "threads": check_threads,
+              "gauges": check_gauges}
     if len(sys.argv) != 3 or sys.argv[2] not in checks:
         raise SystemExit(__doc__)
     print("cli_json OK:", checks[sys.argv[2]](sys.argv[1]))

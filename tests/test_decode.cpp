@@ -344,7 +344,7 @@ TEST(DecodeLoop, FaultAbortsConserveTokenAccounting) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler pop_joiners
+// Scheduler pop_joiners and per-workload queue counts
 // ---------------------------------------------------------------------------
 
 Request make_request(std::uint64_t id, double arrival_s, std::uint32_t workload,
@@ -375,6 +375,9 @@ TEST(PopJoiners, FifoAppendsMatchingWorkloadInArrivalOrder) {
   EXPECT_EQ(out[1].id, 1u);
   EXPECT_EQ(out[2].id, 3u);
   EXPECT_EQ(scheduler->queued(), 2u);  // request 4 and the workload-1 request
+  EXPECT_EQ(scheduler->queued(0), 1u);
+  EXPECT_EQ(scheduler->queued(1), 1u);
+  EXPECT_EQ(scheduler->queued(7), 0u);  // a workload never enqueued
 
   out.clear();
   EXPECT_EQ(scheduler->pop_joiners(0, 4, 5e-3, out), 1u);
@@ -388,41 +391,22 @@ TEST(PopJoiners, DynamicBatchJoinsOldestHeadAcrossSeqBuckets) {
   policy.max_batch = 8;
   const auto scheduler = make_scheduler(SchedulerKind::kDynamicBatch, policy);
   // Two seq buckets of workload 0; the joiner order follows arrival across
-  // buckets, not bucket order.
+  // buckets, not bucket order.  Workload 1's bucket is never a joiner.
   scheduler->enqueue(make_request(1, 0.0, 0, 256), 0.0);
   scheduler->enqueue(make_request(2, 1e-3, 0, 128), 1e-3);
   scheduler->enqueue(make_request(3, 2e-3, 0, 256), 2e-3);
+  scheduler->enqueue(make_request(4, 2e-3, 1, 32), 2e-3);
+  EXPECT_EQ(scheduler->queued(0), 3u);  // summed across its seq buckets
 
   std::vector<Request> out;
-  EXPECT_EQ(scheduler->pop_joiners(0, 3, 3e-3, out), 3u);
+  EXPECT_EQ(scheduler->pop_joiners(0, 4, 3e-3, out), 3u);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].id, 1u);
   EXPECT_EQ(out[1].id, 2u);
   EXPECT_EQ(out[2].id, 3u);
-  EXPECT_EQ(scheduler->queued(), 0u);
-}
-
-TEST(PopJoiners, BaseImplementationJoinsNothing) {
-  // A scheduler without a phase-aware pop keeps monolithic semantics via the
-  // base no-op.
-  class Minimal final : public Scheduler {
-   public:
-    void enqueue(const Request&, double) override {}
-    [[nodiscard]] std::size_t queued() const noexcept override { return 0; }
-    [[nodiscard]] bool ready(double, const WorkloadMask&) const noexcept override {
-      return false;
-    }
-    [[nodiscard]] double next_deadline_s(const WorkloadMask&) const noexcept override {
-      return std::numeric_limits<double>::infinity();
-    }
-    void pop(double, const WorkloadMask&, std::vector<Request>& out) override { out.clear(); }
-  };
-  Minimal minimal;
-  std::vector<Request> out;
-  out.push_back(make_request(99, 0.0, 0));
-  EXPECT_EQ(minimal.pop_joiners(0, 8, 0.0, out), 0u);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].id, 99u);
+  EXPECT_EQ(scheduler->queued(), 1u);
+  EXPECT_EQ(scheduler->queued(0), 0u);
+  EXPECT_EQ(scheduler->queued(1), 1u);
 }
 
 // ---------------------------------------------------------------------------

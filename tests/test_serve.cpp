@@ -667,6 +667,9 @@ TEST(Validation, CatalogRejectsBadSeqLenConfigs) {
   cfg.dist = SeqLenDist::kUniform;
   expect_invalid([&] { ghost.set_seqlen(0, cfg); }, "cannot sample sequence lengths");
   EXPECT_NO_THROW(ghost.set_seqlen(0, SeqLenConfig{}));
+  // ... and a catalog of GNN entries only has nothing to sample lengths for.
+  expect_invalid([&] { ghost.apply_seqlen_dist(SeqLenDist::kLogNormal); },
+                 "no transformer entry");
   // apply_seqlen_dist over a mixed catalog touches only transformer entries.
   WorkloadCatalog mixed = WorkloadCatalog::mixed_default();
   EXPECT_NO_THROW(mixed.apply_seqlen_dist(SeqLenDist::kLogNormal));
