@@ -424,6 +424,7 @@ void print_run_json(const serve::Scenario& scenario, const serve::FleetMetrics& 
       const auto src = static_cast<serve::LoopSource>(i);
       w.begin_object()
           .field("source", serve::loop_source_name(src))
+          .field("calls", p.calls(src))
           .field("events", p.events(src))
           .field("wall_s", p.wall_s(src))
           .end();

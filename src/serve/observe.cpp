@@ -531,7 +531,12 @@ void EventLoopProfiler::record(LoopSource source, Clock::time_point t0,
                                std::uint64_t events) noexcept {
   const std::size_t i = static_cast<std::size_t>(source);
   wall_s_[i] += std::chrono::duration<double>(Clock::now() - t0).count();
+  ++calls_[i];
   events_[i] += events;
+}
+
+std::uint64_t EventLoopProfiler::calls(LoopSource source) const noexcept {
+  return calls_[static_cast<std::size_t>(source)];
 }
 
 std::uint64_t EventLoopProfiler::events(LoopSource source) const noexcept {
@@ -554,13 +559,13 @@ double EventLoopProfiler::accounted_wall_s() const noexcept {
 
 Table EventLoopProfiler::to_table(const std::string& title) const {
   Table t(title);
-  t.add_row({"source", "events", "wall ms", "ns/event", "share"});
+  t.add_row({"source", "calls", "events", "wall ms", "ns/event", "share"});
   const double total = accounted_wall_s();
   const auto row = [&](LoopSource s, bool in_total) {
     const std::uint64_t n = events(s);
     const double w = wall_s(s);
-    t.add_row({std::string(in_total ? "" : "  ") + loop_source_name(s), std::to_string(n),
-               Table::num(w * 1e3, 3),
+    t.add_row({std::string(in_total ? "" : "  ") + loop_source_name(s),
+               std::to_string(calls(s)), std::to_string(n), Table::num(w * 1e3, 3),
                Table::num(n > 0 ? w * 1e9 / static_cast<double>(n) : 0.0, 1),
                in_total ? Table::num(total > 0.0 ? w / total : 0.0, 3) : "-"});
   };
@@ -573,7 +578,7 @@ Table EventLoopProfiler::to_table(const std::string& title) const {
   // Sub-sources of dispatch, indented and excluded from the share column.
   row(LoopSource::kSchedulerPop, false);
   row(LoopSource::kEstimate, false);
-  t.add_row({"loop total", std::to_string(iterations_) + " iters",
+  t.add_row({"loop total", std::to_string(iterations_) + " iters", "-",
              Table::num(total * 1e3, 3),
              Table::num(iterations_ > 0 ? total * 1e9 / static_cast<double>(iterations_) : 0.0,
                         1),

@@ -28,9 +28,10 @@
 //     slots, per-tenant attainment per window) exported as CSV or JSON for
 //     plotting overload and fault transients.
 //   * `EventLoopProfiler` — wall-clock self-profile of the event loop:
-//     events and time per source, plus scheduler-pop and estimate-lookup
-//     costs inside dispatch, printed as a table.  The only observer that
-//     reads a real clock; it still never touches simulated state.
+//     calls, events and time per source, plus scheduler-pop and
+//     estimate-lookup costs inside dispatch, printed as a table.  The only
+//     observer that reads a real clock; it still never touches simulated
+//     state.
 //
 // `simulate(scenario, &observation)` moves the scenario's observers into
 // `observation` after the run so callers can export (see lumos_cli serve
@@ -304,10 +305,14 @@ class EventLoopProfiler {
  public:
   using Clock = std::chrono::steady_clock;
 
-  // Adds `events` events and the wall time since `t0` to `source`.
+  // Adds one call, `events` events and the wall time since `t0` to
+  // `source`.
   void record(LoopSource source, Clock::time_point t0, std::uint64_t events) noexcept;
   void add_iterations(std::uint64_t iterations) noexcept { iterations_ += iterations; }
 
+  // Times `source` was recorded (kDispatch: the dispatch rounds the loop
+  // ran) beside the events those calls produced (kDispatch: dispatches).
+  [[nodiscard]] std::uint64_t calls(LoopSource source) const noexcept;
   [[nodiscard]] std::uint64_t events(LoopSource source) const noexcept;
   [[nodiscard]] double wall_s(LoopSource source) const noexcept;
   [[nodiscard]] std::uint64_t iterations() const noexcept { return iterations_; }
@@ -315,10 +320,11 @@ class EventLoopProfiler {
   // subsets of kDispatch and excluded).
   [[nodiscard]] double accounted_wall_s() const noexcept;
 
-  // source | events | wall ms | ns/event | share of accounted time.
+  // source | calls | events | wall ms | ns/event | share of accounted time.
   [[nodiscard]] Table to_table(const std::string& title) const;
 
  private:
+  std::uint64_t calls_[static_cast<std::size_t>(LoopSource::kCount)] = {};
   std::uint64_t events_[static_cast<std::size_t>(LoopSource::kCount)] = {};
   double wall_s_[static_cast<std::size_t>(LoopSource::kCount)] = {};
   std::uint64_t iterations_ = 0;

@@ -101,11 +101,13 @@ class FifoScheduler final : public Scheduler {
 
 // Per-(workload, seq-bucket) batching buckets, keyed workload-major so the
 // map iterates (workload, seq) ascending and masks/tiers — which bind per
-// workload — test only the key's high half.  Readiness and deadlines ignore
-// tiers (a lower-priority bucket's deadline must still wake the event loop so
-// the tier eventually dispatches); the pop respects strict tier order among
-// the ready buckets, falling back to longest-waiting-head order within a
-// tier.
+// workload — test only the key's high half.  A bucket lives only while it
+// holds requests: the pop that empties it erases it, so every scan walks the
+// waiting work, never every bucket the run has touched.  Readiness and
+// deadlines ignore tiers (a lower-priority bucket's deadline must still wake
+// the event loop so the tier eventually dispatches); the pop respects strict
+// tier order among the ready buckets, falling back to longest-waiting-head
+// order within a tier.
 class DynamicBatchScheduler final : public Scheduler {
  public:
   DynamicBatchScheduler(const BatchPolicy& policy, std::vector<std::uint32_t> priorities)
@@ -135,7 +137,7 @@ class DynamicBatchScheduler final : public Scheduler {
 
   [[nodiscard]] bool ready(double now_s, const WorkloadMask& mask) const noexcept override {
     for (const auto& [key, bucket] : buckets_) {
-      if (bucket.empty() || !mask.allows(workload_of(key))) continue;
+      if (!mask.allows(workload_of(key))) continue;
       if (bucket.size() >= policy_.max_batch) return true;
       if (bucket.front().arrival_s + policy_.max_wait_s <= now_s) return true;
     }
@@ -145,7 +147,7 @@ class DynamicBatchScheduler final : public Scheduler {
   [[nodiscard]] double next_deadline_s(const WorkloadMask& mask) const noexcept override {
     double deadline = kNever;
     for (const auto& [key, bucket] : buckets_) {
-      if (bucket.empty() || !mask.allows(workload_of(key))) continue;
+      if (!mask.allows(workload_of(key))) continue;
       deadline = std::min(deadline, bucket.front().arrival_s + policy_.max_wait_s);
     }
     return deadline;
@@ -158,7 +160,7 @@ class DynamicBatchScheduler final : public Scheduler {
     // (workload id, seq bucket) via the map's iteration order).
     auto best = buckets_.end();
     for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {
-      if (it->second.empty() || !mask.allows(workload_of(it->first))) continue;
+      if (!mask.allows(workload_of(it->first))) continue;
       const std::deque<Request>& bucket = it->second;
       const bool is_ready = bucket.size() >= policy_.max_batch ||
                             bucket.front().arrival_s + policy_.max_wait_s <= now_s;
@@ -183,11 +185,7 @@ class DynamicBatchScheduler final : public Scheduler {
       bucket.pop_front();
     }
     queued_ -= take;
-    // The emptied bucket node stays in the map (its deque keeps a spare
-    // block): a steady-state workload re-fills the same (workload, seq)
-    // bucket every batch, and erasing would pay a map-node free + alloc per
-    // dispatch.  Distinct keys are bounded by workloads x seq buckets, so
-    // retained empties cannot grow with request count.
+    if (bucket.empty()) buckets_.erase(best);
   }
 
   std::size_t pop_joiners(std::uint32_t workload, std::size_t max_n, double,
@@ -200,7 +198,6 @@ class DynamicBatchScheduler final : public Scheduler {
       auto best = buckets_.end();
       for (auto it = buckets_.lower_bound(key_of(workload, 0));
            it != buckets_.end() && workload_of(it->first) == workload; ++it) {
-        if (it->second.empty()) continue;
         if (best == buckets_.end() ||
             it->second.front().arrival_s < best->second.front().arrival_s) {
           best = it;
@@ -209,6 +206,7 @@ class DynamicBatchScheduler final : public Scheduler {
       if (best == buckets_.end()) break;
       out.push_back(best->second.front());
       best->second.pop_front();
+      if (best->second.empty()) buckets_.erase(best);
       --queued_;
       ++taken;
     }
@@ -227,7 +225,8 @@ class DynamicBatchScheduler final : public Scheduler {
 
   BatchPolicy policy_;
   std::vector<std::uint32_t> tiers_;
-  // std::map for deterministic iteration order (ascending workload, seq).
+  // std::map for deterministic iteration order (ascending workload, seq);
+  // never holds an empty bucket.
   std::map<std::uint64_t, std::deque<Request>> buckets_;
   std::size_t queued_ = 0;
 };

@@ -527,6 +527,28 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // slots among them — a down slot leaves the count when it retires.
   std::size_t active_total = slots.size();
   std::size_t failed_total = 0;
+  // Slots a batch could go to now (can_dispatch_to).  A retire never moves
+  // the count: only draining slots retire.
+  std::size_t dispatchable = slots.size();
+  // Raised by every change to the scheduler's contents or to a slot's
+  // dispatchability, and by every dispatch round; lowered when the loop
+  // recomputes its batching deadline.  While it is down, no batch can become
+  // ready before that deadline, so the loop skips the dispatch round.
+  bool changed = true;
+  // The only places the count moves.  A transition that can close slot `s`
+  // (start_step, fault failure, autoscaler drain) calls uncount_dispatchable
+  // before it; one that can open `s` (the go-idle in continue_decode, fault
+  // recovery, autoscaler grow) calls count_dispatchable after it.
+  const auto uncount_dispatchable = [&](const Slot& s) {
+    if (!can_dispatch_to(s)) return;
+    --dispatchable;
+    changed = true;
+  };
+  const auto count_dispatchable = [&](const Slot& s) {
+    if (!can_dispatch_to(s)) return;
+    ++dispatchable;
+    changed = true;
+  };
 
   // Takes slot `idx` out of the fleet at `t` for good: its active window
   // ends, a down slot leaves the failed-slot gauge, and it stops failing.
@@ -544,6 +566,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // next dispatch seq.
   const auto start_step = [&](std::size_t idx, double t, double latency_s, double energy_j) {
     Slot& s = slots[idx];
+    uncount_dispatchable(s);
     s.idle = false;
     s.busy_s += latency_s;
     s.inflight_seq = dispatch_seq;
@@ -572,11 +595,15 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     return WorkloadMask{&allowed};
   };
 
-  const auto any_dispatchable = [&]() {
-    for (const std::size_t i : live) {
-      if (can_dispatch_to(slots[i])) return true;
-    }
-    return false;
+  // The earliest instant a held batch could dispatch by deadline.  Deadlines
+  // only matter while an accelerator could take the batch; when everything
+  // is busy the next completion re-evaluates readiness anyway.  In mixed
+  // fleets the deadline is masked the same way dispatch is, so a deadline
+  // whose workload has no idle compatible accelerator never wakes the loop
+  // without progress.
+  const auto next_deadline = [&]() {
+    return dispatchable > 0 && sched->queued() > 0 ? sched->next_deadline_s(current_mask())
+                                                   : kNever;
   };
 
   // True when `req`'s attempt is past its entry's timeout at `t`.
@@ -713,7 +740,9 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
         s.lanes.size() < lane_capacity) {
       const std::uint32_t w = s.decode_workload;
       joiner_buf.clear();
-      sched->pop_joiners(w, lane_capacity - s.lanes.size(), now_s, joiner_buf);
+      if (sched->pop_joiners(w, lane_capacity - s.lanes.size(), now_s, joiner_buf) > 0) {
+        changed = true;
+      }
       drop_expired(joiner_buf, now_s);
       if (!joiner_buf.empty()) {
         std::uint32_t max_seq = 0;
@@ -739,6 +768,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     s.decoding = false;
     s.inflight_seq = kNoBatch;
     s.idle = true;
+    count_dispatchable(s);
     if (s.draining && !s.retired) retire(idx, now_s);
   };
 
@@ -770,12 +800,13 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       return;
     }
     sched->enqueue(r, now_s);
+    changed = true;
     m.peak_queue_depth = std::max(m.peak_queue_depth, sched->queued());
   };
 
   const auto try_dispatch = [&](double now_s) {
     for (;;) {
-      if (!any_dispatchable()) return;
+      if (dispatchable == 0) return;
       const WorkloadMask mask = current_mask();
       const auto t_pop = prof_now();
       if (!sched->ready(now_s, mask)) return;
@@ -840,6 +871,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // (the same attempt: its deadline still runs from its arrival).
   const auto requeue = [&](const Request& req, double t) {
     sched->enqueue(req, t);
+    changed = true;
     ++m.requeued_requests;
     if constexpr (kObs) obs->on_requeue(req, t);
   };
@@ -858,6 +890,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       ++transitions;
       Slot& s = slots[i];
       if (!up) {
+        uncount_dispatchable(s);
         s.failed = true;
         ++s.failures;
         ++m.slot_failures;
@@ -902,6 +935,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
         if (s.draining && !s.retired) retire(i, t_ev);
       } else {
         s.failed = false;
+        count_dispatchable(s);
         ++s.repairs;
         ++m.slot_recoveries;
         --failed_total;
@@ -960,6 +994,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
                              now_s);
         }
         rebuild_live();
+        count_dispatchable(slots.back());
         ++m.autoscale_grows;
         ++active_total;
         m.peak_fleet_size = std::max(m.peak_fleet_size, active_total);
@@ -967,6 +1002,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
         for (std::size_t i = slots.size(); i-- > 0;) {
           Slot& s = slots[i];
           if (s.family != f || s.retired || s.draining) continue;
+          uncount_dispatchable(s);
           s.draining = true;
           if constexpr (kObs) obs->on_autoscale(f, -1, now_s);
           --active_total;
@@ -980,19 +1016,23 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
 
   double last_arrival_s = 0.0;
   double now_s = 0.0;
+  double t_dead = kNever;
   while (terminal < total_requests) {
     const double t_arr = source->next_arrival_time();
     const double t_retry = retry_heap.next_time_s();
     const double t_done = heap.next_time_s();
     const double t_fault = faults ? faults->next_event_s() : kNever;
-    // Deadlines only matter while an accelerator could take the batch; when
-    // everything is busy the next completion re-evaluates readiness anyway.
-    // In mixed fleets the deadline is masked the same way dispatch is, so a
-    // deadline whose workload has no idle compatible accelerator never wakes
-    // the loop without progress.
-    const double t_dead = any_dispatchable() && sched->queued() > 0
-                              ? sched->next_deadline_s(current_mask())
-                              : kNever;
+    if (changed) {
+      t_dead = next_deadline();
+      changed = false;
+    }
+#ifndef NDEBUG
+    // The cached deadline and slot count agree with a fresh computation.
+    LUMOS_ENSURES(t_dead == next_deadline());
+    LUMOS_ENSURES(dispatchable == static_cast<std::size_t>(std::count_if(
+                                      live.begin(), live.end(),
+                                      [&](std::size_t i) { return can_dispatch_to(slots[i]); })));
+#endif
     const double t = std::min({t_arr, t_retry, t_done, t_dead, t_fault, next_eval_s});
     LUMOS_ENSURES(t >= now_s && t < kNever);
     m.tally.queue_depth_s += static_cast<double>(sched->queued()) * (t - now_s);
@@ -1116,13 +1156,21 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       next_eval_s = static_cast<double>(eval_count + 1) * sim.autoscaler.interval_s;
       if (prof) prof->record(LoopSource::kAutoscale, t_scale, 1);
     }
-    const auto t_dispatch = prof_now();
-    const std::size_t dispatched_before = m.dispatches;
-    try_dispatch(now_s);
-    if (prof) {
-      prof->record(LoopSource::kDispatch, t_dispatch, m.dispatches - dispatched_before);
-      prof->add_iterations(1);
+    // A dispatch round runs only when something changed since t_dead was
+    // computed, or t_dead has come: otherwise no batch can be ready, and the
+    // round would return without popping.
+    const bool round = changed || now_s >= t_dead;
+#ifndef NDEBUG
+    LUMOS_ENSURES(round || !(dispatchable > 0 && sched->ready(now_s, current_mask())));
+#endif
+    if (round) {
+      const auto t_dispatch = prof_now();
+      const std::size_t dispatched_before = m.dispatches;
+      try_dispatch(now_s);
+      changed = true;
+      if (prof) prof->record(LoopSource::kDispatch, t_dispatch, m.dispatches - dispatched_before);
     }
+    if (prof) prof->add_iterations(1);
     if constexpr (kObs) obs->on_tick(now_s, sched->queued(), active_total, failed_total);
   }
   if constexpr (kObs) obs->finish(now_s);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """JSON contracts of lumos_cli's --json mode (run by ctest).
 
-usage: cli_json.py <path/to/lumos_cli> parse|point0|threads|gauges
+usage: cli_json.py <path/to/lumos_cli> parse|point0|threads|gauges|rounds
 
   parse    the stdout of every --json mode, and a --timeline-out *.json
            file, load with the json module
@@ -10,6 +10,9 @@ usage: cli_json.py <path/to/lumos_cli> parse|point0|threads|gauges
   threads  campaign JSON is byte-identical under LUMOS_THREADS=1 and 4
   gauges   a faulted, autoscaled run's timeline never counts more down slots
            than active ones (failed_slots <= active_slots in every window)
+  rounds   a profiled decoding hybrid run skips the dispatch rounds that
+           cannot dispatch: the dispatch source's calls are at most half of
+           the loop iterations
 """
 import json
 import os
@@ -82,9 +85,22 @@ def check_gauges(cli):
     return f"failed_slots <= active_slots in all {len(windows)} timeline windows"
 
 
+def check_rounds(cli):
+    # Most iterations of a decoding run are token steps of busy slots, which
+    # change neither the queue nor which slots can take a batch.
+    profile = json.loads(run(cli, "serve", "tron,v100", "--fleet", "8", "--routing", "cost",
+                             "--decode", "32", "--requests", "4000", "--profile"))["profile"]
+    calls = {s["source"]: s["calls"] for s in profile["sources"]}["dispatch"]
+    iterations = profile["iterations"]
+    if calls * 2 > iterations:
+        raise SystemExit(f"{calls} dispatch rounds in {iterations} loop iterations: "
+                         "more than half")
+    return f"{calls} dispatch rounds in {iterations} loop iterations"
+
+
 def main():
     checks = {"parse": check_parse, "point0": check_point0, "threads": check_threads,
-              "gauges": check_gauges}
+              "gauges": check_gauges, "rounds": check_rounds}
     if len(sys.argv) != 3 or sys.argv[2] not in checks:
         raise SystemExit(__doc__)
     print("cli_json OK:", checks[sys.argv[2]](sys.argv[1]))

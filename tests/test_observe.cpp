@@ -332,6 +332,11 @@ TEST(Observe, ProfilerEventCountsMatchTheRun) {
   const EventLoopProfiler& prof = *obs.profiler;
   EXPECT_EQ(prof.events(LoopSource::kArrivals), scenario.traffic.open.request_count);
   EXPECT_EQ(prof.events(LoopSource::kDispatch), m.dispatches);
+  // Dispatch rounds: at most one per iteration, and only the rounds that ran.
+  EXPECT_GT(prof.calls(LoopSource::kDispatch), 0u);
+  EXPECT_LE(prof.calls(LoopSource::kDispatch), prof.iterations());
+  EXPECT_EQ(prof.calls(LoopSource::kArrivals), prof.iterations());
+  EXPECT_EQ(prof.calls(LoopSource::kSchedulerPop), prof.events(LoopSource::kSchedulerPop));
   EXPECT_EQ(prof.events(LoopSource::kCompletions), m.dispatches - m.failed_batches);
   EXPECT_EQ(prof.events(LoopSource::kRetries), m.retried_attempts);
   EXPECT_GT(prof.events(LoopSource::kFaults), 0u);
@@ -343,6 +348,7 @@ TEST(Observe, ProfilerEventCountsMatchTheRun) {
   std::ostringstream table;
   prof.to_table("event-loop profile").print(table);
   EXPECT_NE(table.str().find("scheduler-pop"), std::string::npos);
+  EXPECT_NE(table.str().find("calls"), std::string::npos);
   EXPECT_NE(table.str().find("loop total"), std::string::npos);
 }
 

@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "perf_report_matchers.hpp"
 #include "serve/campaign.hpp"
+#include "serve/event.hpp"
 #include "serve/simulator.hpp"
 #include "sim/registry.hpp"
 
@@ -312,6 +313,93 @@ TEST(Scheduler, DynamicBatchServesLongestWaitingBucketFirst) {
   const std::vector<Request> first = sched->pop(0.3);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].workload, 9u);  // oldest head-of-bucket wins
+}
+
+Request make_request(std::uint64_t id, double arrival_s, std::uint32_t workload,
+                     std::uint32_t seq_len) {
+  Request r = make_request(id, arrival_s, workload);
+  r.seq_len = seq_len;
+  return r;
+}
+
+// The pop that empties a bucket erases it: nothing of it is left to wake the
+// event loop, to report ready, or to count as queued.
+TEST(Scheduler, DrainedBucketLeavesNoDeadlineReadinessOrQueue) {
+  BatchPolicy policy;
+  policy.max_batch = 2;
+  policy.max_wait_s = 0.5;
+  const auto sched = make_scheduler(SchedulerKind::kDynamicBatch, policy);
+  sched->enqueue(make_request(0, 1.0, 3, 64), 1.0);
+  sched->enqueue(make_request(1, 1.1, 3, 64), 1.1);
+  EXPECT_EQ(sched->pop(1.1).size(), 2u);  // full bucket, drained by pop
+  EXPECT_EQ(sched->next_deadline_s(), kNever);
+  EXPECT_FALSE(sched->ready(10.0));
+  EXPECT_EQ(sched->queued(3), 0u);
+  EXPECT_EQ(sched->queued(), 0u);
+
+  sched->enqueue(make_request(2, 2.0, 3, 64), 2.0);
+  std::vector<Request> out;
+  EXPECT_EQ(sched->pop_joiners(3, 4, 2.0, out), 1u);  // drained by pop_joiners
+  EXPECT_EQ(sched->next_deadline_s(), kNever);
+  EXPECT_FALSE(sched->ready(10.0));
+  EXPECT_EQ(sched->queued(3), 0u);
+  EXPECT_EQ(sched->queued(), 0u);
+}
+
+TEST(Scheduler, RequestReenteringDrainedBucketGetsItsOwnDeadline) {
+  BatchPolicy policy;
+  policy.max_batch = 8;
+  policy.max_wait_s = 0.5;
+  const auto sched = make_scheduler(SchedulerKind::kDynamicBatch, policy);
+  sched->enqueue(make_request(0, 1.0, 1, 128), 1.0);
+  EXPECT_EQ(sched->pop(1.5).size(), 1u);  // deadline pop drains the bucket
+  sched->enqueue(make_request(1, 4.0, 1, 128), 4.0);
+  EXPECT_EQ(sched->next_deadline_s(), 4.5);
+  EXPECT_FALSE(sched->ready(4.25));
+  EXPECT_TRUE(sched->ready(4.5));
+
+  std::vector<Request> out;
+  EXPECT_EQ(sched->pop_joiners(1, 1, 4.25, out), 1u);  // drained again
+  sched->enqueue(make_request(2, 6.0, 1, 128), 6.0);
+  EXPECT_EQ(sched->next_deadline_s(), 6.5);
+  EXPECT_FALSE(sched->ready(6.25));
+  EXPECT_TRUE(sched->ready(6.5));
+}
+
+TEST(Scheduler, LongestWaitingOrderHoldsAcrossThousandDrainedBuckets) {
+  BatchPolicy policy;
+  policy.max_batch = 1;  // every bucket is full, so each pop drains one
+  policy.max_wait_s = 0.5;
+  const auto sched = make_scheduler(SchedulerKind::kDynamicBatch, policy);
+  // Bucket (s % 4, s) arrives at (1000 - s) ms: the longest-waiting order is
+  // descending s, against the map's key order.
+  constexpr std::uint32_t kBuckets = 1000;
+  for (std::uint32_t s = 1; s <= kBuckets; ++s) {
+    const double arrival_s = (kBuckets - s) * 1e-3;
+    sched->enqueue(make_request(s, arrival_s, s % 4, s), arrival_s);
+  }
+  for (std::uint32_t s = kBuckets; s >= 1; --s) {
+    const std::vector<Request> batch = sched->pop(1.0);
+    ASSERT_EQ(batch.size(), 1u);
+    ASSERT_EQ(batch[0].seq_len, s);
+  }
+  EXPECT_EQ(sched->queued(), 0u);
+  EXPECT_EQ(sched->next_deadline_s(), kNever);
+  EXPECT_FALSE(sched->ready(2.0));
+
+  // Refilled in scattered key order, the buckets still pop oldest first.
+  const std::uint32_t refill[] = {500, 3, 999, 42, 1};
+  for (std::uint32_t k = 0; k < 5; ++k) {
+    const double arrival_s = 2.0 + k * 1e-3;
+    sched->enqueue(make_request(k, arrival_s, refill[k] % 4, refill[k]), arrival_s);
+  }
+  EXPECT_EQ(sched->next_deadline_s(), 2.5);
+  for (const std::uint32_t s : refill) {
+    const std::vector<Request> batch = sched->pop(3.0);
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0].seq_len, s);
+  }
+  EXPECT_EQ(sched->queued(), 0u);
 }
 
 // ---------------------------------------------------------------------------
