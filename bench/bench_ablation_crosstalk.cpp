@@ -3,8 +3,6 @@
 // Regenerates the channel-count / Q-factor feasibility frontier that fixes
 // the accelerators' 16-wavelength bank design: crosstalk vs spacing, the
 // post-calibration SNR, and the per-channel laser power.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -42,31 +40,9 @@ void print_sweep() {
   }
 }
 
-void BM_WdmSweep(benchmark::State& state) {
-  const WdmLinkDesigner designer(MicroringDesign{}, PhotodetectorConfig{}, VcselConfig{},
-                                 LossStack{});
-  const WdmSearchSpace space;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(designer.sweep(space));
-  }
-}
-BENCHMARK(BM_WdmSweep)->Unit(benchmark::kMillisecond);
-
-void BM_CrosstalkAnalysis(benchmark::State& state) {
-  HeterodyneConfig c;
-  c.channel_count = static_cast<std::size_t>(state.range(0));
-  const HeterodyneCrosstalkModel model(c);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.analyze());
-  }
-}
-BENCHMARK(BM_CrosstalkAnalysis)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 // Compares the all-optical decomposed ordering against the naive ordering
 // that detects K, transposes digitally, and re-imprints — per attention head,
 // across the LLM model zoo: conversion counts, conversion energy, latency.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -46,36 +44,9 @@ void print_ablation() {
                "for the elimination of the K matrix's O/E/O round trip.\n\n";
 }
 
-void BM_DecomposedCosts(benchmark::State& state) {
-  const AttentionHeadUnit head(default_tron_config(), {});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(head.decomposed_score_costs(128, 768, 64));
-  }
-}
-BENCHMARK(BM_DecomposedCosts);
-
-void BM_FunctionalHeadForward(benchmark::State& state) {
-  const AttentionHeadUnit head(default_tron_config(), {});
-  Rng data(1);
-  const std::size_t l = static_cast<std::size_t>(state.range(0));
-  nn::Matrix x(l, 32), wq(32, 8), wk(32, 8), wv(32, 8);
-  x.fill_uniform(data, -1.0, 1.0);
-  wq.fill_normal(data, 0.18);
-  wk.fill_normal(data, 0.18);
-  wv.fill_normal(data, 0.18);
-  Rng rng(2);
-  const phot::AnalogNoiseConfig noise;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(head.forward(x, wq, wk, wv, rng, noise));
-  }
-}
-BENCHMARK(BM_FunctionalHeadForward)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_ablation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

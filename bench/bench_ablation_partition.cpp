@@ -3,8 +3,6 @@
 // Switches buffer-and-partition, weight-DAC sharing, and workload balancing
 // on/off (paper Section V.D) and reports the latency/energy deltas per
 // dataset, plus an input-block-size sweep of the partitioner itself.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -57,29 +55,10 @@ void print_block_sweep() {
   std::cout << '\n';
 }
 
-void BM_Partition(benchmark::State& state) {
-  const graph::GraphDataset ds = graph::synthetic_pubmed();
-  const graph::PartitionConfig cfg{16, static_cast<std::size_t>(state.range(0))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::partition(ds.graph, cfg));
-  }
-}
-BENCHMARK(BM_Partition)->Arg(512)->Arg(2048)->Arg(8192)->Unit(benchmark::kMillisecond);
-
-void BM_LaneBalance(benchmark::State& state) {
-  const graph::CsrGraph g = graph::rmat(12, 8, {}, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::lane_imbalance(g, 16, state.range(0) != 0));
-  }
-}
-BENCHMARK(BM_LaneBalance)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_optimization_matrix();
   print_block_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

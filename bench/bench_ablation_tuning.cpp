@@ -3,8 +3,6 @@
 // Quantifies the paper's Section V.A design choices: EO-only saturates, TO-
 // only burns power and latency, the hybrid takes the best of both, and TED
 // cuts the bank-level TO power versus independent per-ring feedback.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -62,32 +60,10 @@ void print_ted_table() {
   std::cout << '\n';
 }
 
-void BM_TedSolve(benchmark::State& state) {
-  const auto rings = static_cast<std::size_t>(state.range(0));
-  const ThermalBank bank({rings, 20e-6, 1.2e4, 35e-6});
-  std::vector<double> target(rings);
-  for (std::size_t i = 0; i < rings; ++i) target[i] = 1.0 + static_cast<double>(i % 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bank.ted_powers(target));
-  }
-}
-BENCHMARK(BM_TedSolve)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
-
-void BM_JacobiEigendecomposition(benchmark::State& state) {
-  const auto rings = static_cast<std::size_t>(state.range(0));
-  const ThermalBank bank({rings, 20e-6, 1.2e4, 35e-6});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(jacobi_eigendecomposition(bank.coupling()));
-  }
-}
-BENCHMARK(BM_JacobiEigendecomposition)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_policy_table();
   print_ted_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

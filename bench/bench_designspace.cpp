@@ -1,8 +1,6 @@
 // Design-space analysis (paper Section VI): sensitivity of both accelerators
 // to their architectural knobs around the default design point, plus the
 // floorplan/area summaries that bound the space.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/units.hpp"
@@ -44,31 +42,10 @@ void print_areas() {
   std::cout << '\n';
 }
 
-void BM_TronSensitivitySweep(benchmark::State& state) {
-  const auto base = tron::default_tron_config();
-  const auto model = nn::bert_base();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::tron_sensitivity(base, model));
-  }
-}
-BENCHMARK(BM_TronSensitivitySweep)->Unit(benchmark::kMillisecond);
-
-void BM_GhostSensitivitySweep(benchmark::State& state) {
-  const auto base = ghost::default_ghost_config();
-  const auto model = gnn::gcn_model();
-  const auto ds = graph::synthetic_cora();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::ghost_sensitivity(base, model, ds));
-  }
-}
-BENCHMARK(BM_GhostSensitivitySweep)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_sensitivity();
   print_areas();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,8 +1,6 @@
 // Fidelity study: int8 functional accuracy of the photonic datapath against
 // the exact reference implementations, with each analog non-ideality toggled
 // independently (DESIGN.md validation strategy).
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 
@@ -138,46 +136,11 @@ void print_precision_sweep() {
                "coarser quantisation dominates the error - matching the paper's choice.\n\n";
 }
 
-void BM_PhotonicMatmulNoisy(benchmark::State& state) {
-  const tron::TronConfig cfg = tron::default_tron_config();
-  const phot::MrBankArray array(cfg.bank, cfg.array_cols);
-  const auto dim = static_cast<std::size_t>(state.range(0));
-  Rng data(9);
-  nn::Matrix a(dim, dim), b(dim, dim);
-  a.fill_uniform(data, -1.0, 1.0);
-  b.fill_uniform(data, -1.0, 1.0);
-  Rng rng(10);
-  const phot::AnalogNoiseConfig noise;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tron::photonic_matmul(a, b, array, rng, noise));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_PhotonicMatmulNoisy)->Arg(8)->Arg(16)->Arg(32)->Complexity()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GhostFunctionalGcn(benchmark::State& state) {
-  const ghost::GhostAccelerator acc(ghost::default_ghost_config());
-  const auto ds = graph::tiny_dataset();
-  const auto weights = gnn::GnnModelWeights::random(gnn::gcn_model(), ds, 11);
-  Rng data(12);
-  nn::Matrix x(ds.graph.node_count(), ds.feature_dim);
-  x.fill_uniform(data, -1.0, 1.0);
-  Rng rng(13);
-  const phot::AnalogNoiseConfig noise;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(acc.forward(weights, ds.graph, x, rng, noise));
-  }
-}
-BENCHMARK(BM_GhostFunctionalGcn)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_matmul_fidelity();
   print_end_to_end_fidelity();
   print_precision_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

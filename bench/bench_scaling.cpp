@@ -4,8 +4,6 @@
 //   * TRON batched inference (how batching amortises the weight stream),
 //   * TRON autoregressive decoding (the memory-bound generation regime the
 //     paper's LLM motivation implies).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -83,45 +81,11 @@ void print_generation() {
                "motivates PIM/batched serving for LLMs.\n\n";
 }
 
-void BM_RmatGeneration(benchmark::State& state) {
-  const auto scale = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::rmat(scale, 8, {}, 1));
-  }
-}
-BENCHMARK(BM_RmatGeneration)->Arg(10)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
-
-void BM_GhostEstimateRmat(benchmark::State& state) {
-  const ghost::GhostAccelerator acc(ghost::default_ghost_config());
-  graph::GraphDataset ds;
-  ds.name = "rmat";
-  ds.graph = graph::rmat(static_cast<std::size_t>(state.range(0)), 8, {}, 2);
-  ds.feature_dim = 64;
-  ds.class_count = 16;
-  const auto model = gnn::graphsage_model();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(acc.estimate(model, ds));
-  }
-}
-BENCHMARK(BM_GhostEstimateRmat)->Arg(10)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
-
-void BM_TronGeneration(benchmark::State& state) {
-  const tron::TronAccelerator acc(tron::default_tron_config());
-  const auto model = nn::gpt2_small();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        acc.estimate_generation(model, 64, static_cast<std::size_t>(state.range(0))));
-  }
-}
-BENCHMARK(BM_TronGeneration)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_graph_scaling();
   print_batch_scaling();
   print_generation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,8 +2,6 @@
 // challenge named in the paper's conclusion.  Monte-Carlo over dies: trimming
 // power distribution and yield as a function of variation magnitude and
 // tuning range.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -53,22 +51,9 @@ void print_variation_study() {
   std::cout << '\n';
 }
 
-void BM_VariationMonteCarlo(benchmark::State& state) {
-  ProcessVariationConfig c;
-  c.monte_carlo_dies = static_cast<std::size_t>(state.range(0));
-  const ProcessVariationModel m(c, MicroringDesign{}, TuningCircuitConfig{});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.run(1));
-  }
-}
-BENCHMARK(BM_VariationMonteCarlo)->Arg(50)->Arg(200)->Arg(1000)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_variation_study();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -71,7 +71,8 @@
 //     --usd-per-watt-hour <x>  hosting $/W/h applied to a slot's static draw
 //                        for its default $/slot-hour rate (default 0.01)
 //     --slot-rate <spec=x>  pin an exact $/slot-hour for one spec name
-//                        (repeatable; overrides the static-draw default)
+//                        (repeatable; overrides the static-draw default; the
+//                        spec must be one that a slot of the run uses)
 //     --seed <s>         trace / session seed (default 1)
 //     --priority         two-tier strict priorities over the workload mix
 //                        (high-traffic tenants tier 0, the rest tier 1)
@@ -329,6 +330,20 @@ int run_list(bool json) {
   return 0;
 }
 
+// Splits a `sep`-separated list (a fleet's spec list, the --fleets grid); an
+// empty entry anywhere ("tron,", ",tron", "tron;;v100", "") is an error.
+std::vector<std::string> split_list(const std::string& text, char sep) {
+  std::vector<std::string> entries;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t end = text.find(sep, begin);
+    entries.push_back(text.substr(begin, end - begin));
+    if (entries.back().empty()) throw InvalidArgument("'" + text + "' has an empty entry");
+    if (end == std::string::npos) return entries;
+    begin = end + 1;
+  }
+}
+
 bool has_suffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -477,16 +492,7 @@ int run_serve(const std::vector<std::string>& args, bool json) {
     // Each name validates against the registry (unknown names throw the
     // registry's enumerated error); the catalog follows the union of kinds
     // the listed specs serve.
-    std::vector<std::string> specs;
-    std::string rest = args[0];
-    while (!rest.empty()) {
-      const std::size_t comma = rest.find(',');
-      specs.push_back(rest.substr(0, comma));
-      if (specs.back().empty()) {
-        throw InvalidArgument("serve fleet spec list has an empty entry: " + args[0]);
-      }
-      rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-    }
+    std::vector<std::string> specs = split_list(args[0], ',');
     bool transformer = false;
     bool gnn = false;
     for (const std::string& spec : specs) {
@@ -523,8 +529,12 @@ int run_serve(const std::vector<std::string>& args, bool json) {
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
     given.push_back(a);
+    // A flag's value is the next argument unless that is itself a flag
+    // ("--trace-out --profile" must not write a file named "--profile").
     const auto value = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) throw InvalidArgument(a + " needs a value");
+      if (i + 1 >= args.size() || args[i + 1].starts_with("--")) {
+        throw InvalidArgument(a + " needs a value");
+      }
       return args[++i];
     };
     if (a == "--loop") {
@@ -579,34 +589,21 @@ int run_serve(const std::vector<std::string>& args, bool json) {
         throw InvalidArgument("--slot-rate expects <spec>=<usd-per-hour>, got '" + pair +
                               "'");
       }
+      const std::string spec = pair.substr(0, eq);
+      (void)arch::is_platform_spec(spec);  // registry name validation
       const double rate = parse_double(pair.substr(eq + 1), "--slot-rate rate");
       if (rate < 0.0) throw InvalidArgument("--slot-rate rate must be >= 0");
-      cfg.cost.slot_hour_overrides.emplace_back(pair.substr(0, eq), rate);
+      cfg.cost.slot_hour_overrides.emplace_back(spec, rate);
     } else if (a == "--fleets") {
       // Fleet-template grid axis: semicolon-separated templates, each a
       // comma-separated spec list, swept as the outermost campaign axis.
-      const std::string grid = value();
       cfg.fleet_templates.clear();
-      std::string rest_templates = grid;
-      while (true) {
-        const std::size_t semi = rest_templates.find(';');
-        std::string entry = rest_templates.substr(0, semi);
-        std::vector<std::string> specs;
-        while (!entry.empty()) {
-          const std::size_t comma = entry.find(',');
-          specs.push_back(entry.substr(0, comma));
-          if (specs.back().empty()) {
-            throw InvalidArgument("--fleets template has an empty spec: '" + grid + "'");
-          }
-          (void)arch::is_platform_spec(specs.back());  // registry name validation
-          entry = comma == std::string::npos ? "" : entry.substr(comma + 1);
-        }
-        if (specs.empty()) {
-          throw InvalidArgument("--fleets has an empty template: '" + grid + "'");
+      for (const std::string& entry : split_list(value(), ';')) {
+        std::vector<std::string> specs = split_list(entry, ',');
+        for (const std::string& spec : specs) {
+          (void)arch::is_platform_spec(spec);  // registry name validation
         }
         cfg.fleet_templates.push_back(std::move(specs));
-        if (semi == std::string::npos) break;
-        rest_templates = rest_templates.substr(semi + 1);
       }
     } else if (a == "--seed") {
       cfg.seed = parse_size(value(), "--seed");
@@ -752,6 +749,27 @@ int run_serve(const std::vector<std::string>& args, bool json) {
   }
   cfg.fleet_sizes = {fleet};
   cfg.max_batches = {max_batch};
+  // A --slot-rate prices the slots of its spec only, so one that no slot of
+  // the run can take has no effect.  The run's slots are the template (or
+  // each --fleets template) cycled to --fleet, plus the "<spec>@<x>" variants
+  // that --grow-scale x grows.
+  std::vector<std::string> slot_specs;
+  using Templates = std::vector<std::vector<std::string>>;
+  for (const std::vector<std::string>& t :
+       cfg.fleet_templates.empty() ? Templates{cfg.fleet_template} : cfg.fleet_templates) {
+    for (const std::string& spec : serve::FleetConfig::cycled(t, fleet).accelerators) {
+      slot_specs.push_back(spec);
+      if (autoscaled && cfg.autoscale.grow_scale != 1.0) {
+        slot_specs.push_back(arch::scaled_spec_name(spec, cfg.autoscale.grow_scale));
+      }
+    }
+  }
+  for (const auto& [spec, rate] : cfg.cost.slot_hour_overrides) {
+    if (std::find(slot_specs.begin(), slot_specs.end(), spec) == slot_specs.end()) {
+      throw InvalidArgument("--slot-rate " + spec + " has no effect: the run has no " + spec +
+                            " slot");
+    }
+  }
   if (priority) catalog.apply_default_tiers();
 
   if (loop == serve::LoopMode::kClosed) {
@@ -824,11 +842,18 @@ int main(int argc, char** argv) {
   if (args.empty()) return usage();
   const std::string& mode = args[0];
   try {
+    // Each mode reads a fixed span of positional words; one beyond it is an
+    // error, not silently dropped.
+    const auto at_most = [&](std::size_t n) {
+      if (args.size() > n) throw InvalidArgument("unexpected argument: " + args[n]);
+    };
     if (mode == "list") {
+      at_most(1);
       return run_list(json);
     }
     if (args.size() < 2) return usage();
     if (mode == "tron") {
+      at_most(4);
       const std::size_t seq = args.size() > 2 ? parse_size(args[2], "seq_len") : 128;
       const std::size_t batch = args.size() > 3 ? parse_size(args[3], "batch") : 1;
       if (seq == 0 || batch == 0) throw InvalidArgument("seq_len and batch must be positive");
@@ -841,6 +866,7 @@ int main(int argc, char** argv) {
     }
     if (mode == "ghost") {
       if (args.size() < 3) return usage();
+      at_most(3);
       const std::unique_ptr<arch::Accelerator> acc = arch::make_accelerator("ghost");
       const PerfReport r = acc->estimate(arch::Workload::gnn(
           args[1] + "/" + args[2], sim::gnn_by_name(args[1]), sim::dataset_by_name(args[2])));
@@ -849,6 +875,7 @@ int main(int argc, char** argv) {
     }
     if (mode == "generate") {
       if (args.size() < 4) return usage();
+      at_most(4);
       const std::size_t prompt = parse_size(args[2], "prompt_len");
       const std::size_t tokens = parse_size(args[3], "tokens");
       if (prompt == 0 || tokens == 0) throw InvalidArgument("prompt and tokens must be positive");

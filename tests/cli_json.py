@@ -41,6 +41,9 @@ def check_parse(cli):
             ["serve", "tron", "--loop", "closed", "--sessions", "8", "--requests", "2000"],
             ["serve", "tron", "--requests", "2000", "--profile",
              "--timeline-out", timeline],
+            # A slot rate for the variant --grow-scale grows prices those slots.
+            ["serve", "tron", "--autoscale", "queue", "--grow-scale", "0.5",
+             "--slot-rate", "tron@0.5=9", "--requests", "20000", "--qps", "200000"],
         ]
         for args in modes:
             json.loads(run(cli, *args))
