@@ -47,7 +47,7 @@ void print_block_sweep() {
   Table t("Ablation D2: buffer-and-partition input-block-size sweep (Cora)");
   t.add_row({"block size", "input blocks", "tiles", "refetch factor"});
   for (const std::size_t block : {128u, 256u, 512u, 1024u, 2048u, 4096u}) {
-    const graph::PartitionSchedule s = graph::partition(ds.graph, {16, block});
+    const graph::PartitionSchedule s = graph::partition_reference(ds.graph, {16, block});
     t.add_row({std::to_string(block), std::to_string(s.input_block_count),
                std::to_string(s.tiles.size()), Table::num(s.refetch_factor(), 2)});
   }

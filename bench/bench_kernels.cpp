@@ -203,12 +203,12 @@ std::vector<BenchResult> run_benches(bool smoke) {
     r.has_baseline = true;
     results.push_back(r);
 
-    // ---- Buffer-and-partition tiling: linear sweep vs map-based ----
+    // ---- Buffer-and-partition tiling: bitset count vs map-based ----
     BenchResult p;
     p.name = "partition_rmat" + std::to_string(scale);
     p.detail = std::to_string(ds.graph.edge_count()) + " edges tiled";
     p.median_ms = median_ms_of(reps, [&] {
-      return static_cast<double>(graph::partition(ds.graph, {16, 2048}).tiles.size());
+      return static_cast<double>(graph::tile_count(ds.graph, {16, 2048}));
     });
     p.baseline = "seed map-based tiling";
     p.baseline_median_ms = median_ms_of(smoke ? 2 : 3, [&] {

@@ -8,6 +8,19 @@
 namespace lumos::ghost {
 
 namespace {
+// Rejects a configuration no unit could run, before any unit is built from
+// it (a unit built first would fail on its own, less clearly, or not at all).
+const GhostConfig& checked(const GhostConfig& c) {
+  LUMOS_EXPECTS(c.lanes >= 1);
+  LUMOS_EXPECTS(c.feature_lanes >= 1);
+  LUMOS_EXPECTS(c.reduce_branches >= 1);
+  LUMOS_EXPECTS(c.transform_arrays_per_lane >= 1);
+  LUMOS_EXPECTS(c.array_rows >= 1 && c.array_cols >= 1);
+  LUMOS_EXPECTS(c.symbol_rate_hz > 0.0);
+  LUMOS_EXPECTS(c.input_block_size >= 1);
+  return c;
+}
+
 tron::SoftmaxLutConfig softmax_config_from(const GhostConfig& c) {
   tron::SoftmaxLutConfig s;
   s.parallel_units = c.lanes * c.feature_lanes;
@@ -18,19 +31,17 @@ tron::SoftmaxLutConfig softmax_config_from(const GhostConfig& c) {
 }  // namespace
 
 GhostAccelerator::GhostAccelerator(const GhostConfig& config)
-    : config_(config),
+    : config_(checked(config)),
       reduce_(config),
       update_(config),
       transform_array_(config.bank, config.array_cols),
+      pass_energies_(transform_array_.pass_energies()),
       score_bank_(config.bank),
       softmax_(softmax_config_from(config)),
       feature_buffer_(config.feature_buffer),
       weight_buffer_(config.weight_buffer),
       edge_buffer_(config.edge_buffer),
-      dram_(config.dram) {
-  LUMOS_EXPECTS(config.lanes >= 1);
-  LUMOS_EXPECTS(config.array_rows >= 1 && config.array_cols >= 1);
-}
+      dram_(config.dram) {}
 
 double GhostAccelerator::static_power_w() const {
   const double per_array = transform_array_.matvec_cost().static_power_w;
@@ -115,12 +126,13 @@ PerfReport GhostAccelerator::estimate_batch(const gnn::GnnModelConfig& model,
     }
   }
 
-  // The partition schedule depends only on the graph and the lane/block
-  // configuration, so it is computed once and reused by every layer (the
+  // The tile count depends only on the graph and the lane/block
+  // configuration, so it is counted once and reused by every layer (the
   // reference mode re-tiles per layer, as the original implementation did).
-  graph::PartitionSchedule hoisted_schedule;
+  const graph::PartitionConfig tiling{config_.lanes, config_.input_block_size};
+  std::size_t hoisted_tiles = 0;
   if (costing == AggregateCosting::kDegreeHistogram && config_.buffer_and_partition) {
-    hoisted_schedule = graph::partition(g, {config_.lanes, config_.input_block_size});
+    hoisted_tiles = graph::tile_count(g, tiling);
   }
 
   double total_latency = 0.0;
@@ -174,7 +186,7 @@ PerfReport GhostAccelerator::estimate_batch(const gnn::GnnModelConfig& model,
     // sharing drives all lanes' arrays from one DAC bank, dividing the
     // conversion energy by the lane count.  Partially filled edge tiles only
     // pay for the rows/columns they actually use.
-    const phot::MrBankArray::PassEnergies pe = transform_array_.pass_energies();
+    const phot::MrBankArray::PassEnergies& pe = pass_energies_;
     const double kd = static_cast<double>(kh);
     const double nd = static_cast<double>(nh);
     const double frac_k = static_cast<double>(din * sage_mult) /
@@ -249,14 +261,11 @@ PerfReport GhostAccelerator::estimate_batch(const gnn::GnnModelConfig& model,
     const double node_feature_bytes = static_cast<double>(v) * static_cast<double>(din);
     double dram_bytes = 0.0;
     if (config_.buffer_and_partition) {
-      graph::PartitionSchedule per_layer_schedule;
-      if (costing != AggregateCosting::kDegreeHistogram) {
-        per_layer_schedule =
-            graph::partition_reference(g, {config_.lanes, config_.input_block_size});
-      }
-      const graph::PartitionSchedule& sched = costing == AggregateCosting::kDegreeHistogram
-                                                  ? hoisted_schedule
-                                                  : per_layer_schedule;
+      const std::size_t tiles = costing == AggregateCosting::kDegreeHistogram
+                                    ? hoisted_tiles
+                                    : graph::partition_reference(g, tiling).tiles.size();
+      const std::size_t input_blocks =
+          (v + config_.input_block_size - 1) / config_.input_block_size;
       const double block_bytes =
           static_cast<double>(config_.input_block_size) * static_cast<double>(din);
       // Partial aggregates for all output vertices must stay resident during
@@ -265,9 +274,8 @@ PerfReport GhostAccelerator::estimate_batch(const gnn::GnnModelConfig& model,
       const double partial_bytes = static_cast<double>(v) * static_cast<double>(agg_dim);
       const double capacity = static_cast<double>(config_.feature_buffer.capacity_bytes);
       const double super_blocks = std::max(1.0, std::ceil(partial_bytes / capacity));
-      dram_bytes = std::min(static_cast<double>(sched.input_block_count) * block_bytes *
-                                super_blocks,
-                            static_cast<double>(sched.input_block_loads()) * block_bytes) *
+      dram_bytes = std::min(static_cast<double>(input_blocks) * block_bytes * super_blocks,
+                            static_cast<double>(tiles) * block_bytes) *
                    bd;
     } else {
       const double capacity = static_cast<double>(config_.feature_buffer.capacity_bytes);

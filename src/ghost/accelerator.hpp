@@ -22,9 +22,9 @@ namespace lumos::ghost {
 // How `GhostAccelerator::estimate` costs the aggregate phase.
 enum class AggregateCosting {
   // Per distinct degree via CsrGraph::degree_histogram(): the reduce-pass
-  // total (and the partition schedule) are computed once per estimate instead
-  // of re-walking all V vertices (and re-tiling all E edges) per layer —
-  // O(layers * distinct_degrees) instead of O(layers * (V + E)).  Default.
+  // total is computed once per estimate instead of re-walking all V vertices
+  // per layer, and the buffer-and-partition tiles are counted once
+  // (`graph::tile_count`) instead of re-tiled per layer.  Default.
   kDegreeHistogram,
   // The original per-node O(V) loop with per-layer reference partitioning,
   // retained as the baseline for parity tests and bench_kernels.  Produces
@@ -34,6 +34,9 @@ enum class AggregateCosting {
 
 class GhostAccelerator {
  public:
+  // Throws InvalidArgument, before any unit is built, unless every lane,
+  // branch, array and block count is at least 1 and the symbol rate is
+  // positive.
   explicit GhostAccelerator(const GhostConfig& config);
 
   // Analytic mapping of one full-graph inference of `model` on `dataset`.
@@ -79,6 +82,9 @@ class GhostAccelerator {
   ReduceUnit reduce_;
   UpdateUnit update_;
   phot::MrBankArray transform_array_;
+  // The transform arrays' per-pass energies, laser sizing included, are a
+  // function of the configuration alone: computed once, not per layer.
+  phot::MrBankArray::PassEnergies pass_energies_;
   phot::MrBank score_bank_;      // GAT attention-score dot products
   tron::SoftmaxLut softmax_;     // GAT attention / classifier LUT softmax
   mem::SramModel feature_buffer_;

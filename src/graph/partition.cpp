@@ -1,8 +1,12 @@
 #include "graph/partition.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <numeric>
+#include <span>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -18,56 +22,6 @@ std::size_t PartitionSchedule::covered_edges() const noexcept {
 double PartitionSchedule::refetch_factor() const noexcept {
   if (input_block_count == 0) return 0.0;
   return static_cast<double>(tiles.size()) / static_cast<double>(input_block_count);
-}
-
-PartitionSchedule partition(const CsrGraph& graph, const PartitionConfig& config) {
-  LUMOS_EXPECTS(config.lane_count >= 1);
-  LUMOS_EXPECTS(config.input_block_size >= 1);
-  const std::size_t n = graph.node_count();
-  PartitionSchedule s;
-  s.config = config;
-  s.output_block_count = (n + config.lane_count - 1) / config.lane_count;
-  s.input_block_count = (n + config.input_block_size - 1) / config.input_block_size;
-
-  // The output block index v / lane_count is monotone in v, so one sweep over
-  // the vertices visits output blocks in order.  Edges of the current output
-  // block accumulate into a dense per-input-block counter (plus a touched
-  // list for sparse reset); each finished block flushes its occupied input
-  // blocks in ascending order, yielding the same (ob, ib)-ordered tiles as
-  // the reference map-based tiling without any per-edge container work.
-  std::vector<std::size_t> ib_edges(s.input_block_count, 0);
-  std::vector<std::size_t> touched;
-  const auto flush = [&](std::size_t ob) {
-    std::sort(touched.begin(), touched.end());
-    for (const std::size_t ib : touched) {
-      s.tiles.push_back({ob, ib, ib_edges[ib]});
-      ib_edges[ib] = 0;
-    }
-    touched.clear();
-  };
-  // The per-edge input-block index is the hot operation; when the block size
-  // is a power of two (every shipped configuration) the divide becomes a
-  // shift.
-  const std::size_t bs = config.input_block_size;
-  const bool pow2 = (bs & (bs - 1)) == 0;
-  std::size_t shift = 0;
-  while (pow2 && (std::size_t{1} << shift) < bs) ++shift;
-  std::size_t current_ob = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t ob = v / config.lane_count;
-    if (ob != current_ob) {
-      flush(current_ob);
-      current_ob = ob;
-    }
-    for (const NodeId u : graph.neighbors(static_cast<NodeId>(v))) {
-      const std::size_t ib = pow2 ? u >> shift : u / bs;
-      if (ib_edges[ib] == 0) touched.push_back(ib);
-      ++ib_edges[ib];
-    }
-  }
-  if (n > 0) flush(current_ob);
-  LUMOS_ENSURES(s.covered_edges() == graph.edge_count());
-  return s;
 }
 
 PartitionSchedule partition_reference(const CsrGraph& graph, const PartitionConfig& config) {
@@ -96,6 +50,66 @@ PartitionSchedule partition_reference(const CsrGraph& graph, const PartitionConf
   return s;
 }
 
+namespace {
+
+// `tile_count` for one input-block map: `block_of(u)` is the input block of
+// vertex `u`, below `input_blocks`.  Output block `ob` owns the vertices
+// [ob * lanes, (ob + 1) * lanes), whose edges are one run of the column
+// array.
+template <typename BlockOf>
+std::size_t count_tiles(const CsrGraph& graph, std::size_t lanes, std::size_t input_blocks,
+                        BlockOf block_of) {
+  const std::size_t n = graph.node_count();
+  const std::span<const std::size_t> rows = graph.row_ptr();
+  const std::span<const NodeId> cols = graph.col_idx();
+  std::size_t tiles = 0;
+  if (input_blocks <= 64) {
+    for (std::size_t v = 0; v < n; v += lanes) {
+      const std::size_t end = rows[std::min(n, v + lanes)];
+      std::uint64_t touched = 0;
+      for (std::size_t e = rows[v]; e < end; ++e) {
+        touched |= std::uint64_t{1} << block_of(cols[e]);
+      }
+      tiles += static_cast<std::size_t>(std::popcount(touched));
+    }
+    return tiles;
+  }
+  std::vector<std::uint64_t> touched((input_blocks + 63) / 64, 0);
+  for (std::size_t v = 0; v < n; v += lanes) {
+    const std::size_t begin = rows[v];
+    const std::size_t end = rows[std::min(n, v + lanes)];
+    for (std::size_t e = begin; e < end; ++e) {
+      const std::size_t ib = block_of(cols[e]);
+      touched[ib / 64] |= std::uint64_t{1} << (ib % 64);
+    }
+    // A second pass over the same edges counts each touched word once and
+    // clears it for the next output block.
+    for (std::size_t e = begin; e < end; ++e) {
+      tiles += static_cast<std::size_t>(
+          std::popcount(std::exchange(touched[block_of(cols[e]) / 64], 0)));
+    }
+  }
+  return tiles;
+}
+
+}  // namespace
+
+std::size_t tile_count(const CsrGraph& graph, const PartitionConfig& config) {
+  LUMOS_EXPECTS(config.lane_count >= 1);
+  LUMOS_EXPECTS(config.input_block_size >= 1);
+  const std::size_t bs = config.input_block_size;
+  const std::size_t input_blocks = (graph.node_count() + bs - 1) / bs;
+  // The per-edge divide becomes a shift when the block size is a power of
+  // two (every shipped configuration).
+  if (std::has_single_bit(bs)) {
+    const int shift = std::countr_zero(bs);
+    return count_tiles(graph, config.lane_count, input_blocks,
+                       [shift](NodeId u) { return std::size_t{u} >> shift; });
+  }
+  return count_tiles(graph, config.lane_count, input_blocks,
+                     [bs](NodeId u) { return std::size_t{u} / bs; });
+}
+
 CsrGraph sample_neighbors(const CsrGraph& graph, std::size_t max_degree, std::uint64_t seed) {
   LUMOS_EXPECTS(max_degree >= 1);
   lumos::Rng rng(seed);
@@ -122,41 +136,84 @@ CsrGraph sample_neighbors(const CsrGraph& graph, std::size_t max_degree, std::ui
   return CsrGraph(graph.node_count(), std::move(edges), /*symmetrize=*/false);
 }
 
+namespace {
+
+// Places `count` vertices of work `weight` by the greedy, each on a
+// least-loaded lane.  Only the multiset of lane loads matters to
+// `lane_imbalance`, and which of several equally loaded lanes takes a vertex
+// does not change that multiset.
+void place_bucket(std::vector<std::size_t>& loads, std::size_t weight, std::size_t count) {
+  if (count < loads.size()) {
+    for (std::size_t i = 0; i < count; ++i) {
+      *std::min_element(loads.begin(), loads.end()) += weight;
+    }
+    return;
+  }
+  // A lane of load l takes its vertices at loads l, l + weight, l + 2 weight,
+  // ..., so the greedy takes the `count` smallest of these values over all
+  // lanes.  Binary-search the threshold t, the smallest value with `count`
+  // of them at or below it.  With r = ceil(count / lanes) - 1, below
+  // lightest + r * weight every lane has at most r values, and at
+  // heaviest + r * weight every lane has at least r + 1, so t lies in a
+  // window as wide as the loads' spread.
+  const auto at_or_below = [&](std::size_t t) {
+    std::size_t values = 0;
+    for (const std::size_t l : loads) {
+      if (l <= t) values += (t - l) / weight + 1;
+    }
+    return values;
+  };
+  const auto [lightest, heaviest] = std::minmax_element(loads.begin(), loads.end());
+  const std::size_t rounds = (count + loads.size() - 1) / loads.size() - 1;
+  std::size_t lo = *lightest + rounds * weight;
+  std::size_t hi = *heaviest + rounds * weight;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (at_or_below(mid) >= count) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  const std::size_t t = lo;
+  // Every value below t is taken.  That leaves each such lane at t or above,
+  // and at exactly t when t is one of its values; the rest of the bucket
+  // takes value t on as many of the lanes at t.
+  std::size_t left = count;
+  for (std::size_t& l : loads) {
+    if (l < t) {
+      const std::size_t taken = (t - 1 - l) / weight + 1;
+      l += taken * weight;
+      left -= taken;
+    }
+  }
+  for (std::size_t& l : loads) {
+    if (left == 0) break;
+    if (l == t) {
+      l += weight;
+      --left;
+    }
+  }
+}
+
+}  // namespace
+
 double lane_imbalance(const CsrGraph& graph, std::size_t lane_count, bool degree_sorted) {
   LUMOS_EXPECTS(lane_count >= 1);
   const std::size_t n = graph.node_count();
   if (n == 0) return 1.0;
 
-  std::vector<std::size_t> order(n);
-  if (degree_sorted) {
-    // Longest-processing-time heuristic: place heavy vertices first so
-    // round-robin spreads them across lanes.  Counting sort on the degree
-    // (descending): the greedy assignment below depends only on item weights,
-    // so any order among equal-degree vertices yields the same lane loads —
-    // and this runs in O(V + max_degree) instead of O(V log V).
-    const std::size_t max_deg = graph.max_degree();
-    std::vector<std::size_t> offset(max_deg + 2, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      ++offset[max_deg - graph.degree(static_cast<NodeId>(v)) + 1];
-    }
-    for (std::size_t d = 1; d < offset.size(); ++d) offset[d] += offset[d - 1];
-    for (std::size_t v = 0; v < n; ++v) {
-      order[offset[max_deg - graph.degree(static_cast<NodeId>(v))]++] = v;
-    }
-  } else {
-    std::iota(order.begin(), order.end(), 0);
-  }
-
+  // +1 on every degree: the combine work per vertex.
   std::vector<std::size_t> lane_work(lane_count, 0);
   if (degree_sorted) {
-    // Greedy: next vertex to the least-loaded lane.
-    for (const std::size_t v : order) {
-      auto it = std::min_element(lane_work.begin(), lane_work.end());
-      *it += graph.degree(static_cast<NodeId>(v)) + 1;  // +1: combine work per vertex
+    // Heaviest first; the histogram ascends by degree.
+    const std::span<const DegreeBucket> hist = graph.degree_histogram();
+    for (auto b = hist.rbegin(); b != hist.rend(); ++b) {
+      place_bucket(lane_work, b->degree + 1, b->count);
     }
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      lane_work[i % lane_count] += graph.degree(static_cast<NodeId>(order[i])) + 1;
+    for (std::size_t v = 0; v < n; ++v) {
+      lane_work[v % lane_count] += graph.degree(static_cast<NodeId>(v)) + 1;
     }
   }
   const auto busiest = static_cast<double>(*std::max_element(lane_work.begin(), lane_work.end()));

@@ -41,29 +41,35 @@ struct PartitionSchedule {
 
   // Total edges covered (must equal the graph's edge count).
   [[nodiscard]] std::size_t covered_edges() const noexcept;
-  // Number of input-block loads the schedule performs.
-  [[nodiscard]] std::size_t input_block_loads() const noexcept { return tiles.size(); }
   // Average number of times each input block is (re)loaded across output
   // blocks; 1.0 means perfect reuse.
   [[nodiscard]] double refetch_factor() const noexcept;
 };
 
-// Tiles `graph` under `config`.  Vertices are assigned to blocks by index
-// (contiguous ranges), matching the paper's streaming layout.  Runs in
-// O(E + blocks) by accumulating per-input-block edge counts while sweeping
-// output blocks in order (output block index is monotone in the vertex id).
-[[nodiscard]] PartitionSchedule partition(const CsrGraph& graph, const PartitionConfig& config);
-
-// Reference implementation of `partition` (the original map-based tiling).
-// Produces an identical schedule; retained for parity tests and as the
-// pre-optimisation baseline in bench_kernels.
+// Tiles `graph` under `config` with one ordered map of (output block,
+// input block) edge counts.  Vertices are assigned to blocks by index
+// (contiguous ranges), matching the paper's streaming layout.  The schedule
+// backs the tests, the block-size ablation and bench_kernels' seed timing;
+// the GHOST estimate needs only its size, which `tile_count` gives.
 [[nodiscard]] PartitionSchedule partition_reference(const CsrGraph& graph,
                                                     const PartitionConfig& config);
 
+// `partition_reference(graph, config).tiles.size()` without building the
+// schedule: per output block, a bitset of the input blocks its edges touch,
+// then a popcount.  An output block's edges are one contiguous run of the
+// CSR column array, so this is one pass over it, O(E + V / lane_count), and
+// with 64 or fewer input blocks the bitset is one register word.
+[[nodiscard]] std::size_t tile_count(const CsrGraph& graph, const PartitionConfig& config);
+
 // Workload-balance statistic for lane assignment: the ratio of the busiest
-// lane's edge work to the average over lanes, for vertex->lane round-robin
-// (lower is better; 1.0 is perfectly balanced).  GHOST's workload balancing
-// sorts vertices by degree before assignment; `degree_sorted` selects that.
+// lane's edge work to the average over lanes (lower is better; 1.0 is
+// perfectly balanced).  A vertex's work is its degree plus one.  Without
+// `degree_sorted`, vertices go to lanes round-robin by index.  GHOST's
+// workload balancing (`degree_sorted`) is the longest-processing-time greedy
+// (Graham, SIAM J. Appl. Math. 1969): heaviest vertex first, each to the
+// least-loaded lane.  It runs per degree bucket of
+// `CsrGraph::degree_histogram()`, so its cost grows with the distinct
+// degrees and the lanes, not with V.
 [[nodiscard]] double lane_imbalance(const CsrGraph& graph, std::size_t lane_count,
                                     bool degree_sorted);
 

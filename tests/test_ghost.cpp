@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "common/error.hpp"
 #include "ghost/accelerator.hpp"
+#include "graph/generators.hpp"
 
 namespace lumos::ghost {
 namespace {
@@ -229,6 +232,128 @@ TEST(StaticPower, ScalesWithLanes) {
   GhostConfig big = default_ghost_config();
   big.lanes = 64;
   EXPECT_LT(GhostAccelerator(small).static_power_w(), GhostAccelerator(big).static_power_w());
+}
+
+// The constructor rejects a bad field itself, naming it, before any unit is
+// built from it.
+void expect_rejected(const GhostConfig& cfg, const std::string& field) {
+  try {
+    const GhostAccelerator acc(cfg);
+    ADD_FAILURE() << field << " accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(Construction, RejectsZeroSymbolRate) {
+  GhostConfig cfg = default_ghost_config();
+  cfg.symbol_rate_hz = 0.0;  // used to estimate inf latency and energy
+  expect_rejected(cfg, "symbol_rate_hz");
+}
+
+TEST(Construction, RejectsZeroTransformArraysPerLane) {
+  GhostConfig cfg = default_ghost_config();
+  cfg.transform_arrays_per_lane = 0;  // used to estimate inf latency and energy
+  expect_rejected(cfg, "transform_arrays_per_lane");
+}
+
+TEST(Construction, RejectsZeroInputBlockSize) {
+  GhostConfig cfg = default_ghost_config();
+  cfg.input_block_size = 0;  // used to fail only at the first estimate
+  expect_rejected(cfg, "input_block_size");
+}
+
+TEST(Construction, RejectsZeroFeatureLanes) {
+  GhostConfig cfg = default_ghost_config();
+  cfg.feature_lanes = 0;  // used to fail inside the softmax LUT
+  expect_rejected(cfg, "feature_lanes");
+}
+
+TEST(Construction, RejectsZeroReduceBranches) {
+  GhostConfig cfg = default_ghost_config();
+  cfg.reduce_branches = 0;  // used to fail inside the coherent summation unit
+  expect_rejected(cfg, "reduce_branches");
+}
+
+// Pinned bits: `latency_s` and `total_energy_j` as hex floats.  The
+// histogram-vs-reference parity pin cannot see a change that both costings
+// share (the lane balance, the pass energies), and test_figures checks only
+// bounds.
+struct Pin {
+  const char* model;
+  const char* dataset;
+  double latency_s;
+  double total_energy_j;
+};
+
+void expect_pinned(const PerfReport& r, const Pin& pin) {
+  EXPECT_EQ(r.latency_s, pin.latency_s) << pin.model << "/" << pin.dataset << std::hexfloat
+                                        << " latency " << r.latency_s;
+  EXPECT_EQ(r.total_energy_j, pin.total_energy_j)
+      << pin.model << "/" << pin.dataset << std::hexfloat << " energy " << r.total_energy_j;
+}
+
+TEST(PinnedBits, Fig10Estimates) {
+  const Pin pins[] = {
+      {"GCN", "Cora", 0x1.8d2f0e46a5e7fp-17, 0x1.9b441905a4c77p-12},
+      {"GCN", "Citeseer", 0x1.f874ac8b74f9ep-16, 0x1.13445280a498dp-10},
+      {"GCN", "Pubmed", 0x1.5de6a14570b3bp-16, 0x1.96b7dc1d55042p-11},
+      {"GraphSAGE", "Cora", 0x1.a4a36b8816edfp-17, 0x1.01bc8deb603e8p-10},
+      {"GraphSAGE", "Citeseer", 0x1.06415172d3201p-15, 0x1.79fb8bac57531p-9},
+      {"GraphSAGE", "Pubmed", 0x1.7ff58c3c41826p-16, 0x1.2eea79ccbad08p-9},
+      {"GIN", "Cora", 0x1.9e993b5879468p-17, 0x1.55fc0222bc73bp-11},
+      {"GIN", "Citeseer", 0x1.025db0e8c9354p-15, 0x1.e26508fd1db92p-10},
+      {"GIN", "Pubmed", 0x1.7ee78071185fep-16, 0x1.83310c8b0c12ep-10},
+      {"GAT", "Cora", 0x1.9fe955a44db0dp-17, 0x1.5b1b1132d5a64p-11},
+      {"GAT", "Citeseer", 0x1.0282fb37f1654p-15, 0x1.e4c0e80d72a68p-10},
+      {"GAT", "Pubmed", 0x1.a87043ab9ce5fp-16, 0x1.9cbe9932b3997p-10},
+  };
+  const GhostAccelerator acc(default_ghost_config());
+  const Pin* pin = pins;
+  for (const gnn::GnnModelConfig& model : gnn::gnn_model_zoo()) {
+    for (const graph::GraphDataset& ds : graph::gnn_dataset_zoo()) {
+      ASSERT_EQ(model.name, pin->model);
+      ASSERT_EQ(ds.name, pin->dataset);
+      expect_pinned(acc.estimate(model, ds), *pin++);
+    }
+  }
+}
+
+TEST(PinnedBits, Rmat12WithOptimisationsToggled) {
+  graph::GraphDataset ds;
+  ds.name = "rmat-12";
+  ds.graph = graph::rmat(12, 8, {}, 5);
+  ds.feature_dim = 64;
+  ds.class_count = 16;
+  // The default feature buffer holds this graph's partial aggregates, so
+  // buffer-and-partition leaves its traffic at one sweep either way.
+  const struct {
+    bool buffer_and_partition;
+    bool workload_balancing;
+    double latency_s;
+    double total_energy_j;
+  } rows[] = {
+      {true, true, 0x1.c450517c1e898p-21, 0x1.2899dcde284f8p-15},
+      {true, false, 0x1.c633e668d3f52p-21, 0x1.28e5ac33c2805p-15},
+      {false, true, 0x1.c450517c1e898p-21, 0x1.2899dcde284f8p-15},
+      {false, false, 0x1.c633e668d3f52p-21, 0x1.28e5ac33c2805p-15},
+  };
+  for (const auto& row : rows) {
+    GhostConfig cfg = default_ghost_config();
+    cfg.buffer_and_partition = row.buffer_and_partition;
+    cfg.workload_balancing = row.workload_balancing;
+    SCOPED_TRACE(std::string("partition ") + (row.buffer_and_partition ? "on" : "off") +
+                 ", balancing " + (row.workload_balancing ? "on" : "off"));
+    expect_pinned(GhostAccelerator(cfg).estimate(gnn::gcn_model(), ds),
+                  {"GCN", "rmat-12", row.latency_s, row.total_energy_j});
+  }
+  // A 64-byte feature buffer splits the sweep into more super-blocks than
+  // there are tiles per input block, so the tile count sets the DRAM traffic.
+  GhostConfig tile_bound = default_ghost_config();
+  tile_bound.feature_buffer.capacity_bytes = 64;
+  SCOPED_TRACE("tile-bound");
+  expect_pinned(GhostAccelerator(tile_bound).estimate(gnn::gcn_model(), ds),
+                {"GCN", "rmat-12", 0x1.50a3dc68a1293p-13, 0x1.0dc847615cbb5p-8});
 }
 
 // Dataset sweep: EPB identity and op accounting hold on every dataset.

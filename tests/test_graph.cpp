@@ -2,7 +2,9 @@
 // stand-ins, buffer-and-partition tiling, and workload balancing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "graph/generators.hpp"
@@ -143,20 +145,20 @@ TEST(Datasets, ArxivDimensions) {
 
 TEST(Partition, CoversEveryEdgeExactlyOnce) {
   const CsrGraph g = erdos_renyi(200, 600, 5);
-  const PartitionSchedule s = partition(g, {8, 64});
+  const PartitionSchedule s = partition_reference(g, {8, 64});
   EXPECT_EQ(s.covered_edges(), g.edge_count());
 }
 
 TEST(Partition, BlockCountsMatchCeilDiv) {
   const CsrGraph g = erdos_renyi(100, 200, 6);
-  const PartitionSchedule s = partition(g, {8, 32});
+  const PartitionSchedule s = partition_reference(g, {8, 32});
   EXPECT_EQ(s.output_block_count, 13u);  // ceil(100/8)
   EXPECT_EQ(s.input_block_count, 4u);    // ceil(100/32)
 }
 
 TEST(Partition, TilesOrderedAndInRange) {
   const CsrGraph g = erdos_renyi(100, 300, 7);
-  const PartitionSchedule s = partition(g, {4, 16});
+  const PartitionSchedule s = partition_reference(g, {4, 16});
   for (std::size_t i = 1; i < s.tiles.size(); ++i) {
     const auto& a = s.tiles[i - 1];
     const auto& b = s.tiles[i];
@@ -172,15 +174,36 @@ TEST(Partition, TilesOrderedAndInRange) {
 
 TEST(Partition, RefetchFactorAtLeastOneWhenConnected) {
   const CsrGraph g = erdos_renyi(128, 512, 8);
-  const PartitionSchedule s = partition(g, {8, 32});
+  const PartitionSchedule s = partition_reference(g, {8, 32});
   EXPECT_GE(s.refetch_factor(), 1.0);
 }
 
 TEST(Partition, BiggerInputBlocksReduceRefetch) {
   const CsrGraph g = erdos_renyi(512, 4096, 9);
-  const double small = partition(g, {8, 32}).refetch_factor();
-  const double big = partition(g, {8, 256}).refetch_factor();
+  const double small = partition_reference(g, {8, 32}).refetch_factor();
+  const double big = partition_reference(g, {8, 256}).refetch_factor();
   EXPECT_LE(big, small);
+}
+
+TEST(Partition, TileCountMatchesReference) {
+  // Block sizes take the shift (power of two) and the divide paths, and
+  // give both bitset paths: 64 or fewer input blocks (one word) and more.
+  // On RMAT-12, block 64 gives exactly 64 input blocks and block 63 gives
+  // 66.  Lane counts run from one vertex per output block to one block
+  // holding every vertex.
+  const CsrGraph rmat12 = rmat(12, 8, {}, 17);  // 4096 vertices
+  const CsrGraph er = erdos_renyi(300, 1200, 3);
+  for (const CsrGraph* g : {&rmat12, &er}) {
+    for (const std::size_t block : {1u, 3u, 16u, 50u, 63u, 64u, 100u, 2048u, 5000u}) {
+      for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{16},
+                                      g->node_count() + 1}) {
+        EXPECT_EQ(tile_count(*g, {lanes, block}),
+                  partition_reference(*g, {lanes, block}).tiles.size())
+            << g->node_count() << " vertices, lanes " << lanes << ", block " << block;
+      }
+    }
+  }
+  EXPECT_EQ(tile_count(CsrGraph{}, {16, 2048}), 0u);
 }
 
 TEST(Sampling, CapsEveryDegree) {
@@ -240,6 +263,62 @@ TEST(Balance, SkewedGraphsBenefitMost) {
   const CsrGraph skewed = rmat(10, 8, {}, 11);
   const double gain = lane_imbalance(skewed, 16, false) / lane_imbalance(skewed, 16, true);
   EXPECT_GT(gain, 1.02);  // balancing visibly helps a power-law graph
+}
+
+// The per-vertex greedy that `lane_imbalance(g, lanes, true)` replaced:
+// counting sort by descending degree, then each vertex to the first
+// least-loaded lane.
+double per_vertex_greedy_imbalance(const CsrGraph& g, std::size_t lanes) {
+  const std::size_t n = g.node_count();
+  const std::size_t max_deg = g.max_degree();
+  std::vector<std::size_t> offset(max_deg + 2, 0);
+  for (std::size_t v = 0; v < n; ++v) ++offset[max_deg - g.degree(static_cast<NodeId>(v)) + 1];
+  for (std::size_t d = 1; d < offset.size(); ++d) offset[d] += offset[d - 1];
+  std::vector<std::size_t> order(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    order[offset[max_deg - g.degree(static_cast<NodeId>(v))]++] = v;
+  }
+  std::vector<std::size_t> work(lanes, 0);
+  for (const std::size_t v : order) {
+    *std::min_element(work.begin(), work.end()) += g.degree(static_cast<NodeId>(v)) + 1;
+  }
+  const auto busiest = static_cast<double>(*std::max_element(work.begin(), work.end()));
+  std::size_t total = 0;
+  for (const std::size_t w : work) total += w;
+  return busiest / (static_cast<double>(total) / static_cast<double>(lanes));
+}
+
+CsrGraph star(std::size_t leaves) {
+  std::vector<Edge> edges;
+  for (std::size_t i = 1; i <= leaves; ++i) edges.push_back({0, static_cast<NodeId>(i)});
+  return CsrGraph(leaves + 1, std::move(edges), /*symmetrize=*/true);
+}
+
+TEST(Balance, BucketedGreedyEqualsPerVertexGreedy) {
+  std::vector<CsrGraph> graphs;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    graphs.push_back(erdos_renyi(500, 2000, seed));
+    graphs.push_back(rmat(10, 8, {}, seed));
+  }
+  for (GraphDataset& ds : gnn_dataset_zoo()) graphs.push_back(std::move(ds.graph));
+  graphs.push_back(star(40));
+  // Vertices 60-99 are isolated: 40 vertices of work 1.
+  graphs.push_back(CsrGraph(100, [] {
+    std::vector<Edge> edges;
+    for (NodeId v = 0; v + 1 < 60; ++v) edges.push_back({v, static_cast<NodeId>(v + 1)});
+    return edges;
+  }(), /*symmetrize=*/true));
+  for (const CsrGraph& g : graphs) {
+    for (const std::size_t lanes : {1u, 2u, 3u, 7u, 16u, 64u}) {
+      EXPECT_EQ(lane_imbalance(g, lanes, true), per_vertex_greedy_imbalance(g, lanes))
+          << g.node_count() << " vertices, " << lanes << " lanes";
+    }
+  }
+  // More lanes than vertices.
+  for (const CsrGraph& g : {star(40), erdos_renyi(50, 100, 4)}) {
+    const std::size_t lanes = g.node_count() + 3;
+    EXPECT_EQ(lane_imbalance(g, lanes, true), per_vertex_greedy_imbalance(g, lanes));
+  }
 }
 
 // Lane-count sweep: imbalance of the balanced assignment stays modest.

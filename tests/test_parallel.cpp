@@ -1,7 +1,7 @@
 // Tests for the performance kernel layer added with the parallel compute PR:
 // the thread pool / parallel_for, the blocked matmul family (parity with a
-// naive reference), the degree-histogram GHOST estimator (bit-identical to
-// the per-node reference), and the fast partitioner (identical schedules).
+// naive reference), and the degree-histogram GHOST estimator (bit-identical
+// to the per-node reference).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 #include "common/parallel.hpp"
 #include "ghost/accelerator.hpp"
 #include "graph/generators.hpp"
-#include "graph/partition.hpp"
 #include "nn/ops.hpp"
 #include "nn/tensor.hpp"
 #include "perf_report_matchers.hpp"
@@ -257,28 +256,6 @@ TEST(GhostEstimator, ParityHoldsWithOptimisationsToggledOff) {
   ds.feature_dim = 32;
   ds.class_count = 8;
   expect_estimates_identical(acc, gnn::gcn_model(), ds);
-}
-
-// ---------------------------------------------------------------------------
-// Fast partitioner parity
-// ---------------------------------------------------------------------------
-
-TEST(Partition, FastTilingIdenticalToReference) {
-  const graph::CsrGraph g = graph::rmat(12, 8, {}, 17);
-  for (const graph::PartitionConfig cfg :
-       {graph::PartitionConfig{16, 2048}, graph::PartitionConfig{8, 512},
-        graph::PartitionConfig{3, 100} /* non-power-of-two divide path */}) {
-    const graph::PartitionSchedule fast = graph::partition(g, cfg);
-    const graph::PartitionSchedule ref = graph::partition_reference(g, cfg);
-    ASSERT_EQ(fast.tiles.size(), ref.tiles.size());
-    EXPECT_EQ(fast.output_block_count, ref.output_block_count);
-    EXPECT_EQ(fast.input_block_count, ref.input_block_count);
-    for (std::size_t i = 0; i < fast.tiles.size(); ++i) {
-      EXPECT_EQ(fast.tiles[i].output_block, ref.tiles[i].output_block);
-      EXPECT_EQ(fast.tiles[i].input_block, ref.tiles[i].input_block);
-      EXPECT_EQ(fast.tiles[i].edge_count, ref.tiles[i].edge_count);
-    }
-  }
 }
 
 }  // namespace

@@ -2,21 +2,25 @@
 """Alternating fleetbench pairs: this tree against a parent commit.
 
 usage: python3 tools/fleetbench_pairs.py --parent <ref> --workload <name>
-           [--seed N] [--pairs N] [--work-dir DIR]
+           [--seed N] [--pairs N] [--trace 0|1] [--work-dir DIR]
 
 Run from anywhere inside the repository.  The script
   1. exports <ref> with `git archive` into a work directory (a fresh temp
      dir, removed afterwards, unless --work-dir names one to keep);
   2. builds the parent and this working tree through fleetbench/run.py, each
      under its own CARGO_TARGET_DIR, with one short discarded run;
-  3. runs --pairs untraced (--trace 0) pairs of BENCHMARK.json's
-     run_seconds each, alternating which side goes first;
-  4. prints both sides' digests and, per end-to-end metric of BENCHMARK.json,
-     each side's median and quartiles, the change/parent ratio of the
-     medians, and in how many pairs the change was better.
+  3. runs --pairs pairs of BENCHMARK.json's run_seconds each, alternating
+     which side goes first: untraced (--trace 0, the default) or traced
+     (--trace 1);
+  4. prints both sides' digests and failed checks and, per metric of
+     BENCHMARK.json (the end-to-end metrics untraced, the per-layer ones
+     traced, leaving out a layer that reads 0 on both sides), each side's
+     median and quartiles, the change/parent ratio of the medians, and in
+     how many pairs the change was better.
 
-A speed claim also needs its median gain to exceed the parent's
-interquartile range; the `>IQR` column says whether it does.
+A failed check does not stop the pairs; the script exits 1 after printing
+if any run failed one.  A speed claim also needs its median gain to exceed
+the parent's interquartile range; the `>IQR` column says whether it does.
 """
 import argparse
 import io
@@ -43,32 +47,35 @@ def export(commit, dest):
         tar.extractall(dest)
 
 
-def run(tree, target_dir, workload, seed, seconds):
-    """One fleetbench/run.py pass; returns (metrics, digest, reps)."""
+def run(tree, target_dir, workload, seed, seconds, trace):
+    """One fleetbench/run.py pass; returns (metrics, digest, reps, failed checks)."""
     env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "fleetbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"fleetbench failed in {tree}:\n{proc.stdout}")
     result = json.loads(lines[-1])
-    if result["failed"]:
-        raise SystemExit(f"fleetbench reported {result['failed']} failed in {tree}")
     report = json.loads(lines[-2])
     digest = "-"
+    failed = []
     for check in report.get("checks", []):
         found = re.search(r"digest ([0-9a-f]+)", check.get("detail", ""))
         if check["name"] == "repeat_bit_identical" and found:
             digest = found.group(1)
+        if not check["ok"]:
+            failed.append(f"{check['name']} ({check.get('detail', '')})")
+    if result["failed"] and not failed:
+        failed.append(f"{result['failed']} failed operations")
     reps = "?"
     for line in lines:
         found = re.search(r"wall: median .* n=(\d+)", line)
         if line.startswith("#") and found:
             reps = found.group(1)
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return metrics, digest, reps
+    return metrics, digest, reps, failed
 
 
 def quartiles(values):
@@ -92,6 +99,7 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--work-dir", help="keep the export and builds here")
     args = parser.parse_args()
     if args.pairs < 1:
@@ -99,7 +107,8 @@ def main():
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    end_to_end, seconds = spec["end_to_end"], spec["run_seconds"]
+    metric_specs = spec["per_layer"] if args.trace else spec["end_to_end"]
+    seconds = spec["run_seconds"]
     commit = subprocess.run(
         ["git", "-C", ROOT, "rev-parse", "--verify", args.parent + "^{commit}"],
         stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
@@ -111,42 +120,53 @@ def main():
                  "change": (ROOT, os.path.join(work, "change_build"))}
         for name, (tree, target) in sides.items():
             print(f"building {name} ...", flush=True)
-            run(tree, target, args.workload, args.seed, 1)
+            run(tree, target, args.workload, args.seed, 1, args.trace)
 
         samples = {name: [] for name in sides}
         digests = {name: set() for name in sides}
+        failures = {name: [] for name in sides}
         for i in range(args.pairs):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for name in order:
-                metrics, digest, reps = run(*sides[name], args.workload, args.seed, seconds)
+                metrics, digest, reps, failed = run(*sides[name], args.workload, args.seed,
+                                                    seconds, args.trace)
                 samples[name].append(metrics)
                 digests[name].add(digest)
-                print(f"pair {i + 1} {name:6} requests_per_s {number(metrics['requests_per_s'])}"
-                      f"  peak_rss_mb {number(metrics['peak_rss_mb'])}  reps {reps}"
-                      f"  digest {digest}", flush=True)
+                failures[name] += failed
+                shown = ("" if args.trace else
+                         f"requests_per_s {number(metrics['requests_per_s'])}"
+                         f"  peak_rss_mb {number(metrics['peak_rss_mb'])}  reps {reps}  ")
+                print(f"pair {i + 1} {name:6} {shown}digest {digest}  failed {len(failed)}",
+                      flush=True)
     finally:
         if not args.work_dir:
             shutil.rmtree(work, ignore_errors=True)
 
-    print(f"\n{args.workload} seed {args.seed}: {args.pairs} pairs of {seconds:g} s, "
+    mode = "traced" if args.trace else "untraced"
+    print(f"\n{args.workload} seed {args.seed}: {args.pairs} {mode} pairs of {seconds:g} s, "
           f"parent {args.parent} ({commit[:12]})")
     for name in samples:
         print(f"  {name} digest {' '.join(sorted(digests[name]))}")
+        for failed in sorted(set(failures[name])):
+            print(f"  {name} FAILED x{failures[name].count(failed)}: {failed}")
     if digests["parent"] != digests["change"]:
         print("  DIGESTS DIFFER")
-    print(f"  {'metric':16} {'better':6} {'parent median [q1, q3]':>36} "
+    width = max(len(spec["name"]) for spec in metric_specs)
+    print(f"  {'metric':{width}} {'better':6} {'parent median [q1, q3]':>36} "
           f"{'change median [q1, q3]':>36} {'ratio':>7} {'wins':>6} {'>IQR':>5}")
-    for spec in end_to_end:
+    for spec in metric_specs:
         name, higher = spec["name"], spec["better"] == "higher"
         parent = [s[name] for s in samples["parent"]]
         change = [s[name] for s in samples["change"]]
+        if not any(parent + change):
+            continue
         p, c = quartiles(parent), quartiles(change)
         wins = sum((b > a) if higher else (b < a) for a, b in zip(parent, change))
         gain = (c[1] - p[1]) if higher else (p[1] - c[1])
         ratio = c[1] / p[1] if p[1] else float("nan")
-        print(f"  {name:16} {spec['better']:6} {spread(p):>36} {spread(c):>36} {ratio:7.3f} "
+        print(f"  {name:{width}} {spec['better']:6} {spread(p):>36} {spread(c):>36} {ratio:7.3f} "
               f"{f'{wins}/{len(parent)}':>6} {'yes' if gain > p[2] - p[0] else 'no':>5}")
-    return 0
+    return 1 if any(failures.values()) else 0
 
 
 if __name__ == "__main__":
