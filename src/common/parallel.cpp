@@ -50,13 +50,15 @@ struct ThreadPool::Impl {
   std::uint64_t generation = 0;
   std::exception_ptr first_error;
 
-  void drain_chunks() {
+  // Runs chunks of the live loop until none is left.  `loop_body` and
+  // `count` are the loop's, read under `mutex` by a worker that joined it.
+  void drain_chunks(const std::function<void(std::size_t)>& loop_body, std::size_t count) {
     t_in_parallel_region = true;
     for (;;) {
       const std::size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= chunk_count) break;
+      if (chunk >= count) break;
       try {
-        (*body)(chunk);
+        loop_body(chunk);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex);
         if (!first_error) first_error = std::current_exception();
@@ -73,10 +75,15 @@ struct ThreadPool::Impl {
                       [&] { return shutting_down || generation != seen_generation; });
       if (shutting_down) return;
       seen_generation = generation;
+      // A worker that wakes after its loop ended stays out: the caller has
+      // stopped waiting for it and may be setting up the next loop.
+      if (body == nullptr) continue;
       ++active_workers;
+      const std::function<void(std::size_t)>& loop_body = *body;
+      const std::size_t count = chunk_count;
       lock.unlock();
 
-      drain_chunks();
+      drain_chunks(loop_body, count);
 
       lock.lock();
       --active_workers;
@@ -132,7 +139,7 @@ void ThreadPool::run_chunks(std::size_t chunk_count,
   }
   impl_->work_ready.notify_all();
 
-  impl_->drain_chunks();  // the calling thread participates
+  impl_->drain_chunks(body, chunk_count);  // the calling thread participates
 
   std::unique_lock<std::mutex> lock(impl_->mutex);
   impl_->work_done.wait(lock, [&] { return impl_->active_workers == 0; });

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 
 #include "common/error.hpp"
@@ -12,14 +13,13 @@ namespace lumos::serve {
 
 namespace {
 
-// SplitMix64 finaliser: a well-mixed 64-bit hash, so the sampling decision is
-// a pure function of (id, seed) — independent of event interleaving, fleet
-// shape, and LUMOS_THREADS.
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
+// `sample` in the hash's own 64-bit space: an id is traced when its hash, as
+// a double, lies below this.  Scaling by 2^64 is exact, so this is the same
+// decision as comparing hash / 2^64 with `sample`, without the rounding
+// pitfalls of dividing by 2^64 and with one scaling per tracer, not per id.
+double sample_threshold(double sample) noexcept {
+  if (sample >= 1.0) return std::numeric_limits<double>::infinity();
+  return std::ldexp(std::max(sample, 0.0), 64);
 }
 
 // tid layout: 1 is the synthetic "clients" thread (arrivals, request spans),
@@ -52,12 +52,7 @@ void validate_observe(const ObserveConfig& config) {
 }
 
 bool trace_sampled(std::uint64_t id, std::uint64_t seed, double sample) {
-  if (sample >= 1.0) return true;
-  if (sample <= 0.0) return false;
-  // Threshold compare in the hash's own 64-bit space; ldexp avoids the
-  // uint64 -> double rounding pitfalls of dividing by 2^64.
-  const double h = std::ldexp(static_cast<double>(splitmix64(id ^ seed)), -64);
-  return h < sample;
+  return static_cast<double>(splitmix64(id ^ seed)) < sample_threshold(sample);
 }
 
 // ---------------------------------------------------------------------------
@@ -65,12 +60,14 @@ bool trace_sampled(std::uint64_t id, std::uint64_t seed, double sample) {
 // ---------------------------------------------------------------------------
 
 LifecycleTracer::LifecycleTracer(const TracerConfig& config, const WorkloadCatalog& catalog)
-    : config_(config), catalog_(&catalog) {
+    : config_(config), threshold_(sample_threshold(config.sample)), catalog_(&catalog) {
   spans_.reserve(std::min<std::size_t>(config_.max_batch_spans, 4096));
 }
 
-bool LifecycleTracer::sampled(std::uint64_t id) const noexcept {
-  return trace_sampled(id, config_.seed, config_.sample);
+bool LifecycleTracer::live(std::uint64_t id) const {
+  // Only sampled ids are ever live: the hash rules out most ids before the
+  // set lookup.
+  return sampled(id) && live_ids_.count(id) != 0;
 }
 
 void LifecycleTracer::on_slot_added(std::size_t slot, const std::string& spec, double) {
@@ -90,8 +87,7 @@ void LifecycleTracer::record(const Request& request, double time_s, RequestEvent
   events_.push_back(ev);
 }
 
-void LifecycleTracer::on_arrival(const Request& request, double now_s) {
-  if (!sampled(request.id)) return;
+void LifecycleTracer::arrive(const Request& request, double now_s) {
   // Saturation refuses whole requests, never truncates one mid-span: a
   // request either has its complete lifecycle in the buffer or is absent.
   if (saturated_ || events_.size() >= config_.max_request_events) {
@@ -127,7 +123,7 @@ void LifecycleTracer::on_dispatch(std::size_t slot, std::uint64_t seq,
   }
   if (live_ids_.empty()) return;  // nothing sampled in flight; skip the scan
   for (const Request& req : batch) {
-    if (live_ids_.count(req.id) != 0) {
+    if (live(req.id)) {
       record(req, now_s, RequestEventKind::kDispatch, static_cast<std::int32_t>(slot));
     }
   }
@@ -156,25 +152,25 @@ void LifecycleTracer::on_batch_abort(std::size_t slot, std::uint64_t seq, double
 }
 
 void LifecycleTracer::on_requeue(const Request& request, double now_s) {
-  if (live_ids_.count(request.id) != 0) {
+  if (live(request.id)) {
     record(request, now_s, RequestEventKind::kRequeue);
   }
 }
 
 void LifecycleTracer::on_attempt_timeout(const Request& request, double now_s, bool) {
-  if (live_ids_.count(request.id) != 0) {
+  if (live(request.id)) {
     record(request, now_s, RequestEventKind::kAttemptTimeout);
   }
 }
 
 void LifecycleTracer::on_retry(const Request& request, double now_s, double) {
-  if (live_ids_.count(request.id) != 0) {
+  if (live(request.id)) {
     record(request, now_s, RequestEventKind::kRetry);
   }
 }
 
-void LifecycleTracer::on_complete(const Request& request, double now_s,
-                                  CompletionStatus status, double, bool) {
+void LifecycleTracer::complete(const Request& request, double now_s,
+                               CompletionStatus status) {
   const auto it = live_ids_.find(request.id);
   if (it == live_ids_.end()) return;
   live_ids_.erase(it);
@@ -325,11 +321,7 @@ TimelineRecorder::TimelineRecorder(const TimelineConfig& config,
                                    const WorkloadCatalog& catalog)
     : config_(config), inv_window_s_(1.0 / config.window_s), catalog_(&catalog) {}
 
-TimelineWindow& TimelineRecorder::window_at(double time_s) {
-  // Truncating cast of a non-negative product == floor; the multiply (vs a
-  // divide) keeps this hook cheap since every counter bump lands here.
-  const std::size_t idx = static_cast<std::size_t>(std::max(0.0, time_s) * inv_window_s_);
-  if (idx < windows_.size()) return windows_[idx];
+TimelineWindow& TimelineRecorder::grow_to(std::size_t idx) {
   while (windows_.size() <= idx) {
     TimelineWindow w;
     if (!windows_.empty()) {
@@ -346,19 +338,6 @@ TimelineWindow& TimelineRecorder::window_at(double time_s) {
     windows_.push_back(std::move(w));
   }
   return windows_[idx];
-}
-
-void TimelineRecorder::on_arrival(const Request&, double now_s) {
-  ++window_at(now_s).arrivals;
-}
-
-void TimelineRecorder::on_admission(const Request&, double now_s, bool admitted) {
-  if (admitted) ++window_at(now_s).admitted;
-}
-
-void TimelineRecorder::on_dispatch(std::size_t, std::uint64_t, const std::vector<Request>&,
-                                   double now_s, double) {
-  ++window_at(now_s).dispatches;
 }
 
 void TimelineRecorder::on_batch_abort(std::size_t, std::uint64_t, double, double abort_s,
@@ -378,27 +357,6 @@ void TimelineRecorder::on_retry(const Request&, double now_s, double) {
   ++window_at(now_s).retries;
 }
 
-void TimelineRecorder::on_complete(const Request& request, double now_s,
-                                   CompletionStatus status, double, bool within_slo) {
-  TimelineWindow& w = window_at(now_s);
-  switch (status) {
-    case CompletionStatus::kOk:
-      ++w.completed;
-      ++w.tenant_completed[request.workload];
-      if (within_slo) {
-        ++w.within_slo;
-        ++w.tenant_within_slo[request.workload];
-      }
-      break;
-    case CompletionStatus::kShed:
-      ++w.shed;
-      break;
-    case CompletionStatus::kTimeout:
-      ++w.timed_out;
-      break;
-  }
-}
-
 void TimelineRecorder::on_slot_failure(std::size_t, double now_s) {
   ++window_at(now_s).slot_failures;
 }
@@ -414,15 +372,6 @@ void TimelineRecorder::on_autoscale(std::size_t, int delta, double now_s) {
   } else if (delta < 0) {
     ++w.autoscale_shrinks;
   }
-}
-
-void TimelineRecorder::on_tick(double now_s, std::size_t queued, std::size_t active_slots,
-                               std::size_t failed_slots) {
-  TimelineWindow& w = window_at(now_s);
-  w.queue_depth_last = queued;
-  w.queue_depth_max = std::max(w.queue_depth_max, queued);
-  w.active_slots = active_slots;
-  w.failed_slots = failed_slots;
 }
 
 void TimelineRecorder::finish(double end_s) {
@@ -599,66 +548,6 @@ ObserverHub::ObserverHub(const ObserveConfig& config, const WorkloadCatalog& cat
     timeline_ = std::make_unique<TimelineRecorder>(config.timeline, catalog);
   }
   if (config.profile) profiler_ = std::make_unique<EventLoopProfiler>();
-}
-
-// Each hook reaches only the observers that record its event, tracer first.
-void ObserverHub::on_slot_added(std::size_t slot, const std::string& spec, double now_s) {
-  if (tracer_) tracer_->on_slot_added(slot, spec, now_s);
-}
-void ObserverHub::on_arrival(const Request& request, double now_s) {
-  if (tracer_) tracer_->on_arrival(request, now_s);
-  if (timeline_) timeline_->on_arrival(request, now_s);
-}
-void ObserverHub::on_admission(const Request& request, double now_s, bool admitted) {
-  if (timeline_) timeline_->on_admission(request, now_s, admitted);
-}
-void ObserverHub::on_dispatch(std::size_t slot, std::uint64_t seq,
-                              const std::vector<Request>& batch, double now_s,
-                              double done_s) {
-  if (tracer_) tracer_->on_dispatch(slot, seq, batch, now_s, done_s);
-  if (timeline_) timeline_->on_dispatch(slot, seq, batch, now_s, done_s);
-}
-void ObserverHub::on_batch_complete(std::size_t slot, std::uint64_t seq, double start_s,
-                                    double end_s, std::size_t size) {
-  if (tracer_) tracer_->on_batch_complete(slot, seq, start_s, end_s, size);
-}
-void ObserverHub::on_batch_abort(std::size_t slot, std::uint64_t seq, double start_s,
-                                 double abort_s, std::size_t size) {
-  if (tracer_) tracer_->on_batch_abort(slot, seq, start_s, abort_s, size);
-  if (timeline_) timeline_->on_batch_abort(slot, seq, start_s, abort_s, size);
-}
-void ObserverHub::on_requeue(const Request& request, double now_s) {
-  if (tracer_) tracer_->on_requeue(request, now_s);
-  if (timeline_) timeline_->on_requeue(request, now_s);
-}
-void ObserverHub::on_attempt_timeout(const Request& request, double now_s, bool will_retry) {
-  if (tracer_) tracer_->on_attempt_timeout(request, now_s, will_retry);
-  if (timeline_) timeline_->on_attempt_timeout(request, now_s, will_retry);
-}
-void ObserverHub::on_retry(const Request& request, double now_s, double reissue_s) {
-  if (tracer_) tracer_->on_retry(request, now_s, reissue_s);
-  if (timeline_) timeline_->on_retry(request, now_s, reissue_s);
-}
-void ObserverHub::on_complete(const Request& request, double now_s, CompletionStatus status,
-                              double latency_s, bool within_slo) {
-  if (tracer_) tracer_->on_complete(request, now_s, status, latency_s, within_slo);
-  if (timeline_) timeline_->on_complete(request, now_s, status, latency_s, within_slo);
-}
-void ObserverHub::on_slot_failure(std::size_t slot, double now_s) {
-  if (timeline_) timeline_->on_slot_failure(slot, now_s);
-}
-void ObserverHub::on_slot_recovery(std::size_t slot, double now_s) {
-  if (timeline_) timeline_->on_slot_recovery(slot, now_s);
-}
-void ObserverHub::on_autoscale(std::size_t family, int delta, double now_s) {
-  if (timeline_) timeline_->on_autoscale(family, delta, now_s);
-}
-void ObserverHub::on_tick(double now_s, std::size_t queued, std::size_t active_slots,
-                          std::size_t failed_slots) {
-  if (timeline_) timeline_->on_tick(now_s, queued, active_slots, failed_slots);
-}
-void ObserverHub::finish(double end_s) {
-  if (timeline_) timeline_->finish(end_s);
 }
 
 Observation ObserverHub::take() {

@@ -38,6 +38,7 @@
 // --trace-out / --timeline-out / --profile).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -128,6 +129,16 @@ struct BatchSpan {
   bool aborted = false;
 };
 
+// SplitMix64 finaliser: a well-mixed 64-bit hash, so the sampling decision is
+// a pure function of (id, seed) — independent of event interleaving, fleet
+// shape, and LUMOS_THREADS.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 // Deterministic id-hash request sampler (SplitMix64 over id ^ salt).  Exposed
 // so tests and future observers can reuse the exact sampling decision.
 [[nodiscard]] bool trace_sampled(std::uint64_t id, std::uint64_t seed, double sample);
@@ -137,9 +148,13 @@ class LifecycleTracer {
   // `catalog` must outlive the tracer (workload names in the export).
   LifecycleTracer(const TracerConfig& config, const WorkloadCatalog& catalog);
 
-  // The events it records (see ObserverHub for each hook's meaning).
+  // The events it records (see ObserverHub for each hook's meaning).  The
+  // per-request hooks test the sampling hash here, so an unsampled request
+  // costs the event loop no call.
   void on_slot_added(std::size_t slot, const std::string& spec, double now_s);
-  void on_arrival(const Request& request, double now_s);
+  void on_arrival(const Request& request, double now_s) {
+    if (sampled(request.id)) arrive(request, now_s);
+  }
   void on_dispatch(std::size_t slot, std::uint64_t seq, const std::vector<Request>& batch,
                    double now_s, double done_s);
   void on_batch_complete(std::size_t slot, std::uint64_t seq, double start_s, double end_s,
@@ -149,8 +164,10 @@ class LifecycleTracer {
   void on_requeue(const Request& request, double now_s);
   void on_attempt_timeout(const Request& request, double now_s, bool will_retry);
   void on_retry(const Request& request, double now_s, double reissue_s);
-  void on_complete(const Request& request, double now_s, CompletionStatus status,
-                   double latency_s, bool within_slo);
+  void on_complete(const Request& request, double now_s, CompletionStatus status, double,
+                   bool) {
+    if (sampled(request.id)) complete(request, now_s, status);
+  }
 
   // Recorded request events, in event-loop (chronological) order.
   [[nodiscard]] const std::vector<RequestEvent>& request_events() const noexcept {
@@ -178,9 +195,18 @@ class LifecycleTracer {
 
   void record(const Request& request, double time_s, RequestEventKind kind,
               std::int32_t slot = -1);
-  [[nodiscard]] bool sampled(std::uint64_t id) const noexcept;
+  // Whether `id` is in the traced fraction (trace_sampled's decision).
+  [[nodiscard]] bool sampled(std::uint64_t id) const noexcept {
+    return static_cast<double>(splitmix64(id ^ config_.seed)) < threshold_;
+  }
+  // The sampled request's arrival and terminal outcome.
+  void arrive(const Request& request, double now_s);
+  void complete(const Request& request, double now_s, CompletionStatus status);
+  // Whether `id` is a sampled request still in flight.
+  [[nodiscard]] bool live(std::uint64_t id) const;
 
   TracerConfig config_;
+  double threshold_;  // config_.sample scaled to the id hash's 2^64 range
   const WorkloadCatalog* catalog_;
   std::vector<std::string> slot_specs_;  // slot index -> registry spec name
   std::vector<RequestEvent> events_;
@@ -235,23 +261,53 @@ class TimelineRecorder {
   // `catalog` must outlive the recorder (tenant names in the export).
   TimelineRecorder(const TimelineConfig& config, const WorkloadCatalog& catalog);
 
-  // The events it records (see ObserverHub for each hook's meaning).
-  void on_arrival(const Request& request, double now_s);
-  void on_admission(const Request& request, double now_s, bool admitted);
-  void on_dispatch(std::size_t slot, std::uint64_t seq, const std::vector<Request>& batch,
-                   double now_s, double done_s);
+  // The events it records (see ObserverHub for each hook's meaning).  The
+  // hooks of every request, batch and loop iteration are defined here, so
+  // the event loop bumps its counter without a call.
+  void on_arrival(const Request&, double now_s) { ++window_at(now_s).arrivals; }
+  void on_admission(const Request&, double now_s, bool admitted) {
+    if (admitted) ++window_at(now_s).admitted;
+  }
+  void on_dispatch(std::size_t, std::uint64_t, const std::vector<Request>&, double now_s,
+                   double) {
+    ++window_at(now_s).dispatches;
+  }
   void on_batch_abort(std::size_t slot, std::uint64_t seq, double start_s, double abort_s,
                       std::size_t size);
   void on_requeue(const Request& request, double now_s);
   void on_attempt_timeout(const Request& request, double now_s, bool will_retry);
   void on_retry(const Request& request, double now_s, double reissue_s);
-  void on_complete(const Request& request, double now_s, CompletionStatus status,
-                   double latency_s, bool within_slo);
+  void on_complete(const Request& request, double now_s, CompletionStatus status, double,
+                   bool within_slo) {
+    TimelineWindow& w = window_at(now_s);
+    switch (status) {
+      case CompletionStatus::kOk:
+        ++w.completed;
+        ++w.tenant_completed[request.workload];
+        if (within_slo) {
+          ++w.within_slo;
+          ++w.tenant_within_slo[request.workload];
+        }
+        break;
+      case CompletionStatus::kShed:
+        ++w.shed;
+        break;
+      case CompletionStatus::kTimeout:
+        ++w.timed_out;
+        break;
+    }
+  }
   void on_slot_failure(std::size_t slot, double now_s);
   void on_slot_recovery(std::size_t slot, double now_s);
   void on_autoscale(std::size_t family, int delta, double now_s);
   void on_tick(double now_s, std::size_t queued, std::size_t active_slots,
-               std::size_t failed_slots);
+               std::size_t failed_slots) {
+    TimelineWindow& w = window_at(now_s);
+    w.queue_depth_last = queued;
+    w.queue_depth_max = std::max(w.queue_depth_max, queued);
+    w.active_slots = active_slots;
+    w.failed_slots = failed_slots;
+  }
   void finish(double end_s);
 
   [[nodiscard]] double window_s() const noexcept { return config_.window_s; }
@@ -268,7 +324,15 @@ class TimelineRecorder {
   void write_json(std::ostream& os) const;
 
  private:
-  [[nodiscard]] TimelineWindow& window_at(double time_s);
+  // The window holding `time_s`.  Truncating cast of a non-negative product
+  // == floor; the multiply (vs a divide) keeps this cheap since every counter
+  // bump lands here.
+  [[nodiscard]] TimelineWindow& window_at(double time_s) {
+    const std::size_t idx = static_cast<std::size_t>(std::max(0.0, time_s) * inv_window_s_);
+    return idx < windows_.size() ? windows_[idx] : grow_to(idx);
+  }
+  // Appends windows up to `idx` and returns the last.
+  TimelineWindow& grow_to(std::size_t idx);
 
   TimelineConfig config_;
   double inv_window_s_ = 0.0;  // 1 / window_s: multiply beats divide per event
@@ -355,48 +419,89 @@ class ObserverHub {
 
   [[nodiscard]] EventLoopProfiler* profiler() noexcept { return profiler_.get(); }
 
+  // Each hook reaches only the observers that record its event, tracer
+  // first.  They are defined here, so the event loop pays no call to reach
+  // an observer, and none for one that is off.
+  //
   // A fleet slot came into existence (initial slots at t=0, grown slots at
   // their activation instant).  `spec` is the slot's registry spec name.
-  void on_slot_added(std::size_t slot, const std::string& spec, double now_s);
+  void on_slot_added(std::size_t slot, const std::string& spec, double now_s) {
+    if (tracer_) tracer_->on_slot_added(slot, spec, now_s);
+  }
   // A fresh request was pulled from the traffic source (retried attempts
   // re-enter through `on_retry`, not here).
-  void on_arrival(const Request& request, double now_s);
+  void on_arrival(const Request& request, double now_s) {
+    if (tracer_) tracer_->on_arrival(request, now_s);
+    if (timeline_) timeline_->on_arrival(request, now_s);
+  }
   // Admission verdict for an arriving attempt (fresh or retried).  A false
   // verdict is terminal: `on_complete` follows with kShed.
-  void on_admission(const Request& request, double now_s, bool admitted);
+  void on_admission(const Request& request, double now_s, bool admitted) {
+    if (timeline_) timeline_->on_admission(request, now_s, admitted);
+  }
   // A batch left the queue for slot `slot` (dispatch seq `seq`), due back at
   // `done_s`.
   void on_dispatch(std::size_t slot, std::uint64_t seq, const std::vector<Request>& batch,
-                   double now_s, double done_s);
+                   double now_s, double done_s) {
+    if (tracer_) tracer_->on_dispatch(slot, seq, batch, now_s, done_s);
+    if (timeline_) timeline_->on_dispatch(slot, seq, batch, now_s, done_s);
+  }
   // The in-flight batch on `slot` finished (span [start_s, end_s]).
   void on_batch_complete(std::size_t slot, std::uint64_t seq, double start_s, double end_s,
-                         std::size_t size);
+                         std::size_t size) {
+    if (tracer_) tracer_->on_batch_complete(slot, seq, start_s, end_s, size);
+  }
   // The in-flight batch on `slot` was aborted by a slot failure at `abort_s`;
   // its requests requeue (one `on_requeue` each).
   void on_batch_abort(std::size_t slot, std::uint64_t seq, double start_s, double abort_s,
-                      std::size_t size);
-  void on_requeue(const Request& request, double now_s);
+                      std::size_t size) {
+    if (tracer_) tracer_->on_batch_abort(slot, seq, start_s, abort_s, size);
+    if (timeline_) timeline_->on_batch_abort(slot, seq, start_s, abort_s, size);
+  }
+  void on_requeue(const Request& request, double now_s) {
+    if (tracer_) tracer_->on_requeue(request, now_s);
+    if (timeline_) timeline_->on_requeue(request, now_s);
+  }
   // An attempt exceeded its timeout.  `will_retry` says whether a retried
   // attempt follows (`on_retry`) or the request terminates (kTimeout).
-  void on_attempt_timeout(const Request& request, double now_s, bool will_retry);
+  void on_attempt_timeout(const Request& request, double now_s, bool will_retry) {
+    if (tracer_) tracer_->on_attempt_timeout(request, now_s, will_retry);
+    if (timeline_) timeline_->on_attempt_timeout(request, now_s, will_retry);
+  }
   // A retried attempt was scheduled to re-arrive at `reissue_s`.
-  void on_retry(const Request& request, double now_s, double reissue_s);
+  void on_retry(const Request& request, double now_s, double reissue_s) {
+    if (tracer_) tracer_->on_retry(request, now_s, reissue_s);
+    if (timeline_) timeline_->on_retry(request, now_s, reissue_s);
+  }
   // Terminal outcome of one logical request (exactly one call per request,
   // mirroring TrafficSource::on_complete).  `latency_s` is client-perceived
   // (first issue to now); `within_slo` is false for non-kOk terminals.
   void on_complete(const Request& request, double now_s, CompletionStatus status,
-                   double latency_s, bool within_slo);
-  void on_slot_failure(std::size_t slot, double now_s);
-  void on_slot_recovery(std::size_t slot, double now_s);
+                   double latency_s, bool within_slo) {
+    if (tracer_) tracer_->on_complete(request, now_s, status, latency_s, within_slo);
+    if (timeline_) timeline_->on_complete(request, now_s, status, latency_s, within_slo);
+  }
+  void on_slot_failure(std::size_t slot, double now_s) {
+    if (timeline_) timeline_->on_slot_failure(slot, now_s);
+  }
+  void on_slot_recovery(std::size_t slot, double now_s) {
+    if (timeline_) timeline_->on_slot_recovery(slot, now_s);
+  }
   // The autoscaler applied a delta to `family` (+1 grow, -1 shrink).
-  void on_autoscale(std::size_t family, int delta, double now_s);
+  void on_autoscale(std::size_t family, int delta, double now_s) {
+    if (timeline_) timeline_->on_autoscale(family, delta, now_s);
+  }
   // One event-loop iteration advanced simulated time to `now_s`.  Gauge
   // snapshot: queued requests, active (non-draining) slots, and the live
   // down slots among them.
   void on_tick(double now_s, std::size_t queued, std::size_t active_slots,
-               std::size_t failed_slots);
+               std::size_t failed_slots) {
+    if (timeline_) timeline_->on_tick(now_s, queued, active_slots, failed_slots);
+  }
   // The loop drained; `end_s` is the simulation's final instant.
-  void finish(double end_s);
+  void finish(double end_s) {
+    if (timeline_) timeline_->finish(end_s);
+  }
 
   // Releases the owned observers (call after `finish`).
   [[nodiscard]] Observation take();

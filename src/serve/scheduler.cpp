@@ -26,10 +26,12 @@ class FifoScheduler final : public Scheduler {
   explicit FifoScheduler(std::vector<std::uint32_t> priorities)
       : tiers_(std::move(priorities)) {}
 
-  void enqueue(const Request& request, double) override {
+  bool enqueue(const Request& request, double) override {
     if (request.workload >= queues_.size()) queues_.resize(request.workload + 1);
-    queues_[request.workload].push_back({seq_++, request});
+    std::deque<Entry>& queue = queues_[request.workload];
+    queue.push_back({seq_++, request});
     ++queued_;
+    return queue.size() == 1;
   }
 
   [[nodiscard]] std::size_t queued() const noexcept override { return queued_; }
@@ -119,9 +121,13 @@ class DynamicBatchScheduler final : public Scheduler {
     LUMOS_EXPECTS_MSG(policy.max_wait_s >= 0.0, "BatchPolicy.max_wait_s must be >= 0");
   }
 
-  void enqueue(const Request& request, double) override {
-    buckets_[key_of(request.workload, request.seq_len)].push_back(request);
+  bool enqueue(const Request& request, double) override {
+    // A push behind a bucket's head moves neither its deadline nor, short of
+    // filling it, its readiness.
+    std::deque<Request>& bucket = buckets_[key_of(request.workload, request.seq_len)];
+    bucket.push_back(request);
     ++queued_;
+    return bucket.size() == 1 || bucket.size() == policy_.max_batch;
   }
 
   [[nodiscard]] std::size_t queued() const noexcept override { return queued_; }

@@ -65,7 +65,11 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  virtual void enqueue(const Request& request, double now_s) = 0;
+  // Queues `request`.  Returns whether the push can have changed `ready` or
+  // `next_deadline_s` under some mask: a dynamic-batching bucket opens (a new
+  // deadline) or reaches `max_batch`; a FIFO workload's sub-queue leaves
+  // empty.  A false return lets the event loop skip its dispatch round.
+  virtual bool enqueue(const Request& request, double now_s) = 0;
   [[nodiscard]] virtual std::size_t queued() const noexcept = 0;
   // Waiting requests of one workload (the autoscaler's per-family backlog).
   [[nodiscard]] virtual std::size_t queued(std::uint32_t workload) const noexcept = 0;

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "arch/registry.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "serve/arena.hpp"
 #include "serve/event.hpp"
@@ -530,8 +533,9 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // Slots a batch could go to now (can_dispatch_to).  A retire never moves
   // the count: only draining slots retire.
   std::size_t dispatchable = slots.size();
-  // Raised by every change to the scheduler's contents or to a slot's
-  // dispatchability, and by every dispatch round; lowered when the loop
+  // Raised by every scheduler pop, by every enqueue the scheduler reports as
+  // able to move readiness or a deadline (a bucket opening or filling), and
+  // by every change to a slot's dispatchability; lowered when the loop
   // recomputes its batching deadline.  While it is down, no batch can become
   // ready before that deadline, so the loop skips the dispatch round.
   bool changed = true;
@@ -799,8 +803,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       terminate(r, now_s, CompletionStatus::kShed, now_s - r.first_arrival_s, false);
       return;
     }
-    sched->enqueue(r, now_s);
-    changed = true;
+    if (sched->enqueue(r, now_s)) changed = true;
     m.peak_queue_depth = std::max(m.peak_queue_depth, sched->queued());
   };
 
@@ -812,6 +815,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       if (!sched->ready(now_s, mask)) return;
       std::vector<Request> batch = arena.acquire();
       sched->pop(now_s, mask, batch);
+      changed = true;
       if (prof) prof->record(LoopSource::kSchedulerPop, t_pop, 1);
       LUMOS_ENSURES(!batch.empty());
       drop_expired(batch, now_s);  // expired requests never dispatch
@@ -870,8 +874,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // Puts `req`, whose batch a slot failure aborted at `t`, back in the queue
   // (the same attempt: its deadline still runs from its arrival).
   const auto requeue = [&](const Request& req, double t) {
-    sched->enqueue(req, t);
-    changed = true;
+    if (sched->enqueue(req, t)) changed = true;
     ++m.requeued_requests;
     if constexpr (kObs) obs->on_requeue(req, t);
   };
@@ -1167,7 +1170,6 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       const auto t_dispatch = prof_now();
       const std::size_t dispatched_before = m.dispatches;
       try_dispatch(now_s);
-      changed = true;
       if (prof) prof->record(LoopSource::kDispatch, t_dispatch, m.dispatches - dispatched_before);
     }
     if (prof) prof->add_iterations(1);
@@ -1222,17 +1224,30 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   }
   // Latency state: each sample vector sorts once, here, and the source adds
   // its session samples; then the one finalize derives every statistic.  The
-  // state stays attached only for a caller that asked to keep it (exact
-  // merging).
+  // runs are disjoint, so each non-empty one builds on its own pool task
+  // (inline when there is only one, or when this run is itself on a pool
+  // worker); each sum still adds in arrival order, and an empty run stays
+  // default-constructed.  The state stays attached only for a caller that
+  // asked to keep it (exact merging).
   auto st = std::make_shared<LatencyState>();
   st->hdr = hdr;
   st->hdr_relative_error = sim.hdr_relative_error;
   st->tenant_hist = std::move(tenant_hist);
-  for (std::vector<double>& samples : tenant_latencies) {
-    st->tenant_samples.emplace_back(std::move(samples));
+  st->tenant_samples.resize(tenant_latencies.size());
+  std::vector<std::pair<std::vector<double>*, SampleRun*>> runs;
+  const auto add_run = [&](std::vector<double>& samples, SampleRun& run) {
+    if (!samples.empty()) runs.emplace_back(&samples, &run);
+  };
+  for (std::size_t w = 0; w < tenant_latencies.size(); ++w) {
+    add_run(tenant_latencies[w], st->tenant_samples[w]);
   }
-  st->ttft_samples = SampleRun(std::move(ttft_samples));
-  st->tpot_samples = SampleRun(std::move(tpot_samples));
+  add_run(ttft_samples, st->ttft_samples);
+  add_run(tpot_samples, st->tpot_samples);
+  parallel_for(0, runs.size(), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      *runs[i].second = SampleRun(std::move(*runs[i].first));
+    }
+  });
   m.latency_state = std::move(st);
   source->finish(m);
   finalize(m);

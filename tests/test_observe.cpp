@@ -144,6 +144,34 @@ TEST(Observe, IdHashSamplingIsDeterministicAndSeedDependent) {
   EXPECT_GT(seed_disagreements, 0u);
 }
 
+// The sampler compares the hash with `sample` scaled to 2^64 once.  The
+// reference scales each hash down instead, as the decision was first
+// written; the two must agree on every id, also where the scaled hash
+// equals `sample` exactly and one ulp either side of it.
+TEST(Observe, ScaledThresholdSamplingMatchesTheScaledHash) {
+  const auto reference = [](std::uint64_t id, std::uint64_t seed, double sample) {
+    if (sample >= 1.0) return true;
+    if (sample <= 0.0) return false;
+    std::uint64_t x = (id ^ seed) + 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    x ^= x >> 31;
+    return std::ldexp(static_cast<double>(x), -64) < sample;
+  };
+  std::vector<double> samples = {0.0,   -0.0, -1.0, 5e-324, 1e-300, 1.0 / 64.0, 0.5,
+                                 std::nextafter(1.0, 0.0), 1.0, 2.0, std::nan("")};
+  for (const std::uint64_t id : {3ull, 77ull, 4096ull}) {
+    const double at = std::ldexp(static_cast<double>(splitmix64(id ^ 1)), -64);
+    samples.insert(samples.end(), {at, std::nextafter(at, 0.0), std::nextafter(at, 2.0)});
+  }
+  for (const double sample : samples) {
+    for (std::uint64_t id = 0; id < 4096; ++id) {
+      ASSERT_EQ(trace_sampled(id, 1, sample), reference(id, 1, sample))
+          << "id " << id << ", sample " << sample;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Observers never change results
 // ---------------------------------------------------------------------------

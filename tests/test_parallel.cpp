@@ -77,6 +77,20 @@ TEST(ParallelFor, EmptyRangeIsNoOp) {
   EXPECT_FALSE(ran);
 }
 
+// Loops this short often end before a woken worker gets the pool's lock.
+// Such a worker must stay out of the next loop's set-up: a thread-sanitized
+// build reports the data race if it reads the loop state unlocked.
+TEST(ParallelFor, BackToBackTinyLoopsEachRunOnce) {
+  std::vector<std::size_t> out(2);
+  for (std::size_t loop = 0; loop < 5000; ++loop) {
+    parallel_for(0, out.size(), 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) out[i] = loop + i;
+    });
+    ASSERT_EQ(out[0], loop);
+    ASSERT_EQ(out[1], loop + 1);
+  }
+}
+
 TEST(ParallelFor, NestedCallsRunInline) {
   std::atomic<int> total{0};
   parallel_for(0, 8, 1, [&](std::size_t, std::size_t) {

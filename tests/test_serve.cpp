@@ -402,6 +402,48 @@ TEST(Scheduler, LongestWaitingOrderHoldsAcrossThousandDrainedBuckets) {
   EXPECT_EQ(sched->queued(), 0u);
 }
 
+// An enqueue reports a possible change to `ready` or `next_deadline_s` only
+// when it opens a bucket (a new deadline) or fills one to max_batch (FIFO:
+// when a workload's sub-queue leaves empty); the event loop skips its
+// dispatch round on every other push.
+TEST(Scheduler, EnqueueReportsOpenAndFillOnly) {
+  BatchPolicy policy;
+  policy.max_batch = 4;
+  policy.max_wait_s = 0.5;
+  const auto sched = make_scheduler(SchedulerKind::kDynamicBatch, policy);
+  const bool expected[] = {true, false, false, true, false};
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(sched->enqueue(make_request(i, 1.0, 2, 64), 1.0), expected[i]) << "push " << i;
+  }
+  EXPECT_TRUE(sched->enqueue(make_request(5, 1.0, 2, 128), 1.0));  // second seq bucket
+  EXPECT_EQ(sched->pop(1.0).size(), 4u);  // the full bucket leaves one behind
+  EXPECT_FALSE(sched->enqueue(make_request(6, 1.1, 2, 64), 1.1));
+  EXPECT_EQ(sched->pop(1.5).size(), 2u);  // deadline pop drains and erases it
+  EXPECT_TRUE(sched->enqueue(make_request(7, 1.6, 2, 64), 1.6));
+
+  policy.max_batch = 1;
+  const auto single = make_scheduler(SchedulerKind::kDynamicBatch, policy);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(single->enqueue(make_request(i, 1.0, i % 2, 64), 1.0)) << "push " << i;
+    EXPECT_EQ(single->pop(1.0).size(), 1u);
+  }
+  EXPECT_TRUE(single->enqueue(make_request(4, 1.0, 0, 64), 1.0));
+  EXPECT_TRUE(single->enqueue(make_request(5, 1.0, 0, 128), 1.0));
+
+  const auto fifo = make_scheduler(SchedulerKind::kFifo, {});
+  EXPECT_TRUE(fifo->enqueue(make_request(0, 0.0, 1), 0.0));
+  EXPECT_FALSE(fifo->enqueue(make_request(1, 0.1, 1), 0.1));
+  EXPECT_TRUE(fifo->enqueue(make_request(2, 0.2, 0), 0.2));  // another sub-queue
+  EXPECT_FALSE(fifo->enqueue(make_request(3, 0.3, 0), 0.3));
+  EXPECT_EQ(fifo->pop(0.3)[0].id, 0u);
+  EXPECT_FALSE(fifo->enqueue(make_request(4, 0.4, 1), 0.4));  // one still waits
+  EXPECT_EQ(fifo->pop(0.4)[0].id, 1u);
+  EXPECT_EQ(fifo->pop(0.4)[0].id, 2u);
+  EXPECT_EQ(fifo->pop(0.4)[0].id, 3u);
+  EXPECT_EQ(fifo->pop(0.4)[0].id, 4u);
+  EXPECT_TRUE(fifo->enqueue(make_request(5, 0.5, 1), 0.5));  // empty again
+}
+
 // ---------------------------------------------------------------------------
 // Percentiles
 // ---------------------------------------------------------------------------
@@ -870,6 +912,76 @@ TEST(Campaign, MixedFleetTemplateSweepCompletes) {
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].metrics.completed, 4000u);
   EXPECT_GT(points[0].metrics.goodput_qps, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned bits
+// ---------------------------------------------------------------------------
+
+// Latency statistics recorded as hex floats before the end-of-run sample runs
+// sorted on the pool: every percentile, maximum and arrival-order mean keeps
+// its bits whichever thread sorts which run (ctest runs this under one and
+// four pool threads).
+TEST(PinnedBits, SerialAndDecodeLatencies) {
+  // fleetbench's serve_tron_serial scenario at 100k requests.
+  Scenario serial;
+  serial.fleet = FleetConfig::homogeneous("tron", 16);
+  serial.catalog = WorkloadCatalog::tron_default();
+  serial.scheduler = SchedulerKind::kDynamicBatch;
+  serial.batch.max_batch = 8;
+  serial.sim.percentile_mode = PercentileMode::kExact;
+  serial.traffic.open.offered_qps = 94400.0;
+  serial.traffic.open.request_count = 100000;
+  serial.traffic.open.seed = 1;
+  const FleetMetrics m = simulate(serial);
+  EXPECT_EQ(m.p50_latency_s, 0x1.4afc130f8d7cp-10);
+  EXPECT_EQ(m.p95_latency_s, 0x1.d03750c16a2p-10);
+  EXPECT_EQ(m.p99_latency_s, 0x1.0365b2314c5p-9);
+  EXPECT_EQ(m.p999_latency_s, 0x1.2776cc22cacccp-9);
+  EXPECT_EQ(m.mean_latency_s, 0x1.1fc5e9d8af09fp-10);
+  EXPECT_EQ(m.max_latency_s, 0x1.7114646a40cp-9);
+  const struct {
+    const char* name;
+    double p50, p99, max, mean;
+  } tenants[] = {
+      {"bert-base/128", 0x1.2544da54f98p-11, 0x1.a1ce6f8cc17cp-11, 0x1.3d10de72dd2p-9,
+       0x1.2c0d7767fa9bp-11},
+      {"bert-large/128", 0x1.aa10ff90ccdp-10, 0x1.1452f37ae348p-9, 0x1.53cb0be010ap-9,
+       0x1.b100bd87ab3c1p-10},
+      {"gpt2/256", 0x1.6611ebe9776p-10, 0x1.b9989907de94p-10, 0x1.589b915a49cp-9,
+       0x1.6aa2fcef2080dp-10},
+      {"vit", 0x1.37b69d5807cp-10, 0x1.16774ebe4154p-9, 0x1.7114646a40cp-9,
+       0x1.44159e9fec233p-10},
+  };
+  ASSERT_EQ(m.tenants.size(), std::size(tenants));
+  for (std::size_t w = 0; w < m.tenants.size(); ++w) {
+    const TenantMetrics& t = m.tenants[w];
+    SCOPED_TRACE(t.name);
+    EXPECT_EQ(t.name, tenants[w].name);
+    EXPECT_EQ(t.p50_latency_s, tenants[w].p50);
+    EXPECT_EQ(t.p99_latency_s, tenants[w].p99);
+    EXPECT_EQ(t.max_latency_s, tenants[w].max);
+    EXPECT_EQ(t.mean_latency_s, tenants[w].mean);
+  }
+
+  // A small continuous-batching decode run: the TTFT and TPOT runs.
+  Scenario decode;
+  decode.catalog = WorkloadCatalog::tron_default();
+  decode.catalog.apply_decode(SeqLenDist::kLogNormal, 16);
+  decode.fleet = FleetConfig::homogeneous("tron", 2);
+  decode.batch.max_batch = 8;
+  decode.sim.decode_mode = DecodeMode::kContinuous;
+  decode.traffic.open.offered_qps = 2000.0;
+  decode.traffic.open.request_count = 4000;
+  decode.traffic.open.seed = 29;
+  const FleetMetrics d = simulate(decode);
+  ASSERT_EQ(d.decode_requests, 4000u);
+  EXPECT_EQ(d.p50_ttft_s, 0x1.38a0bc0a9914p-6);
+  EXPECT_EQ(d.p99_ttft_s, 0x1.1b2c62a2f3ffcp-3);
+  EXPECT_EQ(d.mean_ttft_s, 0x1.f2039017b822ep-6);
+  EXPECT_EQ(d.p50_tpot_s, 0x1.cb59d7a31a186p-13);
+  EXPECT_EQ(d.p99_tpot_s, 0x1.c5f2e994634ecp-11);
+  EXPECT_EQ(d.mean_tpot_s, 0x1.49909f54051bdp-12);
 }
 
 }  // namespace

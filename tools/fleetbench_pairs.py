@@ -18,9 +18,12 @@ Run from anywhere inside the repository.  The script
      median and quartiles, the change/parent ratio of the medians, and in
      how many pairs the change was better.
 
-A failed check does not stop the pairs; the script exits 1 after printing
-if any run failed one.  A speed claim also needs its median gain to exceed
-the parent's interquartile range; the `>IQR` column says whether it does.
+Each pair line and the summary name the pool's thread count, read from each
+run's provenance.  A failed check does not stop the pairs; the script exits 1
+after printing if any run failed one, or if the two sides ran with different
+thread counts (a speedup is only comparable at one core count).  A speed
+claim also needs its median gain to exceed the parent's interquartile range;
+the `>IQR` column says whether it does.
 """
 import argparse
 import io
@@ -48,7 +51,7 @@ def export(commit, dest):
 
 
 def run(tree, target_dir, workload, seed, seconds, trace):
-    """One fleetbench/run.py pass; returns (metrics, digest, reps, failed checks)."""
+    """One fleetbench/run.py pass; returns (metrics, digest, reps, threads, failed checks)."""
     env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "fleetbench", "run.py"), "--workload", workload,
@@ -75,7 +78,7 @@ def run(tree, target_dir, workload, seed, seconds, trace):
         if line.startswith("#") and found:
             reps = found.group(1)
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return metrics, digest, reps, failed
+    return metrics, digest, reps, report["provenance"]["threads"], failed
 
 
 def quartiles(values):
@@ -124,20 +127,22 @@ def main():
 
         samples = {name: [] for name in sides}
         digests = {name: set() for name in sides}
+        threads = {name: set() for name in sides}
         failures = {name: [] for name in sides}
         for i in range(args.pairs):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for name in order:
-                metrics, digest, reps, failed = run(*sides[name], args.workload, args.seed,
-                                                    seconds, args.trace)
+                metrics, digest, reps, count, failed = run(*sides[name], args.workload,
+                                                           args.seed, seconds, args.trace)
                 samples[name].append(metrics)
                 digests[name].add(digest)
+                threads[name].add(count)
                 failures[name] += failed
                 shown = ("" if args.trace else
                          f"requests_per_s {number(metrics['requests_per_s'])}"
                          f"  peak_rss_mb {number(metrics['peak_rss_mb'])}  reps {reps}  ")
-                print(f"pair {i + 1} {name:6} {shown}digest {digest}  failed {len(failed)}",
-                      flush=True)
+                print(f"pair {i + 1} {name:6} {shown}threads {count}  digest {digest}  "
+                      f"failed {len(failed)}", flush=True)
     finally:
         if not args.work_dir:
             shutil.rmtree(work, ignore_errors=True)
@@ -146,11 +151,15 @@ def main():
     print(f"\n{args.workload} seed {args.seed}: {args.pairs} {mode} pairs of {seconds:g} s, "
           f"parent {args.parent} ({commit[:12]})")
     for name in samples:
-        print(f"  {name} digest {' '.join(sorted(digests[name]))}")
+        print(f"  {name} threads {' '.join(map(str, sorted(threads[name])))}  "
+              f"digest {' '.join(sorted(digests[name]))}")
         for failed in sorted(set(failures[name])):
             print(f"  {name} FAILED x{failures[name].count(failed)}: {failed}")
     if digests["parent"] != digests["change"]:
         print("  DIGESTS DIFFER")
+    mixed_threads = len(threads["parent"] | threads["change"]) > 1
+    if mixed_threads:
+        print("  THREAD COUNTS DIFFER: the ratios below compare different core counts")
     width = max(len(spec["name"]) for spec in metric_specs)
     print(f"  {'metric':{width}} {'better':6} {'parent median [q1, q3]':>36} "
           f"{'change median [q1, q3]':>36} {'ratio':>7} {'wins':>6} {'>IQR':>5}")
@@ -166,7 +175,7 @@ def main():
         ratio = c[1] / p[1] if p[1] else float("nan")
         print(f"  {name:{width}} {spec['better']:6} {spread(p):>36} {spread(c):>36} {ratio:7.3f} "
               f"{f'{wins}/{len(parent)}':>6} {'yes' if gain > p[2] - p[0] else 'no':>5}")
-    return 1 if any(failures.values()) else 0
+    return 1 if any(failures.values()) or mixed_threads else 0
 
 
 if __name__ == "__main__":
