@@ -8,30 +8,42 @@ namespace lumos::graph {
 
 CsrGraph::CsrGraph(std::size_t node_count, std::vector<Edge> edges, bool symmetrize) {
   LUMOS_EXPECTS(node_count > 0);
-  if (symmetrize) {
-    const std::size_t original = edges.size();
-    edges.reserve(original * 2);
-    for (std::size_t i = 0; i < original; ++i) {
-      if (edges[i].src != edges[i].dst) edges.push_back({edges[i].dst, edges[i].src});
-    }
-  }
+  // Counting-sort construction (Gustavson 1978): count each row's entries, take
+  // the prefix sums, scatter, then sort and dedup each row in place.  An edge
+  // fills its source's row; when symmetrising, a non-loop edge also fills its
+  // destination's row, so a self-loop enters once.
+  row_ptr_.assign(node_count + 1, 0);
   for (const Edge& e : edges) {
     LUMOS_EXPECTS_MSG(e.src < node_count && e.dst < node_count, "edge endpoint out of range");
+    ++row_ptr_[e.src + 1];
+    if (symmetrize && e.src != e.dst) ++row_ptr_[e.dst + 1];
   }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
-  edges.erase(std::unique(edges.begin(), edges.end(),
-                          [](const Edge& a, const Edge& b) {
-                            return a.src == b.src && a.dst == b.dst;
-                          }),
-              edges.end());
-
-  row_ptr_.assign(node_count + 1, 0);
-  col_idx_.resize(edges.size());
-  for (const Edge& e : edges) ++row_ptr_[e.src + 1];
   for (std::size_t v = 0; v < node_count; ++v) row_ptr_[v + 1] += row_ptr_[v];
-  for (std::size_t i = 0; i < edges.size(); ++i) col_idx_[i] = edges[i].dst;
+
+  // Scatter with `row_ptr_[v]` as row v's cursor: afterwards it holds the end
+  // of row v, which is where row v + 1 begins.
+  col_idx_.resize(row_ptr_[node_count]);
+  for (const Edge& e : edges) {
+    col_idx_[row_ptr_[e.src]++] = e.dst;
+    if (symmetrize && e.src != e.dst) col_idx_[row_ptr_[e.dst]++] = e.src;
+  }
+
+  // Sort each row and keep its first copy of every neighbour, compacting the
+  // rows towards the front; `row_ptr_[v]` becomes row v's compacted start.
+  std::size_t begin = 0;
+  std::size_t kept = 0;
+  for (std::size_t v = 0; v < node_count; ++v) {
+    const std::size_t end = row_ptr_[v];
+    row_ptr_[v] = kept;
+    std::sort(col_idx_.begin() + static_cast<std::ptrdiff_t>(begin),
+              col_idx_.begin() + static_cast<std::ptrdiff_t>(end));
+    for (std::size_t i = begin; i < end; ++i) {
+      if (kept == row_ptr_[v] || col_idx_[kept - 1] != col_idx_[i]) col_idx_[kept++] = col_idx_[i];
+    }
+    begin = end;
+  }
+  row_ptr_[node_count] = kept;
+  col_idx_.resize(kept);
 
   // Degree histogram (ascending, one bucket per distinct degree): bucket the
   // degrees, then compress the occupied counts.

@@ -1,6 +1,7 @@
 #include "graph/generators.hpp"
 
-#include <unordered_set>
+#include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 
@@ -12,6 +13,35 @@ std::uint64_t edge_key(NodeId a, NodeId b) {
   if (a > b) std::swap(a, b);
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
+
+// The generators' duplicate check: an open-addressing set of edge keys with
+// linear probing, in a power-of-two table kept at most half full.  Key 0
+// marks an empty slot; no edge key is 0, because self-loops never enter and
+// the larger endpoint of any other edge is at least 1.
+class EdgeKeySet {
+ public:
+  // Sized for `capacity` insertions.
+  explicit EdgeKeySet(std::size_t capacity)
+      : table_(std::bit_ceil(std::max<std::size_t>(2 * capacity, 2)), 0),
+        shift_(64 - std::countr_zero(table_.size())) {}
+
+  // Adds `key`; false when it is already present.
+  bool insert(std::uint64_t key) {
+    const std::size_t mask = table_.size() - 1;
+    // Fibonacci hashing: the top bits of the product index the table.
+    for (std::size_t i = (key * 0x9E3779B97F4A7C15ull) >> shift_;; i = (i + 1) & mask) {
+      if (table_[i] == key) return false;
+      if (table_[i] == 0) {
+        table_[i] = key;
+        return true;
+      }
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> table_;
+  int shift_;
+};
 }  // namespace
 
 CsrGraph erdos_renyi(std::size_t node_count, std::size_t edge_count, std::uint64_t seed) {
@@ -19,14 +49,14 @@ CsrGraph erdos_renyi(std::size_t node_count, std::size_t edge_count, std::uint64
   const std::size_t max_edges = node_count * (node_count - 1) / 2;
   LUMOS_EXPECTS_MSG(edge_count <= max_edges, "more edges than a simple graph allows");
   Rng rng(seed);
-  std::unordered_set<std::uint64_t> seen;
+  EdgeKeySet seen(edge_count);
   std::vector<Edge> edges;
   edges.reserve(edge_count);
   while (edges.size() < edge_count) {
     const auto a = static_cast<NodeId>(rng.next_below(static_cast<std::uint32_t>(node_count)));
     const auto b = static_cast<NodeId>(rng.next_below(static_cast<std::uint32_t>(node_count)));
     if (a == b) continue;
-    if (seen.insert(edge_key(a, b)).second) edges.push_back({a, b});
+    if (seen.insert(edge_key(a, b))) edges.push_back({a, b});
   }
   return CsrGraph(node_count, std::move(edges), /*symmetrize=*/true);
 }
@@ -39,7 +69,7 @@ CsrGraph rmat(std::size_t scale, std::size_t edges_per_node, RmatParams params,
   const std::size_t n = std::size_t{1} << scale;
   const std::size_t target = n * edges_per_node;
   Rng rng(seed);
-  std::unordered_set<std::uint64_t> seen;
+  EdgeKeySet seen(target);
   std::vector<Edge> edges;
   edges.reserve(target);
   std::size_t attempts = 0;
@@ -64,7 +94,7 @@ CsrGraph rmat(std::size_t scale, std::size_t edges_per_node, RmatParams params,
       dst = static_cast<NodeId>((dst << 1) | (quadrant & 1));
     }
     if (src == dst) continue;
-    if (seen.insert(edge_key(src, dst)).second) edges.push_back({src, dst});
+    if (seen.insert(edge_key(src, dst))) edges.push_back({src, dst});
   }
   return CsrGraph(n, std::move(edges), /*symmetrize=*/true);
 }

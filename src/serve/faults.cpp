@@ -151,7 +151,8 @@ std::unique_ptr<AdmissionController> make_admission(const AdmissionConfig& confi
 // SlotFaultProcess
 // ---------------------------------------------------------------------------
 
-SlotFaultProcess::SlotFaultProcess(const FaultConfig& config) : config_(config) {
+SlotFaultProcess::SlotFaultProcess(const FaultConfig& config)
+    : config_(config), next_s_(kNever), next_slot_(kNoSlot) {
   validate_faults(config);
   LUMOS_EXPECTS_MSG(config.enabled(), "SlotFaultProcess needs an enabled FaultConfig");
 }
@@ -163,36 +164,30 @@ void SlotFaultProcess::add_slot(double now_s) {
   s.up = true;
   s.next_s = now_s + s.rng.exponential(config_.mtbf_s);
   states_.push_back(std::move(s));
+  find_next();
 }
 
 void SlotFaultProcess::remove_slot(std::size_t slot) {
   LUMOS_EXPECTS(slot < states_.size());
   states_[slot].tracked = false;
+  find_next();
 }
 
 bool SlotFaultProcess::up(std::size_t slot) const noexcept {
   return slot < states_.size() ? states_[slot].up : true;
 }
 
-double SlotFaultProcess::next_event_s() const noexcept {
-  double next = kNever;
-  for (const State& s : states_) {
-    if (s.tracked && s.next_s < next) next = s.next_s;
-  }
-  return next;
-}
-
-std::size_t SlotFaultProcess::next_event_slot() const noexcept {
-  double next = kNever;
-  std::size_t slot = kNoSlot;
+void SlotFaultProcess::find_next() noexcept {
+  // Strict `<`: ties go to the lowest slot index.
+  next_s_ = kNever;
+  next_slot_ = kNoSlot;
   for (std::size_t i = 0; i < states_.size(); ++i) {
     const State& s = states_[i];
-    if (s.tracked && s.next_s < next) {
-      next = s.next_s;
-      slot = i;
+    if (s.tracked && s.next_s < next_s_) {
+      next_s_ = s.next_s;
+      next_slot_ = i;
     }
   }
-  return slot;
 }
 
 bool SlotFaultProcess::advance(std::size_t slot) {
@@ -202,6 +197,7 @@ bool SlotFaultProcess::advance(std::size_t slot) {
   const double now_s = s.next_s;
   s.up = !s.up;
   s.next_s = now_s + s.rng.exponential(s.up ? config_.mtbf_s : config_.mttr_s);
+  find_next();
   return s.up;
 }
 

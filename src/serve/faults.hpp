@@ -152,9 +152,10 @@ class SlotFaultProcess {
   [[nodiscard]] bool up(std::size_t slot) const noexcept;
 
   // Earliest pending transition instant (+infinity when nothing is tracked)
-  // and the slot it belongs to.
-  [[nodiscard]] double next_event_s() const noexcept;
-  [[nodiscard]] std::size_t next_event_slot() const noexcept;
+  // and the slot it belongs to.  Both are kept current by `add_slot`,
+  // `remove_slot` and `advance`, so the event loop reads them without a scan.
+  [[nodiscard]] double next_event_s() const noexcept { return next_s_; }
+  [[nodiscard]] std::size_t next_event_slot() const noexcept { return next_slot_; }
 
   // Applies `slot`'s pending transition; returns its new up state (false:
   // just failed, true: just recovered).  The next transition is drawn from
@@ -171,8 +172,13 @@ class SlotFaultProcess {
     State() : rng(0) {}
   };
 
+  // Recomputes `next_s_` and `next_slot_` over the tracked slots.
+  void find_next() noexcept;
+
   FaultConfig config_;
   std::vector<State> states_;
+  double next_s_;
+  std::size_t next_slot_;
 };
 
 }  // namespace lumos::serve

@@ -114,10 +114,7 @@ CellPlan CellPlan::build(const Scenario& scenario, std::size_t cells) {
 }
 
 FleetMetrics simulate_sharded(const Scenario& scenario, std::size_t cells) {
-  if (cells == 1) {
-    validate_scenario(scenario);
-    return simulate(scenario);
-  }
+  if (cells == 1) return simulate(scenario);
   CellPlan plan = CellPlan::build(scenario, cells);
   // One chunk per cell: chunk boundaries depend only on the cell count, each
   // cell writes its own slot, and the fold below is ascending — results are

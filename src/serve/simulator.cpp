@@ -145,9 +145,10 @@ bool can_dispatch_to(const Slot& s) noexcept {
   return s.idle && !s.draining && !s.retired && !s.failed;
 }
 
-}  // namespace
-
-void validate_scenario(const Scenario& scenario) {
+// `validate_scenario`'s checks.  Returns whether the explicit trace holds a
+// request that decodes, found on the validation walk so that `simulate` walks
+// the trace once before its loop.
+bool check_scenario(const Scenario& scenario) {
   if (scenario.fleet.accelerators.empty()) {
     throw InvalidArgument("Scenario.fleet: FleetConfig.accelerators must not be empty");
   }
@@ -188,6 +189,7 @@ void validate_scenario(const Scenario& scenario) {
   }
   if (!scenario.trace.empty()) {
     double previous_s = 0.0;
+    bool decodes = false;
     for (const Request& r : scenario.trace) {
       if (r.workload >= scenario.catalog.size()) {
         throw InvalidArgument("Scenario.trace: request " + std::to_string(r.id) +
@@ -201,12 +203,13 @@ void validate_scenario(const Scenario& scenario) {
                               "; arrivals must be finite, >= 0 and in arrival order");
       }
       previous_s = r.arrival_s;
+      decodes = decodes || r.decode_tokens > 0;
     }
-    return;
+    return decodes;
   }
   if (scenario.traffic.mode == LoopMode::kClosed) {
     validate_closed_loop(scenario.traffic.closed);
-    return;
+    return false;
   }
   if (!(scenario.traffic.open.offered_qps > 0.0) ||
       !std::isfinite(scenario.traffic.open.offered_qps)) {
@@ -215,7 +218,12 @@ void validate_scenario(const Scenario& scenario) {
   if (scenario.traffic.open.request_count < 1) {
     throw InvalidArgument("Scenario.traffic: TraceConfig.request_count must be >= 1");
   }
+  return false;
 }
+
+}  // namespace
+
+void validate_scenario(const Scenario& scenario) { (void)check_scenario(scenario); }
 
 namespace {
 
@@ -227,6 +235,7 @@ namespace {
 // never feed back into simulation state.
 template <bool kObs>
 FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
+  const bool trace_decodes = check_scenario(scenario);
   const FleetConfig& fleet = scenario.fleet;
   const WorkloadCatalog& catalog = scenario.catalog;
   const BatchPolicy& policy = scenario.batch;
@@ -460,15 +469,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // Decode-phase setup, all skipped when nothing decodes: the gated branches
   // below then never fire, keeping decode-free runs bit-identical to the
   // pre-decode event loop (pinned by tests/test_decode.cpp).
-  bool has_decode = catalog.has_decode();
-  if (!has_decode) {
-    for (const Request& r : scenario.trace) {
-      if (r.decode_tokens > 0) {
-        has_decode = true;
-        break;
-      }
-    }
-  }
+  const bool has_decode = catalog.has_decode() || trace_decodes;
   const bool continuous = sim.decode_mode == DecodeMode::kContinuous;
   // Decode lanes per slot: the batch width the scheduler dispatches at.
   const std::size_t lane_capacity =
@@ -1261,9 +1262,9 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
 }  // namespace
 
 FleetMetrics simulate(const Scenario& scenario, Observation* observation) {
-  validate_scenario(scenario);
   // Template split: unobserved runs take the kObs=false instantiation, whose
-  // hook sites do not exist in the compiled loop at all.
+  // hook sites do not exist in the compiled loop at all.  Each validates the
+  // scenario before it touches anything else.
   if (scenario.observe.enabled()) {
     return simulate_impl<true>(scenario, observation);
   }

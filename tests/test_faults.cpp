@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -287,6 +288,32 @@ TEST(FaultProcess, AlternatesUpAndDownPhases) {
   EXPECT_FALSE(p.up(0));
   EXPECT_TRUE(p.advance(0));  // then a recovery
   EXPECT_TRUE(p.up(0));
+}
+
+TEST(FaultProcess, PinnedTransitions) {
+  // FNV-1a 64 over the first 500 (slot, instant bits) transitions of an
+  // 8-slot process, recorded when `next_event_s` and `next_event_slot` each
+  // scanned every slot.  Slot 3 is removed before transition 150 and slot 8
+  // added at transition 300.
+  SlotFaultProcess p(fast_faults());
+  for (int i = 0; i < 8; ++i) p.add_slot(0.0);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (value >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (int n = 0; n < 500; ++n) {
+    if (n == 150) p.remove_slot(3);
+    const std::size_t slot = p.next_event_slot();
+    const double t = p.next_event_s();
+    if (n == 300) p.add_slot(t);
+    p.advance(slot);
+    add(slot);
+    add(std::bit_cast<std::uint64_t>(t));
+  }
+  EXPECT_EQ(h, 0x7a3e27fbcde9cc99ull) << std::hex << h;
 }
 
 // ---------------------------------------------------------------------------

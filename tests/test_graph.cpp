@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 
@@ -63,6 +65,93 @@ TEST(Csr, DegreeStatsConsistent) {
   EXPECT_EQ(g.max_degree(), 3u);
   EXPECT_NEAR(g.average_degree(), 8.0 / 4.0, 1e-12);
   EXPECT_NEAR(g.density(), 8.0 / 16.0, 1e-12);
+}
+
+// The construction the counting sort replaced: symmetrise, sort the whole
+// edge list, drop exact duplicates, then count the rows.
+struct SortedReference {
+  std::vector<std::size_t> row_ptr;
+  std::vector<NodeId> col_idx;
+};
+
+SortedReference sorted_reference(std::size_t node_count, std::vector<Edge> edges,
+                                 bool symmetrize) {
+  if (symmetrize) {
+    const std::size_t original = edges.size();
+    edges.reserve(original * 2);
+    for (std::size_t i = 0; i < original; ++i) {
+      if (edges[i].src != edges[i].dst) edges.push_back({edges[i].dst, edges[i].src});
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const Edge& a, const Edge& b) {
+                            return a.src == b.src && a.dst == b.dst;
+                          }),
+              edges.end());
+  SortedReference ref;
+  ref.row_ptr.assign(node_count + 1, 0);
+  for (const Edge& e : edges) ++ref.row_ptr[e.src + 1];
+  for (std::size_t v = 0; v < node_count; ++v) ref.row_ptr[v + 1] += ref.row_ptr[v];
+  for (const Edge& e : edges) ref.col_idx.push_back(e.dst);
+  return ref;
+}
+
+TEST(Graph, CsrBuildMatchesSortedReference) {
+  // Seeded edge lists mixing fresh edges, exact and reversed duplicates of
+  // earlier edges, and self-loops.  Endpoints come from the first `used`
+  // vertices, so the trailing ones stay isolated.
+  const struct {
+    std::size_t node_count;
+    std::size_t used;
+    std::size_t edges;
+  } cases[] = {{1, 1, 0},   {1, 1, 6},   {6, 4, 0},     {2, 2, 9},
+               {5, 3, 14},  {17, 17, 60}, {64, 50, 700}, {300, 290, 4000}};
+  Rng rng(2024);
+  for (const auto& c : cases) {
+    const auto any = [&] {
+      return static_cast<NodeId>(rng.next_below(static_cast<std::uint32_t>(c.used)));
+    };
+    std::vector<Edge> edges;
+    while (edges.size() < c.edges) {
+      const std::uint32_t kind = edges.empty() ? 3 : rng.next_below(6);
+      if (kind == 0) {
+        const Edge e = edges[rng.next_below(static_cast<std::uint32_t>(edges.size()))];
+        edges.push_back(e);
+      } else if (kind == 1) {
+        const Edge e = edges[rng.next_below(static_cast<std::uint32_t>(edges.size()))];
+        edges.push_back({e.dst, e.src});
+      } else if (kind == 2) {
+        const NodeId v = any();
+        edges.push_back({v, v});
+      } else {
+        const NodeId src = any();
+        edges.push_back({src, any()});
+      }
+    }
+    for (const bool symmetrize : {false, true}) {
+      SCOPED_TRACE(testing::Message() << c.node_count << " nodes, " << c.edges << " edges, "
+                                      << (symmetrize ? "symmetrised" : "directed"));
+      const CsrGraph g(c.node_count, edges, symmetrize);
+      const SortedReference ref = sorted_reference(c.node_count, edges, symmetrize);
+      EXPECT_TRUE(std::ranges::equal(g.row_ptr(), ref.row_ptr));
+      EXPECT_TRUE(std::ranges::equal(g.col_idx(), ref.col_idx));
+      std::vector<std::size_t> counts(c.edges * 2 + 1, 0);
+      for (std::size_t v = 0; v < c.node_count; ++v) {
+        ++counts[ref.row_ptr[v + 1] - ref.row_ptr[v]];
+      }
+      std::vector<DegreeBucket> histogram;
+      for (std::size_t d = 0; d < counts.size(); ++d) {
+        if (counts[d] > 0) histogram.push_back({d, counts[d]});
+      }
+      EXPECT_TRUE(std::ranges::equal(g.degree_histogram(), histogram,
+                                     [](const DegreeBucket& a, const DegreeBucket& b) {
+                                       return a.degree == b.degree && a.count == b.count;
+                                     }));
+    }
+  }
 }
 
 TEST(ErdosRenyi, ExactEdgeCount) {
@@ -141,6 +230,56 @@ TEST(Datasets, ArxivDimensions) {
   EXPECT_EQ(ds.graph.edge_count(), 2u * 1166243u);
   EXPECT_EQ(ds.feature_dim, 128u);
   EXPECT_EQ(ds.class_count, 40u);
+}
+
+// FNV-1a 64 over `row_ptr`, then `col_idx` widened to 64 bits, then each
+// histogram bucket's degree and count, each value's bytes low first.
+std::uint64_t csr_digest(const CsrGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (value >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const std::size_t p : g.row_ptr()) add(p);
+  for (const NodeId u : g.col_idx()) add(u);
+  for (const DegreeBucket& b : g.degree_histogram()) {
+    add(b.degree);
+    add(b.count);
+  }
+  return h;
+}
+
+TEST(PinnedBits, GraphDatasets) {
+  // Recorded from the comparison-sort CSR build and the hash-set edge dedup
+  // that the counting sort and the open-addressing edge set replaced.  The
+  // dense Erdos-Renyi graph (1,500 of 2,016 possible edges) rejects many
+  // draws as duplicates.
+  const std::vector<Edge> five = {{3, 1}, {1, 3}, {0, 0}, {3, 1}, {2, 2},
+                                  {4, 0}, {0, 4}, {1, 2}, {2, 2}, {0, 4}};
+  const struct {
+    const char* name;
+    CsrGraph graph;
+    std::uint64_t digest;
+  } pins[] = {
+      {"Cora", synthetic_cora().graph, 0xe6e5f777d4971c7dull},
+      {"Citeseer", synthetic_citeseer().graph, 0x40d5b5542847b283ull},
+      {"Pubmed", synthetic_pubmed().graph, 0x6d5ba6abb32d200eull},
+      {"ogbn-arxiv", synthetic_arxiv().graph, 0x5074f744af78f3dbull},
+      {"Tiny", tiny_dataset().graph, 0x159c2515fde11b31ull},
+      {"rmat-8", rmat(8, 16, {}, 7), 0xd718c6436e421179ull},
+      {"rmat-10", rmat(10, 16, {}, 7), 0x1d6b7374c2e7735dull},
+      {"rmat-12", rmat(12, 16, {}, 7), 0x9695ef2e8136e1f7ull},
+      {"rmat-14", rmat(14, 16, {}, 7), 0x9c869bc3e2281109ull},
+      {"dense-er-64", erdos_renyi(64, 1500, 11), 0x8a2e705a4e9e2f8eull},
+      {"five-symmetrised", CsrGraph(5, five, true), 0xcba5ac773ccd66afull},
+      {"five-directed", CsrGraph(5, five, false), 0xc84a2a4840479563ull},
+  };
+  for (const auto& pin : pins) {
+    EXPECT_EQ(csr_digest(pin.graph), pin.digest)
+        << pin.name << std::hex << " digest " << csr_digest(pin.graph);
+  }
 }
 
 TEST(Partition, CoversEveryEdgeExactlyOnce) {
