@@ -93,9 +93,8 @@ void write_headline(JsonWriter& w, const std::string& label, const serve::Scenar
 }
 
 // Runs one campaign, prints its table and writes its JSON object.
-void write_campaign(JsonWriter& w, const serve::CampaignConfig& config,
-                    const serve::WorkloadCatalog& catalog) {
-  const std::vector<serve::CampaignPoint> points = serve::run_campaign(config, catalog);
+void write_campaign(JsonWriter& w, const serve::CampaignConfig& config) {
+  const std::vector<serve::CampaignPoint> points = serve::run_campaign(config);
   serve::campaign_table(points, config.name).print(std::cout);
   serve::write_campaign_json(w, config, points);
 }
@@ -111,13 +110,14 @@ serve::CampaignConfig sweep_campaign(const std::string& label,
       catalog, serve::FleetConfig::cycled(fleet_template, fleet), max_batch);
   serve::CampaignConfig cfg;
   cfg.name = label + " saturation sweep";
-  cfg.fleet_template = fleet_template;
+  cfg.base.catalog = catalog;
+  cfg.base.traffic.open.request_count = smoke ? 10000 : 200000;
+  cfg.base.traffic.open.seed = 7;
+  cfg.fleet_templates = {fleet_template};
   cfg.qps = {0.5 * capacity, 0.8 * capacity, 1.1 * capacity};
   cfg.schedulers = {serve::SchedulerKind::kFifo, serve::SchedulerKind::kDynamicBatch};
   cfg.fleet_sizes = {fleet};
   cfg.max_batches = {max_batch};
-  cfg.requests_per_point = smoke ? 10000 : 200000;
-  cfg.seed = 7;
   return cfg;
 }
 
@@ -531,32 +531,29 @@ serve::CampaignConfig elastic_campaign(const serve::WorkloadCatalog& catalog, bo
       catalog, serve::FleetConfig::cycled(fleet_template, 4), max_batch);
   serve::CampaignConfig cfg;
   cfg.name = "TRON+GHOST elastic policy sweep";
-  cfg.fleet_template = fleet_template;
+  cfg.base.catalog = catalog;
+  cfg.base.sim.autoscaler.max_slots = 6;  // per family: up to 12 slots total
+  cfg.base.traffic.open.process = serve::ArrivalProcess::kBursty;
+  cfg.base.traffic.open.request_count = smoke ? 10000 : 200000;
+  cfg.base.traffic.open.seed = 13;
+  cfg.fleet_templates = {fleet_template};
   cfg.qps = {0.5 * capacity4, 0.8 * capacity4};
   cfg.schedulers = {serve::SchedulerKind::kDynamicBatch};
   cfg.fleet_sizes = {2};
   cfg.max_batches = {max_batch};
   cfg.autoscalers = {serve::AutoscalerPolicy::kNone, serve::AutoscalerPolicy::kQueueDepth,
                      serve::AutoscalerPolicy::kTargetUtilization};
-  cfg.autoscale.max_slots = 6;  // per family: up to 12 slots total
-  cfg.process = serve::ArrivalProcess::kBursty;
-  cfg.requests_per_point = smoke ? 10000 : 200000;
-  cfg.seed = 13;
   return cfg;
 }
 
-serve::Scenario elastic_headline(const serve::CampaignConfig& cfg,
-                                 const serve::WorkloadCatalog& catalog, bool smoke) {
-  serve::Scenario scenario;
-  scenario.fleet = serve::FleetConfig::cycled(cfg.fleet_template, cfg.fleet_sizes.front());
-  scenario.catalog = catalog;
-  scenario.scheduler = serve::SchedulerKind::kDynamicBatch;
+serve::Scenario elastic_headline(const serve::CampaignConfig& cfg, bool smoke) {
+  serve::Scenario scenario = cfg.base;
+  scenario.fleet =
+      serve::FleetConfig::cycled(cfg.fleet_templates.front(), cfg.fleet_sizes.front());
   scenario.batch.max_batch = cfg.max_batches.front();
   scenario.sim.autoscaler.policy = serve::AutoscalerPolicy::kQueueDepth;
-  scenario.sim.autoscaler.max_slots = cfg.autoscale.max_slots;
   scenario.traffic.open.offered_qps = cfg.qps.back();
   scenario.traffic.open.request_count = smoke ? 50000 : 1000000;
-  scenario.traffic.open.process = cfg.process;
   scenario.traffic.open.seed = 19;
   return scenario;
 }
@@ -600,18 +597,18 @@ void write_overload_faults(JsonWriter& w, bool smoke) {
 
   serve::CampaignConfig cfg;
   cfg.name = "TRON overload + faults";
-  cfg.fleet_template = {"tron"};
+  cfg.base.catalog = catalog;
+  cfg.base.sim.faults.mttr_s = 5e-3;
+  cfg.base.sim.retry.max_attempts = 3;
+  cfg.base.traffic.open.request_count = smoke ? 20000 : 100000;
+  cfg.base.traffic.open.seed = 29;
   cfg.qps = {0.5 * capacity, 1.0 * capacity, 2.0 * capacity, 4.0 * capacity};
   cfg.schedulers = {serve::SchedulerKind::kDynamicBatch};
   cfg.fleet_sizes = {fleet};
   cfg.max_batches = {max_batch};
   cfg.admissions = {serve::AdmissionPolicy::kNone, serve::AdmissionPolicy::kTierShed};
   cfg.fault_mtbfs_s = {50e-3};  // a handful of failures per slot per run
-  cfg.faults.mttr_s = 5e-3;
-  cfg.retry.max_attempts = 3;
-  cfg.requests_per_point = smoke ? 20000 : 100000;
-  cfg.seed = 29;
-  write_campaign(w, cfg, catalog);
+  write_campaign(w, cfg);
 }
 
 }  // namespace
@@ -649,7 +646,7 @@ int main(int argc, char** argv) {
   w.end().begin_array("headlines");
   write_headline(w, "GHOST", knee_scenario({"ghost"}, 4, ghost, smoke));
   write_headline(w, "TRON+GHOST mixed", knee_scenario({"tron", "ghost"}, 4, mixed, smoke));
-  write_headline(w, "TRON+GHOST elastic", elastic_headline(elastic_cfg, elastic, smoke));
+  write_headline(w, "TRON+GHOST elastic", elastic_headline(elastic_cfg, smoke));
   std::printf("\n");
   w.end().begin_array("closed_loop");
   write_closed_loop(w, smoke);
@@ -660,10 +657,10 @@ int main(int argc, char** argv) {
   w.end().begin_array("overload_faults");
   write_overload_faults(w, smoke);
   w.end().begin_array("campaigns");
-  write_campaign(w, sweep_campaign("TRON", {"tron"}, tron, smoke), tron);
-  write_campaign(w, sweep_campaign("GHOST", {"ghost"}, ghost, smoke), ghost);
-  write_campaign(w, sweep_campaign("TRON+GHOST mixed", {"tron", "ghost"}, mixed, smoke), mixed);
-  write_campaign(w, elastic_cfg, elastic);
+  write_campaign(w, sweep_campaign("TRON", {"tron"}, tron, smoke));
+  write_campaign(w, sweep_campaign("GHOST", {"ghost"}, ghost, smoke));
+  write_campaign(w, sweep_campaign("TRON+GHOST mixed", {"tron", "ghost"}, mixed, smoke));
+  write_campaign(w, elastic_cfg);
   w.end().end();
   f.close();
   if (!f) {

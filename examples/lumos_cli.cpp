@@ -27,99 +27,11 @@
 //             follows the kinds the specs serve: transformer-only, GNN-only,
 //             or the combined mix (electronic platforms serve both)
 //
-//   serve flags:
-//     --loop <m>         open | closed (default open): open-loop offered-QPS
-//                        trace vs closed-loop client sessions that wait for
-//                        each completion, think, then issue the next request
-//     --qps <q>          open loop: offered QPS (default: 70% of unloaded
-//                        fleet capacity)
-//     --requests <n>     open loop: trace length; closed loop: total requests
-//                        across all sessions (default 50000)
-//     --sessions <n>     closed loop: concurrent client sessions (default 32)
-//     --think-time-us <t> closed loop: mean exponential think time (default 2000)
-//     --seqlen-dist <d>  fixed | uniform | lognormal: per-request sequence
-//                        lengths for transformer tenants (default fixed;
-//                        a GNN-only fleet has none)
-//     --decode <n>       mean generated tokens per request on transformer
-//                        tenants: each request runs a prefill then decodes
-//                        token by token, with waiting prefills admitted into
-//                        free batch lanes at token boundaries (continuous
-//                        batching; see --decode-mode)
-//     --decode-dist <d>  fixed | uniform | lognormal decode-length shape
-//                        around --decode tokens (default fixed; needs --decode)
-//     --decode-mode <m>  continuous | monolithic decode scheduling (default
-//                        continuous; monolithic holds the batch to the longest
-//                        decode — the static-batching baseline; needs --decode)
-//     --ttft-slo-us <t>  time-to-first-token SLO on decoding tenants
-//                        (needs --decode)
-//     --tpot-slo-us <t>  time-per-output-token SLO on decoding tenants
-//                        (needs --decode)
-//     --fleet <n>        accelerators in the (initial) fleet (default 4)
-//     --sched <s>        fifo | batch (default batch)
-//     --max-batch <n>    dynamic-batch cap (default 8; not with --sched fifo)
-//     --max-wait-us <w>  dynamic-batch deadline (default 2000; not with
-//                        --sched fifo)
-//     --bursty           open loop: MMPP arrivals instead of Poisson
-//     --routing <r>      first-idle | energy-aware | cost-aware (default
-//                        first-idle; cost-aware picks the cheapest idle slot
-//                        still predicted to make the tenant's SLO)
-//     --fleets <grid>    fleet-template campaign axis: semicolon-separated
-//                        templates, each a comma-separated spec list
-//                        ("tron;v100;tron,v100" compares photonic, electronic,
-//                        and hybrid fleets in one table; open-loop sweeps only)
-//     --usd-per-kwh <x>  marginal energy price in $/kWh (default 0.10)
-//     --usd-per-watt-hour <x>  hosting $/W/h applied to a slot's static draw
-//                        for its default $/slot-hour rate (default 0.01)
-//     --slot-rate <spec=x>  pin an exact $/slot-hour for one spec name
-//                        (repeatable; overrides the static-draw default; the
-//                        spec must be one that a slot of the run uses)
-//     --seed <s>         trace / session seed (default 1)
-//     --priority         two-tier strict priorities over the workload mix
-//                        (high-traffic tenants tier 0, the rest tier 1)
-//     --autoscale <p>    none | queue | util: elastic fleet policy
-//     --scale-interval-us <n>  autoscaler evaluation step (default 5000)
-//     --min-fleet <n>    per-family slot floor under autoscaling (default 1)
-//     --max-fleet <n>    per-family slot ceiling under autoscaling (default 64)
-//     --grow-scale <x>   grown slots use the registry's "<spec>@<x>" variant
-//     --mtbf-us <n>      per-slot mean time between failures (enables fault
-//                        injection; failed slots abort their batch and requeue)
-//     --mttr-us <n>      per-slot mean time to repair (default 1000;
-//                        needs --mtbf-us)
-//     --timeout-us <n>   per-request timeout on every tenant (cancels queued
-//                        and in-flight work past the deadline)
-//     --retries <n>      total attempts per request under timeouts, with
-//                        exponential backoff (default 1: no retries;
-//                        needs --timeout-us)
-//     --admission <p>    none | queue-cap | tier-shed | slo-aware: admission
-//                        control consulted at every arrival
-//     --queue-cap <n>    queue bound for queue-cap / tier-shed admission
-//                        (default 256; needs --admission queue-cap|tier-shed)
-//     --percentiles <m>  exact | hdr: latency percentile computation (default
-//                        exact); hdr uses a bounded-relative-error
-//                        log-bucketed histogram (see --hdr-error)
-//     --cells <k>        simulate the fleet as k independent cells in parallel
-//                        (default 1: serial; k > 1 splits fleet/traffic/seeds
-//                        per cell and merges metrics — statistically, not
-//                        bit-, equivalent to serial; incompatible with
-//                        observers)
-//     --hdr-error <x>    hdr relative-error bound in (0, 1) (default 0.01;
-//                        needs --percentiles hdr)
-//     --trace-out <p>    write a Chrome trace_event JSON of the run to <p>
-//                        (lifecycle tracer; open in chrome://tracing or
-//                        https://ui.perfetto.dev)
-//     --trace-sample <x> fraction of requests traced, in [0, 1] (default 1;
-//                        needs --trace-out)
-//     --timeline-out <p> write windowed time-series metrics to <p> (.json
-//                        extension -> JSON, anything else -> CSV)
-//     --window-us <n>    timeline window width in us (default 1000; needs
-//                        --timeline-out)
-//     --profile          event-loop self-profile (events + wall time per
-//                        event source), printed as a table / JSON member
-//
-//   Observability (--trace-out / --timeline-out / --profile) runs a single
-//   simulation instead of a campaign sweep; the open-loop scenario matches
-//   campaign grid point 0 exactly (same derived seed), so the traced run
-//   reproduces the first sweep point bit-for-bit.
+//   The serve flags are the rows of `kServeFlags` below, and `lumos_cli`
+//   with no arguments prints them.  A closed-loop or observed (--trace-out,
+//   --timeline-out, --profile) run simulates one scenario instead of a
+//   campaign sweep: campaign grid point 0 with its derived seed, so a traced
+//   open-loop run reproduces the first sweep point bit-for-bit.
 //
 //   --json anywhere switches to machine-readable output.
 //
@@ -201,83 +113,42 @@ void print_report_json(const PerfReport& r) {
   w.end().end();
 }
 
-// Every accepted mode and flag must appear here: the arg parsers below throw
-// on anything they do not recognise, and the thrown path funnels into this
-// text with exit code 2 (tests/ci pin that).
-int usage() {
-  std::cerr << "usage:\n"
-               "  lumos_cli [--json] list\n"
-               "  lumos_cli [--json] tron  <" +
-                   sim::joined_names(sim::transformer_names()) +
-                   "> [seq] [batch]\n"
-                   "  lumos_cli [--json] ghost <" +
-                   sim::joined_names(sim::gnn_names()) + "> <" +
-                   sim::joined_names(sim::dataset_names()) +
-                   ">\n"
-                   "  lumos_cli [--json] generate <" +
-                   sim::joined_names(sim::transformer_names()) +
-                   "> <prompt> <tokens>\n"
-                   "  lumos_cli [--json] serve <tron|ghost|mixed|spec[,spec...]> "
-                   "[--loop open|closed] [--qps q]\n"
-                   "            [--requests n] [--sessions n] [--think-time-us t]\n"
-                   "            [--seqlen-dist fixed|uniform|lognormal] [--fleet n]\n"
-                   "            [--decode n] [--decode-dist fixed|uniform|lognormal]\n"
-                   "            [--decode-mode continuous|monolithic] [--ttft-slo-us t]\n"
-                   "            [--tpot-slo-us t]\n"
-                   "            [--sched fifo|batch] [--max-batch n] [--max-wait-us w] "
-                   "[--bursty]\n"
-                   "            [--routing first-idle|energy-aware|cost-aware] "
-                   "[--seed s] [--priority]\n"
-                   "            [--fleets t1;t2;...]  (each t a spec[,spec...] template)\n"
-                   "            [--usd-per-kwh x] [--usd-per-watt-hour x] "
-                   "[--slot-rate spec=x]\n"
-                   "            [--autoscale none|queue|util] [--scale-interval-us n]\n"
-                   "            [--min-fleet n] [--max-fleet n] [--grow-scale x]\n"
-                   "            [--mtbf-us n] [--mttr-us n] [--timeout-us n] [--retries n]\n"
-                   "            [--admission none|queue-cap|tier-shed|slo-aware] "
-                   "[--queue-cap n]\n"
-                   "            [--percentiles exact|hdr] [--hdr-error x] [--cells k]\n"
-                   "            [--trace-out p] [--trace-sample x] [--timeline-out p]\n"
-                   "            [--window-us n] [--profile]\n";
-  return 2;
-}
+// One command-line value with the name that every parse error reports.
+struct Arg {
+  const std::string& name;
+  const std::string& text;
 
-// Strict numeric parsing: the whole argument must be a number (the seed CLI
-// silently read "xyz" as 0 through strtoul, and strtoull would wrap "-5" to
-// 2^64-5).
-std::size_t parse_size(const std::string& arg, const char* what) {
-  if (arg.empty() || arg.find_first_not_of("0123456789") != std::string::npos) {
-    throw InvalidArgument(std::string(what) + " must be a non-negative integer, got '" +
-                          arg + "'");
+  // A whole non-negative integer in [min, max]: strtoull alone would read
+  // "xyz" as 0 and wrap "-5" to 2^64-5.  No trace or fleet needs 2^48 of
+  // anything.
+  [[nodiscard]] std::size_t count(std::size_t min = 0, std::size_t max = 1ull << 48) const {
+    if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
+      throw InvalidArgument(name + " must be a non-negative integer, got '" + text + "'");
+    }
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno == ERANGE || v < min || v > max) {
+      throw InvalidArgument(name + " must be in [" + std::to_string(min) + ", " +
+                            std::to_string(max) + "], got '" + text + "'");
+    }
+    return static_cast<std::size_t>(v);
   }
-  errno = 0;
-  const unsigned long long v = std::strtoull(arg.c_str(), nullptr, 10);
-  if (errno == ERANGE || v > std::numeric_limits<std::size_t>::max() ||
-      v > 1ull << 48) {  // sane ceiling: no trace/fleet needs 2^48 of anything
-    throw InvalidArgument(std::string(what) + " is out of range: '" + arg + "'");
+  // A finite number above 0, or at least 0 when `or_zero`.
+  [[nodiscard]] double number(bool or_zero = false) const {
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size()) {
+      throw InvalidArgument(name + " must be a number, got '" + text + "'");
+    }
+    if (!std::isfinite(v) || v < 0.0 || (v == 0.0 && !or_zero)) {
+      throw InvalidArgument(name + (or_zero ? " must be finite and >= 0"
+                                            : " must be finite and positive"));
+    }
+    return v;
   }
-  return static_cast<std::size_t>(v);
-}
-
-double parse_double(const std::string& arg, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(arg.c_str(), &end);
-  if (arg.empty() || end != arg.c_str() + arg.size()) {
-    throw InvalidArgument(std::string(what) + " must be a number, got '" + arg + "'");
-  }
-  return v;
-}
-
-// A `*-us` duration flag, returned in seconds: finite, and positive unless
-// `allow_zero`.
-double parse_us(const std::string& arg, const std::string& flag, bool allow_zero = false) {
-  const double us = parse_double(arg, flag.c_str());
-  if (!std::isfinite(us) || us < 0.0 || (us == 0.0 && !allow_zero)) {
-    throw InvalidArgument(flag + (allow_zero ? " must be finite and >= 0"
-                                             : " must be finite and positive"));
-  }
-  return us * 1e-6;
-}
+  // A `*-us` duration, in seconds.
+  [[nodiscard]] double us(bool or_zero = false) const { return number(or_zero) * 1e-6; }
+};
 
 // `list`: every name the registries and serve enums accept, so scripts can
 // discover valid arguments without parsing usage text.
@@ -344,35 +215,36 @@ std::vector<std::string> split_list(const std::string& text, char sep) {
   }
 }
 
-bool has_suffix(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-// Observation output destinations: where the tracer / timeline exports land.
-// Empty paths mean the matching observer is off.
-struct ObserveOut {
-  std::string trace_path;
-  std::string timeline_path;
+// Everything a serve command line sets: the campaign (its base Scenario and
+// its axes), where the observers write, and the catalog knobs applied once
+// every flag is read, so that flag order never matters.
+struct ServeRun {
+  serve::CampaignConfig cfg;
+  std::string trace_path;     // --trace-out
+  std::string timeline_path;  // --timeline-out
+  std::size_t decode_tokens = 0;  // 0: decode off
+  serve::SeqLenDist decode_dist = serve::SeqLenDist::kFixed;
+  double ttft_slo_s = 0.0;
+  double tpot_slo_s = 0.0;
+  double timeout_s = 0.0;
+  std::size_t requests = 0;  // --requests; 0: not given
+  bool priority = false;
 };
 
 // Writes the run's trace / timeline files and (text mode) the profile table.
 // JSON mode writes the profile into the run's object instead, so stdout
 // stays one well-formed JSON value.
-void export_observation(const serve::Observation& obs, const ObserveOut& out, bool json) {
+void export_observation(const serve::Observation& obs, const ServeRun& run, bool json) {
   if (obs.tracer) {
-    std::ofstream f(out.trace_path);
-    if (!f) throw InvalidArgument("cannot open --trace-out path: " + out.trace_path);
+    std::ofstream f(run.trace_path);
+    if (!f) throw InvalidArgument("cannot open --trace-out path: " + run.trace_path);
     obs.tracer->write_chrome_trace(f);
   }
   if (obs.timeline) {
-    std::ofstream f(out.timeline_path);
-    if (!f) throw InvalidArgument("cannot open --timeline-out path: " + out.timeline_path);
-    if (has_suffix(out.timeline_path, ".json")) {
-      obs.timeline->write_json(f);
-    } else {
-      obs.timeline->write_csv(f);
-    }
+    std::ofstream f(run.timeline_path);
+    if (!f) throw InvalidArgument("cannot open --timeline-out path: " + run.timeline_path);
+    run.timeline_path.ends_with(".json") ? obs.timeline->write_json(f)
+                                         : obs.timeline->write_csv(f);
   }
   if (obs.profiler && !json) {
     obs.profiler->to_table("event-loop profile").print(std::cout);
@@ -450,13 +322,16 @@ void print_run_json(const serve::Scenario& scenario, const serve::FleetMetrics& 
 }
 
 // Closed-loop and observed runs bypass the (offered-QPS-sweeping) campaign:
-// one Scenario, one simulate, metric (+ tenant) tables or one JSON object.
-int run_single(const serve::Scenario& scenario, std::size_t cells, bool tenant_table,
-               bool json, const ObserveOut& out) {
+// grid point 0 as one Scenario, one simulate, metric (+ tenant) tables or one
+// JSON object.
+int run_single(const ServeRun& run, bool tenant_table, bool json) {
+  const serve::Scenario scenario =
+      serve::campaign_scenario(run.cfg, serve::campaign_grid(run.cfg).front(), 0);
   serve::Observation obs;
   const serve::FleetMetrics m =
-      cells > 1 ? serve::simulate_sharded(scenario, cells)
-                : serve::simulate(scenario, scenario.observe.enabled() ? &obs : nullptr);
+      run.cfg.cells > 1
+          ? serve::simulate_sharded(scenario, run.cfg.cells)
+          : serve::simulate(scenario, scenario.observe.enabled() ? &obs : nullptr);
   if (json) {
     print_run_json(scenario, m, obs);
   } else {
@@ -466,361 +341,367 @@ int run_single(const serve::Scenario& scenario, std::size_t cells, bool tenant_t
         .print(std::cout);
     if (tenant_table) m.tenant_table("per-tenant breakdown").print(std::cout);
   }
-  export_observation(obs, out, json);
+  export_observation(obs, run, json);
   return 0;
+}
+
+// A mode that some flags need, named as usage and errors print it.
+struct Mode {
+  const char* name;
+  bool (*on)(const ServeRun&);
+};
+
+constexpr Mode kOpenLoop{"--loop open", [](const ServeRun& r) {
+                           return r.cfg.base.traffic.mode == serve::LoopMode::kOpen;
+                         }};
+constexpr Mode kClosedLoop{"--loop closed", [](const ServeRun& r) {
+                             return r.cfg.base.traffic.mode == serve::LoopMode::kClosed;
+                           }};
+constexpr Mode kCampaign{"--loop open, no --trace-out/--timeline-out/--profile",
+                         [](const ServeRun& r) {
+                           return kOpenLoop.on(r) && !r.cfg.base.observe.enabled();
+                         }};
+constexpr Mode kBatching{"--sched batch", [](const ServeRun& r) {
+                           return r.cfg.schedulers.front() != serve::SchedulerKind::kFifo;
+                         }};
+constexpr Mode kDecode{"--decode", [](const ServeRun& r) { return r.decode_tokens > 0; }};
+constexpr Mode kAutoscale{"--autoscale queue|util", [](const ServeRun& r) {
+                            return r.cfg.autoscalers.front() != serve::AutoscalerPolicy::kNone;
+                          }};
+constexpr Mode kFaults{"--mtbf-us",
+                       [](const ServeRun& r) { return r.cfg.fault_mtbfs_s.front() > 0.0; }};
+constexpr Mode kTimeout{"--timeout-us", [](const ServeRun& r) { return r.timeout_s > 0.0; }};
+constexpr Mode kCappedAdmission{"--admission queue-cap|tier-shed", [](const ServeRun& r) {
+                                  const serve::AdmissionPolicy p = r.cfg.admissions.front();
+                                  return p == serve::AdmissionPolicy::kQueueCap ||
+                                         p == serve::AdmissionPolicy::kTierShed;
+                                }};
+constexpr Mode kHdr{"--percentiles hdr", [](const ServeRun& r) {
+                      return r.cfg.base.sim.percentile_mode == serve::PercentileMode::kHdr;
+                    }};
+constexpr Mode kTraceOut{"--trace-out",
+                         [](const ServeRun& r) { return r.cfg.base.observe.trace.enabled; }};
+constexpr Mode kTimelineOut{"--timeline-out", [](const ServeRun& r) {
+                              return r.cfg.base.observe.timeline.enabled;
+                            }};
+
+// One serve flag: its name, its value's placeholder (nullptr for a switch),
+// its help line, the mode that reads it (nullptr: every mode), and the setter
+// that parses its value into the run.  The parse loop, the mode gate and
+// `usage` all read this table, so adding a flag is adding a row.
+struct ServeFlag {
+  const char* name;
+  const char* value;
+  const char* help;
+  const Mode* needs;
+  void (*set)(ServeRun&, const Arg&);
+};
+
+const ServeFlag kServeFlags[] = {
+    {"--loop", "open|closed",
+     "offered-QPS trace, or sessions that wait, think, reissue (default open)", nullptr,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.base.traffic.mode = serve::loop_mode_from_name(v.text);
+     }},
+    {"--qps", "q", "offered QPS (default 70% of the fleet's unloaded capacity)", &kOpenLoop,
+     [](ServeRun& r, const Arg& v) { r.cfg.qps = {v.number()}; }},
+    {"--requests", "n",
+     "trace length; closed loop: the total, a multiple of --sessions (default 50000, "
+     "rounded down to a multiple)",
+     nullptr,
+     [](ServeRun& r, const Arg& v) { r.requests = v.count(1); }},
+    {"--sessions", "n", "concurrent client sessions (default 32)", &kClosedLoop,
+     [](ServeRun& r, const Arg& v) { r.cfg.base.traffic.closed.sessions = v.count(1); }},
+    {"--think-time-us", "t", "mean exponential think time (default 2000)", &kClosedLoop,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.base.traffic.closed.think_time_mean_s = v.us(/*or_zero=*/true);
+     }},
+    {"--seqlen-dist", "fixed|uniform|lognormal",
+     "sequence lengths of transformer tenants (default fixed)", nullptr,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.base.catalog.apply_seqlen_dist(serve::seqlen_dist_from_name(v.text));
+     }},
+    {"--decode", "n", "mean tokens each transformer request generates after its prefill",
+     nullptr, [](ServeRun& r, const Arg& v) { r.decode_tokens = v.count(1); }},
+    {"--decode-dist", "fixed|uniform|lognormal", "decode-length shape (default fixed)",
+     &kDecode,
+     [](ServeRun& r, const Arg& v) { r.decode_dist = serve::seqlen_dist_from_name(v.text); }},
+    {"--decode-mode", "continuous|monolithic",
+     "join prefills at token boundaries, or hold the batch (default continuous)", &kDecode,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.base.sim.decode_mode = serve::decode_mode_from_name(v.text);
+     }},
+    {"--ttft-slo-us", "t", "time-to-first-token SLO of decoding tenants", &kDecode,
+     [](ServeRun& r, const Arg& v) { r.ttft_slo_s = v.us(); }},
+    {"--tpot-slo-us", "t", "time-per-output-token SLO of decoding tenants", &kDecode,
+     [](ServeRun& r, const Arg& v) { r.tpot_slo_s = v.us(); }},
+    {"--fleet", "n", "accelerators in the (initial) fleet (default 4)", nullptr,
+     [](ServeRun& r, const Arg& v) { r.cfg.fleet_sizes = {v.count(1, 4096)}; }},
+    {"--sched", "fifo|batch", "scheduler (default batch)", nullptr,
+     [](ServeRun& r, const Arg& v) { r.cfg.schedulers = {serve::scheduler_from_name(v.text)}; }},
+    {"--max-batch", "n", "dynamic-batch cap (default 8)", &kBatching,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.max_batches = {v.count(1, serve::BatchPolicy::kMaxBatchLimit)};
+     }},
+    {"--max-wait-us", "w", "dynamic-batch deadline (default 2000)", &kBatching,
+     [](ServeRun& r, const Arg& v) { r.cfg.base.batch.max_wait_s = v.us(/*or_zero=*/true); }},
+    {"--bursty", nullptr, "MMPP arrivals instead of Poisson", &kOpenLoop,
+     [](ServeRun& r, const Arg&) {
+       r.cfg.base.traffic.open.process = serve::ArrivalProcess::kBursty;
+     }},
+    {"--routing", "first-idle|energy-aware|cost-aware",
+     "cost-aware: the cheapest idle slot predicted to make the SLO (default first-idle)", nullptr,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.base.fleet.routing = serve::routing_from_name(v.text);
+     }},
+    {"--fleets", "t1;t2;...",
+     "fleet-template axis, each t a spec[,spec...] ('tron;v100;tron,v100')", &kCampaign,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.fleet_templates.clear();
+       for (const std::string& entry : split_list(v.text, ';')) {
+         std::vector<std::string> specs = split_list(entry, ',');
+         for (const std::string& spec : specs) {
+           (void)arch::is_platform_spec(spec);  // registry name validation
+         }
+         r.cfg.fleet_templates.push_back(std::move(specs));
+       }
+     }},
+    {"--usd-per-kwh", "x", "marginal energy price (default 0.10)", nullptr,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.base.fleet.cost.usd_per_joule = v.number(/*or_zero=*/true) / 3.6e6;
+     }},
+    {"--usd-per-watt-hour", "x",
+     "hosting $/W/h on a slot's static draw: its default $/slot-hour (default 0.01)", nullptr,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.base.fleet.cost.usd_per_watt_hour = v.number(/*or_zero=*/true);
+     }},
+    {"--slot-rate", "spec=x",
+     "exact $/slot-hour of one spec that a slot of the run uses (repeatable)", nullptr,
+     [](ServeRun& r, const Arg& v) {
+       const std::size_t eq = v.text.find('=');
+       if (eq == std::string::npos || eq == 0) {
+         throw InvalidArgument("--slot-rate expects <spec>=<usd-per-hour>, got '" + v.text + "'");
+       }
+       const std::string spec = v.text.substr(0, eq);
+       (void)arch::is_platform_spec(spec);  // registry name validation
+       const std::string rate = v.text.substr(eq + 1);
+       r.cfg.base.fleet.cost.slot_hour_overrides.emplace_back(
+           spec, Arg{"--slot-rate rate", rate}.number(/*or_zero=*/true));
+     }},
+    {"--seed", "s", "trace, session and trace-sampling seed (default 1)", nullptr,
+     [](ServeRun& r, const Arg& v) {
+       serve::Scenario& base = r.cfg.base;
+       base.traffic.open.seed = base.traffic.closed.seed = base.observe.trace.seed = v.count();
+     }},
+    {"--priority", nullptr, "two priority tiers: high-traffic tenants 0, the rest 1", nullptr,
+     [](ServeRun& r, const Arg&) { r.priority = true; }},
+    {"--autoscale", "none|queue|util", "elastic fleet policy (default none)", nullptr,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.autoscalers = {serve::autoscaler_from_name(v.text)};
+     }},
+    {"--scale-interval-us", "n", "autoscaler evaluation step (default 5000)", &kAutoscale,
+     [](ServeRun& r, const Arg& v) { r.cfg.base.sim.autoscaler.interval_s = v.us(); }},
+    {"--min-fleet", "n", "per-family slot floor (default 1)", &kAutoscale,
+     [](ServeRun& r, const Arg& v) { r.cfg.base.sim.autoscaler.min_slots = v.count(); }},
+    {"--max-fleet", "n", "per-family slot ceiling (default 64)", &kAutoscale,
+     [](ServeRun& r, const Arg& v) { r.cfg.base.sim.autoscaler.max_slots = v.count(); }},
+    {"--grow-scale", "x", "grown slots use the registry's <spec>@<x> variant", &kAutoscale,
+     [](ServeRun& r, const Arg& v) { r.cfg.base.sim.autoscaler.grow_scale = v.number(); }},
+    {"--mtbf-us", "n", "per-slot mean time between failures; a failure requeues its batch",
+     nullptr, [](ServeRun& r, const Arg& v) { r.cfg.fault_mtbfs_s = {v.us()}; }},
+    {"--mttr-us", "n", "per-slot mean time to repair (default 1000)", &kFaults,
+     [](ServeRun& r, const Arg& v) { r.cfg.base.sim.faults.mttr_s = v.us(); }},
+    {"--timeout-us", "n", "per-request timeout, cancelling queued and in-flight work", nullptr,
+     [](ServeRun& r, const Arg& v) { r.timeout_s = v.us(); }},
+    {"--retries", "n", "attempts per request, with exponential backoff (default 1)", &kTimeout,
+     [](ServeRun& r, const Arg& v) { r.cfg.base.sim.retry.max_attempts = v.count(1); }},
+    {"--admission", "none|queue-cap|tier-shed|slo-aware",
+     "admission control at every arrival (default none)", nullptr,
+     [](ServeRun& r, const Arg& v) { r.cfg.admissions = {serve::admission_from_name(v.text)}; }},
+    {"--queue-cap", "n", "queue bound of the admission policy (default 256)", &kCappedAdmission,
+     [](ServeRun& r, const Arg& v) { r.cfg.base.sim.admission.queue_cap = v.count(1); }},
+    {"--percentiles", "exact|hdr",
+     "exact, or hdr's bounded-relative-error histogram (default exact)", nullptr,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.base.sim.percentile_mode = serve::percentile_mode_from_name(v.text);
+     }},
+    {"--hdr-error", "x", "hdr relative-error bound in (0, 1) (default 0.01)", &kHdr,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.base.sim.hdr_relative_error = v.number();
+       if (v.number() >= 1.0) throw InvalidArgument("--hdr-error must be in (0, 1)");
+     }},
+    {"--cells", "k", "k independent cells in parallel: statistically equal to serial (default 1)",
+     nullptr, [](ServeRun& r, const Arg& v) { r.cfg.cells = v.count(1); }},
+    {"--trace-out", "p", "write the run's Chrome trace_event JSON (chrome://tracing, Perfetto)",
+     nullptr,
+     [](ServeRun& r, const Arg& v) {
+       r.trace_path = v.text;
+       if (r.trace_path.empty()) throw InvalidArgument("--trace-out needs a path");
+       r.cfg.base.observe.trace.enabled = true;
+     }},
+    {"--trace-sample", "x", "fraction of requests traced, in [0, 1] (default 1)", &kTraceOut,
+     [](ServeRun& r, const Arg& v) {
+       r.cfg.base.observe.trace.sample = v.number(/*or_zero=*/true);
+       if (r.cfg.base.observe.trace.sample > 1.0) {
+         throw InvalidArgument("--trace-sample must be in [0, 1]");
+       }
+     }},
+    {"--timeline-out", "p", "write windowed time-series metrics: JSON for a .json path, else CSV",
+     nullptr,
+     [](ServeRun& r, const Arg& v) {
+       r.timeline_path = v.text;
+       if (r.timeline_path.empty()) throw InvalidArgument("--timeline-out needs a path");
+       r.cfg.base.observe.timeline.enabled = true;
+     }},
+    {"--window-us", "n", "timeline window width (default 1000)", &kTimelineOut,
+     [](ServeRun& r, const Arg& v) { r.cfg.base.observe.timeline.window_s = v.us(); }},
+    {"--profile", nullptr, "event-loop self-profile: events and wall time per event source",
+     nullptr, [](ServeRun& r, const Arg&) { r.cfg.base.observe.profile = true; }},
+};
+
+// Prints the modes and every serve flag, then returns exit code 2: every
+// argument error ends here.
+int usage() {
+  std::cerr << "usage:\n  lumos_cli [--json] list\n  lumos_cli [--json] tron  <"
+            << sim::joined_names(sim::transformer_names()) << "> [seq] [batch]\n"
+            << "  lumos_cli [--json] ghost <" << sim::joined_names(sim::gnn_names()) << "> <"
+            << sim::joined_names(sim::dataset_names()) << ">\n"
+            << "  lumos_cli [--json] generate <" << sim::joined_names(sim::transformer_names())
+            << "> <prompt> <tokens>\n"
+            << "  lumos_cli [--json] serve <tron|ghost|mixed|spec[,spec...]> [serve flags]\n\n"
+            << "serve flags (a flag whose mode is off exits 2):\n";
+  constexpr std::size_t kHelpColumn = 26;
+  for (const ServeFlag& f : kServeFlags) {
+    std::string head = std::string("  ") + f.name;
+    if (f.value) head = head + " <" + f.value + ">";
+    head += head.size() < kHelpColumn ? std::string(kHelpColumn - head.size(), ' ')
+                                      : "\n" + std::string(kHelpColumn, ' ');
+    std::cerr << head << f.help;
+    if (f.needs) std::cerr << " [needs " << f.needs->name << "]";
+    std::cerr << '\n';
+  }
+  return 2;
 }
 
 int run_serve(const std::vector<std::string>& args, bool json) {
   if (args.empty()) {
     throw InvalidArgument("serve needs a fleet kind (tron|ghost|mixed|spec[,spec...])");
   }
-  serve::CampaignConfig cfg;
+  ServeRun run;
+  serve::CampaignConfig& cfg = run.cfg;
+  serve::Scenario& base = cfg.base;
   cfg.name = "lumos_cli serve";
-  serve::WorkloadCatalog catalog;
-  if (args[0] == "tron") {
-    cfg.fleet_template = {"tron"};
-    catalog = serve::WorkloadCatalog::tron_default();
-  } else if (args[0] == "ghost") {
-    cfg.fleet_template = {"ghost"};
-    catalog = serve::WorkloadCatalog::ghost_default();
-  } else if (args[0] == "mixed") {
-    cfg.fleet_template = {"tron", "ghost"};
-    catalog = serve::WorkloadCatalog::mixed_default();
-  } else {
-    // Comma-separated registry spec names cycled across the slots: hybrid
-    // photonic/electronic fleets ("tron,v100", "a100", "tron,xeon@2.0").
-    // Each name validates against the registry (unknown names throw the
-    // registry's enumerated error); the catalog follows the union of kinds
-    // the listed specs serve.
-    std::vector<std::string> specs = split_list(args[0], ',');
-    bool transformer = false;
-    bool gnn = false;
-    for (const std::string& spec : specs) {
-      transformer = transformer || arch::spec_serves(spec, arch::WorkloadKind::kTransformer);
-      gnn = gnn || arch::spec_serves(spec, arch::WorkloadKind::kGnn);
-    }
-    catalog = transformer && gnn ? serve::WorkloadCatalog::mixed_default()
-              : transformer     ? serve::WorkloadCatalog::tron_default()
-                                : serve::WorkloadCatalog::ghost_default();
-    cfg.fleet_template = std::move(specs);
+  // "mixed" is the TRON+GHOST fleet; anything else is comma-separated
+  // registry spec names cycled across the slots, like hybrid photonic and
+  // electronic fleets ("tron,v100", "a100", "tron,xeon@2.0").  Each name
+  // validates against the registry (unknown names throw the registry's
+  // enumerated error), and the catalog follows the kinds the specs serve.
+  std::vector<std::string> specs = args[0] == "mixed" ? std::vector<std::string>{"tron", "ghost"}
+                                                      : split_list(args[0], ',');
+  bool transformer = false;
+  bool gnn = false;
+  for (const std::string& spec : specs) {
+    transformer = transformer || arch::spec_serves(spec, arch::WorkloadKind::kTransformer);
+    gnn = gnn || arch::spec_serves(spec, arch::WorkloadKind::kGnn);
   }
+  base.catalog = transformer && gnn ? serve::WorkloadCatalog::mixed_default()
+                 : transformer     ? serve::WorkloadCatalog::tron_default()
+                                   : serve::WorkloadCatalog::ghost_default();
+  cfg.fleet_templates = {std::move(specs)};
   cfg.schedulers = {serve::SchedulerKind::kDynamicBatch};
-  cfg.requests_per_point = 50000;
-  serve::LoopMode loop = serve::LoopMode::kOpen;
-  serve::ClosedLoopConfig closed;
-  double qps = 0.0;
-  std::size_t fleet = 4;
-  std::size_t max_batch = 8;
-  bool priority = false;
-  double mtbf_s = 0.0;
-  double timeout_s = 0.0;
-  std::size_t decode_tokens = 0;  // 0: decode off
-  serve::SeqLenDist decode_dist = serve::SeqLenDist::kFixed;
-  double ttft_slo_s = 0.0;
-  double tpot_slo_s = 0.0;
-  serve::ObserveConfig observe;
-  ObserveOut out;
-  // Every flag given, so a knob whose mode is off errors below instead of
-  // being silently ignored.
-  std::vector<std::string> given;
-  const auto has = [&](const char* flag) {
-    return std::find(given.begin(), given.end(), flag) != given.end();
-  };
+  std::vector<const ServeFlag*> given;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
-    given.push_back(a);
+    const ServeFlag* flag = std::find_if(std::begin(kServeFlags), std::end(kServeFlags),
+                                         [&](const ServeFlag& f) { return a == f.name; });
+    if (flag == std::end(kServeFlags)) throw InvalidArgument("unknown serve flag: " + a);
     // A flag's value is the next argument unless that is itself a flag
     // ("--trace-out --profile" must not write a file named "--profile").
-    const auto value = [&]() -> const std::string& {
+    std::string text;
+    if (flag->value) {
       if (i + 1 >= args.size() || args[i + 1].starts_with("--")) {
         throw InvalidArgument(a + " needs a value");
       }
-      return args[++i];
-    };
-    if (a == "--loop") {
-      loop = serve::loop_mode_from_name(value());
-    } else if (a == "--qps") {
-      qps = parse_double(value(), "--qps");
-      if (qps <= 0.0) throw InvalidArgument("--qps must be positive");
-    } else if (a == "--requests") {
-      cfg.requests_per_point = parse_size(value(), "--requests");
-    } else if (a == "--sessions") {
-      closed.sessions = parse_size(value(), "--sessions");
-    } else if (a == "--think-time-us") {
-      closed.think_time_mean_s = parse_us(value(), a, /*allow_zero=*/true);
-    } else if (a == "--seqlen-dist") {
-      catalog.apply_seqlen_dist(serve::seqlen_dist_from_name(value()));
-    } else if (a == "--decode") {
-      decode_tokens = parse_size(value(), "--decode");
-      if (decode_tokens == 0) throw InvalidArgument("--decode must be >= 1");
-    } else if (a == "--decode-dist") {
-      decode_dist = serve::seqlen_dist_from_name(value());
-    } else if (a == "--decode-mode") {
-      cfg.decode_mode = serve::decode_mode_from_name(value());
-    } else if (a == "--ttft-slo-us") {
-      ttft_slo_s = parse_us(value(), a);
-    } else if (a == "--tpot-slo-us") {
-      tpot_slo_s = parse_us(value(), a);
-    } else if (a == "--fleet") {
-      fleet = parse_size(value(), "--fleet");
-    } else if (a == "--sched") {
-      cfg.schedulers = {serve::scheduler_from_name(value())};
-    } else if (a == "--max-batch") {
-      max_batch = parse_size(value(), "--max-batch");
-    } else if (a == "--max-wait-us") {
-      cfg.max_wait_s = parse_us(value(), a, /*allow_zero=*/true);
-    } else if (a == "--bursty") {
-      cfg.process = serve::ArrivalProcess::kBursty;
-    } else if (a == "--routing") {
-      cfg.routing = serve::routing_from_name(value());
-    } else if (a == "--usd-per-kwh") {
-      const double kwh = parse_double(value(), "--usd-per-kwh");
-      if (kwh < 0.0) throw InvalidArgument("--usd-per-kwh must be >= 0");
-      cfg.cost.usd_per_joule = kwh / 3.6e6;
-    } else if (a == "--usd-per-watt-hour") {
-      cfg.cost.usd_per_watt_hour = parse_double(value(), "--usd-per-watt-hour");
-      if (cfg.cost.usd_per_watt_hour < 0.0) {
-        throw InvalidArgument("--usd-per-watt-hour must be >= 0");
-      }
-    } else if (a == "--slot-rate") {
-      const std::string& pair = value();
-      const std::size_t eq = pair.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        throw InvalidArgument("--slot-rate expects <spec>=<usd-per-hour>, got '" + pair +
-                              "'");
-      }
-      const std::string spec = pair.substr(0, eq);
-      (void)arch::is_platform_spec(spec);  // registry name validation
-      const double rate = parse_double(pair.substr(eq + 1), "--slot-rate rate");
-      if (rate < 0.0) throw InvalidArgument("--slot-rate rate must be >= 0");
-      cfg.cost.slot_hour_overrides.emplace_back(spec, rate);
-    } else if (a == "--fleets") {
-      // Fleet-template grid axis: semicolon-separated templates, each a
-      // comma-separated spec list, swept as the outermost campaign axis.
-      cfg.fleet_templates.clear();
-      for (const std::string& entry : split_list(value(), ';')) {
-        std::vector<std::string> specs = split_list(entry, ',');
-        for (const std::string& spec : specs) {
-          (void)arch::is_platform_spec(spec);  // registry name validation
-        }
-        cfg.fleet_templates.push_back(std::move(specs));
-      }
-    } else if (a == "--seed") {
-      cfg.seed = parse_size(value(), "--seed");
-    } else if (a == "--priority") {
-      priority = true;
-    } else if (a == "--autoscale") {
-      cfg.autoscalers = {serve::autoscaler_from_name(value())};
-    } else if (a == "--scale-interval-us") {
-      cfg.autoscale.interval_s = parse_us(value(), a);
-    } else if (a == "--min-fleet") {
-      cfg.autoscale.min_slots = parse_size(value(), "--min-fleet");
-    } else if (a == "--max-fleet") {
-      cfg.autoscale.max_slots = parse_size(value(), "--max-fleet");
-    } else if (a == "--grow-scale") {
-      cfg.autoscale.grow_scale = parse_double(value(), "--grow-scale");
-      if (cfg.autoscale.grow_scale <= 0.0) {
-        throw InvalidArgument("--grow-scale must be positive");
-      }
-    } else if (a == "--mtbf-us") {
-      mtbf_s = parse_us(value(), a);
-    } else if (a == "--mttr-us") {
-      cfg.faults.mttr_s = parse_us(value(), a);
-    } else if (a == "--timeout-us") {
-      timeout_s = parse_us(value(), a);
-    } else if (a == "--retries") {
-      cfg.retry.max_attempts = parse_size(value(), "--retries");
-      if (cfg.retry.max_attempts == 0) throw InvalidArgument("--retries must be >= 1");
-    } else if (a == "--admission") {
-      cfg.admissions = {serve::admission_from_name(value())};
-    } else if (a == "--queue-cap") {
-      cfg.admission.queue_cap = parse_size(value(), "--queue-cap");
-      if (cfg.admission.queue_cap == 0) throw InvalidArgument("--queue-cap must be >= 1");
-    } else if (a == "--cells") {
-      cfg.cells = parse_size(value(), "--cells");
-      if (cfg.cells == 0) throw InvalidArgument("--cells must be >= 1");
-    } else if (a == "--percentiles") {
-      cfg.percentile_mode = serve::percentile_mode_from_name(value());
-    } else if (a == "--hdr-error") {
-      cfg.hdr_relative_error = parse_double(value(), "--hdr-error");
-      if (!(cfg.hdr_relative_error > 0.0 && cfg.hdr_relative_error < 1.0)) {
-        throw InvalidArgument("--hdr-error must be in (0, 1)");
-      }
-    } else if (a == "--trace-out") {
-      out.trace_path = value();
-      if (out.trace_path.empty()) throw InvalidArgument("--trace-out needs a path");
-      observe.trace.enabled = true;
-    } else if (a == "--trace-sample") {
-      observe.trace.sample = parse_double(value(), "--trace-sample");
-      if (observe.trace.sample < 0.0 || observe.trace.sample > 1.0) {
-        throw InvalidArgument("--trace-sample must be in [0, 1]");
-      }
-    } else if (a == "--timeline-out") {
-      out.timeline_path = value();
-      if (out.timeline_path.empty()) throw InvalidArgument("--timeline-out needs a path");
-      observe.timeline.enabled = true;
-    } else if (a == "--window-us") {
-      observe.timeline.window_s = parse_us(value(), a);
-    } else if (a == "--profile") {
-      observe.profile = true;
-    } else {
-      throw InvalidArgument("unknown serve flag: " + a);
+      text = args[++i];
+    }
+    flag->set(run, Arg{a, text});
+    given.push_back(flag);
+  }
+  // A given flag that the chosen modes never read is an error, never a
+  // silent no-op.
+  for (const ServeFlag* flag : given) {
+    if (flag->needs && !flag->needs->on(run)) {
+      throw InvalidArgument(std::string(flag->name) + " needs " + flag->needs->name);
     }
   }
-  if (fleet == 0 || max_batch == 0 || cfg.requests_per_point == 0) {
-    throw InvalidArgument("--fleet, --max-batch, and --requests must be positive");
-  }
-  // Mode-gated knobs: each row names a flag, whether the chosen modes read
-  // it, and the mode that does not.  A given flag that the chosen modes
-  // ignore is an error (exit 2; the first such row names it), never a silent
-  // no-op.
-  const bool autoscaled = cfg.autoscalers.front() != serve::AutoscalerPolicy::kNone;
-  const bool closed_loop = loop == serve::LoopMode::kClosed;
-  const serve::AdmissionPolicy admission = cfg.admissions.front();
-  const bool batching = cfg.schedulers.front() != serve::SchedulerKind::kFifo;
-  const struct {
-    const char* flag;
-    bool active;
-    const char* unless;
-  } knobs[] = {
-      {"--scale-interval-us", autoscaled, "without --autoscale queue|util"},
-      {"--min-fleet", autoscaled, "without --autoscale queue|util"},
-      {"--max-fleet", autoscaled, "without --autoscale queue|util"},
-      {"--grow-scale", autoscaled, "without --autoscale queue|util"},
-      {"--qps", !closed_loop, "with --loop closed"},
-      {"--bursty", !closed_loop, "with --loop closed"},
-      {"--sessions", closed_loop, "without --loop closed"},
-      {"--think-time-us", closed_loop, "without --loop closed"},
-      {"--mttr-us", mtbf_s > 0.0, "without --mtbf-us"},
-      {"--retries", timeout_s > 0.0, "without --timeout-us"},
-      {"--queue-cap", admission != serve::AdmissionPolicy::kNone, "without --admission"},
-      {"--queue-cap", admission != serve::AdmissionPolicy::kSloAware,
-       "with --admission slo-aware"},
-      {"--max-batch", batching, "with --sched fifo"},
-      {"--max-wait-us", batching, "with --sched fifo"},
-      {"--trace-sample", observe.trace.enabled, "without --trace-out"},
-      {"--window-us", observe.timeline.enabled, "without --timeline-out"},
-      {"--hdr-error", cfg.percentile_mode == serve::PercentileMode::kHdr,
-       "without --percentiles hdr"},
-      {"--decode-dist", decode_tokens > 0, "without --decode"},
-      {"--decode-mode", decode_tokens > 0, "without --decode"},
-      {"--ttft-slo-us", decode_tokens > 0, "without --decode"},
-      {"--tpot-slo-us", decode_tokens > 0, "without --decode"},
-  };
-  for (const auto& knob : knobs) {
-    if (!knob.active && has(knob.flag)) {
-      throw InvalidArgument(std::string(knob.flag) + " has no effect " + knob.unless);
+  if (run.decode_tokens > 0) {
+    base.catalog.apply_decode(run.decode_dist, run.decode_tokens);
+    if (run.ttft_slo_s > 0.0 || run.tpot_slo_s > 0.0) {
+      base.catalog.apply_token_slos(run.ttft_slo_s, run.tpot_slo_s);
     }
   }
-  if (cfg.cells > 1 && observe.enabled()) {
-    throw InvalidArgument(
-        "--cells > 1 does not support observers (--trace-out / --timeline-out / "
-        "--profile): cells are independent event loops; run --cells 1 to trace");
-  }
-  if (cfg.cells > fleet) {
-    throw InvalidArgument("--cells must be <= --fleet (" + std::to_string(fleet) +
-                          "): every cell needs at least one slot");
-  }
-  if (decode_tokens > 0) {
-    catalog.apply_decode(decode_dist, decode_tokens);
-    if (ttft_slo_s > 0.0 || tpot_slo_s > 0.0) {
-      catalog.apply_token_slos(ttft_slo_s, tpot_slo_s);
-    }
-  }
-  observe.trace.seed = cfg.seed;
-  if (timeout_s > 0.0) catalog.apply_timeout(timeout_s);
-  cfg.fault_mtbfs_s = {mtbf_s};
-  if (max_batch > serve::BatchPolicy::kMaxBatchLimit || fleet > 4096) {
-    throw InvalidArgument("--max-batch and --fleet must be <= 4096");
-  }
-  if (!cfg.fleet_templates.empty()) {
-    // The template axis multiplies the campaign grid; the single-fleet paths
-    // (closed loop, observed runs) serve exactly one fleet, so combining them
-    // would silently drop the sweep.
-    if (loop == serve::LoopMode::kClosed) {
-      throw InvalidArgument(
-          "--fleets sweeps a campaign axis; closed-loop runs serve one fleet");
-    }
-    if (observe.enabled()) {
-      throw InvalidArgument(
-          "--fleets sweeps a campaign axis; observers trace one run");
-    }
-    cfg.fleet_template = cfg.fleet_templates.front();  // labels + default QPS
-  }
-  cfg.fleet_sizes = {fleet};
-  cfg.max_batches = {max_batch};
+  if (run.timeout_s > 0.0) base.catalog.apply_timeout(run.timeout_s);
+  const std::size_t fleet = cfg.fleet_sizes.front();
+  const bool autoscaled = kAutoscale.on(run);
   // A --slot-rate prices the slots of its spec only, so one that no slot of
-  // the run can take has no effect.  The run's slots are the template (or
-  // each --fleets template) cycled to --fleet, plus the "<spec>@<x>" variants
-  // that --grow-scale x grows.
+  // the run can take has no effect.  The run's slots are each template
+  // cycled to --fleet, plus the "<spec>@<x>" variants that --grow-scale x
+  // grows.
   std::vector<std::string> slot_specs;
-  using Templates = std::vector<std::vector<std::string>>;
-  for (const std::vector<std::string>& t :
-       cfg.fleet_templates.empty() ? Templates{cfg.fleet_template} : cfg.fleet_templates) {
+  const double grow_scale = base.sim.autoscaler.grow_scale;
+  for (const std::vector<std::string>& t : cfg.fleet_templates) {
     for (const std::string& spec : serve::FleetConfig::cycled(t, fleet).accelerators) {
       slot_specs.push_back(spec);
-      if (autoscaled && cfg.autoscale.grow_scale != 1.0) {
-        slot_specs.push_back(arch::scaled_spec_name(spec, cfg.autoscale.grow_scale));
+      if (autoscaled && grow_scale != 1.0) {
+        slot_specs.push_back(arch::scaled_spec_name(spec, grow_scale));
       }
     }
   }
-  for (const auto& [spec, rate] : cfg.cost.slot_hour_overrides) {
+  for (const auto& [spec, rate] : base.fleet.cost.slot_hour_overrides) {
     if (std::find(slot_specs.begin(), slot_specs.end(), spec) == slot_specs.end()) {
       throw InvalidArgument("--slot-rate " + spec + " has no effect: the run has no " + spec +
                             " slot");
     }
   }
-  if (priority) catalog.apply_default_tiers();
+  if (run.priority) base.catalog.apply_default_tiers();
+  base.traffic.open.request_count = run.requests > 0 ? run.requests : 50000;
 
-  if (loop == serve::LoopMode::kClosed) {
-    if (has("--sessions") && closed.sessions == 0) {
-      throw InvalidArgument("--sessions must be positive");
+  const bool closed = kClosedLoop.on(run);
+  if (closed) {
+    // --requests is the total budget, split evenly across the sessions; the
+    // default budget rounds down to a multiple of them.
+    serve::ClosedLoopConfig& sessions = base.traffic.closed;
+    const std::size_t total = base.traffic.open.request_count;
+    if (run.requests % sessions.sessions != 0 || total < sessions.sessions) {
+      throw InvalidArgument("--requests " + std::to_string(total) +
+                            " is not a multiple of --sessions " +
+                            std::to_string(sessions.sessions) +
+                            ": every closed-loop session issues the same number of requests");
     }
-    // --requests is the total budget: split it across the session pool.  A
-    // pool bigger than the budget would silently inflate the total (every
-    // session issues at least once), so reject it instead.
-    if (cfg.requests_per_point < closed.sessions) {
-      throw InvalidArgument("--requests must be >= --sessions (" +
-                            std::to_string(closed.sessions) +
-                            "): every closed-loop session issues at least one request");
-    }
-    closed.requests_per_session = cfg.requests_per_point / closed.sessions;
-    closed.seed = cfg.seed;
-  } else if (qps <= 0.0) {
+    sessions.requests_per_session = total / sessions.sessions;
+    cfg.qps = {0.0};  // never read: the sessions replace the trace
+  } else if (cfg.qps.empty()) {
     const std::size_t capacity_batch =
-        cfg.schedulers.front() == serve::SchedulerKind::kFifo ? 1 : max_batch;
-    qps = 0.7 * serve::fleet_capacity_qps(
-                    catalog, serve::FleetConfig::cycled(cfg.fleet_template, fleet),
-                    capacity_batch);
-  }
-  // The closed loop's 0 QPS is never read: its sessions replace the trace.
-  cfg.qps = {qps};
-
-  if (loop == serve::LoopMode::kClosed || observe.enabled()) {
-    serve::Scenario scenario =
-        serve::campaign_scenario(cfg, catalog, serve::campaign_grid(cfg).front(), 0);
-    scenario.observe = observe;
-    bool tenant_table = priority;
-    if (loop == serve::LoopMode::kClosed) {
-      scenario.traffic.mode = serve::LoopMode::kClosed;
-      scenario.traffic.closed = closed;
-    } else {
-      tenant_table = tenant_table || cfg.autoscalers.front() != serve::AutoscalerPolicy::kNone;
-    }
-    return run_single(scenario, cfg.cells, tenant_table, json, out);
+        cfg.schedulers.front() == serve::SchedulerKind::kFifo ? 1 : cfg.max_batches.front();
+    const serve::FleetConfig first = serve::FleetConfig::cycled(cfg.fleet_templates.front(), fleet);
+    cfg.qps = {0.7 * serve::fleet_capacity_qps(base.catalog, first, capacity_batch)};
   }
 
-  const std::vector<serve::CampaignPoint> points = serve::run_campaign(cfg, catalog);
+  if (closed || base.observe.enabled()) {
+    return run_single(run, run.priority || (!closed && autoscaled), json);
+  }
+  const std::vector<serve::CampaignPoint> points = serve::run_campaign(cfg);
   if (json) {
     JsonWriter w(std::cout);
     serve::write_campaign_json(w, cfg, points);
   } else {
-    const serve::FleetConfig fleet_cfg = serve::FleetConfig::cycled(cfg.fleet_template, fleet);
+    const serve::FleetConfig fleet_cfg =
+        serve::FleetConfig::cycled(cfg.fleet_templates.front(), fleet);
     const std::string title = fleet_cfg.label() + " serve campaign (" +
-                              serve::process_name(cfg.process) + " arrivals)";
+                              serve::process_name(base.traffic.open.process) + " arrivals)";
     serve::campaign_table(points, title).print(std::cout);
     points.front().metrics.to_table("point detail").print(std::cout);
-    if (priority || cfg.autoscalers.front() != serve::AutoscalerPolicy::kNone) {
+    if (run.priority || autoscaled) {
       points.front().metrics.tenant_table("per-tenant breakdown").print(std::cout);
     }
   }
@@ -854,9 +735,8 @@ int main(int argc, char** argv) {
     if (args.size() < 2) return usage();
     if (mode == "tron") {
       at_most(4);
-      const std::size_t seq = args.size() > 2 ? parse_size(args[2], "seq_len") : 128;
-      const std::size_t batch = args.size() > 3 ? parse_size(args[3], "batch") : 1;
-      if (seq == 0 || batch == 0) throw InvalidArgument("seq_len and batch must be positive");
+      const std::size_t seq = args.size() > 2 ? Arg{"seq_len", args[2]}.count(1) : 128;
+      const std::size_t batch = args.size() > 3 ? Arg{"batch", args[3]}.count(1) : 1;
       const std::unique_ptr<arch::Accelerator> acc = arch::make_accelerator("tron");
       const PerfReport r = acc->estimate_batch(
           arch::Workload::transformer(args[1], sim::transformer_by_name(args[1], seq)),
@@ -876,9 +756,8 @@ int main(int argc, char** argv) {
     if (mode == "generate") {
       if (args.size() < 4) return usage();
       at_most(4);
-      const std::size_t prompt = parse_size(args[2], "prompt_len");
-      const std::size_t tokens = parse_size(args[3], "tokens");
-      if (prompt == 0 || tokens == 0) throw InvalidArgument("prompt and tokens must be positive");
+      const std::size_t prompt = Arg{"prompt_len", args[2]}.count(1);
+      const std::size_t tokens = Arg{"tokens", args[3]}.count(1);
       // Autoregressive decoding is a TRON-only face: reach the concrete
       // device through the adapter.
       const arch::TronAdapter acc(arch::tron_config_by_name("tron"));

@@ -81,13 +81,6 @@ std::string template_label(const std::vector<std::string>& specs) {
   return label;
 }
 
-// The campaign's effective template axis: the explicit `fleet_templates`
-// grid, or the single `fleet_template` when the grid is empty.
-std::vector<std::vector<std::string>> effective_templates(const CampaignConfig& config) {
-  if (!config.fleet_templates.empty()) return config.fleet_templates;
-  return {config.fleet_template};
-}
-
 }  // namespace
 
 double fleet_capacity_qps(const WorkloadCatalog& catalog, const std::string& spec,
@@ -170,94 +163,47 @@ double fleet_capacity_qps(const WorkloadCatalog& catalog, const FleetConfig& fle
 }
 
 void validate_campaign(const CampaignConfig& config) {
-  if (config.fleet_template.empty()) {
-    throw InvalidArgument("CampaignConfig.fleet_template must not be empty");
-  }
+  const auto check = [](bool ok, const std::string& message) {
+    if (!ok) throw InvalidArgument("CampaignConfig." + message);
+  };
+  check(config.base.trace.empty() && config.base.traffic.mode == LoopMode::kOpen &&
+            !config.base.observe.enabled(),
+        "base must serve generated open-loop traffic with no observers: a campaign "
+        "sweeps offered load");
+  check(config.cells >= 1, "cells must be >= 1");
+  check(!config.fleet_templates.empty(), "fleet_templates must not be empty");
   for (const std::vector<std::string>& t : config.fleet_templates) {
-    if (t.empty()) {
-      throw InvalidArgument("CampaignConfig.fleet_templates entries must not be empty");
-    }
+    check(!t.empty(), "fleet_templates entries must not be empty");
   }
-  if (config.qps.empty()) throw InvalidArgument("CampaignConfig.qps must not be empty");
-  for (const double q : config.qps) {
-    if (!(q > 0.0)) {
-      throw InvalidArgument("CampaignConfig.qps points must be positive, got " +
-                            std::to_string(q));
-    }
-  }
-  if (config.schedulers.empty()) {
-    throw InvalidArgument("CampaignConfig.schedulers must not be empty");
-  }
-  if (config.fleet_sizes.empty()) {
-    throw InvalidArgument("CampaignConfig.fleet_sizes must not be empty");
-  }
+  check(!config.fleet_sizes.empty(), "fleet_sizes must not be empty");
   for (const std::size_t n : config.fleet_sizes) {
-    if (n == 0) throw InvalidArgument("CampaignConfig.fleet_sizes entries must be >= 1");
+    check(n >= 1, "fleet_sizes entries must be >= 1");
+    check(config.cells <= n, "cells (" + std::to_string(config.cells) +
+                                 ") must not exceed any fleet size (got fleet size " +
+                                 std::to_string(n) + ")");
   }
-  if (config.max_batches.empty()) {
-    throw InvalidArgument("CampaignConfig.max_batches must not be empty");
-  }
-  for (const std::size_t b : config.max_batches) {
-    if (b < 1 || b > BatchPolicy::kMaxBatchLimit) {
-      throw InvalidArgument("CampaignConfig.max_batches entries must be in [1, " +
-                            std::to_string(BatchPolicy::kMaxBatchLimit) + "], got " +
-                            std::to_string(b));
-    }
-  }
-  if (config.max_wait_s < 0.0) {
-    throw InvalidArgument("CampaignConfig.max_wait_s must be >= 0");
-  }
-  if (config.requests_per_point == 0) {
-    throw InvalidArgument("CampaignConfig.requests_per_point must be >= 1");
-  }
-  if (config.autoscalers.empty()) {
-    throw InvalidArgument("CampaignConfig.autoscalers must not be empty");
-  }
-  for (const AutoscalerPolicy policy : config.autoscalers) {
-    if (policy == AutoscalerPolicy::kNone) continue;
-    AutoscalerConfig knobs = config.autoscale;
-    knobs.policy = policy;
-    validate_autoscaler(knobs);
-  }
-  if (config.admissions.empty()) {
-    throw InvalidArgument("CampaignConfig.admissions must not be empty");
-  }
-  for (const AdmissionPolicy policy : config.admissions) {
-    AdmissionConfig knobs = config.admission;
-    knobs.policy = policy;
-    validate_admission(knobs);
-  }
-  if (config.fault_mtbfs_s.empty()) {
-    throw InvalidArgument("CampaignConfig.fault_mtbfs_s must not be empty");
-  }
+  check(!config.schedulers.empty(), "schedulers must not be empty");
+  check(!config.max_batches.empty(), "max_batches must not be empty");
+  check(!config.autoscalers.empty(), "autoscalers must not be empty");
+  check(!config.admissions.empty(), "admissions must not be empty");
+  check(!config.fault_mtbfs_s.empty(), "fault_mtbfs_s must not be empty");
   for (const double mtbf_s : config.fault_mtbfs_s) {
-    if (mtbf_s < 0.0) {
-      throw InvalidArgument("CampaignConfig.fault_mtbfs_s points must be >= 0, got " +
-                            std::to_string(mtbf_s));
-    }
-    FaultConfig knobs = config.faults;
-    knobs.mtbf_s = mtbf_s;
-    validate_faults(knobs);
+    check(mtbf_s >= 0.0, "fault_mtbfs_s points must be >= 0, got " + std::to_string(mtbf_s));
   }
-  validate_retry(config.retry);
-  if (config.cells == 0) {
-    throw InvalidArgument("CampaignConfig.cells must be >= 1");
+  check(!config.qps.empty(), "qps must not be empty");
+  for (const double q : config.qps) {
+    check(q > 0.0, "qps points must be positive, got " + std::to_string(q));
   }
-  for (const std::size_t n : config.fleet_sizes) {
-    if (config.cells > n) {
-      throw InvalidArgument("CampaignConfig.cells (" + std::to_string(config.cells) +
-                            ") must not exceed any fleet size (got fleet size " +
-                            std::to_string(n) + ")");
-    }
+  // Every other knob is the base's or an axis value inside a Scenario.
+  const std::vector<CampaignPoint> points = campaign_grid(config);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    validate_scenario(campaign_scenario(config, points[i], i));
   }
 }
 
 std::vector<CampaignPoint> campaign_grid(const CampaignConfig& config) {
-  // The template axis is outermost so a single-template campaign enumerates
-  // its points — and therefore derives its per-point trace seeds — exactly as
-  // the pre-axis campaign did.
   std::vector<CampaignPoint> points;
-  for (const std::vector<std::string>& fleet_template : effective_templates(config)) {
+  for (const std::vector<std::string>& fleet_template : config.fleet_templates) {
     for (const std::size_t fleet_size : config.fleet_sizes) {
       for (const SchedulerKind scheduler : config.schedulers) {
         // FIFO ignores the batch policy: one grid point per (fleet, qps).
@@ -290,40 +236,25 @@ std::vector<CampaignPoint> campaign_grid(const CampaignConfig& config) {
   return points;
 }
 
-Scenario campaign_scenario(const CampaignConfig& config, const WorkloadCatalog& catalog,
-                           const CampaignPoint& point, std::size_t index) {
-  Scenario scenario;
-  scenario.fleet = FleetConfig::cycled(point.fleet_template, point.fleet_size, config.routing);
-  scenario.fleet.cost = config.cost;
-  scenario.catalog = catalog;
+Scenario campaign_scenario(const CampaignConfig& config, const CampaignPoint& point,
+                           std::size_t index) {
+  Scenario scenario = config.base;
+  scenario.fleet.accelerators =
+      FleetConfig::cycled(point.fleet_template, point.fleet_size).accelerators;
   scenario.scheduler = point.scheduler;
   scenario.batch.max_batch = point.max_batch;
-  scenario.batch.max_wait_s = config.max_wait_s;
-  scenario.sim.slo_scale = config.slo_scale;
-  scenario.sim.autoscaler = config.autoscale;
   scenario.sim.autoscaler.policy = point.autoscaler;
-  scenario.sim.admission = config.admission;
   scenario.sim.admission.policy = point.admission;
-  scenario.sim.faults = config.faults;
   scenario.sim.faults.mtbf_s = point.fault_mtbf_s;
-  scenario.sim.retry = config.retry;
-  scenario.sim.percentile_mode = config.percentile_mode;
-  scenario.sim.hdr_relative_error = config.hdr_relative_error;
-  scenario.sim.decode_mode = config.decode_mode;
   scenario.traffic.open.offered_qps = point.qps;
-  scenario.traffic.open.request_count = config.requests_per_point;
-  scenario.traffic.open.process = config.process;
   // Trace seeds mix the grid index so points draw independent arrival
   // sequences.
-  scenario.traffic.open.seed =
-      config.seed + 0x9E3779B9u * (static_cast<std::uint64_t>(index) + 1);
+  scenario.traffic.open.seed += 0x9E3779B9u * (static_cast<std::uint64_t>(index) + 1);
   return scenario;
 }
 
-std::vector<CampaignPoint> run_campaign(const CampaignConfig& config,
-                                        const WorkloadCatalog& catalog) {
+std::vector<CampaignPoint> run_campaign(const CampaignConfig& config) {
   validate_campaign(config);
-  if (catalog.empty()) throw InvalidArgument("WorkloadCatalog must not be empty");
   std::vector<CampaignPoint> points = campaign_grid(config);
   // Grid points are independent; each simulates serially in its own chunk and
   // writes only its own slot, so the sweep is bit-reproducible across thread
@@ -331,7 +262,7 @@ std::vector<CampaignPoint> run_campaign(const CampaignConfig& config,
   parallel_for(0, points.size(), 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       points[i].metrics =
-          simulate_sharded(campaign_scenario(config, catalog, points[i], i), config.cells);
+          simulate_sharded(campaign_scenario(config, points[i], i), config.cells);
     }
   });
   return points;
@@ -407,12 +338,12 @@ void write_campaign_json(JsonWriter& w, const CampaignConfig& config,
                          const std::vector<CampaignPoint>& points) {
   w.begin_object()
       .field("campaign", config.name)
-      .field("fleet_template", template_label(config.fleet_template))
-      .field("process", process_name(config.process))
-      .field("routing", routing_name(config.routing))
-      .field("requests_per_point", config.requests_per_point)
+      .field("fleet_template", template_label(config.fleet_templates.front()))
+      .field("process", process_name(config.base.traffic.open.process))
+      .field("routing", routing_name(config.base.fleet.routing))
+      .field("requests_per_point", config.base.traffic.open.request_count)
       .field("cells", config.cells)
-      .field("decode_mode", decode_mode_name(config.decode_mode))
+      .field("decode_mode", decode_mode_name(config.base.sim.decode_mode))
       .begin_array("points");
   for (const CampaignPoint& p : points) {
     const FleetMetrics& m = p.metrics;

@@ -1,13 +1,12 @@
-// Fleet-scale serving campaigns: sweep offered QPS x scheduler x batch policy
-// x fleet size over one workload catalog, producing saturation-knee tables
-// (latency percentiles / goodput vs load) analogous to the paper's figure
-// series.  Fleets are described by a template of `arch` registry spec names
-// cycled across the slots, so one campaign config expresses homogeneous
-// ({"tron"}), full+eco ({"tron", "tron-eco"}), and mixed-family
-// ({"tron", "ghost"}) fleets uniformly.  Grid points are independent
-// simulations, so the sweep runs in parallel via `parallel_for`; every point
-// derives its trace seed from the campaign seed and its grid index, keeping
-// results bit-reproducible across `LUMOS_THREADS` settings.
+// Fleet-scale serving campaigns: one base Scenario swept over fleet
+// template x fleet size x scheduler x batch cap x autoscaler x admission x
+// fault MTBF x offered QPS, producing saturation-knee tables (latency
+// percentiles and goodput against load) like the paper's figure series.  A
+// fleet template is the `arch` spec names cycled across the slots, so one
+// campaign compares homogeneous, full+eco, mixed-family, electronic and
+// hybrid fleets.  Grid points are independent simulations, so the sweep runs
+// on `parallel_for`; each point's trace seed mixes the base seed with its
+// grid index, keeping results bit-reproducible across `LUMOS_THREADS`.
 #pragma once
 
 #include <string>
@@ -21,60 +20,34 @@ namespace lumos::serve {
 
 struct CampaignConfig {
   std::string name = "serve";
-  // Spec names cycled across each fleet's slots (see FleetConfig::cycled).
-  std::vector<std::string> fleet_template{"tron"};
-  // Fleet-template grid axis: when non-empty these templates sweep as the
-  // *outermost* axis (photonic vs electronic vs hybrid fleets in one
-  // campaign); empty (the default) sweeps just `fleet_template`, and that
-  // single-template enumeration is bit-identical to the pre-axis campaign.
-  std::vector<std::vector<std::string>> fleet_templates;
-  // Dollar-cost knobs applied at every grid point (see CostModel).
-  CostModel cost;
-  std::vector<double> qps;  // offered-QPS points (see fleet_capacity_qps)
-  std::vector<SchedulerKind> schedulers{SchedulerKind::kFifo, SchedulerKind::kDynamicBatch};
-  std::vector<std::size_t> fleet_sizes{4};
-  std::vector<std::size_t> max_batches{8};  // dynamic batching only
-  // Autoscaling grid axis; {kNone} (the default) keeps fleets static.  The
-  // non-policy knobs (interval, thresholds, slot bounds) come from
-  // `autoscale`, whose own `policy` field is overridden per grid point.
-  std::vector<AutoscalerPolicy> autoscalers{AutoscalerPolicy::kNone};
-  AutoscalerConfig autoscale;
-  // Admission-control grid axis; {kNone} (the default) admits everything.
-  // The non-policy knobs (queue cap, tier factor, SLO margin) come from
-  // `admission`, whose own `policy` field is overridden per grid point.
-  std::vector<AdmissionPolicy> admissions{AdmissionPolicy::kNone};
-  AdmissionConfig admission;
-  // Fault-injection grid axis: per-slot MTBF points in seconds; {0.0} (the
-  // default) disables injection.  MTTR and the fault seed come from `faults`,
-  // whose own `mtbf_s` field is overridden per grid point.
-  std::vector<double> fault_mtbfs_s{0.0};
-  FaultConfig faults;
-  // Retry policy applied at every grid point (default: no retries).
-  RetryPolicy retry;
-  // Percentile computation at every grid point (see PercentileMode): kExact
-  // (default, bit-identical) or the bounded-error kHdr sketch for huge
-  // per-point request counts.
-  PercentileMode percentile_mode = PercentileMode::kExact;
-  double hdr_relative_error = 0.01;
-  // Decode-phase scheduling at every grid point (see DecodeMode); only
-  // matters when the catalog's entries decode.
-  DecodeMode decode_mode = DecodeMode::kContinuous;
-  double max_wait_s = 2e-3;
-  std::size_t requests_per_point = 100000;
   // Cell-sharded simulation per grid point (see shard.hpp): every point runs
-  // as `cells` independent cells.  1 (the default) is the serial simulator,
-  // bit-identical to pre-shard campaigns.  Note grid points already
-  // parallelise across the pool; cells > 1 mainly helps sparse grids of huge
-  // points.
+  // as `cells` independent cells.  1 (the default) is the serial simulator.
+  // Grid points already parallelise across the pool; cells > 1 mainly helps
+  // sparse grids of huge points.
   std::size_t cells = 1;
-  ArrivalProcess process = ArrivalProcess::kPoisson;
-  RoutingPolicy routing = RoutingPolicy::kFirstIdle;
-  double slo_scale = 10.0;
-  std::uint64_t seed = 1;
+  // Everything the axes leave alone: the catalog, routing and cost, the
+  // batch deadline, the sim knobs (the autoscaler, admission and fault
+  // configs whose policy or MTBF an axis sets) and the open-loop traffic
+  // (request count, arrival process, campaign seed).  A campaign sweeps
+  // offered load, so the base serves generated open-loop traffic with no
+  // observers.
+  Scenario base;
+  // The grid axes, outermost first; each grid point copies `base` and sets
+  // only its axis values (see campaign_scenario).
+  std::vector<std::vector<std::string>> fleet_templates{{"tron"}};
+  std::vector<std::size_t> fleet_sizes{4};
+  std::vector<SchedulerKind> schedulers{SchedulerKind::kFifo, SchedulerKind::kDynamicBatch};
+  std::vector<std::size_t> max_batches{8};  // dynamic batching only
+  std::vector<AutoscalerPolicy> autoscalers{AutoscalerPolicy::kNone};
+  std::vector<AdmissionPolicy> admissions{AdmissionPolicy::kNone};
+  std::vector<double> fault_mtbfs_s{0.0};  // per-slot MTBF; 0 injects no faults
+  std::vector<double> qps;  // offered-QPS points (see fleet_capacity_qps)
 };
 
-// Throws `InvalidArgument` naming the offending field for empty/non-positive
-// sweep axes (qps, schedulers, fleet sizes, batches, requests, template).
+// Throws `InvalidArgument` naming the offending field for empty or
+// out-of-range axes, `cells` above a fleet size, or a base with an explicit
+// trace, observers or closed-loop traffic; then validates every grid point's
+// Scenario (see validate_scenario).
 void validate_campaign(const CampaignConfig& config);
 
 struct CampaignPoint {
@@ -95,17 +68,15 @@ struct CampaignPoint {
 [[nodiscard]] std::vector<CampaignPoint> campaign_grid(const CampaignConfig& config);
 
 // The Scenario that `point`, grid point `index` of the campaign, simulates:
-// the point's axes over the config's shared knobs, with a trace seed mixed
-// from the campaign seed and `index`.  The CLI's single-run paths build
-// their runs as point 0, so a traced run reproduces the first sweep point.
+// `config.base` with the point's axis values and a trace seed mixed from the
+// base seed and `index`.  The CLI's single-run paths build their runs as
+// point 0, so a traced run reproduces the first sweep point.
 [[nodiscard]] Scenario campaign_scenario(const CampaignConfig& config,
-                                         const WorkloadCatalog& catalog,
                                          const CampaignPoint& point, std::size_t index);
 
 // Runs every grid point (in parallel) and returns them in grid order.
 // Validates `config` (see validate_campaign) and the catalog's coverage.
-[[nodiscard]] std::vector<CampaignPoint> run_campaign(const CampaignConfig& config,
-                                                      const WorkloadCatalog& catalog);
+[[nodiscard]] std::vector<CampaignPoint> run_campaign(const CampaignConfig& config);
 
 // Unloaded capacity estimate of a `fleet_size` fleet of `spec` at a fixed
 // batch size: fleet_size / (mix-weighted mean per-request service time over

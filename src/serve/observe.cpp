@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <limits>
 #include <ostream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -26,6 +27,24 @@ double sample_threshold(double sample) noexcept {
 // slot i is tid i + 2.
 constexpr int kClientsTid = 1;
 int slot_tid(std::size_t slot) { return static_cast<int>(slot) + 2; }
+
+// Every window counter both exports write, in column order after "t_s".
+constexpr std::pair<const char*, std::size_t TimelineWindow::*> kWindowFields[] = {
+    {"arrivals", &TimelineWindow::arrivals}, {"admitted", &TimelineWindow::admitted},
+    {"shed", &TimelineWindow::shed}, {"completed", &TimelineWindow::completed},
+    {"within_slo", &TimelineWindow::within_slo}, {"timed_out", &TimelineWindow::timed_out},
+    {"attempt_timeouts", &TimelineWindow::attempt_timeouts}, {"retries", &TimelineWindow::retries},
+    {"requeued", &TimelineWindow::requeued}, {"dispatches", &TimelineWindow::dispatches},
+    {"batch_aborts", &TimelineWindow::batch_aborts},
+    {"slot_failures", &TimelineWindow::slot_failures},
+    {"slot_recoveries", &TimelineWindow::slot_recoveries},
+    {"autoscale_grows", &TimelineWindow::autoscale_grows},
+    {"autoscale_shrinks", &TimelineWindow::autoscale_shrinks},
+    {"queue_depth_last", &TimelineWindow::queue_depth_last},
+    {"queue_depth_max", &TimelineWindow::queue_depth_max},
+    {"active_slots", &TimelineWindow::active_slots},
+    {"failed_slots", &TimelineWindow::failed_slots},
+};
 
 }  // namespace
 
@@ -381,10 +400,9 @@ void TimelineRecorder::finish(double end_s) {
 }
 
 void TimelineRecorder::write_csv(std::ostream& os) const {
-  os << "t_s,arrivals,admitted,shed,completed,within_slo,timed_out,attempt_timeouts,"
-        "retries,requeued,dispatches,batch_aborts,slot_failures,slot_recoveries,"
-        "autoscale_grows,autoscale_shrinks,queue_depth_last,queue_depth_max,"
-        "active_slots,failed_slots,throughput_qps,goodput_qps";
+  os << "t_s";
+  for (const auto& [name, member] : kWindowFields) os << ',' << name;
+  os << ",throughput_qps,goodput_qps";
   for (std::size_t i = 0; i < catalog_->size(); ++i) {
     const std::string name = catalog_->workload(i).name();
     os << "," << name << "_completed," << name << "_within_slo";
@@ -394,13 +412,8 @@ void TimelineRecorder::write_csv(std::ostream& os) const {
   for (std::size_t i = 0; i < windows_.size(); ++i) {
     const TimelineWindow& w = windows_[i];
     std::snprintf(buf, sizeof buf, "%.9g", static_cast<double>(i) * config_.window_s);
-    os << buf << "," << w.arrivals << "," << w.admitted << "," << w.shed << ","
-       << w.completed << "," << w.within_slo << "," << w.timed_out << ","
-       << w.attempt_timeouts << "," << w.retries << "," << w.requeued << ","
-       << w.dispatches << "," << w.batch_aborts << "," << w.slot_failures << ","
-       << w.slot_recoveries << "," << w.autoscale_grows << "," << w.autoscale_shrinks << ","
-       << w.queue_depth_last << "," << w.queue_depth_max << "," << w.active_slots << ","
-       << w.failed_slots;
+    os << buf;
+    for (const auto& [name, member] : kWindowFields) os << ',' << w.*member;
     std::snprintf(buf, sizeof buf, "%.9g",
                   static_cast<double>(w.completed) / config_.window_s);
     os << "," << buf;
@@ -425,28 +438,9 @@ void TimelineRecorder::write_json(std::ostream& os) const {
   json.end().begin_array("windows");
   for (std::size_t i = 0; i < windows_.size(); ++i) {
     const TimelineWindow& w = windows_[i];
-    json.begin_object()
-        .field("t_s", static_cast<double>(i) * config_.window_s)
-        .field("arrivals", w.arrivals)
-        .field("admitted", w.admitted)
-        .field("shed", w.shed)
-        .field("completed", w.completed)
-        .field("within_slo", w.within_slo)
-        .field("timed_out", w.timed_out)
-        .field("attempt_timeouts", w.attempt_timeouts)
-        .field("retries", w.retries)
-        .field("requeued", w.requeued)
-        .field("dispatches", w.dispatches)
-        .field("batch_aborts", w.batch_aborts)
-        .field("slot_failures", w.slot_failures)
-        .field("slot_recoveries", w.slot_recoveries)
-        .field("autoscale_grows", w.autoscale_grows)
-        .field("autoscale_shrinks", w.autoscale_shrinks)
-        .field("queue_depth_last", w.queue_depth_last)
-        .field("queue_depth_max", w.queue_depth_max)
-        .field("active_slots", w.active_slots)
-        .field("failed_slots", w.failed_slots)
-        .begin_array("tenant_completed");
+    json.begin_object().field("t_s", static_cast<double>(i) * config_.window_s);
+    for (const auto& [name, member] : kWindowFields) json.field(name, w.*member);
+    json.begin_array("tenant_completed");
     for (const std::size_t n : w.tenant_completed) json.element(n);
     json.end().begin_array("tenant_within_slo");
     for (const std::size_t n : w.tenant_within_slo) json.element(n);

@@ -361,25 +361,25 @@ TEST(ServeParity, BatchedServiceTimesComeFromConcreteEstimates) {
 TEST(ServeParity, CampaignMatchesDirectSimulation) {
   const serve::WorkloadCatalog catalog = serve::WorkloadCatalog::tron_default();
   serve::CampaignConfig cfg;
-  cfg.fleet_template = {"tron"};
+  cfg.base.catalog = catalog;
+  cfg.base.traffic.open.request_count = 3000;
+  cfg.base.traffic.open.seed = 5;
   cfg.qps = {0.6 * serve::fleet_capacity_qps(catalog, "tron", 2, 8)};
   cfg.schedulers = {serve::SchedulerKind::kDynamicBatch};
   cfg.fleet_sizes = {2};
   cfg.max_batches = {8};
-  cfg.requests_per_point = 3000;
-  cfg.seed = 5;
-  const std::vector<serve::CampaignPoint> points = serve::run_campaign(cfg, catalog);
+  const std::vector<serve::CampaignPoint> points = serve::run_campaign(cfg);
   ASSERT_EQ(points.size(), 1u);
 
   serve::TraceConfig tc;
   tc.offered_qps = cfg.qps[0];
-  tc.request_count = cfg.requests_per_point;
-  tc.seed = cfg.seed + 0x9E3779B9u * 1;
+  tc.request_count = cfg.base.traffic.open.request_count;
+  tc.seed = cfg.base.traffic.open.seed + 0x9E3779B9u * 1;
   serve::BatchPolicy policy;
   policy.max_batch = 8;
-  policy.max_wait_s = cfg.max_wait_s;
+  policy.max_wait_s = cfg.base.batch.max_wait_s;
   serve::SimConfig sim_cfg;
-  sim_cfg.slo_scale = cfg.slo_scale;
+  sim_cfg.slo_scale = cfg.base.sim.slo_scale;
   const serve::FleetMetrics direct =
       simulate_trace(serve::FleetConfig::homogeneous("tron", 2), catalog,
                       serve::generate_trace(catalog, tc), serve::SchedulerKind::kDynamicBatch,

@@ -434,27 +434,27 @@ TEST(DecodeParity, CampaignPointMatchesDirectSimulation) {
   catalog.apply_decode(SeqLenDist::kLogNormal, 16);
 
   CampaignConfig cfg;
-  cfg.fleet_template = {"tron"};
+  cfg.base.catalog = catalog;
+  cfg.base.sim.decode_mode = DecodeMode::kContinuous;
+  cfg.base.traffic.open.request_count = 3000;
+  cfg.base.traffic.open.seed = 17;
   cfg.qps = {0.7 * fleet_capacity_qps(catalog, "tron", 2, 8)};
   cfg.schedulers = {SchedulerKind::kDynamicBatch};
   cfg.fleet_sizes = {2};
   cfg.max_batches = {8};
-  cfg.requests_per_point = 3000;
-  cfg.seed = 17;
-  cfg.decode_mode = DecodeMode::kContinuous;
-  const std::vector<CampaignPoint> points = run_campaign(cfg, catalog);
+  const std::vector<CampaignPoint> points = run_campaign(cfg);
   ASSERT_EQ(points.size(), 1u);
   EXPECT_GT(points[0].metrics.decode_requests, 0u);
 
   TraceConfig trace_cfg;
   trace_cfg.offered_qps = cfg.qps[0];
-  trace_cfg.request_count = cfg.requests_per_point;
-  trace_cfg.seed = cfg.seed + 0x9E3779B9u * 1;
+  trace_cfg.request_count = cfg.base.traffic.open.request_count;
+  trace_cfg.seed = cfg.base.traffic.open.seed + 0x9E3779B9u * 1;
   BatchPolicy policy;
   policy.max_batch = 8;
-  policy.max_wait_s = cfg.max_wait_s;
+  policy.max_wait_s = cfg.base.batch.max_wait_s;
   SimConfig sim_cfg;
-  sim_cfg.slo_scale = cfg.slo_scale;
+  sim_cfg.slo_scale = cfg.base.sim.slo_scale;
   sim_cfg.decode_mode = DecodeMode::kContinuous;
   const FleetMetrics serial =
       simulate_trace(FleetConfig::homogeneous("tron", 2), catalog,

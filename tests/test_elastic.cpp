@@ -516,16 +516,16 @@ TEST(ScaledSpecName, CanonicalFormsAndCompounding) {
 TEST(ElasticCampaign, AutoscalerAxisExpandsTheGrid) {
   const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
   CampaignConfig cfg;
-  cfg.fleet_template = {"tron"};
+  cfg.base.catalog = catalog;
+  cfg.base.sim.autoscaler.max_slots = 6;
+  cfg.base.traffic.open.request_count = 3000;
+  cfg.base.traffic.open.seed = 29;
   cfg.qps = {0.8 * fleet_capacity_qps(catalog, "tron", 2, 8)};
   cfg.schedulers = {SchedulerKind::kDynamicBatch};
   cfg.fleet_sizes = {2};
   cfg.max_batches = {8};
   cfg.autoscalers = {AutoscalerPolicy::kNone, AutoscalerPolicy::kQueueDepth};
-  cfg.autoscale.max_slots = 6;
-  cfg.requests_per_point = 3000;
-  cfg.seed = 29;
-  const std::vector<CampaignPoint> points = run_campaign(cfg, catalog);
+  const std::vector<CampaignPoint> points = run_campaign(cfg);
   ASSERT_EQ(points.size(), 2u);
   EXPECT_EQ(points[0].autoscaler, AutoscalerPolicy::kNone);
   EXPECT_EQ(points[1].autoscaler, AutoscalerPolicy::kQueueDepth);
@@ -534,20 +534,20 @@ TEST(ElasticCampaign, AutoscalerAxisExpandsTheGrid) {
 }
 
 TEST(ElasticCampaign, ValidationNamesAutoscalerFields) {
-  const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
   CampaignConfig cfg;
+  cfg.base.catalog = WorkloadCatalog::tron_default();
+  cfg.base.traffic.open.request_count = 100;
   cfg.qps = {1000.0};
-  cfg.requests_per_point = 100;
   cfg.autoscalers.clear();
   try {
-    (void)run_campaign(cfg, catalog);
+    (void)run_campaign(cfg);
     FAIL() << "expected InvalidArgument";
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("autoscalers"), std::string::npos) << e.what();
   }
   cfg.autoscalers = {AutoscalerPolicy::kQueueDepth};
-  cfg.autoscale.min_slots = 0;
-  EXPECT_THROW((void)run_campaign(cfg, catalog), InvalidArgument);
+  cfg.base.sim.autoscaler.min_slots = 0;
+  EXPECT_THROW((void)run_campaign(cfg), InvalidArgument);
 }
 
 }  // namespace

@@ -647,17 +647,17 @@ TEST(CapacityPricing, DistributedSeqLensRepriceCapacity) {
 TEST(RobustCampaign, AdmissionAndFaultAxesExpandTheGrid) {
   const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
   CampaignConfig cfg;
-  cfg.fleet_template = {"tron"};
+  cfg.base.catalog = catalog;
+  cfg.base.sim.faults.mttr_s = 2e-3;
+  cfg.base.traffic.open.request_count = 3000;
+  cfg.base.traffic.open.seed = 30;
   cfg.qps = {0.8 * fleet_capacity_qps(catalog, "tron", 2, 8)};
   cfg.schedulers = {SchedulerKind::kDynamicBatch};
   cfg.fleet_sizes = {2};
   cfg.max_batches = {8};
   cfg.admissions = {AdmissionPolicy::kNone, AdmissionPolicy::kQueueCap};
   cfg.fault_mtbfs_s = {0.0, 20e-3};
-  cfg.faults.mttr_s = 2e-3;
-  cfg.requests_per_point = 3000;
-  cfg.seed = 30;
-  const std::vector<CampaignPoint> points = run_campaign(cfg, catalog);
+  const std::vector<CampaignPoint> points = run_campaign(cfg);
   ASSERT_EQ(points.size(), 4u);
   EXPECT_EQ(points[0].admission, AdmissionPolicy::kNone);
   EXPECT_EQ(points[0].fault_mtbf_s, 0.0);
@@ -677,65 +677,65 @@ TEST(RobustCampaign, ParallelFaultSweepMatchesSerialSimulation) {
   catalog.apply_default_tiers();
   catalog.apply_timeout(0.1);
   CampaignConfig cfg;
-  cfg.fleet_template = {"tron"};
+  cfg.base.catalog = catalog;
+  cfg.base.sim.faults.mttr_s = 2e-3;
+  cfg.base.sim.retry.max_attempts = 3;
+  cfg.base.traffic.open.request_count = 5000;
+  cfg.base.traffic.open.seed = 18;
   cfg.qps = {1.5 * fleet_capacity_qps(catalog, "tron", 2, 8)};
   cfg.schedulers = {SchedulerKind::kDynamicBatch};
   cfg.fleet_sizes = {2};
   cfg.max_batches = {8};
   cfg.admissions = {AdmissionPolicy::kTierShed};
   cfg.fault_mtbfs_s = {20e-3};
-  cfg.faults.mttr_s = 2e-3;
-  cfg.retry.max_attempts = 3;
-  cfg.requests_per_point = 5000;
-  cfg.seed = 18;
-  const std::vector<CampaignPoint> points = run_campaign(cfg, catalog);
+  const std::vector<CampaignPoint> points = run_campaign(cfg);
   ASSERT_EQ(points.size(), 1u);
 
   Scenario scenario;
-  scenario.fleet = FleetConfig::cycled(cfg.fleet_template, 2);
+  scenario.fleet = FleetConfig::cycled(cfg.fleet_templates.front(), 2);
   scenario.catalog = catalog;
   scenario.scheduler = SchedulerKind::kDynamicBatch;
   scenario.batch.max_batch = 8;
-  scenario.batch.max_wait_s = cfg.max_wait_s;
-  scenario.sim.slo_scale = cfg.slo_scale;
-  scenario.sim.admission = cfg.admission;
+  scenario.batch.max_wait_s = cfg.base.batch.max_wait_s;
+  scenario.sim.slo_scale = cfg.base.sim.slo_scale;
+  scenario.sim.admission = cfg.base.sim.admission;
   scenario.sim.admission.policy = AdmissionPolicy::kTierShed;
-  scenario.sim.faults = cfg.faults;
+  scenario.sim.faults = cfg.base.sim.faults;
   scenario.sim.faults.mtbf_s = cfg.fault_mtbfs_s[0];
-  scenario.sim.retry = cfg.retry;
+  scenario.sim.retry = cfg.base.sim.retry;
   scenario.traffic.open.offered_qps = cfg.qps[0];
-  scenario.traffic.open.request_count = cfg.requests_per_point;
-  scenario.traffic.open.seed = cfg.seed + 0x9E3779B9u * 1;
+  scenario.traffic.open.request_count = cfg.base.traffic.open.request_count;
+  scenario.traffic.open.seed = cfg.base.traffic.open.seed + 0x9E3779B9u * 1;
   const FleetMetrics serial = simulate(scenario);
   expect_bit_identical(points[0].metrics, serial);
 }
 
 TEST(RobustCampaign, ValidationNamesRobustFields) {
-  const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
   CampaignConfig good;
+  good.base.catalog = WorkloadCatalog::tron_default();
+  good.base.traffic.open.request_count = 100;
   good.qps = {1000.0};
-  good.requests_per_point = 100;
 
   CampaignConfig cfg = good;
   cfg.admissions.clear();
-  expect_invalid([&] { (void)run_campaign(cfg, catalog); }, "admissions");
+  expect_invalid([&] { (void)run_campaign(cfg); }, "admissions");
   cfg = good;
   cfg.fault_mtbfs_s.clear();
-  expect_invalid([&] { (void)run_campaign(cfg, catalog); }, "fault_mtbfs_s");
+  expect_invalid([&] { (void)run_campaign(cfg); }, "fault_mtbfs_s");
   cfg = good;
   cfg.fault_mtbfs_s = {-1.0};
-  expect_invalid([&] { (void)run_campaign(cfg, catalog); }, "fault_mtbfs_s");
+  expect_invalid([&] { (void)run_campaign(cfg); }, "fault_mtbfs_s");
   cfg = good;
   cfg.fault_mtbfs_s = {1e-3};
-  cfg.faults.mttr_s = 0.0;
-  expect_invalid([&] { (void)run_campaign(cfg, catalog); }, "mttr_s");
+  cfg.base.sim.faults.mttr_s = 0.0;
+  expect_invalid([&] { (void)run_campaign(cfg); }, "mttr_s");
   cfg = good;
-  cfg.retry.max_attempts = 0;
-  expect_invalid([&] { (void)run_campaign(cfg, catalog); }, "max_attempts");
+  cfg.base.sim.retry.max_attempts = 0;
+  expect_invalid([&] { (void)run_campaign(cfg); }, "max_attempts");
   cfg = good;
   cfg.admissions = {AdmissionPolicy::kQueueCap};
-  cfg.admission.queue_cap = 0;
-  expect_invalid([&] { (void)run_campaign(cfg, catalog); }, "queue_cap");
+  cfg.base.sim.admission.queue_cap = 0;
+  expect_invalid([&] { (void)run_campaign(cfg); }, "queue_cap");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -51,6 +52,51 @@ Scenario faulty_scenario(std::size_t requests = 8000) {
   scenario.traffic.open.request_count = requests;
   scenario.traffic.open.seed = 77;
   return scenario;
+}
+
+// A timeline window's counters by their export names, listed apart from the
+// exporters' own list so that a name paired with the wrong member fails.
+const std::pair<const char*, std::size_t TimelineWindow::*> kWindowCounters[] = {
+    {"arrivals", &TimelineWindow::arrivals}, {"admitted", &TimelineWindow::admitted},
+    {"shed", &TimelineWindow::shed}, {"completed", &TimelineWindow::completed},
+    {"within_slo", &TimelineWindow::within_slo}, {"timed_out", &TimelineWindow::timed_out},
+    {"attempt_timeouts", &TimelineWindow::attempt_timeouts}, {"retries", &TimelineWindow::retries},
+    {"requeued", &TimelineWindow::requeued}, {"dispatches", &TimelineWindow::dispatches},
+    {"batch_aborts", &TimelineWindow::batch_aborts},
+    {"slot_failures", &TimelineWindow::slot_failures},
+    {"slot_recoveries", &TimelineWindow::slot_recoveries},
+    {"autoscale_grows", &TimelineWindow::autoscale_grows},
+    {"autoscale_shrinks", &TimelineWindow::autoscale_shrinks},
+    {"queue_depth_last", &TimelineWindow::queue_depth_last},
+    {"queue_depth_max", &TimelineWindow::queue_depth_max},
+    {"active_slots", &TimelineWindow::active_slots},
+    {"failed_slots", &TimelineWindow::failed_slots},
+};
+
+std::vector<std::string> split_csv(const std::string& line) {
+  std::vector<std::string> cells;
+  std::istringstream in(line);
+  for (std::string cell; std::getline(in, cell, ',');) cells.push_back(cell);
+  return cells;
+}
+
+// Member `key` of one window line of the JSON timeline, as written: a number,
+// or an array's "[...]".
+std::string json_member(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find("\"" + key + "\": ");
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + key.size() + 4;
+  const std::size_t end =
+      line[begin] == '[' ? line.find(']', begin) + 1 : line.find_first_of(",}", begin);
+  return line.substr(begin, end - begin);
+}
+
+std::string json_list(const std::vector<std::size_t>& values) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    out += (i ? ", " : "") + std::to_string(values[i]);
+  }
+  return out + "]";
 }
 
 void expect_bit_identical(const FleetMetrics& a, const FleetMetrics& b) {
@@ -345,6 +391,51 @@ TEST(Observe, TimelineWindowSumsMatchTotals) {
   timeline.write_json(json);
   EXPECT_NE(json.str().find("\"window_s\""), std::string::npos);
   EXPECT_NE(json.str().find("\"windows\""), std::string::npos);
+
+  // Both exports read back field by field: every CSV row and every JSON
+  // window holds its window's time, counters and tenant counts.
+  const double window_s = scenario.observe.timeline.window_s;
+  std::vector<std::string> expected_header{"t_s"};
+  for (const auto& [name, member] : kWindowCounters) expected_header.emplace_back(name);
+  expected_header.insert(expected_header.end(), {"throughput_qps", "goodput_qps"});
+  for (std::size_t t = 0; t < scenario.catalog.size(); ++t) {
+    expected_header.push_back(scenario.catalog.workload(t).name() + "_completed");
+    expected_header.push_back(scenario.catalog.workload(t).name() + "_within_slo");
+  }
+  std::istringstream csv_in(csv.str());
+  ASSERT_TRUE(std::getline(csv_in, line));
+  EXPECT_EQ(split_csv(line), expected_header);
+  std::istringstream json_in(json.str());
+  for (std::size_t i = 0; i < timeline.windows().size(); ++i) {
+    const TimelineWindow& w = timeline.windows()[i];
+    const double t_s = static_cast<double>(i) * window_s;
+    ASSERT_TRUE(std::getline(csv_in, line));
+    const std::vector<std::string> row = split_csv(line);
+    ASSERT_EQ(row.size(), expected_header.size()) << "CSV row " << i;
+    EXPECT_DOUBLE_EQ(std::stod(row[0]), t_s);
+    std::size_t col = 1;
+    for (const auto& [name, member] : kWindowCounters) {
+      EXPECT_EQ(std::stoull(row[col++]), w.*member) << "CSV row " << i << " " << name;
+    }
+    EXPECT_DOUBLE_EQ(std::stod(row[col++]), static_cast<double>(w.completed) / window_s);
+    EXPECT_DOUBLE_EQ(std::stod(row[col++]), static_cast<double>(w.within_slo) / window_s);
+    for (std::size_t t = 0; t < w.tenant_completed.size(); ++t) {
+      EXPECT_EQ(std::stoull(row[col++]), w.tenant_completed[t]) << "CSV row " << i;
+      EXPECT_EQ(std::stoull(row[col++]), w.tenant_within_slo[t]) << "CSV row " << i;
+    }
+
+    do {
+      ASSERT_TRUE(std::getline(json_in, line)) << "JSON window " << i << " missing";
+    } while (line.find("{\"t_s\": ") == std::string::npos);
+    EXPECT_DOUBLE_EQ(std::stod(json_member(line, "t_s")), t_s);
+    for (const auto& [name, member] : kWindowCounters) {
+      EXPECT_EQ(std::stoull(json_member(line, name)), w.*member)
+          << "JSON window " << i << " " << name;
+    }
+    EXPECT_EQ(json_member(line, "tenant_completed"), json_list(w.tenant_completed));
+    EXPECT_EQ(json_member(line, "tenant_within_slo"), json_list(w.tenant_within_slo));
+  }
+  EXPECT_FALSE(std::getline(csv_in, line)) << "CSV rows beyond the last window";
 }
 
 // ---------------------------------------------------------------------------
@@ -498,31 +589,31 @@ TEST(PercentileModes, HdrTracksExactWithinConfiguredError) {
 TEST(PercentileModes, CampaignWiresTheModeThrough) {
   const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
   CampaignConfig cfg;
-  cfg.fleet_template = {"tron"};
+  cfg.base.catalog = catalog;
+  cfg.base.sim.percentile_mode = PercentileMode::kHdr;
+  cfg.base.sim.hdr_relative_error = 0.02;
+  cfg.base.traffic.open.request_count = 5000;
+  cfg.base.traffic.open.seed = 5;
   cfg.qps = {0.8 * fleet_capacity_qps(catalog, "tron", 2, 8)};
   cfg.schedulers = {SchedulerKind::kDynamicBatch};
   cfg.fleet_sizes = {2};
   cfg.max_batches = {8};
-  cfg.requests_per_point = 5000;
-  cfg.percentile_mode = PercentileMode::kHdr;
-  cfg.hdr_relative_error = 0.02;
-  cfg.seed = 5;
-  const std::vector<CampaignPoint> points = run_campaign(cfg, catalog);
+  const std::vector<CampaignPoint> points = run_campaign(cfg);
   ASSERT_EQ(points.size(), 1u);
 
   // Campaign point 0 == a direct simulate with the point-0 derived seed.
   Scenario scenario;
-  scenario.fleet = FleetConfig::cycled(cfg.fleet_template, 2, cfg.routing);
+  scenario.fleet = FleetConfig::cycled(cfg.fleet_templates.front(), 2, cfg.base.fleet.routing);
   scenario.catalog = catalog;
   scenario.scheduler = SchedulerKind::kDynamicBatch;
   scenario.batch.max_batch = 8;
-  scenario.batch.max_wait_s = cfg.max_wait_s;
-  scenario.sim.slo_scale = cfg.slo_scale;
-  scenario.sim.percentile_mode = cfg.percentile_mode;
-  scenario.sim.hdr_relative_error = cfg.hdr_relative_error;
+  scenario.batch.max_wait_s = cfg.base.batch.max_wait_s;
+  scenario.sim.slo_scale = cfg.base.sim.slo_scale;
+  scenario.sim.percentile_mode = cfg.base.sim.percentile_mode;
+  scenario.sim.hdr_relative_error = cfg.base.sim.hdr_relative_error;
   scenario.traffic.open.offered_qps = cfg.qps.front();
-  scenario.traffic.open.request_count = cfg.requests_per_point;
-  scenario.traffic.open.seed = cfg.seed + 0x9E3779B9u;
+  scenario.traffic.open.request_count = cfg.base.traffic.open.request_count;
+  scenario.traffic.open.seed = cfg.base.traffic.open.seed + 0x9E3779B9u;
   const FleetMetrics direct = simulate(scenario);
   EXPECT_EQ(points.front().metrics.p50_latency_s, direct.p50_latency_s);
   EXPECT_EQ(points.front().metrics.p99_latency_s, direct.p99_latency_s);

@@ -292,39 +292,22 @@ TEST(CostMetrics, CellsOneShardFoldIsBitIdenticalIncludingCost) {
 
 serve::CampaignConfig small_campaign() {
   serve::CampaignConfig config;
+  config.base.catalog = serve::WorkloadCatalog::tron_default();
+  config.base.traffic.open.request_count = 2000;
+  config.base.traffic.open.seed = 5;
   config.qps = {20000.0, 60000.0};
   config.schedulers = {serve::SchedulerKind::kDynamicBatch};
   config.fleet_sizes = {2};
   config.max_batches = {4};
-  config.requests_per_point = 2000;
-  config.seed = 5;
   return config;
 }
 
-TEST(CampaignTemplates, SingleTemplateAxisIsBitIdenticalToPreAxisCampaign) {
-  const serve::WorkloadCatalog catalog = serve::WorkloadCatalog::tron_default();
-  serve::CampaignConfig pre = small_campaign();  // fleet_templates empty
-  serve::CampaignConfig axis = small_campaign();
-  axis.fleet_templates = {{"tron"}};
-  const auto a = run_campaign(pre, catalog);
-  const auto b = run_campaign(axis, catalog);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].fleet_template, b[i].fleet_template);
-    EXPECT_EQ(a[i].metrics.completed, b[i].metrics.completed);
-    EXPECT_EQ(a[i].metrics.p99_latency_s, b[i].metrics.p99_latency_s);
-    EXPECT_EQ(a[i].metrics.fleet_energy_j, b[i].metrics.fleet_energy_j);
-    EXPECT_EQ(a[i].metrics.fleet_cost_usd, b[i].metrics.fleet_cost_usd);
-  }
-}
-
 TEST(CampaignTemplates, TemplateAxisIsOutermostAndPreservesPerPointSeeds) {
-  const serve::WorkloadCatalog catalog = serve::WorkloadCatalog::tron_default();
   serve::CampaignConfig single = small_campaign();
   serve::CampaignConfig hybrid = small_campaign();
   hybrid.fleet_templates = {{"tron"}, {"tron", "v100"}};
-  const auto base = run_campaign(single, catalog);
-  const auto grid = run_campaign(hybrid, catalog);
+  const auto base = run_campaign(single);
+  const auto grid = run_campaign(hybrid);
   ASSERT_EQ(grid.size(), 2 * base.size());
   // First half: the photonic template, bit-identical to the single-template
   // campaign (the axis is outermost, so inner grid indices — and with them
@@ -342,7 +325,7 @@ TEST(CampaignTemplates, TemplateAxisIsOutermostAndPreservesPerPointSeeds) {
     EXPECT_GT(grid[i].metrics.fleet_cost_usd, 0.0);
   }
   // The whole grid is deterministic: a re-run is bit-identical.
-  const auto again = run_campaign(hybrid, catalog);
+  const auto again = run_campaign(hybrid);
   ASSERT_EQ(again.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_EQ(grid[i].metrics.p99_latency_s, again[i].metrics.p99_latency_s);

@@ -816,33 +816,58 @@ TEST(Validation, FleetFactoriesRejectEmptyAndZero) {
 }
 
 TEST(Validation, CampaignConfigNamesBadField) {
-  const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
   CampaignConfig good;
+  good.base.catalog = WorkloadCatalog::tron_default();
+  good.base.traffic.open.request_count = 100;
   good.qps = {1000.0};
-  good.requests_per_point = 100;
 
   CampaignConfig c = good;
   c.qps.clear();
-  expect_invalid([&] { (void)run_campaign(c, catalog); }, "CampaignConfig.qps");
+  expect_invalid([&] { (void)run_campaign(c); }, "CampaignConfig.qps");
   c = good;
   c.qps = {-5.0};
-  expect_invalid([&] { (void)run_campaign(c, catalog); }, "CampaignConfig.qps");
+  expect_invalid([&] { (void)run_campaign(c); }, "CampaignConfig.qps");
   c = good;
   c.schedulers.clear();
-  expect_invalid([&] { (void)run_campaign(c, catalog); }, "CampaignConfig.schedulers");
+  expect_invalid([&] { (void)run_campaign(c); }, "CampaignConfig.schedulers");
   c = good;
   c.fleet_sizes = {0};
-  expect_invalid([&] { (void)run_campaign(c, catalog); }, "CampaignConfig.fleet_sizes");
+  expect_invalid([&] { (void)run_campaign(c); }, "CampaignConfig.fleet_sizes");
   c = good;
   c.max_batches = {0};
-  expect_invalid([&] { (void)run_campaign(c, catalog); }, "CampaignConfig.max_batches");
+  expect_invalid([&] { (void)run_campaign(c); }, "BatchPolicy.max_batch");
   c = good;
-  c.requests_per_point = 0;
-  expect_invalid([&] { (void)run_campaign(c, catalog); },
-                 "CampaignConfig.requests_per_point");
+  c.base.traffic.open.request_count = 0;
+  expect_invalid([&] { (void)run_campaign(c); }, "TraceConfig.request_count");
   c = good;
-  c.fleet_template.clear();
-  expect_invalid([&] { (void)run_campaign(c, catalog); }, "CampaignConfig.fleet_template");
+  c.fleet_templates.clear();
+  expect_invalid([&] { (void)run_campaign(c); }, "CampaignConfig.fleet_templates");
+  c = good;
+  c.base.catalog = WorkloadCatalog();
+  expect_invalid([&] { (void)run_campaign(c); }, "Scenario.catalog");
+}
+
+// A campaign sweeps offered open-loop load: a base Scenario that replays a
+// trace, drives closed-loop sessions or carries observers has no load to
+// sweep, so run_campaign rejects it.
+TEST(Validation, CampaignBaseMustBeGeneratedOpenLoop) {
+  CampaignConfig good;
+  good.base.catalog = WorkloadCatalog::tron_default();
+  good.base.traffic.open.request_count = 100;
+  good.qps = {1000.0};
+  ASSERT_NO_THROW((void)run_campaign(good));
+
+  CampaignConfig c = good;
+  TraceConfig trace_cfg;
+  trace_cfg.request_count = 100;
+  c.base.trace = generate_trace(c.base.catalog, trace_cfg);
+  expect_invalid([&] { (void)run_campaign(c); }, "CampaignConfig.base");
+  c = good;
+  c.base.traffic.mode = LoopMode::kClosed;
+  expect_invalid([&] { (void)run_campaign(c); }, "CampaignConfig.base");
+  c = good;
+  c.base.observe.profile = true;
+  expect_invalid([&] { (void)run_campaign(c); }, "CampaignConfig.base");
 }
 
 // ---------------------------------------------------------------------------
@@ -852,14 +877,14 @@ TEST(Validation, CampaignConfigNamesBadField) {
 TEST(Campaign, ParallelSweepMatchesSerialSimulation) {
   const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
   CampaignConfig cfg;
-  cfg.fleet_template = {"tron"};
+  cfg.base.catalog = catalog;
+  cfg.base.traffic.open.request_count = 5000;
+  cfg.base.traffic.open.seed = 17;
   cfg.qps = {0.6 * fleet_capacity_qps(catalog, "tron", 2, 8)};
   cfg.schedulers = {SchedulerKind::kDynamicBatch};
   cfg.fleet_sizes = {2};
   cfg.max_batches = {8};
-  cfg.requests_per_point = 5000;
-  cfg.seed = 17;
-  const std::vector<CampaignPoint> points = run_campaign(cfg, catalog);
+  const std::vector<CampaignPoint> points = run_campaign(cfg);
   ASSERT_EQ(points.size(), 1u);
 
   // Re-run the same grid point serially with the campaign's derived seed: the
@@ -867,13 +892,13 @@ TEST(Campaign, ParallelSweepMatchesSerialSimulation) {
   // matrix locks in determinism across thread counts).
   TraceConfig trace_cfg;
   trace_cfg.offered_qps = cfg.qps[0];
-  trace_cfg.request_count = cfg.requests_per_point;
-  trace_cfg.seed = cfg.seed + 0x9E3779B9u * 1;
+  trace_cfg.request_count = cfg.base.traffic.open.request_count;
+  trace_cfg.seed = cfg.base.traffic.open.seed + 0x9E3779B9u * 1;
   BatchPolicy policy;
   policy.max_batch = 8;
-  policy.max_wait_s = cfg.max_wait_s;
+  policy.max_wait_s = cfg.base.batch.max_wait_s;
   SimConfig sim_cfg;
-  sim_cfg.slo_scale = cfg.slo_scale;
+  sim_cfg.slo_scale = cfg.base.sim.slo_scale;
   const FleetMetrics serial =
       simulate_trace(FleetConfig::homogeneous("tron", 2), catalog,
                      generate_trace(catalog, trace_cfg), SchedulerKind::kDynamicBatch,
@@ -885,15 +910,14 @@ TEST(Campaign, ParallelSweepMatchesSerialSimulation) {
 }
 
 TEST(Campaign, FifoPointsIgnoreBatchGrid) {
-  const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
   CampaignConfig cfg;
-  cfg.fleet_template = {"tron"};
+  cfg.base.catalog = WorkloadCatalog::tron_default();
+  cfg.base.traffic.open.request_count = 200;
   cfg.qps = {1000.0, 2000.0};
   cfg.schedulers = {SchedulerKind::kFifo, SchedulerKind::kDynamicBatch};
   cfg.fleet_sizes = {1};
   cfg.max_batches = {4, 8};
-  cfg.requests_per_point = 200;
-  const std::vector<CampaignPoint> points = run_campaign(cfg, catalog);
+  const std::vector<CampaignPoint> points = run_campaign(cfg);
   // FIFO collapses the batch dimension: 2 qps + 2 batches x 2 qps = 6 points.
   EXPECT_EQ(points.size(), 6u);
 }
@@ -901,14 +925,15 @@ TEST(Campaign, FifoPointsIgnoreBatchGrid) {
 TEST(Campaign, MixedFleetTemplateSweepCompletes) {
   const WorkloadCatalog catalog = WorkloadCatalog::mixed_default();
   CampaignConfig cfg;
-  cfg.fleet_template = {"tron", "ghost"};
+  cfg.base.catalog = catalog;
+  cfg.base.traffic.open.request_count = 4000;
+  cfg.base.traffic.open.seed = 23;
+  cfg.fleet_templates = {{"tron", "ghost"}};
   cfg.qps = {0.5 * fleet_capacity_qps(catalog, FleetConfig::cycled({"tron", "ghost"}, 4), 8)};
   cfg.schedulers = {SchedulerKind::kDynamicBatch};
   cfg.fleet_sizes = {4};
   cfg.max_batches = {8};
-  cfg.requests_per_point = 4000;
-  cfg.seed = 23;
-  const std::vector<CampaignPoint> points = run_campaign(cfg, catalog);
+  const std::vector<CampaignPoint> points = run_campaign(cfg);
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].metrics.completed, 4000u);
   EXPECT_GT(points[0].metrics.goodput_qps, 0.0);
