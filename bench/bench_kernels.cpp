@@ -194,11 +194,11 @@ std::vector<BenchResult> run_benches(bool smoke) {
     r.detail = std::to_string(ds.graph.node_count()) + "-node RMAT, " +
                std::to_string(ds.graph.degree_histogram().size()) + " distinct degrees";
     r.median_ms = median_ms_of(reps, [&] {
-      return acc.estimate(model, ds, ghost::AggregateCosting::kDegreeHistogram).latency_s;
+      return acc.estimate(model, ds, 1, ghost::AggregateCosting::kDegreeHistogram).latency_s;
     });
     r.baseline = "per-node aggregate loop + per-layer map partitioning";
     r.baseline_median_ms = median_ms_of(smoke ? 2 : 3, [&] {
-      return acc.estimate(model, ds, ghost::AggregateCosting::kPerNodeReference).latency_s;
+      return acc.estimate(model, ds, 1, ghost::AggregateCosting::kPerNodeReference).latency_s;
     });
     r.has_baseline = true;
     results.push_back(r);

@@ -54,7 +54,7 @@ void print_batch_scaling() {
   Table t("TRON batched inference (BERT-base): weight stream amortisation");
   t.add_row({"batch", "latency/seq", "GOPS", "EPB", "memory stall share"});
   for (const std::size_t batch : {1u, 2u, 4u, 8u, 16u, 32u}) {
-    const PerfReport r = acc.estimate_batch(model, batch);
+    const PerfReport r = acc.estimate(model, batch);
     t.add_row({std::to_string(batch),
                Table::num(units::to_us(r.latency_s / static_cast<double>(batch)), 1) + " us",
                Table::num(units::to_gops(r.ops_per_second()), 0),

@@ -3,7 +3,7 @@
 // breakdown, the effect of the scheduling optimisations, and a functional
 // forward on a small graph.
 //
-// Build & run:  ./build/examples/gnn_citation
+// Build & run:  ./build/gnn_citation
 #include <iostream>
 
 #include "common/table.hpp"

@@ -2,7 +2,7 @@
 // electronic comparison platforms, sweeps sequence length, and prints the
 // per-stage breakdown of where TRON's time and energy go.
 //
-// Build & run:  ./build/examples/llm_inference
+// Build & run:  ./build/llm_inference
 #include <iostream>
 
 #include "baselines/platforms.hpp"

@@ -530,7 +530,9 @@ const ServeFlag kServeFlags[] = {
        r.cfg.base.sim.hdr_relative_error = v.number();
        if (v.number() >= 1.0) throw InvalidArgument("--hdr-error must be in (0, 1)");
      }},
-    {"--cells", "k", "k independent cells in parallel: statistically equal to serial (default 1)",
+    {"--cells", "k",
+     "k fleets of 1/k the slots, run in parallel: goodput within 0.3% of serial, p99 1.70x "
+     "at 8 cells (default 1)",
      nullptr, [](ServeRun& r, const Arg& v) { r.cfg.cells = v.count(1); }},
     {"--trace-out", "p", "write the run's Chrome trace_event JSON (chrome://tracing, Perfetto)",
      nullptr,
@@ -738,7 +740,7 @@ int main(int argc, char** argv) {
       const std::size_t seq = args.size() > 2 ? Arg{"seq_len", args[2]}.count(1) : 128;
       const std::size_t batch = args.size() > 3 ? Arg{"batch", args[3]}.count(1) : 1;
       const std::unique_ptr<arch::Accelerator> acc = arch::make_accelerator("tron");
-      const PerfReport r = acc->estimate_batch(
+      const PerfReport r = acc->estimate(
           arch::Workload::transformer(args[1], sim::transformer_by_name(args[1], seq)),
           batch);
       json ? print_report_json(r) : print_report(r);

@@ -3,7 +3,7 @@
 // laser budget, tuning policy — and prints the governing physics at each step
 // (paper Sections IV and V.A/V.B).
 //
-// Build & run:  ./build/examples/photonic_design_explorer
+// Build & run:  ./build/photonic_design_explorer
 #include <iostream>
 
 #include "common/table.hpp"

@@ -6,7 +6,7 @@
 //  3. Run a small transformer *functionally* through the noisy analog device
 //     models and compare with the exact reference.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/quickstart
 #include <iostream>
 
 #include "ghost/accelerator.hpp"

@@ -37,14 +37,9 @@ PerfReport Accelerator::estimate_decode_step(const Workload& workload, std::size
 TronAdapter::TronAdapter(const tron::TronConfig& config, SpecInfo info)
     : info_(std::move(info)), device_(config) {}
 
-PerfReport TronAdapter::estimate(const Workload& workload) const {
+PerfReport TronAdapter::estimate(const Workload& workload, std::size_t batch) const {
   require_serveable(workload);
-  return device_.estimate(workload.transformer_config());
-}
-
-PerfReport TronAdapter::estimate_batch(const Workload& workload, std::size_t batch) const {
-  require_serveable(workload);
-  return device_.estimate_batch(workload.transformer_config(), batch);
+  return device_.estimate(workload.transformer_config(), batch);
 }
 
 PerfReport TronAdapter::estimate_decode_step(const Workload& workload, std::size_t batch,
@@ -58,14 +53,9 @@ double TronAdapter::static_power_w() const { return device_.static_power_w(); }
 GhostAdapter::GhostAdapter(const ghost::GhostConfig& config, SpecInfo info)
     : info_(std::move(info)), device_(config) {}
 
-PerfReport GhostAdapter::estimate(const Workload& workload) const {
+PerfReport GhostAdapter::estimate(const Workload& workload, std::size_t batch) const {
   require_serveable(workload);
-  return device_.estimate(workload.gnn_model(), workload.dataset());
-}
-
-PerfReport GhostAdapter::estimate_batch(const Workload& workload, std::size_t batch) const {
-  require_serveable(workload);
-  return device_.estimate_batch(workload.gnn_model(), workload.dataset(), batch);
+  return device_.estimate(workload.gnn_model(), workload.dataset(), batch);
 }
 
 double GhostAdapter::static_power_w() const { return device_.static_power_w(); }

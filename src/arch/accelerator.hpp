@@ -4,8 +4,8 @@
 // against: the serving simulator, the figure runners, the sensitivity sweeps,
 // the CLI, and the benches all take an `Accelerator&` and never mention TRON
 // or GHOST by type.  An accelerator advertises what it can serve
-// (`can_serve`), estimates workloads (`estimate` / `estimate_batch`, both
-// delegating to the concrete analytic mappings bit-for-bit), and exposes its
+// (`can_serve`), estimates a batch of a workload (`estimate`, delegating to
+// the concrete analytic mapping bit-for-bit), and exposes its
 // fabric-wide static draw plus `SpecInfo` metadata keyed by the registry name
 // (see arch/registry.hpp).  Adding a third fabric means one new adapter, not
 // a new `switch` in every consumer.
@@ -59,17 +59,15 @@ class Accelerator {
     return workload.kind() == spec().serves;
   }
 
-  // Analytic mapping of one inference of `workload` (batch 1).  Workloads the
-  // accelerator cannot serve throw `InvalidArgument` naming both sides.
-  [[nodiscard]] virtual PerfReport estimate(const Workload& workload) const = 0;
-
-  // `batch` pipelined inferences (weight streams amortised; batch 1 is
-  // bit-identical to `estimate`).
-  [[nodiscard]] virtual PerfReport estimate_batch(const Workload& workload,
-                                                  std::size_t batch) const = 0;
+  // Analytic mapping of `batch` pipelined inferences of `workload` (weight
+  // streams amortised).  Workloads the accelerator cannot serve throw
+  // `InvalidArgument` naming both sides.  Overrides repeat the default, so a
+  // call through the base and one through a concrete adapter agree.
+  [[nodiscard]] virtual PerfReport estimate(const Workload& workload,
+                                            std::size_t batch = 1) const = 0;
 
   // Autoregressive generation support.  A generating accelerator prices a
-  // request as one prefill (`estimate_batch` at the prompt length) plus a
+  // request as one prefill (`estimate` at the prompt length) plus a
   // per-token decode step per generated token; fabrics without a decode path
   // (GHOST: GNN inference has no autoregressive loop) return false and
   // `estimate_decode_step` throws `InvalidArgument`.
@@ -95,9 +93,8 @@ class TronAdapter final : public Accelerator {
   explicit TronAdapter(const tron::TronConfig& config, SpecInfo info = SpecInfo{});
 
   [[nodiscard]] const SpecInfo& spec() const noexcept override { return info_; }
-  [[nodiscard]] PerfReport estimate(const Workload& workload) const override;
-  [[nodiscard]] PerfReport estimate_batch(const Workload& workload,
-                                          std::size_t batch) const override;
+  [[nodiscard]] PerfReport estimate(const Workload& workload,
+                                    std::size_t batch = 1) const override;
   [[nodiscard]] bool can_generate() const noexcept override { return true; }
   [[nodiscard]] PerfReport estimate_decode_step(const Workload& workload, std::size_t batch,
                                                 std::size_t context_len) const override;
@@ -118,9 +115,8 @@ class GhostAdapter final : public Accelerator {
                         SpecInfo info = SpecInfo{"ghost", "GHOST", WorkloadKind::kGnn});
 
   [[nodiscard]] const SpecInfo& spec() const noexcept override { return info_; }
-  [[nodiscard]] PerfReport estimate(const Workload& workload) const override;
-  [[nodiscard]] PerfReport estimate_batch(const Workload& workload,
-                                          std::size_t batch) const override;
+  [[nodiscard]] PerfReport estimate(const Workload& workload,
+                                    std::size_t batch = 1) const override;
   [[nodiscard]] double static_power_w() const override;
 
   [[nodiscard]] const ghost::GhostAccelerator& device() const noexcept { return device_; }

@@ -22,18 +22,15 @@ PlatformAdapter::PlatformAdapter(baselines::PlatformModel model)
 PlatformAdapter::PlatformAdapter(baselines::PlatformModel model, SpecInfo info)
     : info_(std::move(info)), model_(std::move(model)) {}
 
-PerfReport PlatformAdapter::estimate(const Workload& workload) const {
-  // Bit-identical delegation: the adapter adds nothing to the roofline.
-  if (workload.kind() == WorkloadKind::kTransformer) {
-    return model_.estimate_transformer(workload.transformer_config());
-  }
-  return model_.estimate_gnn(workload.gnn_model(), workload.dataset());
-}
-
-PerfReport PlatformAdapter::estimate_batch(const Workload& workload,
-                                           std::size_t batch) const {
+PerfReport PlatformAdapter::estimate(const Workload& workload, std::size_t batch) const {
   LUMOS_EXPECTS(batch >= 1);
-  if (batch == 1) return estimate(workload);  // bit-identical to `estimate`
+  if (batch == 1) {
+    // Bit-identical delegation: the adapter adds nothing to the roofline.
+    if (workload.kind() == WorkloadKind::kTransformer) {
+      return model_.estimate_transformer(workload.transformer_config());
+    }
+    return model_.estimate_gnn(workload.gnn_model(), workload.dataset());
+  }
   if (workload.kind() == WorkloadKind::kTransformer) {
     // Weights stream once for the whole batch; activations scale per pass.
     const nn::TransformerConfig& model = workload.transformer_config();

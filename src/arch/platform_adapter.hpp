@@ -37,9 +37,8 @@ class PlatformAdapter final : public Accelerator {
     (void)workload;
     return true;
   }
-  [[nodiscard]] PerfReport estimate(const Workload& workload) const override;
-  [[nodiscard]] PerfReport estimate_batch(const Workload& workload,
-                                          std::size_t batch) const override;
+  [[nodiscard]] PerfReport estimate(const Workload& workload,
+                                    std::size_t batch = 1) const override;
   [[nodiscard]] bool can_generate() const noexcept override { return true; }
   [[nodiscard]] PerfReport estimate_decode_step(const Workload& workload, std::size_t batch,
                                                 std::size_t context_len) const override;

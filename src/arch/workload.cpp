@@ -65,8 +65,4 @@ const gnn::GnnModelConfig& Workload::gnn_model() const { return gnn_job().model;
 
 const graph::GraphDataset& Workload::dataset() const { return *gnn_job().dataset; }
 
-const std::shared_ptr<const graph::GraphDataset>& Workload::dataset_ref() const {
-  return gnn_job().dataset;
-}
-
 }  // namespace lumos::arch

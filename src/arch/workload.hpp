@@ -47,7 +47,6 @@ class Workload {
   [[nodiscard]] const nn::TransformerConfig& transformer_config() const;
   [[nodiscard]] const gnn::GnnModelConfig& gnn_model() const;
   [[nodiscard]] const graph::GraphDataset& dataset() const;
-  [[nodiscard]] const std::shared_ptr<const graph::GraphDataset>& dataset_ref() const;
 
  private:
   struct TransformerJob {

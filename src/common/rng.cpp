@@ -70,11 +70,4 @@ double Rng::normal() noexcept {
 
 double Rng::normal(double mean, double stddev) noexcept { return mean + stddev * normal(); }
 
-void Rng::shuffle(std::vector<std::uint32_t>& values) noexcept {
-  for (std::size_t i = values.size(); i > 1; --i) {
-    const std::uint32_t j = next_below(static_cast<std::uint32_t>(i));
-    std::swap(values[i - 1], values[j]);
-  }
-}
-
 }  // namespace lumos

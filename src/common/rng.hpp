@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace lumos {
 
@@ -41,9 +40,6 @@ class Rng {
 
   // Normal deviate with the given mean and standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) noexcept;
-
-  // Fisher–Yates shuffle of `values`.
-  void shuffle(std::vector<std::uint32_t>& values) noexcept;
 
  private:
   std::uint64_t state_;

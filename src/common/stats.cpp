@@ -7,27 +7,6 @@
 
 namespace lumos {
 
-void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 double mean(std::span<const double> values) noexcept {
   if (values.empty()) return 0.0;
   double sum = 0.0;
@@ -43,33 +22,6 @@ double geometric_mean(std::span<const double> values) {
     log_sum += std::log(v);
   }
   return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-double min_value(std::span<const double> values) noexcept {
-  if (values.empty()) return 0.0;
-  return *std::min_element(values.begin(), values.end());
-}
-
-double max_value(std::span<const double> values) noexcept {
-  if (values.empty()) return 0.0;
-  return *std::max_element(values.begin(), values.end());
-}
-
-std::vector<double> linspace(double lo, double hi, std::size_t count) {
-  LUMOS_EXPECTS(count >= 1);
-  if (count == 1) return {lo};
-  std::vector<double> out(count);
-  const double step = (hi - lo) / static_cast<double>(count - 1);
-  for (std::size_t i = 0; i < count; ++i) out[i] = lo + step * static_cast<double>(i);
-  out.back() = hi;  // avoid accumulated rounding at the endpoint
-  return out;
-}
-
-std::vector<double> logspace(double lo, double hi, std::size_t count) {
-  LUMOS_EXPECTS(lo > 0.0 && hi > 0.0);
-  std::vector<double> out = linspace(std::log10(lo), std::log10(hi), count);
-  for (double& v : out) v = std::pow(10.0, v);
-  return out;
 }
 
 HdrHistogram::HdrHistogram(double relative_error, double min_value_hint)

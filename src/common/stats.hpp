@@ -1,5 +1,5 @@
-// Small numeric helpers: descriptive statistics, sequence generation, and
-// geometric means used when summarising speedup/efficiency factors.
+// Small numeric helpers: the arithmetic and geometric means used when
+// summarising speedup/efficiency factors, and a streaming percentile sketch.
 #pragma once
 
 #include <cstddef>
@@ -8,44 +8,12 @@
 
 namespace lumos {
 
-// Online accumulator for mean / variance / extrema (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return mean_; }
-  // Sample variance (n-1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 // Arithmetic mean of `values`; 0 for an empty span.
 [[nodiscard]] double mean(std::span<const double> values) noexcept;
 
 // Geometric mean of strictly positive `values`; 0 for an empty span.
 // Used to aggregate speedup factors across workloads, as is conventional.
 [[nodiscard]] double geometric_mean(std::span<const double> values);
-
-// Smallest / largest element; 0 for an empty span.
-[[nodiscard]] double min_value(std::span<const double> values) noexcept;
-[[nodiscard]] double max_value(std::span<const double> values) noexcept;
-
-// `count` points linearly spaced over [lo, hi] inclusive (count >= 2),
-// or {lo} when count == 1.
-[[nodiscard]] std::vector<double> linspace(double lo, double hi, std::size_t count);
-
-// `count` points logarithmically spaced over [lo, hi] inclusive (lo, hi > 0).
-[[nodiscard]] std::vector<double> logspace(double lo, double hi, std::size_t count);
 
 // Streaming percentile sketch with bounded relative error: values land in
 // geometrically spaced buckets (HdrHistogram-style), so `percentile(q)`

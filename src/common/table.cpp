@@ -59,24 +59,4 @@ void Table::print(std::ostream& os) const {
   hline();
 }
 
-void Table::print_csv(std::ostream& os) const {
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) os << ',';
-      // Quote cells containing separators.
-      if (row[c].find_first_of(",\"\n") != std::string::npos) {
-        os << '"';
-        for (const char ch : row[c]) {
-          if (ch == '"') os << '"';
-          os << ch;
-        }
-        os << '"';
-      } else {
-        os << row[c];
-      }
-    }
-    os << '\n';
-  }
-}
-
 }  // namespace lumos

@@ -1,4 +1,4 @@
-// ASCII table / CSV emission used by the benchmark harnesses to print the
+// ASCII table emission used by the benchmark harnesses to print the
 // paper's figure series in a readable, diff-friendly format.
 #pragma once
 
@@ -24,9 +24,6 @@ class Table {
 
   // Renders the table with box-drawing rules to `os`.
   void print(std::ostream& os) const;
-
-  // Renders the table as CSV (header row first) to `os`.
-  void print_csv(std::ostream& os) const;
 
   [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
   [[nodiscard]] const std::string& title() const noexcept { return title_; }

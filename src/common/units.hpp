@@ -25,7 +25,6 @@ inline constexpr double kAtto = 1e-18;
 
 // ---- Convenience constructors ----------------------------------------------
 [[nodiscard]] constexpr double ghz(double v) { return v * kGiga; }
-[[nodiscard]] constexpr double mhz(double v) { return v * kMega; }
 [[nodiscard]] constexpr double nm(double v) { return v * kNano; }
 [[nodiscard]] constexpr double um(double v) { return v * kMicro; }
 [[nodiscard]] constexpr double mm(double v) { return v * kMilli; }
@@ -34,12 +33,9 @@ inline constexpr double kAtto = 1e-18;
 [[nodiscard]] constexpr double us(double v) { return v * kMicro; }
 [[nodiscard]] constexpr double ms(double v) { return v * kMilli; }
 [[nodiscard]] constexpr double mw(double v) { return v * kMilli; }
-[[nodiscard]] constexpr double uw(double v) { return v * kMicro; }
-[[nodiscard]] constexpr double pj(double v) { return v * kPico; }
 [[nodiscard]] constexpr double fj(double v) { return v * kFemto; }
 
 // ---- Read-out helpers (convert OUT of base units) ---------------------------
-[[nodiscard]] constexpr double to_ghz(double hz) { return hz / kGiga; }
 [[nodiscard]] constexpr double to_nm(double m) { return m / kNano; }
 [[nodiscard]] constexpr double to_ns(double s) { return s / kNano; }
 [[nodiscard]] constexpr double to_us(double s) { return s / kMicro; }

@@ -83,15 +83,8 @@ phot::AreaReport GhostAccelerator::area() const {
 }
 
 PerfReport GhostAccelerator::estimate(const gnn::GnnModelConfig& model,
-                                      const graph::GraphDataset& dataset,
+                                      const graph::GraphDataset& dataset, std::size_t batch,
                                       AggregateCosting costing) const {
-  return estimate_batch(model, dataset, 1, costing);
-}
-
-PerfReport GhostAccelerator::estimate_batch(const gnn::GnnModelConfig& model,
-                                            const graph::GraphDataset& dataset,
-                                            std::size_t batch,
-                                            AggregateCosting costing) const {
   LUMOS_EXPECTS(batch >= 1);
   const double bd = static_cast<double>(batch);
   const graph::CsrGraph& g = dataset.graph;

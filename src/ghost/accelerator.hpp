@@ -39,20 +39,14 @@ class GhostAccelerator {
   // positive.
   explicit GhostAccelerator(const GhostConfig& config);
 
-  // Analytic mapping of one full-graph inference of `model` on `dataset`.
+  // Analytic mapping of `batch` independent full-graph inferences of `model`
+  // on `dataset`, pipelined through each layer's stationary weights (as
+  // TRON's `estimate` does).  Per-inference compute, feature traffic, and
+  // conversions scale with the batch; weight imprints and the per-layer DRAM
+  // weight stream are paid once, so batch-N latency is sub-linear in N.
   [[nodiscard]] PerfReport estimate(
       const gnn::GnnModelConfig& model, const graph::GraphDataset& dataset,
-      AggregateCosting costing = AggregateCosting::kDegreeHistogram) const;
-
-  // Batched inference: `batch` independent full-graph inferences pipelined
-  // through each layer's stationary weights (mirrors TRON::estimate_batch).
-  // Per-inference compute, feature traffic, and conversions scale with the
-  // batch; weight imprints and the per-layer DRAM weight stream are paid
-  // once, so batch-N latency is sub-linear in N.  batch == 1 is bit-identical
-  // to `estimate`.
-  [[nodiscard]] PerfReport estimate_batch(
-      const gnn::GnnModelConfig& model, const graph::GraphDataset& dataset,
-      std::size_t batch,
+      std::size_t batch = 1,
       AggregateCosting costing = AggregateCosting::kDegreeHistogram) const;
 
   // Functional forward of `weights` on `graph`/`features` through the noisy
@@ -62,8 +56,6 @@ class GhostAccelerator {
                                    Rng& rng, const phot::AnalogNoiseConfig& noise) const;
 
   [[nodiscard]] const GhostConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const ReduceUnit& reduce_unit() const noexcept { return reduce_; }
-  [[nodiscard]] const UpdateUnit& update_unit() const noexcept { return update_; }
 
   // Fabric-wide static (hold) power.
   [[nodiscard]] double static_power_w() const;

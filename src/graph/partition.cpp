@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace lumos::graph {
 
@@ -108,32 +107,6 @@ std::size_t tile_count(const CsrGraph& graph, const PartitionConfig& config) {
   }
   return count_tiles(graph, config.lane_count, input_blocks,
                      [bs](NodeId u) { return std::size_t{u} / bs; });
-}
-
-CsrGraph sample_neighbors(const CsrGraph& graph, std::size_t max_degree, std::uint64_t seed) {
-  LUMOS_EXPECTS(max_degree >= 1);
-  lumos::Rng rng(seed);
-  std::vector<Edge> edges;
-  edges.reserve(graph.edge_count());
-  std::vector<NodeId> pool;
-  for (std::size_t v = 0; v < graph.node_count(); ++v) {
-    const auto nbrs = graph.neighbors(static_cast<NodeId>(v));
-    if (nbrs.size() <= max_degree) {
-      for (const NodeId u : nbrs) edges.push_back({static_cast<NodeId>(v), u});
-      continue;
-    }
-    // Uniform sample without replacement via partial Fisher-Yates.
-    pool.assign(nbrs.begin(), nbrs.end());
-    for (std::size_t i = 0; i < max_degree; ++i) {
-      const std::size_t j =
-          i + rng.next_below(static_cast<std::uint32_t>(pool.size() - i));
-      std::swap(pool[i], pool[j]);
-      edges.push_back({static_cast<NodeId>(v), pool[i]});
-    }
-  }
-  // Directed semantics: sampling is per destination vertex, so the result is
-  // not re-symmetrised (u may keep v without v keeping u), as in GraphSAGE.
-  return CsrGraph(graph.node_count(), std::move(edges), /*symmetrize=*/false);
 }
 
 namespace {

@@ -73,11 +73,4 @@ struct PartitionSchedule {
 [[nodiscard]] double lane_imbalance(const CsrGraph& graph, std::size_t lane_count,
                                     bool degree_sorted);
 
-// Neighbour sampling (paper Fig. 2, stage 1: the input graph "is usually
-// preprocessed offline for purposes such as sampling the graph").  Keeps at
-// most `max_degree` uniformly chosen neighbours per vertex (GraphSAGE-style
-// fan-out capping), bounding the reduce-unit work per output vertex.
-[[nodiscard]] CsrGraph sample_neighbors(const CsrGraph& graph, std::size_t max_degree,
-                                        std::uint64_t seed);
-
 }  // namespace lumos::graph

@@ -1,6 +1,5 @@
 #include "mem/sram.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -47,26 +46,6 @@ double DramModel::transfer_energy_j(std::size_t bytes) const noexcept {
 double DramModel::transfer_latency_s(std::size_t bytes) const noexcept {
   return config_.access_latency_s +
          static_cast<double>(bytes) / config_.bandwidth_bytes_per_s;
-}
-
-Buffer::Buffer(const SramConfig& config) : model_(config) {}
-
-double Buffer::record_reads(std::size_t count) {
-  stats_.reads += count;
-  stats_.energy_j += static_cast<double>(count) * model_.read_energy_j();
-  const double banks = static_cast<double>(model_.config().banks);
-  const double t = std::ceil(static_cast<double>(count) / banks) * model_.access_latency_s();
-  stats_.busy_time_s += t;
-  return t;
-}
-
-double Buffer::record_writes(std::size_t count) {
-  stats_.writes += count;
-  stats_.energy_j += static_cast<double>(count) * model_.write_energy_j();
-  const double banks = static_cast<double>(model_.config().banks);
-  const double t = std::ceil(static_cast<double>(count) / banks) * model_.access_latency_s();
-  stats_.busy_time_s += t;
-  return t;
 }
 
 }  // namespace lumos::mem

@@ -82,38 +82,4 @@ class DramModel {
   DramConfig config_;
 };
 
-// Access bookkeeping for one buffer instance inside an accelerator.
-struct AccessStats {
-  std::size_t reads = 0;
-  std::size_t writes = 0;
-  double energy_j = 0.0;
-  double busy_time_s = 0.0;
-
-  void merge(const AccessStats& other) noexcept {
-    reads += other.reads;
-    writes += other.writes;
-    energy_j += other.energy_j;
-    busy_time_s += other.busy_time_s;
-  }
-};
-
-// A named buffer with its model and running statistics.
-class Buffer {
- public:
-  Buffer(const SramConfig& config);
-
-  // Records `count` word reads/writes and returns the time they take with
-  // `config.banks` banks operating in parallel.
-  double record_reads(std::size_t count);
-  double record_writes(std::size_t count);
-
-  [[nodiscard]] const AccessStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const SramModel& model() const noexcept { return model_; }
-  void reset_stats() noexcept { stats_ = {}; }
-
- private:
-  SramModel model_;
-  AccessStats stats_;
-};
-
 }  // namespace lumos::mem

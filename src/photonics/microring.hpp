@@ -66,9 +66,6 @@ class MicroringResonator {
   // Applies an effective-index perturbation (from an EO or TO actuator) and
   // returns the resulting resonance shift  d_lambda = lambda * d_n_eff / n_g.
   double apply_index_shift(double delta_n_eff) noexcept;
-  // Sets the resonance shift directly (used by the tuning circuit).
-  void set_tuning_shift(double delta_lambda_m) noexcept { tuning_shift_m_ = delta_lambda_m; }
-  [[nodiscard]] double tuning_shift() const noexcept { return tuning_shift_m_; }
 
   // ---- Value imprinting ------------------------------------------------------
   // Detuning (in metres, >= 0) that makes the through-port transmit the

@@ -53,8 +53,6 @@ class RequestArena {
 
   // Buffers currently handed out (live batches).
   [[nodiscard]] std::size_t outstanding() const noexcept { return outstanding_; }
-  // Buffers parked on the free list.
-  [[nodiscard]] std::size_t pooled() const noexcept { return free_.size(); }
   // Total acquires vs acquires that had to allocate: reuse effectiveness.
   [[nodiscard]] std::size_t acquires() const noexcept { return acquires_; }
   [[nodiscard]] std::size_t allocations() const noexcept { return allocations_; }

@@ -1,6 +1,6 @@
 // Autoscaling policies for the serving simulator: elastic fleets.
 //
-// An `Autoscaler` is a step-based control policy the event loop evaluates
+// An autoscaler policy is a step-based control law the event loop evaluates
 // every `interval_s` of *simulated* time, once per spec family (the distinct
 // registry names the fleet was built from).  Each step sees the family's
 // signals — active slot count, queued requests it could serve, utilization
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 namespace lumos::serve {
 
@@ -56,36 +55,21 @@ struct AutoscalerConfig {
 };
 
 // Throws `InvalidArgument` naming the bad field (non-positive interval or
-// grow_scale, min_slots of 0, max < min, out-of-range thresholds).  A kNone
-// config is always valid.
+// grow_scale, min_slots of 0, max < min, out-of-range or non-finite
+// thresholds).  A kNone config is always valid.
 void validate_autoscaler(const AutoscalerConfig& config);
 
 // One spec family's observable state at an evaluation step.
 struct FamilySignals {
-  std::size_t active_slots = 0;    // accepting dispatches (up, not draining)
-  std::size_t draining_slots = 0;  // finishing in-flight work before retiring
-  std::size_t failed_slots = 0;    // down under fault injection (see faults.hpp);
-                                   // invisible to routing until they recover
-  std::size_t queued = 0;          // waiting requests this family could serve
-  double utilization = 0.0;        // family busy fraction over the last interval
-  std::size_t min_slots = 1;
-  std::size_t max_slots = 64;
+  std::size_t active_slots = 0;  // accepting dispatches (up, not draining)
+  std::size_t queued = 0;        // waiting requests this family could serve
+  double utilization = 0.0;      // family busy fraction over the last interval
 };
 
-class Autoscaler {
- public:
-  virtual ~Autoscaler() = default;
-
-  [[nodiscard]] virtual AutoscalerPolicy policy() const noexcept = 0;
-
-  // Desired slot delta for one family at one step (positive grows, negative
-  // shrinks; the simulator clamps so active slots stay within
-  // [min_slots, max_slots]).  Policies are pure functions of the signals, so
-  // elastic simulations replay bit-for-bit.
-  [[nodiscard]] virtual int step(const FamilySignals& signals) = 0;
-};
-
-// Builds the configured policy; nullptr for kNone.  Validates `config`.
-[[nodiscard]] std::unique_ptr<Autoscaler> make_autoscaler(const AutoscalerConfig& config);
+// Desired slot delta of `config`'s policy for one family at one step
+// (positive grows, negative shrinks, 0 under kNone; the simulator clamps so
+// active slots stay within [min_slots, max_slots]).  A pure function of its
+// arguments, so elastic simulations replay bit-for-bit.
+[[nodiscard]] int autoscale_step(const AutoscalerConfig& config, const FamilySignals& signals);
 
 }  // namespace lumos::serve

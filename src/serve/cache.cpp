@@ -29,8 +29,8 @@ const PerfReport& EstimateCache::estimate(std::uint32_t workload, std::size_t ba
   ++misses_;
   PerfReport r =
       seq_len == 0
-          ? acc_->estimate_batch(catalog_->workload(workload), batch)
-          : acc_->estimate_batch(catalog_->workload(workload).with_seq_len(seq_len), batch);
+          ? acc_->estimate(catalog_->workload(workload), batch)
+          : acc_->estimate(catalog_->workload(workload).with_seq_len(seq_len), batch);
   return reports_.emplace(key, std::move(r)).first->second;
 }
 

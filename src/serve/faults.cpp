@@ -78,73 +78,29 @@ void validate_admission(const AdmissionConfig& config) {
   }
 }
 
-namespace {
-
-class QueueCapAdmission final : public AdmissionController {
- public:
-  explicit QueueCapAdmission(const AdmissionConfig& config) : config_(config) {}
-  [[nodiscard]] AdmissionPolicy policy() const noexcept override {
-    return AdmissionPolicy::kQueueCap;
-  }
-  [[nodiscard]] bool admit(const AdmissionSignals& s) override {
-    return s.queued < config_.queue_cap;
-  }
-
- private:
-  AdmissionConfig config_;
-};
-
-// DAGOR-shaped tiered shedding: tier k is admitted while the queue is below
-// queue_cap * tier_shed_factor^k, so under mounting backlog the lowest tiers
-// stop being admitted first and tier 0 keeps (almost) the whole cap.
-class TierShedAdmission final : public AdmissionController {
- public:
-  explicit TierShedAdmission(const AdmissionConfig& config) : config_(config) {}
-  [[nodiscard]] AdmissionPolicy policy() const noexcept override {
-    return AdmissionPolicy::kTierShed;
-  }
-  [[nodiscard]] bool admit(const AdmissionSignals& s) override {
-    double cap = static_cast<double>(config_.queue_cap);
-    for (std::uint32_t k = 0; k < s.tier; ++k) cap *= config_.tier_shed_factor;
-    return static_cast<double>(s.queued) < cap;
-  }
-
- private:
-  AdmissionConfig config_;
-};
-
-// Breakwater-shaped cost-based rejection: admit only while the predicted
-// completion latency (queue drain ahead of the request plus its own service)
-// fits within `slo_margin` of the SLO it will be scored against.
-class SloAwareAdmission final : public AdmissionController {
- public:
-  explicit SloAwareAdmission(const AdmissionConfig& config) : config_(config) {}
-  [[nodiscard]] AdmissionPolicy policy() const noexcept override {
-    return AdmissionPolicy::kSloAware;
-  }
-  [[nodiscard]] bool admit(const AdmissionSignals& s) override {
-    return s.predicted_wait_s + s.service_s <= config_.slo_margin * s.slo_s;
-  }
-
- private:
-  AdmissionConfig config_;
-};
-
-}  // namespace
-
-std::unique_ptr<AdmissionController> make_admission(const AdmissionConfig& config) {
-  validate_admission(config);
+bool admit(const AdmissionConfig& config, const AdmissionSignals& s) {
   switch (config.policy) {
     case AdmissionPolicy::kQueueCap:
-      return std::make_unique<QueueCapAdmission>(config);
-    case AdmissionPolicy::kTierShed:
-      return std::make_unique<TierShedAdmission>(config);
+      return s.queued < config.queue_cap;
+    case AdmissionPolicy::kTierShed: {
+      // DAGOR-shaped tiered shedding: tier k is admitted while the queue is
+      // below queue_cap * tier_shed_factor^k, so under mounting backlog the
+      // lowest tiers stop being admitted first and tier 0 keeps (almost) the
+      // whole cap.
+      double cap = static_cast<double>(config.queue_cap);
+      for (std::uint32_t k = 0; k < s.tier; ++k) cap *= config.tier_shed_factor;
+      return static_cast<double>(s.queued) < cap;
+    }
     case AdmissionPolicy::kSloAware:
-      return std::make_unique<SloAwareAdmission>(config);
+      // Breakwater-shaped cost-based rejection: admit only while the
+      // predicted completion latency (queue drain ahead of the request plus
+      // its own service) fits within `slo_margin` of the SLO it will be scored
+      // against.
+      return s.predicted_wait_s + s.service_s <= config.slo_margin * s.slo_s;
     case AdmissionPolicy::kNone:
       break;
   }
-  return nullptr;
+  return true;
 }
 
 // ---------------------------------------------------------------------------

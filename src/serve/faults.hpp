@@ -16,7 +16,7 @@
 //     base_backoff_s * multiplier^(k-1) * (1 +/- jitter), the jitter drawn
 //     from a stream keyed by the request id so retried arrivals replay
 //     bit-for-bit.
-//   * `AdmissionConfig` — a polymorphic admission controller consulted at
+//   * `AdmissionConfig` — an admission policy that `admit` consults at
 //     every arrival (retries included).  Policies: admit everything, a global
 //     queue cap, tier-aware shedding (lower-priority tiers see geometrically
 //     smaller caps, so tier 0 keeps its goodput while tier 1 sheds — the
@@ -30,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -108,28 +107,17 @@ void validate_admission(const AdmissionConfig& config);
 // simulator fills `predicted_wait_s`/`service_s` only for policies that need
 // them (kSloAware), so disabled-policy runs never touch the estimate cache.
 struct AdmissionSignals {
-  std::uint32_t tier = 0;        // priority tier of the arriving request
-  std::size_t queued = 0;        // requests waiting in the scheduler
-  std::size_t active_slots = 1;  // dispatchable (up, non-draining) slots
+  std::uint32_t tier = 0;         // priority tier of the arriving request
+  std::size_t queued = 0;         // requests waiting in the scheduler
   double predicted_wait_s = 0.0;  // estimated queue-drain time ahead of it
   double service_s = 0.0;         // estimated service time of this request
   double slo_s = 0.0;             // SLO the request will be scored against
 };
 
-class AdmissionController {
- public:
-  virtual ~AdmissionController() = default;
-
-  [[nodiscard]] virtual AdmissionPolicy policy() const noexcept = 0;
-
-  // True to admit.  Pure function of the signals: admission decisions replay
-  // bit-for-bit.
-  [[nodiscard]] virtual bool admit(const AdmissionSignals& signals) = 0;
-};
-
-// Builds the configured controller; nullptr for kNone.  Validates `config`.
-[[nodiscard]] std::unique_ptr<AdmissionController> make_admission(
-    const AdmissionConfig& config);
+// True to admit the arriving request under `config`'s policy (always true
+// under kNone).  A pure function of its arguments: admission decisions replay
+// bit-for-bit.
+[[nodiscard]] bool admit(const AdmissionConfig& config, const AdmissionSignals& signals);
 
 // Seeded per-slot failure/recovery process.  Tracked slots alternate up and
 // down phases with exponential dwell times; every slot owns an rng stream

@@ -177,6 +177,10 @@ bool check_scenario(const Scenario& scenario) {
                             "' must be >= 0");
     }
   }
+  if (!(scenario.sim.slo_scale > 0.0) || !std::isfinite(scenario.sim.slo_scale)) {
+    throw InvalidArgument("Scenario.sim: SimConfig.slo_scale must be positive and finite, got " +
+                          std::to_string(scenario.sim.slo_scale));
+  }
   validate_autoscaler(scenario.sim.autoscaler);
   validate_faults(scenario.sim.faults);
   validate_retry(scenario.sim.retry);
@@ -211,12 +215,26 @@ bool check_scenario(const Scenario& scenario) {
     validate_closed_loop(scenario.traffic.closed);
     return false;
   }
-  if (!(scenario.traffic.open.offered_qps > 0.0) ||
-      !std::isfinite(scenario.traffic.open.offered_qps)) {
+  const TraceConfig& open = scenario.traffic.open;
+  if (!(open.offered_qps > 0.0) || !std::isfinite(open.offered_qps)) {
     throw InvalidArgument("Scenario.traffic: TraceConfig.offered_qps must be finite and positive");
   }
-  if (scenario.traffic.open.request_count < 1) {
+  if (open.request_count < 1) {
     throw InvalidArgument("Scenario.traffic: TraceConfig.request_count must be >= 1");
+  }
+  if (open.process == ArrivalProcess::kBursty) {
+    if (!(open.burst_multiplier >= 1.0) || !std::isfinite(open.burst_multiplier)) {
+      throw InvalidArgument("Scenario.traffic: TraceConfig.burst_multiplier must be finite "
+                            "and >= 1, got " + std::to_string(open.burst_multiplier));
+    }
+    if (!(open.burst_fraction > 0.0 && open.burst_fraction < 1.0)) {
+      throw InvalidArgument("Scenario.traffic: TraceConfig.burst_fraction must be in (0, 1), "
+                            "got " + std::to_string(open.burst_fraction));
+    }
+    if (!(open.mean_burst_s > 0.0) || !std::isfinite(open.mean_burst_s)) {
+      throw InvalidArgument("Scenario.traffic: TraceConfig.mean_burst_s must be positive and "
+                            "finite, got " + std::to_string(open.mean_burst_s));
+    }
   }
   return false;
 }
@@ -247,8 +265,8 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
           : std::make_unique<OpenLoopSource>(&scenario.trace);
   const std::size_t total_requests = source->total_requests();
   LUMOS_ENSURES(total_requests >= 1);
-  const std::unique_ptr<Autoscaler> scaler = make_autoscaler(sim.autoscaler);
-  const std::unique_ptr<AdmissionController> admission = make_admission(sim.admission);
+  const bool scaling = sim.autoscaler.policy != AutoscalerPolicy::kNone;
+  const bool admission = sim.admission.policy != AdmissionPolicy::kNone;
   const RetryPolicy& retry = sim.retry;
 
   // Observability: only the kObs instantiation ever constructs the hub; the
@@ -310,7 +328,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // Grown slots may use a scaled registry variant of the family's spec; build
   // those caches up front so the cache vector is stable during the loop.
   std::vector<std::size_t> family_grow_cache = family_cache;
-  if (scaler && sim.autoscaler.grow_scale != 1.0) {
+  if (scaling && sim.autoscaler.grow_scale != 1.0) {
     for (std::size_t f = 0; f < families.size(); ++f) {
       family_grow_cache[f] =
           cache_for(arch::scaled_spec_name(families[f], sim.autoscaler.grow_scale));
@@ -383,8 +401,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // only for that policy so other runs leave the cache counters untouched.
   std::vector<double> service_of(catalog.size(), 0.0);
   double mean_service_s = 0.0;
-  const bool slo_admission =
-      admission && admission->policy() == AdmissionPolicy::kSloAware;
+  const bool slo_admission = sim.admission.policy == AdmissionPolicy::kSloAware;
   if (slo_admission) {
     const std::size_t pricing_batch =
         scenario.scheduler == SchedulerKind::kFifo ? std::size_t{1} : policy.max_batch;
@@ -511,7 +528,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // busy in later intervals).
   std::vector<double> family_busy_integral_s(families.size(), 0.0);
   std::uint64_t eval_count = 0;
-  double next_eval_s = scaler ? sim.autoscaler.interval_s : kNever;
+  double next_eval_s = scaling ? sim.autoscaler.interval_s : kNever;
 
   // Hot-path loops iterate only the live (non-retired) slots; churn from an
   // oscillating policy must not make per-event cost grow with the count of
@@ -778,25 +795,25 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   };
 
   // Admission decision for one arriving request (fresh or retried).
-  const auto admit = [&](const Request& r) {
+  const auto admits = [&](const Request& r) {
     AdmissionSignals sig;
     sig.tier = catalog.at(r.workload).priority;
     sig.queued = sched->queued();
     sig.slo_s = slo_of[r.workload];
-    sig.active_slots = active_total - failed_total;  // up and not draining
     if (slo_admission) {
+      // The queue drains over the up, non-draining slots.
+      const std::size_t active = active_total - failed_total;
       sig.service_s = service_of[r.workload];
-      sig.predicted_wait_s =
-          static_cast<double>(sig.queued) * mean_service_s /
-          static_cast<double>(std::max<std::size_t>(sig.active_slots, 1));
+      sig.predicted_wait_s = static_cast<double>(sig.queued) * mean_service_s /
+                             static_cast<double>(std::max<std::size_t>(active, 1));
     }
-    return admission->admit(sig);
+    return admit(sim.admission, sig);
   };
 
   // Routes one arriving request (fresh or retried) through admission into the
   // scheduler, or terminates it as kShed.
   const auto accept_arrival = [&](const Request& r, double now_s) {
-    const bool admitted = !admission || admit(r);
+    const bool admitted = !admission || admits(r);
     if constexpr (kObs) obs->on_admission(r, now_s, admitted);
     if (!admitted) {
       ++m.shed_requests;
@@ -956,22 +973,13 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // and apply at most a one-slot delta, clamped to [min_slots, max_slots]
   // active slots.  Shrinks drain before retiring: the slot is closed to new
   // work immediately, retires now if idle, otherwise at its completion.
-  // Failed slots are invisible (reported via `failed_slots`, not `active`).
+  // Failed and draining slots are invisible: they do not count as active.
   const auto evaluate_autoscaler = [&](double now_s) {
     for (std::size_t f = 0; f < families.size(); ++f) {
       FamilySignals signals;
-      signals.min_slots = sim.autoscaler.min_slots;
-      signals.max_slots = sim.autoscaler.max_slots;
       for (const std::size_t i : live) {
         const Slot& s = slots[i];
-        if (s.family != f) continue;
-        if (s.draining) {
-          ++signals.draining_slots;
-        } else if (s.failed) {
-          ++signals.failed_slots;
-        } else {
-          ++signals.active_slots;
-        }
+        if (s.family == f && !s.draining && !s.failed) ++signals.active_slots;
       }
       const std::vector<char>& serves = cache_serves[family_cache[f]];
       for (std::uint32_t w = 0; w < catalog.size(); ++w) {
@@ -984,8 +992,8 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
                                    sim.autoscaler.interval_s))
               : 0.0;
       family_busy_integral_s[f] = 0.0;
-      const int delta = scaler->step(signals);
-      if (delta > 0 && signals.active_slots < signals.max_slots) {
+      const int delta = autoscale_step(sim.autoscaler, signals);
+      if (delta > 0 && signals.active_slots < sim.autoscaler.max_slots) {
         Slot grown;
         grown.cache = family_grow_cache[f];
         grown.family = f;
@@ -1002,7 +1010,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
         ++m.autoscale_grows;
         ++active_total;
         m.peak_fleet_size = std::max(m.peak_fleet_size, active_total);
-      } else if (delta < 0 && signals.active_slots > signals.min_slots) {
+      } else if (delta < 0 && signals.active_slots > sim.autoscaler.min_slots) {
         for (std::size_t i = slots.size(); i-- > 0;) {
           Slot& s = slots[i];
           if (s.family != f || s.retired || s.draining) continue;
@@ -1040,7 +1048,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     const double t = std::min({t_arr, t_retry, t_done, t_dead, t_fault, next_eval_s});
     LUMOS_ENSURES(t >= now_s && t < kNever);
     m.tally.queue_depth_s += static_cast<double>(sched->queued()) * (t - now_s);
-    if (scaler && t > now_s) {
+    if (scaling && t > now_s) {
       // Exact per-family busy-slot time integral for the utilization signal.
       const double dt = t - now_s;
       for (const std::size_t i : live) {
@@ -1153,7 +1161,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       }
       if (prof) prof->record(LoopSource::kRetries, t_retries, retry_events);
     }
-    if (scaler && now_s >= next_eval_s) {
+    if (scaling && now_s >= next_eval_s) {
       const auto t_scale = prof_now();
       evaluate_autoscaler(now_s);
       ++eval_count;

@@ -35,7 +35,8 @@ std::vector<Request> generate_trace(const WorkloadCatalog& catalog,
   const double f = config.burst_fraction;
   const double m = config.burst_multiplier;
   LUMOS_EXPECTS(config.process == ArrivalProcess::kPoisson ||
-                (f > 0.0 && f < 1.0 && m >= 1.0 && config.mean_burst_s > 0.0));
+                (f > 0.0 && f < 1.0 && m >= 1.0 && std::isfinite(m) &&
+                 config.mean_burst_s > 0.0 && std::isfinite(config.mean_burst_s)));
   const double low_qps = config.process == ArrivalProcess::kPoisson
                              ? config.offered_qps
                              : config.offered_qps / (1.0 + f * (m - 1.0));

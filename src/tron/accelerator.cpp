@@ -148,8 +148,8 @@ void merge_scaled(PerfBreakdown& dst, const PerfBreakdown& src, double factor) {
 }
 }  // namespace
 
-PerfReport TronAccelerator::estimate_batch(const nn::TransformerConfig& model,
-                                           std::size_t batch) const {
+PerfReport TronAccelerator::estimate(const nn::TransformerConfig& model,
+                                     std::size_t batch) const {
   LUMOS_EXPECTS(batch >= 1);
   PerfReport r;
   r.workload = model.name;
@@ -197,10 +197,6 @@ PerfReport TronAccelerator::estimate_batch(const nn::TransformerConfig& model,
   r.static_energy_j = r.static_power_w * r.latency_s;
   r.total_energy_j = r.dynamic_energy_j + r.static_energy_j;
   return r;
-}
-
-PerfReport TronAccelerator::estimate(const nn::TransformerConfig& model) const {
-  return estimate_batch(model, 1);
 }
 
 PerfReport TronAccelerator::estimate_generation(const nn::TransformerConfig& model,

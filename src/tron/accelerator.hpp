@@ -27,13 +27,11 @@ class TronAccelerator {
  public:
   explicit TronAccelerator(const TronConfig& config);
 
-  // Analytic mapping of `model` (one full-sequence inference, batch 1).
-  [[nodiscard]] PerfReport estimate(const nn::TransformerConfig& model) const;
-
-  // Batched inference: the per-layer weight stream from DRAM is amortised
-  // over `batch` sequences pipelined through each layer's stationary weights.
-  [[nodiscard]] PerfReport estimate_batch(const nn::TransformerConfig& model,
-                                          std::size_t batch) const;
+  // Analytic mapping of `batch` full-sequence inferences of `model`: the
+  // per-layer weight stream from DRAM is amortised over the sequences
+  // pipelined through each layer's stationary weights.
+  [[nodiscard]] PerfReport estimate(const nn::TransformerConfig& model,
+                                    std::size_t batch = 1) const;
 
   // Autoregressive decoding: generates `generated_tokens` tokens after a
   // `prompt_len`-token prompt with a resident KV cache.  Each step is a
@@ -64,7 +62,6 @@ class TronAccelerator {
                                    Rng& rng, const phot::AnalogNoiseConfig& noise) const;
 
   [[nodiscard]] const TronConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const AttentionHeadUnit& head_unit() const noexcept { return head_; }
 
   // Fabric-wide static (hold) power: tuning, converters, lasers idling,
   // digital control, SRAM leakage, DRAM standby, SOA bias.

@@ -95,8 +95,7 @@ TEST(Adapters, TronEstimatesBitIdenticalToConcreteAccelerator) {
     const Workload w = Workload::transformer(name, model);
     expect_reports_identical(adapter.estimate(w), concrete.estimate(model));
     for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
-      expect_reports_identical(adapter.estimate_batch(w, batch),
-                               concrete.estimate_batch(model, batch));
+      expect_reports_identical(adapter.estimate(w, batch), concrete.estimate(model, batch));
     }
   }
   EXPECT_EQ(adapter.static_power_w(), concrete.static_power_w());
@@ -111,8 +110,8 @@ TEST(Adapters, GhostEstimatesBitIdenticalToConcreteAccelerator) {
                                    sim::dataset_by_name("citeseer"));
   expect_reports_identical(adapter.estimate(w), concrete.estimate(model, w.dataset()));
   for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
-    expect_reports_identical(adapter.estimate_batch(w, batch),
-                             concrete.estimate_batch(model, w.dataset(), batch));
+    expect_reports_identical(adapter.estimate(w, batch),
+                             concrete.estimate(model, w.dataset(), batch));
   }
   EXPECT_EQ(adapter.static_power_w(), concrete.static_power_w());
 }
@@ -244,7 +243,7 @@ ReferenceResult reference_fifo_tron(const serve::WorkloadCatalog& catalog,
   const tron::TronAccelerator acc(tron::default_tron_config());
   std::vector<PerfReport> reports;
   for (std::uint32_t w = 0; w < catalog.size(); ++w) {
-    reports.push_back(acc.estimate_batch(catalog.workload(w).transformer_config(), 1));
+    reports.push_back(acc.estimate(catalog.workload(w).transformer_config(), 1));
   }
 
   std::vector<double> free_at(n_acc, 0.0);
@@ -348,8 +347,7 @@ TEST(ServeParity, BatchedServiceTimesComeFromConcreteEstimates) {
       simulate_trace(serve::FleetConfig::homogeneous("tron", 1), catalog, trace,
                       serve::SchedulerKind::kDynamicBatch, policy);
   const tron::TronAccelerator acc(tron::default_tron_config());
-  const PerfReport batch4 =
-      acc.estimate_batch(sim::transformer_by_name("bert-base", 128), 4);
+  const PerfReport batch4 = acc.estimate(sim::transformer_by_name("bert-base", 128), 4);
   EXPECT_EQ(m.dispatches, 2u);
   EXPECT_EQ(m.duration_s, 2.0 * batch4.latency_s);
   EXPECT_EQ(m.max_latency_s, 2.0 * batch4.latency_s);

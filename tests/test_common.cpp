@@ -82,43 +82,18 @@ TEST(Rng, UniformCoversRange) {
 
 TEST(Rng, NormalMomentsMatch) {
   Rng rng(13);
-  RunningStats s;
-  for (int i = 0; i < 50000; ++i) s.add(rng.normal(5.0, 2.0));
-  EXPECT_NEAR(s.mean(), 5.0, 0.05);
-  EXPECT_NEAR(s.stddev(), 2.0, 0.05);
+  std::vector<double> draws(50000);
+  for (double& v : draws) v = rng.normal(5.0, 2.0);
+  const double m = mean(draws);
+  double sq = 0.0;
+  for (const double v : draws) sq += (v - m) * (v - m);
+  EXPECT_NEAR(m, 5.0, 0.05);
+  EXPECT_NEAR(std::sqrt(sq / static_cast<double>(draws.size() - 1)), 2.0, 0.05);
 }
 
-TEST(Rng, ShuffleIsPermutation) {
-  Rng rng(17);
-  std::vector<std::uint32_t> v(100);
-  for (std::uint32_t i = 0; i < 100; ++i) v[i] = i;
-  rng.shuffle(v);
-  std::vector<std::uint32_t> sorted = v;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(sorted[i], i);
-}
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, SingleSampleHasZeroVariance) {
-  RunningStats s;
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(Stats, MeanAndExtrema) {
+TEST(Stats, Mean) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(mean(v), 2.5);
-  EXPECT_DOUBLE_EQ(min_value(v), 1.0);
-  EXPECT_DOUBLE_EQ(max_value(v), 4.0);
   EXPECT_DOUBLE_EQ(mean({}), 0.0);
 }
 
@@ -126,23 +101,6 @@ TEST(Stats, GeometricMean) {
   const std::vector<double> v{1.0, 10.0, 100.0};
   EXPECT_NEAR(geometric_mean(v), 10.0, 1e-9);
   EXPECT_THROW((void)geometric_mean(std::vector<double>{1.0, -1.0}), InvalidArgument);
-}
-
-TEST(Stats, Linspace) {
-  const auto v = linspace(0.0, 1.0, 5);
-  ASSERT_EQ(v.size(), 5u);
-  EXPECT_DOUBLE_EQ(v.front(), 0.0);
-  EXPECT_DOUBLE_EQ(v.back(), 1.0);
-  EXPECT_DOUBLE_EQ(v[2], 0.5);
-  EXPECT_EQ(linspace(3.0, 9.0, 1).size(), 1u);
-}
-
-TEST(Stats, Logspace) {
-  const auto v = logspace(1.0, 1000.0, 4);
-  ASSERT_EQ(v.size(), 4u);
-  EXPECT_NEAR(v[0], 1.0, 1e-9);
-  EXPECT_NEAR(v[1], 10.0, 1e-9);
-  EXPECT_NEAR(v[3], 1000.0, 1e-9);
 }
 
 TEST(Units, DbRoundTrip) {
@@ -202,14 +160,6 @@ TEST(Table, RendersHeaderAndRows) {
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("1.500"), std::string::npos);
   EXPECT_EQ(t.row_count(), 2u);
-}
-
-TEST(Table, CsvEscapesSeparators) {
-  Table t;
-  t.add_row({"a,b", "plain"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "\"a,b\",plain\n");
 }
 
 TEST(Table, NumFormatsExtremes) {

@@ -288,7 +288,7 @@ TEST(DecodeLoop, SingleRequestTtftIsPrefillAndLatencyDecomposes) {
   EXPECT_EQ(m.decode_steps, kTokens - 1u);
 
   const auto accel = arch::make_accelerator("tron");
-  const double prefill_s = accel->estimate_batch(catalog.workload(0), 1).latency_s;
+  const double prefill_s = accel->estimate(catalog.workload(0), 1).latency_s;
   EXPECT_DOUBLE_EQ(m.mean_ttft_s, prefill_s);
   EXPECT_DOUBLE_EQ(m.max_ttft_s, m.mean_ttft_s);
   // latency = ttft + tpot * (tokens - 1), up to the division round-trip.

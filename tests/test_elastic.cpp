@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -335,40 +336,53 @@ TEST(Autoscaler, ValidationNamesBadFields) {
   bad = cfg;
   bad.target_utilization = 1.5;
   expect_invalid(bad, "target_utilization");
-  // kNone never validates its knobs (and never constructs a policy).
+  // NaN fails every range check, and an infinite threshold is no threshold:
+  // a NaN queue_low_utilization would silently turn shrinking off.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad = cfg;
+  bad.queue_low_utilization = nan;
+  expect_invalid(bad, "queue_low_utilization");
+  bad = cfg;
+  bad.target_utilization = nan;
+  expect_invalid(bad, "target_utilization");
+  bad = cfg;
+  bad.utilization_band = nan;
+  expect_invalid(bad, "utilization_band");
+  bad = cfg;
+  bad.queue_high_per_slot = std::numeric_limits<double>::infinity();
+  expect_invalid(bad, "queue_high_per_slot");
+  // kNone never validates its knobs, and its step never moves the fleet.
   AutoscalerConfig off;
   off.interval_s = -1.0;
   EXPECT_NO_THROW(validate_autoscaler(off));
-  EXPECT_EQ(make_autoscaler(off), nullptr);
+  EXPECT_EQ(autoscale_step(off, FamilySignals{0, 100, 1.0}), 0);
 }
 
 TEST(Autoscaler, StepDirectionsMatchSignals) {
   AutoscalerConfig cfg;
   cfg.policy = AutoscalerPolicy::kQueueDepth;
-  const auto queue = make_autoscaler(cfg);
   FamilySignals s;
   s.active_slots = 2;
   s.queued = 20;  // 10 per slot > 4: grow
   s.utilization = 1.0;
-  EXPECT_EQ(queue->step(s), 1);
+  EXPECT_EQ(autoscale_step(cfg, s), 1);
   s.queued = 0;
   s.utilization = 0.1;  // idle: shrink
-  EXPECT_EQ(queue->step(s), -1);
+  EXPECT_EQ(autoscale_step(cfg, s), -1);
   s.utilization = 0.9;  // busy, no backlog: hold
-  EXPECT_EQ(queue->step(s), 0);
+  EXPECT_EQ(autoscale_step(cfg, s), 0);
 
   cfg.policy = AutoscalerPolicy::kTargetUtilization;
-  const auto util = make_autoscaler(cfg);
   s.utilization = 0.95;  // above 0.65 + 0.15
-  EXPECT_EQ(util->step(s), 1);
+  EXPECT_EQ(autoscale_step(cfg, s), 1);
   s.utilization = 0.2;  // below 0.65 - 0.15
   s.queued = 0;
-  EXPECT_EQ(util->step(s), -1);
+  EXPECT_EQ(autoscale_step(cfg, s), -1);
   s.queued = 50;  // backlog blocks the shrink
-  EXPECT_EQ(util->step(s), 0);
+  EXPECT_EQ(autoscale_step(cfg, s), 0);
   s.queued = 0;
   s.utilization = 0.65;  // inside the band
-  EXPECT_EQ(util->step(s), 0);
+  EXPECT_EQ(autoscale_step(cfg, s), 0);
 }
 
 TEST(Elastic, GrowsUnderOverloadAndBeatsTheStaticFleet) {

@@ -44,20 +44,11 @@ TEST(Area, NegativeAreaRejected) {
   EXPECT_THROW(r.add("bad", 1, -1.0), InvalidArgument);
 }
 
-TEST(Batch, BatchOneMatchesEstimate) {
-  const tron::TronAccelerator acc(tron::default_tron_config());
-  const auto model = nn::bert_base();
-  const PerfReport a = acc.estimate(model);
-  const PerfReport b = acc.estimate_batch(model, 1);
-  EXPECT_DOUBLE_EQ(a.latency_s, b.latency_s);
-  EXPECT_DOUBLE_EQ(a.total_energy_j, b.total_energy_j);
-}
-
 TEST(Batch, AmortisesWeightStream) {
   const tron::TronAccelerator acc(tron::default_tron_config());
   const auto model = nn::bert_base();
-  const PerfReport b1 = acc.estimate_batch(model, 1);
-  const PerfReport b16 = acc.estimate_batch(model, 16);
+  const PerfReport b1 = acc.estimate(model, 1);
+  const PerfReport b16 = acc.estimate(model, 16);
   // Throughput improves because the per-layer weight stream is shared.
   EXPECT_GT(b16.ops_per_second(), 1.5 * b1.ops_per_second());
   // Per-sequence latency shrinks.
@@ -70,14 +61,14 @@ TEST(Batch, AmortisesWeightStream) {
 TEST(Batch, OpCountScalesLinearly) {
   const tron::TronAccelerator acc(tron::default_tron_config());
   const auto model = nn::gpt2_small();
-  EXPECT_EQ(acc.estimate_batch(model, 8).op_count, 8 * model.op_count());
+  EXPECT_EQ(acc.estimate(model, 8).op_count, 8 * model.op_count());
 }
 
 TEST(Batch, EpbImprovesWithBatch) {
   const tron::TronAccelerator acc(tron::default_tron_config());
   const auto model = nn::bert_base();
-  EXPECT_LT(acc.estimate_batch(model, 16).energy_per_bit_j(),
-            acc.estimate_batch(model, 1).energy_per_bit_j());
+  EXPECT_LT(acc.estimate(model, 16).energy_per_bit_j(),
+            acc.estimate(model, 1).energy_per_bit_j());
 }
 
 TEST(Generation, TraceShrinksToSingleToken) {
@@ -121,7 +112,7 @@ TEST(Generation, ThroughputFarBelowBatchedInference) {
   const tron::TronAccelerator acc(tron::default_tron_config());
   const auto model = nn::gpt2_small();
   EXPECT_LT(acc.estimate_generation(model, 64, 32).ops_per_second(),
-            0.2 * acc.estimate_batch(model, 16).ops_per_second());
+            0.2 * acc.estimate(model, 16).ops_per_second());
 }
 
 TEST(Generation, InvalidArgsRejected) {

@@ -135,7 +135,6 @@ TEST(AdmissionValidation, KnobsCheckedPerPolicy) {
   AdmissionConfig cfg;  // kNone is always valid, knobs ignored
   cfg.queue_cap = 0;
   EXPECT_NO_THROW(validate_admission(cfg));
-  EXPECT_EQ(make_admission(AdmissionConfig{}), nullptr);
 
   cfg = {};
   cfg.policy = AdmissionPolicy::kQueueCap;
@@ -151,6 +150,52 @@ TEST(AdmissionValidation, KnobsCheckedPerPolicy) {
   cfg.policy = AdmissionPolicy::kSloAware;
   cfg.slo_margin = 0.0;
   expect_invalid([&] { validate_admission(cfg); }, "slo_margin");
+}
+
+// Each policy's verdict on either side of its boundary.  The tier-shed caps
+// are 64, 16 and 4 at factor 0.25, and the SLO-aware limit is 1.5 x 4 s; the
+// predicted wait is 2 s on every row.
+TEST(Admission, VerdictsAtEachPolicyBoundary) {
+  const double limit_s = 1.5 * 4.0;
+  const double over_s = std::nextafter(4.0, 8.0);
+  ASSERT_EQ(2.0 + 4.0, limit_s);
+  ASSERT_EQ(2.0 + over_s, std::nextafter(limit_s, 8.0));  // one ULP above
+  struct Row {
+    AdmissionPolicy policy;
+    std::uint32_t tier;
+    std::size_t queued;
+    double service_s;
+    bool admitted;
+  };
+  const Row rows[] = {
+      {AdmissionPolicy::kNone, 2, 1000000, over_s, true},
+      {AdmissionPolicy::kQueueCap, 2, 63, 0.0, true},
+      {AdmissionPolicy::kQueueCap, 2, 64, 0.0, false},
+      {AdmissionPolicy::kTierShed, 0, 63, 0.0, true},
+      {AdmissionPolicy::kTierShed, 0, 64, 0.0, false},
+      {AdmissionPolicy::kTierShed, 1, 15, 0.0, true},
+      {AdmissionPolicy::kTierShed, 1, 16, 0.0, false},
+      {AdmissionPolicy::kTierShed, 2, 3, 0.0, true},
+      {AdmissionPolicy::kTierShed, 2, 4, 0.0, false},
+      {AdmissionPolicy::kSloAware, 0, 1000000, 4.0, true},
+      {AdmissionPolicy::kSloAware, 0, 0, over_s, false},
+  };
+  for (const Row& row : rows) {
+    AdmissionConfig config;
+    config.policy = row.policy;
+    config.queue_cap = 64;
+    config.tier_shed_factor = 0.25;
+    config.slo_margin = 1.5;
+    AdmissionSignals signals;
+    signals.tier = row.tier;
+    signals.queued = row.queued;
+    signals.predicted_wait_s = 2.0;
+    signals.service_s = row.service_s;
+    signals.slo_s = 4.0;
+    EXPECT_EQ(admit(config, signals), row.admitted)
+        << admission_name(row.policy) << " tier " << row.tier << " queued " << row.queued
+        << " service " << row.service_s;
+  }
 }
 
 // ---------------------------------------------------------------------------

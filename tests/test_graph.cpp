@@ -345,49 +345,6 @@ TEST(Partition, TileCountMatchesReference) {
   EXPECT_EQ(tile_count(CsrGraph{}, {16, 2048}), 0u);
 }
 
-TEST(Sampling, CapsEveryDegree) {
-  const CsrGraph g = rmat(10, 8, {}, 17);
-  const CsrGraph s = sample_neighbors(g, 4, 1);
-  EXPECT_EQ(s.node_count(), g.node_count());
-  for (NodeId v = 0; v < s.node_count(); ++v) {
-    EXPECT_LE(s.degree(v), 4u);
-    EXPECT_LE(s.degree(v), g.degree(v));
-  }
-}
-
-TEST(Sampling, KeepsSmallNeighbourhoodsIntact) {
-  const CsrGraph g(4, {{0, 1}, {0, 2}, {3, 0}}, false);
-  const CsrGraph s = sample_neighbors(g, 8, 2);
-  EXPECT_EQ(s.edge_count(), g.edge_count());
-  EXPECT_EQ(s.degree(0), 2u);
-}
-
-TEST(Sampling, SampledNeighboursComeFromOriginal) {
-  const CsrGraph g = erdos_renyi(100, 600, 19);
-  const CsrGraph s = sample_neighbors(g, 3, 3);
-  for (NodeId v = 0; v < s.node_count(); ++v) {
-    const auto orig = g.neighbors(v);
-    for (const NodeId u : s.neighbors(v)) {
-      EXPECT_TRUE(std::find(orig.begin(), orig.end(), u) != orig.end()) << v << "->" << u;
-    }
-  }
-}
-
-TEST(Sampling, DeterministicPerSeed) {
-  const CsrGraph g = rmat(9, 8, {}, 23);
-  const CsrGraph a = sample_neighbors(g, 5, 7);
-  const CsrGraph b = sample_neighbors(g, 5, 7);
-  EXPECT_EQ(a.edge_count(), b.edge_count());
-}
-
-TEST(Sampling, ReducesGhostAggregationWork) {
-  // The paper's motivation for sampling: bounded fan-in per output vertex.
-  const CsrGraph g = rmat(10, 16, {}, 29);
-  const CsrGraph s = sample_neighbors(g, 8, 11);
-  EXPECT_LT(s.edge_count(), g.edge_count());
-  EXPECT_LE(s.max_degree(), 8u);
-}
-
 TEST(Balance, DegreeSortedNeverWorse) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const CsrGraph g = rmat(9, 8, {}, seed);

@@ -77,35 +77,6 @@ TEST(Dram, LatencyHasFixedPlusStreaming) {
   EXPECT_GT(large, 100.0 * small);  // streaming term dominates
 }
 
-TEST(Buffer, StatsAccumulate) {
-  Buffer buf({64 * 1024, 8, 2, 32.0});
-  const double t1 = buf.record_reads(10);
-  const double t2 = buf.record_writes(4);
-  EXPECT_GT(t1, 0.0);
-  EXPECT_GT(t2, 0.0);
-  EXPECT_EQ(buf.stats().reads, 10u);
-  EXPECT_EQ(buf.stats().writes, 4u);
-  EXPECT_NEAR(buf.stats().energy_j,
-              10.0 * buf.model().read_energy_j() + 4.0 * buf.model().write_energy_j(), 1e-15);
-  buf.reset_stats();
-  EXPECT_EQ(buf.stats().reads, 0u);
-}
-
-TEST(Buffer, BankParallelismSpeedsAccessBursts) {
-  Buffer mono({64 * 1024, 8, 1, 32.0});
-  Buffer banked({64 * 1024, 8, 8, 32.0});
-  EXPECT_GT(mono.record_reads(64), banked.record_reads(64));
-}
-
-TEST(AccessStats, MergeSums) {
-  AccessStats a{10, 5, 1e-9, 2e-9};
-  const AccessStats b{3, 2, 1e-10, 1e-10};
-  a.merge(b);
-  EXPECT_EQ(a.reads, 13u);
-  EXPECT_EQ(a.writes, 7u);
-  EXPECT_NEAR(a.energy_j, 1.1e-9, 1e-15);
-}
-
 // Capacity sweep: energy/latency strictly increase with capacity.
 class CapacitySweep : public ::testing::TestWithParam<std::size_t> {};
 

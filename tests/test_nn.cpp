@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "nn/ops.hpp"
-#include "nn/quantize.hpp"
 #include "nn/tensor.hpp"
 #include "nn/transformer.hpp"
 
@@ -191,50 +190,6 @@ TEST(Linear, BiasApplied) {
   const Matrix y = linear(x, w, bias);
   EXPECT_DOUBLE_EQ(y(0, 0), 11.0);
   EXPECT_DOUBLE_EQ(y(0, 1), 22.0);
-}
-
-TEST(Quantizer, RoundTripWithinHalfScale) {
-  Rng rng(8);
-  Matrix m(16, 16);
-  m.fill_uniform(rng, -3.0, 3.0);
-  const Quantizer q(8);
-  const QuantizedMatrix qm = q.quantize(m);
-  const Matrix back = Quantizer::dequantize(qm);
-  const double bound = q.max_round_trip_error(m);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    EXPECT_LE(std::fabs(back.flat()[i] - m.flat()[i]), bound + 1e-12);
-  }
-}
-
-TEST(Quantizer, CodesWithinSymmetricRange) {
-  Rng rng(9);
-  Matrix m(8, 8);
-  m.fill_normal(rng, 10.0);
-  const QuantizedMatrix qm = Quantizer(8).quantize(m);
-  for (const std::int8_t c : qm.codes) {
-    EXPECT_GE(c, -127);
-    EXPECT_LE(c, 127);
-  }
-}
-
-TEST(Quantizer, NormalizedRestoresMagnitude) {
-  Rng rng(10);
-  Matrix m(4, 4);
-  m.fill_uniform(rng, -2.0, 2.0);
-  const QuantizedMatrix qm = Quantizer(8).quantize(m);
-  double scale = 0.0;
-  const Matrix norm = Quantizer::normalized(qm, &scale);
-  EXPECT_LE(norm.max_abs(), 1.0 + 1e-12);
-  // norm * scale ~= original (within quantisation).
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    EXPECT_NEAR(norm.flat()[i] * scale, m.flat()[i], Quantizer(8).max_round_trip_error(m) + 1e-9);
-  }
-}
-
-TEST(Quantizer, ZeroMatrixSafe) {
-  Matrix m(3, 3, 0.0);
-  const QuantizedMatrix qm = Quantizer(8).quantize(m);
-  for (const std::int8_t c : qm.codes) EXPECT_EQ(c, 0);
 }
 
 TEST(TransformerConfig, ZooDimensionsArePublished) {

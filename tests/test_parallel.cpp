@@ -239,8 +239,8 @@ TEST(DegreeHistogram, MatchesPerNodeDegrees) {
 void expect_estimates_identical(const ghost::GhostAccelerator& acc,
                                 const gnn::GnnModelConfig& model,
                                 const graph::GraphDataset& ds) {
-  const PerfReport a = acc.estimate(model, ds, ghost::AggregateCosting::kDegreeHistogram);
-  const PerfReport b = acc.estimate(model, ds, ghost::AggregateCosting::kPerNodeReference);
+  const PerfReport a = acc.estimate(model, ds, 1, ghost::AggregateCosting::kDegreeHistogram);
+  const PerfReport b = acc.estimate(model, ds, 1, ghost::AggregateCosting::kPerNodeReference);
   // Bit-identical, not just close: the histogram reorders only integer
   // arithmetic.
   lumos::testing::expect_reports_identical(a, b);

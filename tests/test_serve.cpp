@@ -170,9 +170,8 @@ TEST(EstimateCache, TronReportsBitIdenticalToUncached) {
   const tron::TronAccelerator acc(arch::tron_config_by_name("tron"));
   for (std::uint32_t w = 0; w < catalog.size(); ++w) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-      expect_reports_identical(
-          cache.estimate(w, batch),
-          acc.estimate_batch(catalog.workload(w).transformer_config(), batch));
+      expect_reports_identical(cache.estimate(w, batch),
+                               acc.estimate(catalog.workload(w).transformer_config(), batch));
     }
   }
 }
@@ -185,7 +184,7 @@ TEST(EstimateCache, GhostReportsBitIdenticalToUncached) {
     const arch::Workload& wl = catalog.workload(w);
     for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
       expect_reports_identical(cache.estimate(w, batch),
-                               acc.estimate_batch(wl.gnn_model(), wl.dataset(), batch));
+                               acc.estimate(wl.gnn_model(), wl.dataset(), batch));
     }
   }
 }
@@ -205,19 +204,12 @@ TEST(EstimateCache, MissesOncePerKey) {
 // GHOST batched estimates
 // ---------------------------------------------------------------------------
 
-TEST(GhostBatch, BatchOneMatchesEstimateBitForBit) {
-  const ghost::GhostAccelerator acc(ghost::default_ghost_config());
-  const gnn::GnnModelConfig model = sim::gnn_by_name("graphsage");
-  const graph::GraphDataset ds = sim::dataset_by_name("citeseer");
-  expect_reports_identical(acc.estimate(model, ds), acc.estimate_batch(model, ds, 1));
-}
-
 TEST(GhostBatch, LatencySubLinearAndEnergyAmortised) {
   const ghost::GhostAccelerator acc(ghost::default_ghost_config());
   const gnn::GnnModelConfig model = sim::gnn_by_name("gcn");
   const graph::GraphDataset ds = sim::dataset_by_name("cora");
-  const PerfReport one = acc.estimate_batch(model, ds, 1);
-  const PerfReport eight = acc.estimate_batch(model, ds, 8);
+  const PerfReport one = acc.estimate(model, ds, 1);
+  const PerfReport eight = acc.estimate(model, ds, 8);
   EXPECT_GE(eight.latency_s, one.latency_s);
   EXPECT_LT(eight.latency_s, 8.0 * one.latency_s);
   EXPECT_EQ(eight.op_count, 8 * one.op_count);
@@ -764,6 +756,38 @@ TEST(Validation, ScenarioNamesBadField) {
     expect_invalid([&] { (void)simulate(scenario); }, "offered_qps");
   }
   scenario.traffic.open.offered_qps = 1000.0;
+  // The bursty knobs are checked here, not by a precondition inside the
+  // trace generator, and NaN or an infinite value fails each of them.
+  const double inf = std::numeric_limits<double>::infinity();
+  const TraceConfig poisson = scenario.traffic.open;
+  struct BadBurst {
+    double TraceConfig::*field;
+    const char* name;
+    double value;
+  };
+  for (const BadBurst& bad : {
+           BadBurst{&TraceConfig::burst_multiplier, "burst_multiplier", 0.5},
+           BadBurst{&TraceConfig::burst_multiplier, "burst_multiplier", inf},
+           BadBurst{&TraceConfig::burst_multiplier, "burst_multiplier", std::nan("")},
+           BadBurst{&TraceConfig::burst_fraction, "burst_fraction", 0.0},
+           BadBurst{&TraceConfig::burst_fraction, "burst_fraction", 1.0},
+           BadBurst{&TraceConfig::burst_fraction, "burst_fraction", std::nan("")},
+           BadBurst{&TraceConfig::mean_burst_s, "mean_burst_s", 0.0},
+           BadBurst{&TraceConfig::mean_burst_s, "mean_burst_s", inf},
+           BadBurst{&TraceConfig::mean_burst_s, "mean_burst_s", std::nan("")},
+       }) {
+    scenario.traffic.open = poisson;
+    scenario.traffic.open.process = ArrivalProcess::kBursty;
+    scenario.traffic.open.*bad.field = bad.value;
+    expect_invalid([&] { (void)simulate(scenario); }, bad.name);
+  }
+  scenario.traffic.open = poisson;
+  // The fallback SLO scale: NaN, 0 and -1 used to serve with attainment 0.
+  for (const double bad : {std::nan(""), 0.0, -1.0, inf}) {
+    scenario.sim.slo_scale = bad;
+    expect_invalid([&] { (void)simulate(scenario); }, "slo_scale");
+  }
+  scenario.sim.slo_scale = SimConfig{}.slo_scale;
   scenario.traffic.mode = LoopMode::kClosed;
   scenario.traffic.closed.sessions = 0;
   expect_invalid([&] { (void)simulate(scenario); }, "sessions");

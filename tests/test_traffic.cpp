@@ -332,12 +332,11 @@ TEST(SeqLenCache, SeqKeyedEstimatesMatchWithSeqLenWorkloads) {
   for (const std::uint32_t seq : {64u, 384u}) {
     nn::TransformerConfig config = catalog.workload(0).transformer_config();
     config.seq_len = seq;
-    expect_reports_identical(cache.estimate(0, 4, seq), acc.estimate_batch(config, 4));
+    expect_reports_identical(cache.estimate(0, 4, seq), acc.estimate(config, 4));
   }
   // Seq 0 is the native config, and distinct buckets are distinct keys.
-  expect_reports_identical(
-      cache.estimate(0, 4),
-      acc.estimate_batch(catalog.workload(0).transformer_config(), 4));
+  expect_reports_identical(cache.estimate(0, 4),
+                           acc.estimate(catalog.workload(0).transformer_config(), 4));
   EXPECT_NE(cache.estimate(0, 4, 64).latency_s, cache.estimate(0, 4, 384).latency_s);
 }
 

@@ -254,22 +254,12 @@ TEST(Functional, NoisyForwardStillCorrelates) {
   EXPECT_GT(corr, 0.85);
 }
 
-TEST(EstimateBatch, BatchOneMatchesEstimateBitForBit) {
-  const TronAccelerator acc(default_tron_config());
-  const auto model = nn::bert_base(128);
-  const PerfReport a = acc.estimate(model);
-  const PerfReport b = acc.estimate_batch(model, 1);
-  EXPECT_EQ(a.latency_s, b.latency_s);
-  EXPECT_EQ(a.total_energy_j, b.total_energy_j);
-  EXPECT_EQ(a.op_count, b.op_count);
-}
-
 TEST(EstimateBatch, LatencySubLinearButNotBelowBatchOne) {
   const TronAccelerator acc(default_tron_config());
   for (const auto& model : {nn::bert_base(128), nn::gpt2_small(256)}) {
-    const PerfReport one = acc.estimate_batch(model, 1);
+    const PerfReport one = acc.estimate(model, 1);
     for (const std::size_t batch : {std::size_t{2}, std::size_t{8}, std::size_t{32}}) {
-      const PerfReport r = acc.estimate_batch(model, batch);
+      const PerfReport r = acc.estimate(model, batch);
       EXPECT_GE(r.latency_s, one.latency_s) << model.name << " batch " << batch;
       EXPECT_LT(r.latency_s, static_cast<double>(batch) * one.latency_s)
           << model.name << " batch " << batch;
@@ -281,8 +271,8 @@ TEST(EstimateBatch, LatencySubLinearButNotBelowBatchOne) {
 TEST(EstimateBatch, AmortisesWeightStreamEnergy) {
   const TronAccelerator acc(default_tron_config());
   const auto model = nn::bert_base(128);
-  const PerfReport one = acc.estimate_batch(model, 1);
-  const PerfReport sixteen = acc.estimate_batch(model, 16);
+  const PerfReport one = acc.estimate(model, 1);
+  const PerfReport sixteen = acc.estimate(model, 16);
   // The DRAM weight stream is paid once per layer regardless of batch.
   EXPECT_EQ(sixteen.breakdown.dram_energy_j, one.breakdown.dram_energy_j);
   // So per-request energy (and EPB) strictly improves with batching.
