@@ -581,7 +581,7 @@ void write_overload_faults(JsonWriter& w, bool smoke) {
   const std::size_t max_batch = 8;
   const double capacity = serve::fleet_capacity_qps(
       catalog, serve::FleetConfig::cycled({"tron"}, fleet), max_batch);
-  // The tier-1 SLO mirrors the simulator's fallback (slo_scale x slowest
+  // The tier-1 SLO mirrors the simulator's fallback (kSloScale x slowest
   // batch-1 latency); the premium tenant's contract is 3x that — loose
   // enough that its partial batches (it is ~2.5% of traffic, so its batches
   // dispatch at the deadline, not full) meet it on a healthy fleet, tight
@@ -591,7 +591,7 @@ void write_overload_faults(JsonWriter& w, bool smoke) {
   for (std::uint32_t t = 0; t < catalog.size(); ++t) {
     slowest = std::max(slowest, cache.estimate(t, 1).latency_s);
   }
-  const double slo_s = 10.0 * slowest;
+  const double slo_s = serve::kSloScale * slowest;
   catalog.set_slo(0, 3.0 * slo_s);
   catalog.set_timeout(2, 15.0 * slo_s);  // impatient gpt2 clients
 

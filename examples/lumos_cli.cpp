@@ -222,6 +222,7 @@ struct ServeRun {
   serve::CampaignConfig cfg;
   std::string trace_path;     // --trace-out
   std::string timeline_path;  // --timeline-out
+  serve::SeqLenDist seqlen_dist = serve::SeqLenDist::kFixed;
   std::size_t decode_tokens = 0;  // 0: decode off
   serve::SeqLenDist decode_dist = serve::SeqLenDist::kFixed;
   double ttft_slo_s = 0.0;
@@ -364,6 +365,10 @@ constexpr Mode kCampaign{"--loop open, no --trace-out/--timeline-out/--profile",
 constexpr Mode kBatching{"--sched batch", [](const ServeRun& r) {
                            return r.cfg.schedulers.front() != serve::SchedulerKind::kFifo;
                          }};
+constexpr Mode kTransformers{"a fleet that serves transformers", [](const ServeRun& r) {
+                               using arch::WorkloadKind;
+                               return r.cfg.base.catalog.has_kind(WorkloadKind::kTransformer);
+                             }};
 constexpr Mode kDecode{"--decode", [](const ServeRun& r) { return r.decode_tokens > 0; }};
 constexpr Mode kAutoscale{"--autoscale queue|util", [](const ServeRun& r) {
                             return r.cfg.autoscalers.front() != serve::AutoscalerPolicy::kNone;
@@ -417,12 +422,10 @@ const ServeFlag kServeFlags[] = {
        r.cfg.base.traffic.closed.think_time_mean_s = v.us(/*or_zero=*/true);
      }},
     {"--seqlen-dist", "fixed|uniform|lognormal",
-     "sequence lengths of transformer tenants (default fixed)", nullptr,
-     [](ServeRun& r, const Arg& v) {
-       r.cfg.base.catalog.apply_seqlen_dist(serve::seqlen_dist_from_name(v.text));
-     }},
+     "sequence lengths of transformer tenants (default fixed)", &kTransformers,
+     [](ServeRun& r, const Arg& v) { r.seqlen_dist = serve::seqlen_dist_from_name(v.text); }},
     {"--decode", "n", "mean tokens each transformer request generates after its prefill",
-     nullptr, [](ServeRun& r, const Arg& v) { r.decode_tokens = v.count(1); }},
+     &kTransformers, [](ServeRun& r, const Arg& v) { r.decode_tokens = v.count(1); }},
     {"--decode-dist", "fixed|uniform|lognormal", "decode-length shape (default fixed)",
      &kDecode,
      [](ServeRun& r, const Arg& v) { r.decode_dist = serve::seqlen_dist_from_name(v.text); }},
@@ -635,6 +638,9 @@ int run_serve(const std::vector<std::string>& args, bool json) {
     if (flag->needs && !flag->needs->on(run)) {
       throw InvalidArgument(std::string(flag->name) + " needs " + flag->needs->name);
     }
+  }
+  if (run.seqlen_dist != serve::SeqLenDist::kFixed) {
+    base.catalog.apply_seqlen_dist(run.seqlen_dist);
   }
   if (run.decode_tokens > 0) {
     base.catalog.apply_decode(run.decode_dist, run.decode_tokens);

@@ -23,22 +23,6 @@ void validate_autoscaler(const AutoscalerConfig& config) {
                           std::to_string(config.max_slots) + " < " +
                           std::to_string(config.min_slots));
   }
-  if (!(config.queue_high_per_slot > 0.0) || !std::isfinite(config.queue_high_per_slot)) {
-    throw InvalidArgument("AutoscalerConfig.queue_high_per_slot must be positive and finite, "
-                          "got " + std::to_string(config.queue_high_per_slot));
-  }
-  if (!(config.queue_low_utilization >= 0.0 && config.queue_low_utilization <= 1.0)) {
-    throw InvalidArgument("AutoscalerConfig.queue_low_utilization must be in [0, 1], got " +
-                          std::to_string(config.queue_low_utilization));
-  }
-  if (!(config.target_utilization > 0.0 && config.target_utilization <= 1.0)) {
-    throw InvalidArgument("AutoscalerConfig.target_utilization must be in (0, 1], got " +
-                          std::to_string(config.target_utilization));
-  }
-  if (!(config.utilization_band >= 0.0 && config.utilization_band < 1.0)) {
-    throw InvalidArgument("AutoscalerConfig.utilization_band must be in [0, 1), got " +
-                          std::to_string(config.utilization_band));
-  }
   if (!(config.grow_scale > 0.0) || !std::isfinite(config.grow_scale)) {
     throw InvalidArgument("AutoscalerConfig.grow_scale must be positive and finite, got " +
                           std::to_string(config.grow_scale));
@@ -48,7 +32,7 @@ void validate_autoscaler(const AutoscalerConfig& config) {
 int autoscale_step(const AutoscalerConfig& config, const FamilySignals& s) {
   switch (config.policy) {
     case AutoscalerPolicy::kQueueDepth: {
-      // Reactive backlog policy: a queue deeper than `queue_high_per_slot`
+      // Reactive backlog policy: a queue deeper than kQueueHighPerSlot
       // requests per active slot means the family is falling behind — grow.
       // An empty queue with the family mostly idle over the last interval
       // means capacity is wasted — shrink one slot.  max(1, active): every
@@ -56,8 +40,8 @@ int autoscale_step(const AutoscalerConfig& config, const FamilySignals& s) {
       // with zero active slots must read as "grow".
       const double per_slot = static_cast<double>(s.queued) /
                               static_cast<double>(std::max<std::size_t>(s.active_slots, 1));
-      if (per_slot > config.queue_high_per_slot) return 1;
-      if (s.queued == 0 && s.utilization < config.queue_low_utilization) return -1;
+      if (per_slot > kQueueHighPerSlot) return 1;
+      if (s.queued == 0 && s.utilization < kQueueLowUtilization) return -1;
       return 0;
     }
     case AutoscalerPolicy::kTargetUtilization:
@@ -65,8 +49,8 @@ int autoscale_step(const AutoscalerConfig& config, const FamilySignals& s) {
       // target.  Never shrinks into a backlog deeper than the active slots
       // (the queue would immediately re-trigger growth and the fleet would
       // oscillate).
-      if (s.utilization > config.target_utilization + config.utilization_band) return 1;
-      if (s.utilization < config.target_utilization - config.utilization_band &&
+      if (s.utilization > kUtilizationTarget + kUtilizationBand) return 1;
+      if (s.utilization < kUtilizationTarget - kUtilizationBand &&
           s.queued <= s.active_slots) {
         return -1;
       }

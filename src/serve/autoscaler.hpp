@@ -4,12 +4,13 @@
 // every `interval_s` of *simulated* time, once per spec family (the distinct
 // registry names the fleet was built from).  Each step sees the family's
 // signals — active slot count, queued requests it could serve, utilization
-// over the last interval — and returns a desired slot delta.  The simulator
-// applies the delta by instantiating a new registry-named accelerator
-// (growth) or retiring one (shrink).  Retiring always drains first: the slot
-// stops receiving dispatches immediately but finishes its in-flight batch, so
-// no request is ever dropped and the event loop's (time, seq) total order is
-// preserved — simulations stay bit-reproducible.
+// over the last interval — and returns a desired slot delta against the
+// policy's constant thresholds (kQueueHighPerSlot and the others below).  The
+// simulator applies the delta by instantiating a new registry-named
+// accelerator (growth) or retiring one (shrink).  Retiring always drains
+// first: the slot stops receiving dispatches immediately but finishes its
+// in-flight batch, so no request is ever dropped and the event loop's (time,
+// seq) total order is preserved — simulations stay bit-reproducible.
 //
 // Growth can instantiate scaled registry variants ("tron@0.5") via
 // `grow_scale`, giving policies a continuous-ish action space over the
@@ -26,22 +27,22 @@ enum class AutoscalerPolicy {
   kTargetUtilization,  // track a utilization set point with a dead band
 };
 
+// kQueueDepth: grow when the family's queue exceeds kQueueHighPerSlot
+// requests per active slot; shrink when the queue is empty and utilization
+// over the last interval fell below kQueueLowUtilization.
+inline constexpr double kQueueHighPerSlot = 4.0;
+inline constexpr double kQueueLowUtilization = 0.3;
+
+// kTargetUtilization: grow above kUtilizationTarget + kUtilizationBand,
+// shrink below kUtilizationTarget - kUtilizationBand (never with a backlog
+// deeper than the active slots).
+inline constexpr double kUtilizationTarget = 0.65;
+inline constexpr double kUtilizationBand = 0.15;
+
 struct AutoscalerConfig {
   AutoscalerPolicy policy = AutoscalerPolicy::kNone;
   // Evaluation step, in simulated seconds.
   double interval_s = 5e-3;
-
-  // kQueueDepth: grow when the family's queue exceeds this many requests per
-  // active slot; shrink when the queue is empty and utilization over the last
-  // interval fell below `queue_low_utilization`.
-  double queue_high_per_slot = 4.0;
-  double queue_low_utilization = 0.3;
-
-  // kTargetUtilization: grow above `target_utilization + utilization_band`,
-  // shrink below `target_utilization - utilization_band` (never with a
-  // backlog deeper than the active slots).
-  double target_utilization = 0.65;
-  double utilization_band = 0.15;
 
   // Per-family slot bounds.  `min_slots >= 1` keeps every workload kind
   // serveable, so elastic simulations can never livelock.
@@ -54,9 +55,9 @@ struct AutoscalerConfig {
   double grow_scale = 1.0;
 };
 
-// Throws `InvalidArgument` naming the bad field (non-positive interval or
-// grow_scale, min_slots of 0, max < min, out-of-range or non-finite
-// thresholds).  A kNone config is always valid.
+// Throws `InvalidArgument` naming the bad field (non-positive or non-finite
+// interval or grow_scale, min_slots of 0, max < min).  A kNone config is
+// always valid.
 void validate_autoscaler(const AutoscalerConfig& config);
 
 // One spec family's observable state at an evaluation step.

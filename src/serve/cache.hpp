@@ -5,7 +5,7 @@
 // looks service times and energies up in a spec x workload x batch x
 // seq-bucket cache instead of re-running the analytic mapping per dispatch.
 // That is what lets a simulation push millions of requests through a fleet in
-// seconds: sequence lengths are bucketised (see SeqLenConfig), so the
+// seconds: sequence lengths are bucketised (see LengthDist), so the
 // distinct keys number in the dozens-to-hundreds while dispatches number in
 // the millions.  Cached reports are bit-identical to uncached calls; seq 0
 // (the fixed-length default) scores the entry's native config.
@@ -21,6 +21,10 @@
 #include "serve/workload.hpp"
 
 namespace lumos::serve {
+
+// Decode steps key on the KV context rounded up to a multiple of this, so the
+// step cache stays small while contexts grow token by token.
+inline constexpr std::uint32_t kDecodeContextGrid = 32;
 
 class EstimateCache {
  public:
@@ -39,8 +43,8 @@ class EstimateCache {
                              std::uint32_t seq_len = 0) const;
 
   // The memoized PerfReport of ONE decode step of `batch` lanes of `workload`
-  // at KV context `context_len` (callers bucketise the context first — see
-  // DecodeConfig::ctx_bucket — to keep the keyspace bounded).  Lives in its
+  // at KV context `context_len` (callers round the context up to
+  // kDecodeContextGrid first, to keep the keyspace bounded).  Lives in its
   // own keyspace so decode steps never collide with prefill estimates.  The
   // accelerator must generate (`can_generate`).
   const PerfReport& decode_step(std::uint32_t workload, std::size_t batch,
@@ -49,7 +53,6 @@ class EstimateCache {
   [[nodiscard]] bool can_serve(std::uint32_t workload) const;
   [[nodiscard]] bool can_generate() const noexcept { return acc_->can_generate(); }
   [[nodiscard]] double static_power_w() const;
-  [[nodiscard]] const arch::Accelerator& accelerator() const noexcept { return *acc_; }
   [[nodiscard]] const arch::SpecInfo& spec() const noexcept { return acc_->spec(); }
   [[nodiscard]] std::size_t lookups() const noexcept { return lookups_; }
   [[nodiscard]] std::size_t misses() const noexcept { return misses_; }

@@ -16,25 +16,27 @@ namespace lumos::serve {
 
 namespace {
 
+// Mean of `cost` over a fixed-seed draw of 512 lengths from `dist`, or its
+// one value when `dist` is fixed: deterministic, and cheap because the grid
+// collapses the draws onto a handful of distinct cache keys.
+template <class Cost>
+double mean_cost(const LengthDist& dist, std::uint32_t floor, std::uint32_t grid, Rng rng,
+                 Cost cost) {
+  if (dist.shape == SeqLenDist::kFixed) return cost(dist.center);
+  constexpr std::size_t kSamples = 512;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < kSamples; ++i) sum += cost(dist.sample(rng, floor, grid));
+  return sum / static_cast<double>(kSamples);
+}
+
 // Expected per-request service time of one catalog entry at `batch`.  Fixed
 // entries price at the native length (one exact lookup, bit-identical to the
-// pre-seqlen estimate); sampled entries average over a fixed-seed Monte Carlo
-// draw of bucketised lengths — deterministic, and cheap because the bucketing
-// collapses the draws onto a handful of distinct cache keys.
+// pre-seqlen estimate); sampled entries average over their prompt lengths.
 double expected_service_s(const EstimateCache& cache, const WorkloadCatalog& catalog,
                           std::uint32_t w, std::size_t batch) {
-  const SeqLenConfig& seqlen = catalog.at(w).seqlen;
-  if (seqlen.dist == SeqLenDist::kFixed) {
-    return cache.estimate(w, batch).latency_s / static_cast<double>(batch);
-  }
-  constexpr std::size_t kSamples = 512;
-  Rng rng(0xCAFAC17, w);
-  double sum_s = 0.0;
-  for (std::size_t i = 0; i < kSamples; ++i) {
-    const std::uint32_t seq = sample_seq_len(seqlen, rng);
-    sum_s += cache.estimate(w, batch, seq).latency_s;
-  }
-  return sum_s / static_cast<double>(kSamples) / static_cast<double>(batch);
+  return mean_cost(catalog.at(w).prompt(), kPromptFloor, kPromptGrid, Rng(0xCAFAC17, w),
+                   [&](std::uint32_t seq) { return cache.estimate(w, batch, seq).latency_s; }) /
+         static_cast<double>(batch);
 }
 
 // Expected per-request *decode* time of one catalog entry at `batch` lanes:
@@ -46,27 +48,15 @@ double expected_decode_s(const EstimateCache& cache, const WorkloadCatalog& cata
                          std::uint32_t w, std::size_t batch) {
   const DecodeConfig& decode = catalog.at(w).decode;
   if (!decode.enabled() || !cache.can_generate()) return 0.0;
-  double mean_tokens = 0.0;
-  if (decode.dist == SeqLenDist::kFixed) {
-    mean_tokens = static_cast<double>(decode.tokens);
-  } else {
-    constexpr std::size_t kSamples = 512;
-    Rng rng(0xDECAF, w);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < kSamples; ++i) {
-      sum += static_cast<double>(sample_decode_tokens(decode, rng));
-    }
-    mean_tokens = sum / static_cast<double>(kSamples);
-  }
+  const double mean_tokens = mean_cost(decode.tokens, 1, 1, Rng(0xDECAF, w),
+                                       [](std::uint32_t n) { return static_cast<double>(n); });
   if (mean_tokens <= 1.0) return 0.0;  // the prefill already made the only token
   const arch::Workload& wl = catalog.workload(w);
   std::uint32_t ctx = 1;
   if (wl.kind() == arch::WorkloadKind::kTransformer) {
     ctx = static_cast<std::uint32_t>(wl.transformer_config().seq_len);
   }
-  const std::uint32_t bucket =
-      static_cast<std::uint32_t>(std::max<std::size_t>(decode.ctx_bucket, 1));
-  ctx = (std::max(ctx, 1u) + bucket - 1) / bucket * bucket;
+  ctx = (std::max(ctx, 1u) + kDecodeContextGrid - 1) / kDecodeContextGrid * kDecodeContextGrid;
   const double step_s = cache.decode_step(w, batch, ctx).latency_s;
   return (mean_tokens - 1.0) * step_s / static_cast<double>(batch);
 }

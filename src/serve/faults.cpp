@@ -1,15 +1,14 @@
 #include "serve/faults.hpp"
 
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "common/error.hpp"
+#include "serve/event.hpp"
 
 namespace lumos::serve {
 
 namespace {
-constexpr double kNever = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 // Stream bases keep fault draws and retry jitter off every existing stream
 // (traces, sessions, tenant assignment).
@@ -37,44 +36,24 @@ void validate_retry(const RetryPolicy& policy) {
     throw InvalidArgument("RetryPolicy.base_backoff_s must be finite and >= 0, got " +
                           std::to_string(policy.base_backoff_s));
   }
-  if (!(policy.multiplier >= 1.0) || !std::isfinite(policy.multiplier)) {
-    throw InvalidArgument("RetryPolicy.multiplier must be finite and >= 1, got " +
-                          std::to_string(policy.multiplier));
-  }
-  if (!(policy.jitter >= 0.0) || policy.jitter >= 1.0) {
-    throw InvalidArgument("RetryPolicy.jitter must be in [0, 1), got " +
-                          std::to_string(policy.jitter));
-  }
 }
 
 double retry_backoff_s(const RetryPolicy& policy, std::uint64_t request_id,
                        std::size_t attempt) {
   LUMOS_EXPECTS(attempt >= 1);  // attempt 0 is the first issue, never backed off
   double backoff = policy.base_backoff_s;
-  for (std::size_t k = 1; k < attempt; ++k) backoff *= policy.multiplier;
-  if (policy.jitter > 0.0) {
-    // One fresh stream per (request, attempt): the draw cannot depend on how
-    // many other requests retried before this one.
-    Rng rng(policy.seed, kJitterStreamBase + request_id * 31 + attempt);
-    backoff *= rng.uniform(1.0 - policy.jitter, 1.0 + policy.jitter);
-  }
-  return backoff;
+  for (std::size_t k = 1; k < attempt; ++k) backoff *= kBackoffMultiplier;
+  // One fresh stream per (request, attempt): the draw cannot depend on how
+  // many other requests retried before this one.
+  Rng rng(policy.seed, kJitterStreamBase + request_id * 31 + attempt);
+  return backoff * rng.uniform(1.0 - kBackoffJitter, 1.0 + kBackoffJitter);
 }
 
 void validate_admission(const AdmissionConfig& config) {
-  if (config.policy == AdmissionPolicy::kNone) return;
-  if (config.policy != AdmissionPolicy::kSloAware && config.queue_cap < 1) {
+  if ((config.policy == AdmissionPolicy::kQueueCap ||
+       config.policy == AdmissionPolicy::kTierShed) &&
+      config.queue_cap < 1) {
     throw InvalidArgument("AdmissionConfig.queue_cap must be >= 1");
-  }
-  if (config.policy == AdmissionPolicy::kTierShed &&
-      (!(config.tier_shed_factor > 0.0) || config.tier_shed_factor > 1.0)) {
-    throw InvalidArgument("AdmissionConfig.tier_shed_factor must be in (0, 1], got " +
-                          std::to_string(config.tier_shed_factor));
-  }
-  if (config.policy == AdmissionPolicy::kSloAware &&
-      (!(config.slo_margin > 0.0) || !std::isfinite(config.slo_margin))) {
-    throw InvalidArgument("AdmissionConfig.slo_margin must be positive and finite, got " +
-                          std::to_string(config.slo_margin));
   }
 }
 
@@ -84,19 +63,18 @@ bool admit(const AdmissionConfig& config, const AdmissionSignals& s) {
       return s.queued < config.queue_cap;
     case AdmissionPolicy::kTierShed: {
       // DAGOR-shaped tiered shedding: tier k is admitted while the queue is
-      // below queue_cap * tier_shed_factor^k, so under mounting backlog the
+      // below queue_cap * kTierShedFactor^k, so under mounting backlog the
       // lowest tiers stop being admitted first and tier 0 keeps (almost) the
       // whole cap.
       double cap = static_cast<double>(config.queue_cap);
-      for (std::uint32_t k = 0; k < s.tier; ++k) cap *= config.tier_shed_factor;
+      for (std::uint32_t k = 0; k < s.tier; ++k) cap *= kTierShedFactor;
       return static_cast<double>(s.queued) < cap;
     }
     case AdmissionPolicy::kSloAware:
       // Breakwater-shaped cost-based rejection: admit only while the
       // predicted completion latency (queue drain ahead of the request plus
-      // its own service) fits within `slo_margin` of the SLO it will be scored
-      // against.
-      return s.predicted_wait_s + s.service_s <= config.slo_margin * s.slo_s;
+      // its own service) fits within the SLO it will be scored against.
+      return s.predicted_wait_s + s.service_s <= s.slo_s;
     case AdmissionPolicy::kNone:
       break;
   }

@@ -13,15 +13,16 @@
 //   * `RetryPolicy` — bounded retries with exponential backoff plus
 //     deterministic jitter for attempts that time out (`CatalogEntry.
 //     timeout_s`).  Backoff for attempt k is
-//     base_backoff_s * multiplier^(k-1) * (1 +/- jitter), the jitter drawn
-//     from a stream keyed by the request id so retried arrivals replay
-//     bit-for-bit.
+//     base_backoff_s * kBackoffMultiplier^(k-1) * (1 +/- kBackoffJitter), that
+//     is base * 2^(k-1) within 10%, the jitter drawn from a stream keyed by
+//     the request id so retried arrivals replay bit-for-bit.
 //   * `AdmissionConfig` — an admission policy that `admit` consults at
 //     every arrival (retries included).  Policies: admit everything, a global
-//     queue cap, tier-aware shedding (lower-priority tiers see geometrically
-//     smaller caps, so tier 0 keeps its goodput while tier 1 sheds — the
-//     DAGOR/Breakwater shape), and SLO-aware cost-based rejection using the
-//     estimate cache's predicted service times.
+//     queue cap, tier-aware shedding (tier k's cap is queue_cap *
+//     kTierShedFactor^k, a quarter per tier, so tier 0 keeps its goodput
+//     while tier 1 sheds — the DAGOR/Breakwater shape), and SLO-aware
+//     cost-based rejection, admitting while the predicted latency from the
+//     estimate cache's service times fits the request's SLO.
 //
 // Terminal request outcomes are `CompletionStatus`; the traffic source sees
 // exactly one terminal status per logical request via
@@ -58,25 +59,28 @@ struct FaultConfig {
 // or non-finite mttr while enabled).  A disabled config is always valid.
 void validate_faults(const FaultConfig& config);
 
+// Backoff growth per further retry, and the +/- fraction of the backoff that
+// the seeded jitter draws.
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr double kBackoffJitter = 0.1;
+
 // Retry knobs for timed-out attempts.  `max_attempts` counts every attempt
 // including the first, so 1 (the default) means "no retries".
 struct RetryPolicy {
   std::size_t max_attempts = 1;  // total attempts per logical request
   double base_backoff_s = 1e-3;  // backoff before the second attempt
-  double multiplier = 2.0;       // backoff growth per further attempt
-  double jitter = 0.1;           // +/- fraction of the backoff, seeded draw
   std::uint64_t seed = 1;        // jitter stream
 
   [[nodiscard]] bool enabled() const noexcept { return max_attempts > 1; }
 };
 
-// Throws `InvalidArgument` naming the bad field (zero attempts, negative
-// backoff, multiplier < 1, jitter outside [0, 1)).
+// Throws `InvalidArgument` naming the bad field (zero attempts, negative or
+// non-finite backoff).
 void validate_retry(const RetryPolicy& policy);
 
 // Backoff delay before re-issuing request `request_id` as retry number
 // `attempt` (1-based: the first retry passes 1 and waits `base_backoff_s`,
-// scaled by `multiplier` per further retry, then jittered).  Pure
+// scaled by kBackoffMultiplier per further retry, then jittered).  Pure
 // function of (policy, request_id, attempt): retried schedules replay
 // bit-for-bit regardless of event interleaving.
 [[nodiscard]] double retry_backoff_s(const RetryPolicy& policy, std::uint64_t request_id,
@@ -85,21 +89,21 @@ void validate_retry(const RetryPolicy& policy);
 enum class AdmissionPolicy {
   kNone,      // admit everything (bit-identical to the pre-admission loop)
   kQueueCap,  // reject when the queue already holds `queue_cap` requests
-  kTierShed,  // per-tier caps: queue_cap * tier_shed_factor^tier — lower
+  kTierShed,  // per-tier caps: queue_cap * kTierShedFactor^tier — lower
               // tiers shed first, tier 0 keeps (almost) the full cap
   kSloAware,  // reject when predicted wait + service exceeds the request's SLO
 };
 
+// kTierShed's cap shrink per priority tier.
+inline constexpr double kTierShedFactor = 0.25;
+
 struct AdmissionConfig {
   AdmissionPolicy policy = AdmissionPolicy::kNone;
-  std::size_t queue_cap = 256;     // kQueueCap / kTierShed: tier-0 queue bound
-  double tier_shed_factor = 0.25;  // kTierShed: cap shrink per priority tier
-  double slo_margin = 1.0;         // kSloAware: admit while predicted latency
-                                   // <= slo_margin * SLO
+  std::size_t queue_cap = 256;  // kQueueCap / kTierShed: tier-0 queue bound
 };
 
-// Throws `InvalidArgument` naming the bad field (zero cap, shed factor
-// outside (0, 1], non-positive margin).  A kNone config is always valid.
+// Throws `InvalidArgument` for a zero cap under kQueueCap or kTierShed.  Any
+// other config is valid.
 void validate_admission(const AdmissionConfig& config);
 
 // What an admission decision may look at: the arriving request's tier and
@@ -136,7 +140,6 @@ class SlotFaultProcess {
   // Stops tracking `slot` (retired slots neither fail nor recover).
   void remove_slot(std::size_t slot);
 
-  [[nodiscard]] std::size_t slots() const noexcept { return states_.size(); }
   [[nodiscard]] bool up(std::size_t slot) const noexcept;
 
   // Earliest pending transition instant (+infinity when nothing is tracked)

@@ -177,10 +177,6 @@ bool check_scenario(const Scenario& scenario) {
                             "' must be >= 0");
     }
   }
-  if (!(scenario.sim.slo_scale > 0.0) || !std::isfinite(scenario.sim.slo_scale)) {
-    throw InvalidArgument("Scenario.sim: SimConfig.slo_scale must be positive and finite, got " +
-                          std::to_string(scenario.sim.slo_scale));
-  }
   validate_autoscaler(scenario.sim.autoscaler);
   validate_faults(scenario.sim.faults);
   validate_retry(scenario.sim.retry);
@@ -221,20 +217,6 @@ bool check_scenario(const Scenario& scenario) {
   }
   if (open.request_count < 1) {
     throw InvalidArgument("Scenario.traffic: TraceConfig.request_count must be >= 1");
-  }
-  if (open.process == ArrivalProcess::kBursty) {
-    if (!(open.burst_multiplier >= 1.0) || !std::isfinite(open.burst_multiplier)) {
-      throw InvalidArgument("Scenario.traffic: TraceConfig.burst_multiplier must be finite "
-                            "and >= 1, got " + std::to_string(open.burst_multiplier));
-    }
-    if (!(open.burst_fraction > 0.0 && open.burst_fraction < 1.0)) {
-      throw InvalidArgument("Scenario.traffic: TraceConfig.burst_fraction must be in (0, 1), "
-                            "got " + std::to_string(open.burst_fraction));
-    }
-    if (!(open.mean_burst_s > 0.0) || !std::isfinite(open.mean_burst_s)) {
-      throw InvalidArgument("Scenario.traffic: TraceConfig.mean_burst_s must be positive and "
-                            "finite, got " + std::to_string(open.mean_burst_s));
-    }
   }
   return false;
 }
@@ -382,7 +364,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   for (std::uint32_t w = 0; w < catalog.size(); ++w) {
     slowest = std::max(slowest, caches[first_serving_cache[w]].estimate(w, 1).latency_s);
   }
-  const double slo_s = sim.slo_scale * slowest;
+  const double slo_s = kSloScale * slowest;
   std::vector<double> slo_of(catalog.size(), slo_s);
   for (std::uint32_t w = 0; w < catalog.size(); ++w) {
     if (catalog.at(w).slo_latency_s > 0.0) slo_of[w] = catalog.at(w).slo_latency_s;
@@ -494,7 +476,6 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   std::vector<char> cache_generates(caches.size(), 0);
   std::vector<double> ttft_slo_of;
   std::vector<double> tpot_slo_of;
-  std::vector<std::uint32_t> ctx_bucket_of;
   std::vector<std::uint32_t> native_seq_of;  // prompt length when seq_len == 0
   // Phase-latency samples of completed decode requests (always exact; see
   // LatencyState).
@@ -507,13 +488,11 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     }
     ttft_slo_of.assign(catalog.size(), 0.0);
     tpot_slo_of.assign(catalog.size(), 0.0);
-    ctx_bucket_of.assign(catalog.size(), 32);
     native_seq_of.assign(catalog.size(), 0);
     for (std::uint32_t w = 0; w < catalog.size(); ++w) {
       const DecodeConfig& d = catalog.at(w).decode;
       ttft_slo_of[w] = d.ttft_slo_s;
       tpot_slo_of[w] = d.tpot_slo_s;
-      ctx_bucket_of[w] = static_cast<std::uint32_t>(std::max<std::size_t>(d.ctx_bucket, 1));
       if (catalog.workload(w).kind() == arch::WorkloadKind::kTransformer) {
         native_seq_of[w] =
             static_cast<std::uint32_t>(catalog.workload(w).transformer_config().seq_len);
@@ -729,7 +708,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
 
   // Prices and schedules the next decode step of slot `idx` at `now_s`;
   // `extra_s`/`extra_j` fold in the joiners' prefill.  The step keys on the
-  // widest lane's context, rounded up to the entry's ctx bucket so the step
+  // widest lane's context, rounded up to kDecodeContextGrid so the step
   // cache stays small while contexts grow token by token.
   const auto schedule_decode_step = [&](std::size_t idx, double now_s, double extra_s,
                                         double extra_j) {
@@ -741,8 +720,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
           lane.request.seq_len != 0 ? lane.request.seq_len : native_seq_of[w];
       ctx = std::max(ctx, base + lane.generated);
     }
-    const std::uint32_t bucket = ctx_bucket_of[w];
-    ctx = (ctx + bucket - 1) / bucket * bucket;
+    ctx = (ctx + kDecodeContextGrid - 1) / kDecodeContextGrid * kDecodeContextGrid;
     const PerfReport& r =
         caches[s.cache].decode_step(w, s.lanes.size(), ctx);
     start_step(idx, now_s, r.latency_s + extra_s, r.total_energy_j + extra_j);

@@ -22,7 +22,7 @@
 // that can serve it.  Priority tiers from the catalog's entries make the
 // scheduler pop strict-priority (see scheduler.hpp), and each entry's SLO
 // scores its own completions (per-tenant goodput in `FleetMetrics::tenants`).
-// Requests carry sampled sequence lengths (see SeqLenConfig): batches share a
+// Requests carry sampled prompt lengths (see LengthDist): batches share a
 // (workload, seq-bucket) key and service times come from the seq-aware
 // estimate cache.
 //
@@ -132,12 +132,13 @@ struct FleetConfig {
   [[nodiscard]] std::string label() const;
 };
 
+// Simulation-wide fallback SLO for goodput: kSloScale times the slowest
+// workload's unloaded batch-1 latency, each workload scored on the first
+// fleet slot that can serve it.  Catalog entries with their own
+// `slo_latency_s` are scored against that instead (per-tenant SLOs).
+inline constexpr double kSloScale = 10.0;
+
 struct SimConfig {
-  // Simulation-wide fallback SLO for goodput: `slo_scale` times the slowest
-  // workload's unloaded batch-1 latency, each workload scored on the first
-  // fleet slot that can serve it.  Catalog entries with their own
-  // `slo_latency_s` are scored against that instead (per-tenant SLOs).
-  double slo_scale = 10.0;
   // Elastic serving; `policy == kNone` (the default) keeps the fleet static.
   AutoscalerConfig autoscaler;
   // Robustness knobs (see faults.hpp); all disabled by default, and disabled

@@ -1,6 +1,5 @@
 #include "serve/trace.hpp"
 
-#include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
@@ -15,7 +14,7 @@ std::vector<Request> generate_trace(const WorkloadCatalog& catalog,
   LUMOS_EXPECTS(catalog.size() >= 1);
 
   // Independent streams: arrival times stay identical when only the mix
-  // changes, the mix when only the seqlen distributions change, and so on.
+  // changes, the mix when only the length distributions change, and so on.
   Rng arrival_rng(config.seed, /*stream=*/0xA221);
   Rng mix_rng(config.seed, /*stream=*/0x317C);
   Rng seqlen_rng(config.seed, /*stream=*/0x5E9B);
@@ -32,16 +31,13 @@ std::vector<Request> generate_trace(const WorkloadCatalog& catalog,
   // Two-state MMPP with the long-run mean pinned to offered_qps:
   //   f * high + (1 - f) * low = qps,  high = m * low
   //   => low = qps / (1 + f * (m - 1)).
-  const double f = config.burst_fraction;
-  const double m = config.burst_multiplier;
-  LUMOS_EXPECTS(config.process == ArrivalProcess::kPoisson ||
-                (f > 0.0 && f < 1.0 && m >= 1.0 && std::isfinite(m) &&
-                 config.mean_burst_s > 0.0 && std::isfinite(config.mean_burst_s)));
+  const double f = kBurstFraction;
+  const double m = kBurstMultiplier;
   const double low_qps = config.process == ArrivalProcess::kPoisson
                              ? config.offered_qps
                              : config.offered_qps / (1.0 + f * (m - 1.0));
   const double high_qps = config.process == ArrivalProcess::kPoisson ? low_qps : m * low_qps;
-  const double mean_low_dwell_s = config.mean_burst_s * (1.0 - f) / std::max(f, 1e-12);
+  const double mean_low_dwell_s = kMeanBurstS * (1.0 - f) / f;
 
   std::vector<Request> trace;
   trace.reserve(config.request_count);
@@ -63,17 +59,17 @@ std::vector<Request> generate_trace(const WorkloadCatalog& catalog,
       now = state_end_s;
       high = !high;
       state_end_s =
-          now + arrival_rng.exponential(high ? config.mean_burst_s : mean_low_dwell_s);
+          now + arrival_rng.exponential(high ? kMeanBurstS : mean_low_dwell_s);
     }
     const double u = mix_rng.next_double() * cumulative.back();
     std::uint32_t workload = 0;
     while (cumulative[workload] <= u && workload + 1 < cumulative.size()) ++workload;
-    const std::uint32_t seq_len = sample_seq_len(catalog.at(workload).seqlen, seqlen_rng);
-    trace.push_back({id, now, workload, seq_len});
+    const CatalogEntry& entry = catalog.at(workload);
+    trace.push_back(
+        {id, now, workload, entry.prompt().sample(seqlen_rng, kPromptFloor, kPromptGrid)});
     // Decode lengths draw from their own stream (and decode-free entries draw
     // nothing), so decode-disabled catalogs replay bit-identical traces.
-    trace.back().decode_tokens =
-        sample_decode_tokens(catalog.at(workload).decode, decode_rng);
+    trace.back().decode_tokens = entry.decode.tokens.sample(decode_rng);
   }
   return trace;
 }

@@ -1,14 +1,17 @@
 // Open-loop request traces for the serving simulator.
 //
 // Traces are materialised up front (arrival time + workload index + sampled
-// sequence length per request) so a simulation is exactly replayable: the
-// same `TraceConfig` always produces the same trace, independent of
-// scheduler, fleet, and `LUMOS_THREADS`.  Arrival processes: Poisson, and a
-// two-state Markov-modulated Poisson process (bursty) whose long-run rate
-// equals the offered QPS.  Arrival times, the workload mix, and sequence
-// lengths draw from independent rng streams, so catalogs whose entries are
-// all fixed-length produce arrival sequences bit-identical to pre-seqlen
-// traces.
+// prompt and decode lengths per request) so a simulation is exactly
+// replayable: the same `TraceConfig` always produces the same trace,
+// independent of scheduler, fleet, and `LUMOS_THREADS`.  Arrival processes:
+// Poisson, and a two-state Markov-modulated Poisson process (bursty) whose
+// long-run rate equals the offered QPS: its high state arrives
+// kBurstMultiplier (4) times faster than its low state, is occupied
+// kBurstFraction (0.2) of the time in the long run, and has exponential dwells
+// of mean kMeanBurstS (50 ms).  Arrival times, the workload mix, prompt
+// lengths and decode lengths draw from independent rng streams, so catalogs
+// whose entries are all fixed-length produce arrival sequences bit-identical
+// to pre-seqlen traces.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +28,8 @@ struct Request {
   std::uint64_t id = 0;
   double arrival_s = 0.0;
   std::uint32_t workload = 0;  // WorkloadCatalog index
-  // Sampled sequence length (bucketised; see SeqLenConfig); 0 means "the
-  // entry's native config" — the only value fixed-length entries produce.
+  // Sampled prompt length (on the kPromptGrid grid; see LengthDist); 0 means
+  // "the entry's native config", the only value fixed-length entries produce.
   std::uint32_t seq_len = 0;
   // Closed-loop session that issued the request (kNoSession for open loop).
   std::uint32_t session = kNoSession;
@@ -44,21 +47,21 @@ struct Request {
 
 enum class ArrivalProcess { kPoisson, kBursty };
 
+// The bursty process's high-to-low rate ratio, long-run share of time in the
+// high state, and mean high-state dwell.
+inline constexpr double kBurstMultiplier = 4.0;
+inline constexpr double kBurstFraction = 0.2;
+inline constexpr double kMeanBurstS = 0.05;
+
 struct TraceConfig {
   double offered_qps = 1000.0;
   std::size_t request_count = 100000;
   ArrivalProcess process = ArrivalProcess::kPoisson;
-  // Bursty process: the high state arrives `burst_multiplier` times faster
-  // than the low state, is occupied `burst_fraction` of the time in the long
-  // run, and has exponentially distributed dwells of mean `mean_burst_s`.
-  double burst_multiplier = 4.0;
-  double burst_fraction = 0.2;
-  double mean_burst_s = 0.05;
   std::uint64_t seed = 1;
 };
 
 // Arrival-time-ordered trace over `catalog`'s mix (weights are the workloads'
-// `mix_weight`s; sequence lengths sample each entry's `seqlen` distribution).
+// `mix_weight`s; each request draws its entry's prompt and decode lengths).
 [[nodiscard]] std::vector<Request> generate_trace(const WorkloadCatalog& catalog,
                                                   const TraceConfig& config);
 

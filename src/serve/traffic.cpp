@@ -92,11 +92,11 @@ void ClosedLoopSource::schedule(std::uint32_t session, double not_before_s) {
   Session& s = sessions_[session];
   const double think_s =
       config_.think_time_mean_s > 0.0 ? s.rng.exponential(config_.think_time_mean_s) : 0.0;
-  const std::uint32_t seq_len = sample_seq_len(catalog_->at(s.workload).seqlen, s.rng);
+  const CatalogEntry& entry = catalog_->at(s.workload);
+  const std::uint32_t seq_len = entry.prompt().sample(s.rng, kPromptFloor, kPromptGrid);
   // Decode-free tenants draw nothing here, so their sessions' streams (and
   // every pre-decode scenario) replay bit-identically.
-  const std::uint32_t decode_tokens =
-      sample_decode_tokens(catalog_->at(s.workload).decode, s.rng);
+  const std::uint32_t decode_tokens = entry.decode.tokens.sample(s.rng);
   pending_.push({not_before_s + think_s, session, seq_len, decode_tokens});
 }
 

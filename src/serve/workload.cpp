@@ -8,99 +8,49 @@
 
 namespace lumos::serve {
 
-void validate_seqlen(const SeqLenConfig& config, const std::string& workload) {
-  if (config.dist == SeqLenDist::kFixed) return;
-  if (config.bucket < 1) {
-    throw InvalidArgument("seqlen.bucket for workload '" + workload + "' must be >= 1");
+namespace {
+
+// `shape` around `center`, rejected unless the center is at least 1 and every
+// draw fits 32 bits.
+LengthDist checked_dist(SeqLenDist shape, std::size_t center, std::uint32_t floor,
+                        const char* caller) {
+  constexpr std::uint64_t kMax = 0xFFFFFFFFull;
+  const LengthDist dist{shape, static_cast<std::uint32_t>(std::min<std::uint64_t>(center, kMax))};
+  if (center < 1 || center > kMax || dist.upper(floor) > kMax) {
+    throw InvalidArgument(std::string(caller) + ": lengths around " + std::to_string(center) +
+                          " must be >= 1 and fit 32 bits");
   }
-  if (config.min_len < 1 || config.max_len < config.min_len) {
-    throw InvalidArgument("seqlen bounds for workload '" + workload +
-                          "' must satisfy 1 <= min_len <= max_len, got [" +
-                          std::to_string(config.min_len) + ", " +
-                          std::to_string(config.max_len) + "]");
-  }
-  if (config.max_len > 0xFFFFFFFFull) {
-    throw InvalidArgument("seqlen.max_len for workload '" + workload +
-                          "' must fit 32 bits");
-  }
-  if (config.dist == SeqLenDist::kLogNormal &&
-      (!std::isfinite(config.log_mean) || !(config.log_sigma > 0.0) ||
-       !std::isfinite(config.log_sigma))) {
-    throw InvalidArgument("seqlen log-normal parameters for workload '" + workload +
-                          "' must be finite with log_sigma > 0");
-  }
+  return dist;
 }
 
-std::uint32_t sample_seq_len(const SeqLenConfig& config, Rng& rng) {
-  if (config.dist == SeqLenDist::kFixed) return 0;
+}  // namespace
+
+std::uint64_t LengthDist::upper(std::uint32_t floor) const noexcept {
+  const std::uint64_t scale = shape == SeqLenDist::kUniform     ? 2
+                              : shape == SeqLenDist::kLogNormal ? 4
+                                                                : 1;
+  return std::max<std::uint64_t>(floor, scale * center);
+}
+
+std::uint32_t LengthDist::sample(Rng& rng, std::uint32_t floor, std::uint32_t grid) const {
+  if (shape == SeqLenDist::kFixed) return center;
+  const std::uint64_t hi = upper(floor);
+  std::uint64_t lo = floor;
   double len;
-  if (config.dist == SeqLenDist::kUniform) {
-    const auto span = static_cast<std::uint32_t>(config.max_len - config.min_len + 1);
-    len = static_cast<double>(config.min_len + rng.next_below(span));
+  if (shape == SeqLenDist::kUniform) {
+    lo = std::max<std::uint64_t>(floor, center / 2);
+    len = static_cast<double>(lo + rng.next_below(static_cast<std::uint32_t>(hi - lo + 1)));
   } else {
-    len = std::exp(rng.normal(config.log_mean, config.log_sigma));
+    len = std::exp(rng.normal(std::log(static_cast<double>(center)), 0.5));
   }
-  const double clamped = std::clamp(len, static_cast<double>(config.min_len),
-                                    static_cast<double>(config.max_len));
-  // Discretise: round up to the bucket grid, capped at max_len (which may sit
-  // off-grid — then max_len itself is the last bucket).
-  const auto bucket = static_cast<std::uint64_t>(config.bucket);
+  const double clamped = std::clamp(len, static_cast<double>(lo), static_cast<double>(hi));
   const auto raw = static_cast<std::uint64_t>(std::ceil(clamped));
-  const std::uint64_t gridded = ((raw + bucket - 1) / bucket) * bucket;
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(gridded, static_cast<std::uint64_t>(config.max_len)));
+  return static_cast<std::uint32_t>(std::min(hi, (raw + grid - 1) / grid * grid));
 }
 
-void validate_decode(const DecodeConfig& config, const std::string& workload) {
-  if (!config.enabled()) return;
-  if (config.ctx_bucket < 1) {
-    throw InvalidArgument("decode.ctx_bucket for workload '" + workload + "' must be >= 1");
-  }
-  if (config.dist == SeqLenDist::kFixed) {
-    if (config.tokens > 0xFFFFFFFFull) {
-      throw InvalidArgument("decode.tokens for workload '" + workload +
-                            "' must fit 32 bits");
-    }
-  } else {
-    if (config.min_tokens < 1 || config.max_tokens < config.min_tokens) {
-      throw InvalidArgument("decode bounds for workload '" + workload +
-                            "' must satisfy 1 <= min_tokens <= max_tokens, got [" +
-                            std::to_string(config.min_tokens) + ", " +
-                            std::to_string(config.max_tokens) + "]");
-    }
-    if (config.max_tokens > 0xFFFFFFFFull) {
-      throw InvalidArgument("decode.max_tokens for workload '" + workload +
-                            "' must fit 32 bits");
-    }
-  }
-  if (config.dist == SeqLenDist::kLogNormal &&
-      (!std::isfinite(config.log_mean) || !(config.log_sigma > 0.0) ||
-       !std::isfinite(config.log_sigma))) {
-    throw InvalidArgument("decode log-normal parameters for workload '" + workload +
-                          "' must be finite with log_sigma > 0");
-  }
-  for (const auto& [slo, what] : {std::pair<double, const char*>{config.ttft_slo_s, "ttft_slo_s"},
-                                  {config.tpot_slo_s, "tpot_slo_s"}}) {
-    if (slo < 0.0 || !std::isfinite(slo)) {
-      throw InvalidArgument(std::string("decode.") + what + " for workload '" + workload +
-                            "' must be >= 0 and finite, got " + std::to_string(slo));
-    }
-  }
-}
-
-std::uint32_t sample_decode_tokens(const DecodeConfig& config, Rng& rng) {
-  if (!config.enabled()) return 0;
-  if (config.dist == SeqLenDist::kFixed) return static_cast<std::uint32_t>(config.tokens);
-  double tokens;
-  if (config.dist == SeqLenDist::kUniform) {
-    const auto span = static_cast<std::uint32_t>(config.max_tokens - config.min_tokens + 1);
-    tokens = static_cast<double>(config.min_tokens + rng.next_below(span));
-  } else {
-    tokens = std::exp(rng.normal(config.log_mean, config.log_sigma));
-  }
-  const double clamped = std::clamp(tokens, static_cast<double>(config.min_tokens),
-                                    static_cast<double>(config.max_tokens));
-  return static_cast<std::uint32_t>(std::ceil(clamped));
+LengthDist CatalogEntry::prompt() const {
+  if (seqlen == SeqLenDist::kFixed) return {};
+  return {seqlen, static_cast<std::uint32_t>(workload.transformer_config().seq_len)};
 }
 
 void WorkloadCatalog::add(arch::Workload workload, double weight) {
@@ -108,7 +58,7 @@ void WorkloadCatalog::add(arch::Workload workload, double weight) {
     throw InvalidArgument("mix_weight for workload '" + workload.name() +
                           "' must be positive and finite, got " + std::to_string(weight));
   }
-  entries_.push_back(CatalogEntry{std::move(workload), weight, 0.0, 0, SeqLenConfig{}, 0.0,
+  entries_.push_back(CatalogEntry{std::move(workload), weight, 0.0, 0, SeqLenDist::kFixed, 0.0,
                                   DecodeConfig{}});
 }
 
@@ -168,42 +118,14 @@ void WorkloadCatalog::apply_default_tiers() {
   for (CatalogEntry& e : entries_) e.priority = e.mix_weight >= mean ? 0 : 1;
 }
 
-void WorkloadCatalog::set_seqlen(std::size_t i, const SeqLenConfig& config) {
-  LUMOS_EXPECTS(i < entries_.size());
-  CatalogEntry& e = entries_[i];
-  validate_seqlen(config, e.workload.name());
-  if (config.dist != SeqLenDist::kFixed &&
-      e.workload.kind() != arch::WorkloadKind::kTransformer) {
-    throw InvalidArgument("workload '" + e.workload.name() + "' is a " +
-                          arch::workload_kind_name(e.workload.kind()) +
-                          " workload and cannot sample sequence lengths");
-  }
-  e.seqlen = config;
-}
-
 void WorkloadCatalog::apply_seqlen_dist(SeqLenDist dist) {
   bool any = false;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const CatalogEntry& e = entries_[i];
+  for (CatalogEntry& e : entries_) {
     if (e.workload.kind() != arch::WorkloadKind::kTransformer) continue;
     any = true;
-    if (dist == SeqLenDist::kFixed) {
-      set_seqlen(i, SeqLenConfig{});
-      continue;
-    }
-    const std::size_t native = e.workload.transformer_config().seq_len;
-    SeqLenConfig cfg;
-    cfg.dist = dist;
-    if (dist == SeqLenDist::kUniform) {
-      cfg.min_len = std::max<std::size_t>(16, native / 2);
-      cfg.max_len = std::max<std::size_t>(cfg.min_len, 2 * native);
-    } else {
-      cfg.min_len = 16;
-      cfg.max_len = std::max<std::size_t>(cfg.min_len, 4 * native);
-      cfg.log_mean = std::log(static_cast<double>(std::max<std::size_t>(native, 1)));
-      cfg.log_sigma = 0.5;
-    }
-    set_seqlen(i, cfg);
+    (void)checked_dist(dist, e.workload.transformer_config().seq_len, kPromptFloor,
+                       "apply_seqlen_dist");
+    e.seqlen = dist;
   }
   if (!any) {
     throw InvalidArgument(
@@ -211,39 +133,13 @@ void WorkloadCatalog::apply_seqlen_dist(SeqLenDist dist) {
   }
 }
 
-void WorkloadCatalog::set_decode(std::size_t i, const DecodeConfig& config) {
-  LUMOS_EXPECTS(i < entries_.size());
-  CatalogEntry& e = entries_[i];
-  validate_decode(config, e.workload.name());
-  if (config.enabled() && e.workload.kind() != arch::WorkloadKind::kTransformer) {
-    throw InvalidArgument("workload '" + e.workload.name() + "' is a " +
-                          arch::workload_kind_name(e.workload.kind()) +
-                          " workload and cannot decode tokens");
-  }
-  e.decode = config;
-}
-
 void WorkloadCatalog::apply_decode(SeqLenDist dist, std::size_t tokens) {
-  if (tokens == 0) throw InvalidArgument("apply_decode: tokens must be >= 1");
+  const LengthDist length = checked_dist(dist, tokens, 1, "apply_decode");
   bool any = false;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const CatalogEntry& e = entries_[i];
+  for (CatalogEntry& e : entries_) {
     if (e.workload.kind() != arch::WorkloadKind::kTransformer) continue;
     any = true;
-    DecodeConfig cfg;
-    cfg.dist = dist;
-    if (dist == SeqLenDist::kFixed) {
-      cfg.tokens = tokens;
-    } else if (dist == SeqLenDist::kUniform) {
-      cfg.min_tokens = std::max<std::size_t>(1, tokens / 2);
-      cfg.max_tokens = std::max<std::size_t>(cfg.min_tokens, 2 * tokens);
-    } else {
-      cfg.min_tokens = 1;
-      cfg.max_tokens = std::max<std::size_t>(1, 4 * tokens);
-      cfg.log_mean = std::log(static_cast<double>(tokens));
-      cfg.log_sigma = 0.5;
-    }
-    set_decode(i, cfg);
+    e.decode = DecodeConfig{length};
   }
   if (!any) {
     throw InvalidArgument(
@@ -252,13 +148,16 @@ void WorkloadCatalog::apply_decode(SeqLenDist dist, std::size_t tokens) {
 }
 
 void WorkloadCatalog::apply_token_slos(double ttft_slo_s, double tpot_slo_s) {
+  for (const double slo : {ttft_slo_s, tpot_slo_s}) {
+    if (!(slo >= 0.0) || !std::isfinite(slo)) {
+      throw InvalidArgument("apply_token_slos: per-token SLOs must be >= 0 and finite, got " +
+                            std::to_string(slo));
+    }
+  }
   for (CatalogEntry& e : entries_) {
     if (!e.decode.enabled()) continue;
-    DecodeConfig cfg = e.decode;
-    cfg.ttft_slo_s = ttft_slo_s;
-    cfg.tpot_slo_s = tpot_slo_s;
-    validate_decode(cfg, e.workload.name());
-    e.decode = cfg;
+    e.decode.ttft_slo_s = ttft_slo_s;
+    e.decode.tpot_slo_s = tpot_slo_s;
   }
 }
 
@@ -278,13 +177,6 @@ double WorkloadCatalog::total_weight() const noexcept {
   double total = 0.0;
   for (const CatalogEntry& e : entries_) total += e.mix_weight;
   return total;
-}
-
-std::vector<std::string> WorkloadCatalog::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const CatalogEntry& e : entries_) out.push_back(e.workload.name());
-  return out;
 }
 
 std::vector<std::uint32_t> WorkloadCatalog::priorities() const {

@@ -8,6 +8,11 @@
 // a synthetic graph is generated once and referenced by every workload,
 // cache, and simulation point that scores it.
 //
+// Each entry draws its requests' prompt and decode lengths from one
+// `LengthDist` each, a shape around a center with one bounds rule: prompts
+// around the native sequence length (at least kPromptFloor tokens, on a
+// kPromptGrid grid), decode around the token count `apply_decode` names.
+//
 // Accelerator configurations are named `arch::SpecRegistry` specs ("tron",
 // "ghost-eco", "tron@0.5", ...) — see arch/registry.hpp; the old
 // dual-config `AcceleratorSpec` struct is gone.
@@ -23,80 +28,65 @@
 
 namespace lumos::serve {
 
-// Per-request sequence-length distribution of one catalog entry.  Sampled
-// lengths are discretised: rounded up to a multiple of `bucket` and clamped to
-// [min_len, max_len], so batches can share a (workload, seq-bucket) key and
-// the estimate cache stays bounded.  `kFixed` samples nothing — requests carry
-// seq 0, meaning "the entry's native config" — and is the bit-compatible
-// default for every pre-seqlen trace and simulation.
+// The shape of a per-request length distribution around a center c (see
+// LengthDist).  Prompt lengths and decode lengths share it.
 enum class SeqLenDist {
-  kFixed,      // every request uses the entry's native sequence length
-  kUniform,    // uniform over [min_len, max_len]
-  kLogNormal,  // exp(N(log_mean, log_sigma)), clamped to [min_len, max_len]
+  kFixed,      // c itself; no draw
+  kUniform,    // uniform over [max(floor, c/2), max(that, 2c)]
+  kLogNormal,  // exp(N(ln c, 0.5)), clamped to [floor, max(floor, 4c)]
 };
 
-struct SeqLenConfig {
-  SeqLenDist dist = SeqLenDist::kFixed;
-  std::size_t min_len = 16;   // lower clamp (uniform lower bound)
-  std::size_t max_len = 512;  // upper clamp (uniform upper bound)
-  double log_mean = 5.0;      // log-normal: mean of ln(length)
-  double log_sigma = 0.5;     // log-normal: stddev of ln(length)
-  std::size_t bucket = 32;    // sampled lengths round up to a multiple of this
+// One per-request length distribution: a shape around a center.  A draw
+// rounds up to a multiple of `grid`, capped at its upper bound (which may sit
+// off the grid; then it is the last bucket).  Prompts center on the entry's
+// native sequence length with floor kPromptFloor and grid kPromptGrid, so
+// batches share a (workload, seq-bucket) key and the estimate cache stays
+// bounded; decode lengths center on the requested token count with floor 1
+// and grid 1.
+struct LengthDist {
+  SeqLenDist shape = SeqLenDist::kFixed;
+  std::uint32_t center = 0;
+
+  // The largest draw: max(floor, c), max(floor, 2c) or max(floor, 4c).
+  [[nodiscard]] std::uint64_t upper(std::uint32_t floor = 1) const noexcept;
+  // One draw.  kFixed returns the center and consumes no draw, so fixed
+  // entries never perturb the rng stream they share with sampled entries.
+  [[nodiscard]] std::uint32_t sample(Rng& rng, std::uint32_t floor = 1,
+                                     std::uint32_t grid = 1) const;
 };
 
-// Throws `InvalidArgument` naming `workload` and the bad field (zero bucket,
-// inverted bounds, non-finite / non-positive log-normal parameters).  A
-// kFixed config is always valid.
-void validate_seqlen(const SeqLenConfig& config, const std::string& workload);
+inline constexpr std::uint32_t kPromptFloor = 16;
+inline constexpr std::uint32_t kPromptGrid = 32;
 
-// One sampled, bucketised sequence length (0 for kFixed: no draw is consumed,
-// so fixed entries never perturb the rng stream shared with sampled entries).
-[[nodiscard]] std::uint32_t sample_seq_len(const SeqLenConfig& config, Rng& rng);
-
-// Per-request decode-length distribution of one catalog entry (autoregressive
-// generation).  The default — kFixed with `tokens == 0` — disables decode:
-// the entry serves one monolithic prefill, bit-identical to the pre-decode
-// event loop.  Any enabled shape makes each request generate a sampled number
-// of tokens after its prefill, scheduled per token (continuous batching).
-// `ttft_slo_s` / `tpot_slo_s` are the per-token SLO contracts reported next
-// to the end-to-end SLO (0 disables each).
+// Per-request decode (autoregressive generation) of one catalog entry.  The
+// default, a center of 0, disables decode: the entry serves one monolithic
+// prefill, bit-identical to the pre-decode event loop.  An enabled entry
+// generates `tokens.sample(rng)` tokens after each prefill, scheduled per
+// token.  `ttft_slo_s` / `tpot_slo_s` are the per-token SLO contracts
+// reported next to the end-to-end SLO (0 disables each).
 struct DecodeConfig {
-  SeqLenDist dist = SeqLenDist::kFixed;
-  std::size_t tokens = 0;        // kFixed: tokens per request (0 = decode off)
-  std::size_t min_tokens = 1;    // lower clamp (uniform lower bound)
-  std::size_t max_tokens = 256;  // upper clamp (uniform upper bound)
-  double log_mean = 4.0;         // log-normal: mean of ln(tokens)
-  double log_sigma = 0.5;        // log-normal: stddev of ln(tokens)
-  std::size_t ctx_bucket = 32;   // KV context rounds up to this grid in the step cache
-  double ttft_slo_s = 0.0;       // time-to-first-token SLO; 0 disables
-  double tpot_slo_s = 0.0;       // time-per-output-token SLO; 0 disables
+  LengthDist tokens;
+  double ttft_slo_s = 0.0;  // time-to-first-token SLO; 0 disables
+  double tpot_slo_s = 0.0;  // time-per-output-token SLO; 0 disables
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return dist != SeqLenDist::kFixed || tokens > 0;
-  }
+  [[nodiscard]] bool enabled() const noexcept { return tokens.center > 0; }
 };
-
-// Throws `InvalidArgument` naming `workload` and the bad field (zero
-// ctx_bucket, inverted bounds, non-finite log-normal parameters, negative /
-// non-finite per-token SLOs).  A disabled config is always valid.
-void validate_decode(const DecodeConfig& config, const std::string& workload);
-
-// One sampled decode length, clamped to the config's bounds (0 when decode is
-// disabled: no draw is consumed, so decode-free entries never perturb the rng
-// stream shared with decoding entries).
-[[nodiscard]] std::uint32_t sample_decode_tokens(const DecodeConfig& config, Rng& rng);
 
 // One entry of a serving mix.  `slo_latency_s` and `priority` make SLOs and
 // scheduling tiers per-tenant: a catalog entry is one tenant's contract;
-// `seqlen` is the tenant's per-request sequence-length distribution.
+// `seqlen` is the shape of the tenant's prompt lengths.
 struct CatalogEntry {
   arch::Workload workload;
   double mix_weight = 1.0;     // relative arrival probability
   double slo_latency_s = 0.0;  // per-tenant SLO; 0 falls back to the sim-wide SLO
   std::uint32_t priority = 0;  // strict scheduler tier (lower = more urgent)
-  SeqLenConfig seqlen;         // per-request sequence lengths (default: fixed)
+  SeqLenDist seqlen = SeqLenDist::kFixed;  // prompt-length shape (default: fixed)
   double timeout_s = 0.0;      // per-request timeout; 0 (default) disables
   DecodeConfig decode;         // per-request decode lengths (default: disabled)
+
+  // The prompt-length distribution: `seqlen` around the native sequence
+  // length.  A fixed entry centers on 0, "the entry's native config".
+  [[nodiscard]] LengthDist prompt() const;
 };
 
 // The (possibly mixed-kind) workload mix a fleet serves.
@@ -124,28 +114,19 @@ class WorkloadCatalog {
   // of traffic, read: interactive tenants) get tier 0, the rest tier 1.
   void apply_default_tiers();
 
-  // Per-tenant sequence-length distributions.  Validates `config` (see
-  // validate_seqlen); a non-fixed distribution on a GNN entry throws
-  // `InvalidArgument` (graphs have no sequence dimension).
-  void set_seqlen(std::size_t i, const SeqLenConfig& config);
-  // Convenience: `dist` over every transformer entry, with bounds derived
-  // from each entry's native sequence length (uniform: [native/2, 2*native];
-  // log-normal: median at the native length, clamped to [16, 4*native]).
-  // Throws when the catalog holds no transformer entry.  GNN entries stay
-  // fixed.
+  // Prompt lengths of shape `dist` around each transformer entry's native
+  // sequence length (see LengthDist).  GNN entries, which have no sequence
+  // dimension, stay fixed.  Throws `InvalidArgument` when the catalog holds no
+  // transformer entry, or when a draw could pass 32 bits.
   void apply_seqlen_dist(SeqLenDist dist);
-
-  // Per-tenant decode-length distributions.  Validates `config` (see
-  // validate_decode); an enabled decode on a GNN entry throws
-  // `InvalidArgument` (graphs have no autoregressive loop).
-  void set_decode(std::size_t i, const DecodeConfig& config);
-  // Convenience: decode of `dist` shape around `tokens` generated tokens on
-  // every transformer entry (fixed: exactly `tokens`; uniform:
-  // [max(1, tokens/2), 2*tokens]; log-normal: median at `tokens`, clamped to
-  // [1, 4*tokens]).  Throws when the catalog holds no transformer entry to
-  // decode on.  GNN entries stay disabled.
+  // Decode of shape `dist` around `tokens` generated tokens on every
+  // transformer entry, resetting its per-token SLOs.  GNN entries, which have
+  // no autoregressive loop, stay disabled.  Throws `InvalidArgument` for 0
+  // tokens, when a draw could pass 32 bits, or when the catalog holds no
+  // transformer entry to decode on.
   void apply_decode(SeqLenDist dist, std::size_t tokens);
   // Per-token SLOs on every decode-enabled entry (0 leaves that gate off).
+  // Throws `InvalidArgument` for a negative or non-finite SLO.
   void apply_token_slos(double ttft_slo_s, double tpot_slo_s);
   // True if any entry decodes.
   [[nodiscard]] bool has_decode() const noexcept;
@@ -160,8 +141,6 @@ class WorkloadCatalog {
   // Per-workload-index scheduler tiers (empty when every entry is tier 0, the
   // form schedulers treat as "no priorities": bit-identical to pre-tier runs).
   [[nodiscard]] std::vector<std::uint32_t> priorities() const;
-  // Entry names in catalog order (timeline exports, per-tenant labelling).
-  [[nodiscard]] std::vector<std::string> names() const;
 
   // Default serving mixes over the registry's models/datasets.
   [[nodiscard]] static WorkloadCatalog tron_default();

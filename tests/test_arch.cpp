@@ -377,7 +377,6 @@ TEST(ServeParity, CampaignMatchesDirectSimulation) {
   policy.max_batch = 8;
   policy.max_wait_s = cfg.base.batch.max_wait_s;
   serve::SimConfig sim_cfg;
-  sim_cfg.slo_scale = cfg.base.sim.slo_scale;
   const serve::FleetMetrics direct =
       simulate_trace(serve::FleetConfig::homogeneous("tron", 2), catalog,
                       serve::generate_trace(catalog, tc), serve::SchedulerKind::kDynamicBatch,

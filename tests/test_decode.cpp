@@ -1,11 +1,12 @@
 // Tests for autoregressive decode serving: the TRON per-step cost model's
-// consistency with `estimate_generation`, DecodeConfig validation and
-// sampling, catalog decode plumbing, the event loop's prefill+decode split
+// consistency with `estimate_generation`, decode-length sampling, catalog
+// decode plumbing, the event loop's prefill+decode split
 // (TTFT/TPOT accounting, token conservation under faults), the
 // monolithic-vs-continuous scheduling contract, scheduler `pop_joiners`
 // semantics, and parity across the sharded and campaign drivers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -105,80 +106,42 @@ TEST(TronDecode, GhostHasNoDecodePath) {
 }
 
 // ---------------------------------------------------------------------------
-// DecodeConfig validation and sampling
+// Decode-length sampling (LengthDist at floor 1 and grid 1)
 // ---------------------------------------------------------------------------
 
-TEST(DecodeValidation, DisabledConfigIsAlwaysValid) {
-  DecodeConfig off;
-  off.ctx_bucket = 0;  // only checked when decode is enabled
-  EXPECT_NO_THROW(validate_decode(off, "bert-base"));
-}
-
-TEST(DecodeValidation, NamesBadFields) {
-  DecodeConfig cfg;
-  cfg.dist = SeqLenDist::kUniform;
-  cfg.min_tokens = 32;
-  cfg.max_tokens = 8;  // inverted bounds
-  EXPECT_THROW(validate_decode(cfg, "bert-base"), InvalidArgument);
-
-  cfg = DecodeConfig{};
-  cfg.tokens = 8;
-  cfg.ctx_bucket = 0;
-  EXPECT_THROW(validate_decode(cfg, "bert-base"), InvalidArgument);
-
-  cfg = DecodeConfig{};
-  cfg.dist = SeqLenDist::kLogNormal;
-  cfg.log_sigma = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(validate_decode(cfg, "bert-base"), InvalidArgument);
-
-  cfg = DecodeConfig{};
-  cfg.tokens = 8;
-  cfg.ttft_slo_s = -1e-3;
-  EXPECT_THROW(validate_decode(cfg, "bert-base"), InvalidArgument);
-  cfg.ttft_slo_s = 0.0;
-  cfg.tpot_slo_s = -1e-6;
-  EXPECT_THROW(validate_decode(cfg, "bert-base"), InvalidArgument);
-}
-
-// A disabled config consumes no draw, so decode-free entries never perturb
+// A disabled decode consumes no draw, so decode-free entries never perturb
 // the rng stream they share with decoding entries (the same contract
-// sequence-length sampling keeps).
+// prompt-length sampling keeps).
 TEST(DecodeSampling, DisabledConsumesNoDraw) {
-  DecodeConfig off;
-  DecodeConfig uniform;
-  uniform.dist = SeqLenDist::kUniform;
-  uniform.min_tokens = 4;
-  uniform.max_tokens = 64;
-
+  const LengthDist off;
+  const LengthDist uniform{SeqLenDist::kUniform, 32};
   Rng with_disabled(7);
-  EXPECT_EQ(sample_decode_tokens(off, with_disabled), 0u);
+  EXPECT_EQ(off.sample(with_disabled), 0u);
   Rng fresh(7);
-  EXPECT_EQ(sample_decode_tokens(uniform, with_disabled),
-            sample_decode_tokens(uniform, fresh));
+  EXPECT_EQ(uniform.sample(with_disabled), uniform.sample(fresh));
 }
 
+// Fixed is the center; uniform spans [max(1, c/2), 2c], both ends drawn (15
+// is odd, so c/2 rounds down to 7); log-normal stays in [1, 4c].
 TEST(DecodeSampling, FixedAndBoundedDraws) {
-  DecodeConfig fixed;
-  fixed.tokens = 24;
   Rng rng(11);
-  EXPECT_EQ(sample_decode_tokens(fixed, rng), 24u);
-
-  DecodeConfig uniform;
-  uniform.dist = SeqLenDist::kUniform;
-  uniform.min_tokens = 4;
-  uniform.max_tokens = 64;
-  DecodeConfig lognormal;
-  lognormal.dist = SeqLenDist::kLogNormal;
-  lognormal.min_tokens = 1;
-  lognormal.max_tokens = 256;
-  for (int i = 0; i < 200; ++i) {
-    const std::uint32_t u = sample_decode_tokens(uniform, rng);
-    EXPECT_GE(u, 4u);
-    EXPECT_LE(u, 64u);
-    const std::uint32_t l = sample_decode_tokens(lognormal, rng);
+  EXPECT_EQ((LengthDist{SeqLenDist::kFixed, 24}.sample(rng)), 24u);
+  const LengthDist uniform{SeqLenDist::kUniform, 15};
+  const LengthDist lognormal{SeqLenDist::kLogNormal, 32};
+  EXPECT_EQ(uniform.upper(), 30u);
+  EXPECT_EQ(lognormal.upper(), 128u);
+  std::uint32_t lowest = 0xFFFFFFFFu;
+  std::uint32_t highest = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint32_t u = uniform.sample(rng);
+    lowest = std::min(lowest, u);
+    highest = std::max(highest, u);
+    const std::uint32_t l = lognormal.sample(rng);
     EXPECT_GE(l, 1u);
-    EXPECT_LE(l, 256u);
+    EXPECT_LE(l, 128u);
   }
+  EXPECT_EQ(lowest, 7u);
+  EXPECT_EQ(highest, 30u);
 }
 
 // ---------------------------------------------------------------------------
@@ -192,7 +155,8 @@ TEST(CatalogDecode, ApplyDecodeTargetsEveryTransformerEntry) {
   EXPECT_TRUE(catalog.has_decode());
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     EXPECT_TRUE(catalog.at(i).decode.enabled());
-    EXPECT_EQ(catalog.at(i).decode.tokens, 16u);
+    EXPECT_EQ(catalog.at(i).decode.tokens.shape, SeqLenDist::kFixed);
+    EXPECT_EQ(catalog.at(i).decode.tokens.center, 16u);
   }
 }
 
@@ -210,12 +174,22 @@ TEST(CatalogDecode, MixedCatalogLeavesGnnEntriesDisabled) {
 }
 
 TEST(CatalogDecode, GnnEntriesRejectDecode) {
-  WorkloadCatalog ghost = WorkloadCatalog::ghost_default();
-  DecodeConfig cfg;
-  cfg.tokens = 8;
-  EXPECT_THROW(ghost.set_decode(0, cfg), InvalidArgument);
   // No transformer entry to decode on at all.
+  WorkloadCatalog ghost = WorkloadCatalog::ghost_default();
   EXPECT_THROW(ghost.apply_decode(SeqLenDist::kFixed, 8), InvalidArgument);
+}
+
+// Every draw must fit the request's 32-bit decode length: the center itself
+// when fixed, 2c when uniform, 4c when log-normal.  Zero tokens is no decode.
+TEST(CatalogDecode, CentersKeepEveryDrawIn32Bits) {
+  WorkloadCatalog catalog = WorkloadCatalog::tron_default();
+  EXPECT_THROW(catalog.apply_decode(SeqLenDist::kFixed, 0), InvalidArgument);
+  EXPECT_THROW(catalog.apply_decode(SeqLenDist::kFixed, 0x100000000ull), InvalidArgument);
+  EXPECT_NO_THROW(catalog.apply_decode(SeqLenDist::kFixed, 0xFFFFFFFFull));
+  EXPECT_NO_THROW(catalog.apply_decode(SeqLenDist::kUniform, 0x7FFFFFFFull));
+  EXPECT_THROW(catalog.apply_decode(SeqLenDist::kUniform, 0x80000000ull), InvalidArgument);
+  EXPECT_NO_THROW(catalog.apply_decode(SeqLenDist::kLogNormal, 0x3FFFFFFFull));
+  EXPECT_THROW(catalog.apply_decode(SeqLenDist::kLogNormal, 0x40000000ull), InvalidArgument);
 }
 
 TEST(CatalogDecode, TokenSlosApplyToDecodingEntriesOnly) {
@@ -230,6 +204,11 @@ TEST(CatalogDecode, TokenSlosApplyToDecodingEntriesOnly) {
       EXPECT_DOUBLE_EQ(catalog.at(i).decode.ttft_slo_s, 0.0);
     }
   }
+  // A negative or non-finite per-token SLO is an error, not a disabled gate.
+  EXPECT_THROW(catalog.apply_token_slos(-1e-3, 0.0), InvalidArgument);
+  EXPECT_THROW(catalog.apply_token_slos(0.0, -1e-6), InvalidArgument);
+  EXPECT_THROW(catalog.apply_token_slos(std::numeric_limits<double>::quiet_NaN(), 0.0),
+               InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -454,7 +433,6 @@ TEST(DecodeParity, CampaignPointMatchesDirectSimulation) {
   policy.max_batch = 8;
   policy.max_wait_s = cfg.base.batch.max_wait_s;
   SimConfig sim_cfg;
-  sim_cfg.slo_scale = cfg.base.sim.slo_scale;
   sim_cfg.decode_mode = DecodeMode::kContinuous;
   const FleetMetrics serial =
       simulate_trace(FleetConfig::homogeneous("tron", 2), catalog,

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -333,24 +333,6 @@ TEST(Autoscaler, ValidationNamesBadFields) {
   bad = cfg;
   bad.grow_scale = -0.5;
   expect_invalid(bad, "grow_scale");
-  bad = cfg;
-  bad.target_utilization = 1.5;
-  expect_invalid(bad, "target_utilization");
-  // NaN fails every range check, and an infinite threshold is no threshold:
-  // a NaN queue_low_utilization would silently turn shrinking off.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  bad = cfg;
-  bad.queue_low_utilization = nan;
-  expect_invalid(bad, "queue_low_utilization");
-  bad = cfg;
-  bad.target_utilization = nan;
-  expect_invalid(bad, "target_utilization");
-  bad = cfg;
-  bad.utilization_band = nan;
-  expect_invalid(bad, "utilization_band");
-  bad = cfg;
-  bad.queue_high_per_slot = std::numeric_limits<double>::infinity();
-  expect_invalid(bad, "queue_high_per_slot");
   // kNone never validates its knobs, and its step never moves the fleet.
   AutoscalerConfig off;
   off.interval_s = -1.0;
@@ -383,6 +365,29 @@ TEST(Autoscaler, StepDirectionsMatchSignals) {
   s.queued = 0;
   s.utilization = 0.65;  // inside the band
   EXPECT_EQ(autoscale_step(cfg, s), 0);
+
+  // Each threshold is strict: a signal on a constant holds, one step past it
+  // moves the fleet.
+  const double high = kUtilizationTarget + kUtilizationBand;
+  const double low = kUtilizationTarget - kUtilizationBand;
+  s.utilization = high;
+  EXPECT_EQ(autoscale_step(cfg, s), 0);
+  s.utilization = std::nextafter(high, 1.0);
+  EXPECT_EQ(autoscale_step(cfg, s), 1);
+  s.utilization = low;
+  EXPECT_EQ(autoscale_step(cfg, s), 0);
+  s.utilization = std::nextafter(low, 0.0);
+  EXPECT_EQ(autoscale_step(cfg, s), -1);
+  cfg.policy = AutoscalerPolicy::kQueueDepth;
+  s.queued = 2 * static_cast<std::size_t>(kQueueHighPerSlot);  // exactly the bound per slot
+  EXPECT_EQ(autoscale_step(cfg, s), 0);
+  ++s.queued;
+  EXPECT_EQ(autoscale_step(cfg, s), 1);
+  s.queued = 0;
+  s.utilization = kQueueLowUtilization;
+  EXPECT_EQ(autoscale_step(cfg, s), 0);
+  s.utilization = std::nextafter(kQueueLowUtilization, 0.0);
+  EXPECT_EQ(autoscale_step(cfg, s), -1);
 }
 
 TEST(Elastic, GrowsUnderOverloadAndBeatsTheStaticFleet) {

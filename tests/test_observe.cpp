@@ -608,7 +608,6 @@ TEST(PercentileModes, CampaignWiresTheModeThrough) {
   scenario.scheduler = SchedulerKind::kDynamicBatch;
   scenario.batch.max_batch = 8;
   scenario.batch.max_wait_s = cfg.base.batch.max_wait_s;
-  scenario.sim.slo_scale = cfg.base.sim.slo_scale;
   scenario.sim.percentile_mode = cfg.base.sim.percentile_mode;
   scenario.sim.hdr_relative_error = cfg.base.sim.hdr_relative_error;
   scenario.traffic.open.offered_qps = cfg.qps.front();

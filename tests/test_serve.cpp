@@ -756,38 +756,6 @@ TEST(Validation, ScenarioNamesBadField) {
     expect_invalid([&] { (void)simulate(scenario); }, "offered_qps");
   }
   scenario.traffic.open.offered_qps = 1000.0;
-  // The bursty knobs are checked here, not by a precondition inside the
-  // trace generator, and NaN or an infinite value fails each of them.
-  const double inf = std::numeric_limits<double>::infinity();
-  const TraceConfig poisson = scenario.traffic.open;
-  struct BadBurst {
-    double TraceConfig::*field;
-    const char* name;
-    double value;
-  };
-  for (const BadBurst& bad : {
-           BadBurst{&TraceConfig::burst_multiplier, "burst_multiplier", 0.5},
-           BadBurst{&TraceConfig::burst_multiplier, "burst_multiplier", inf},
-           BadBurst{&TraceConfig::burst_multiplier, "burst_multiplier", std::nan("")},
-           BadBurst{&TraceConfig::burst_fraction, "burst_fraction", 0.0},
-           BadBurst{&TraceConfig::burst_fraction, "burst_fraction", 1.0},
-           BadBurst{&TraceConfig::burst_fraction, "burst_fraction", std::nan("")},
-           BadBurst{&TraceConfig::mean_burst_s, "mean_burst_s", 0.0},
-           BadBurst{&TraceConfig::mean_burst_s, "mean_burst_s", inf},
-           BadBurst{&TraceConfig::mean_burst_s, "mean_burst_s", std::nan("")},
-       }) {
-    scenario.traffic.open = poisson;
-    scenario.traffic.open.process = ArrivalProcess::kBursty;
-    scenario.traffic.open.*bad.field = bad.value;
-    expect_invalid([&] { (void)simulate(scenario); }, bad.name);
-  }
-  scenario.traffic.open = poisson;
-  // The fallback SLO scale: NaN, 0 and -1 used to serve with attainment 0.
-  for (const double bad : {std::nan(""), 0.0, -1.0, inf}) {
-    scenario.sim.slo_scale = bad;
-    expect_invalid([&] { (void)simulate(scenario); }, "slo_scale");
-  }
-  scenario.sim.slo_scale = SimConfig{}.slo_scale;
   scenario.traffic.mode = LoopMode::kClosed;
   scenario.traffic.closed.sessions = 0;
   expect_invalid([&] { (void)simulate(scenario); }, "sessions");
@@ -799,29 +767,9 @@ TEST(Validation, ScenarioNamesBadField) {
   expect_invalid([&] { (void)simulate(scenario); }, "think_time_mean_s");
 }
 
-TEST(Validation, CatalogRejectsBadSeqLenConfigs) {
-  WorkloadCatalog tron = WorkloadCatalog::tron_default();
-  SeqLenConfig cfg;
-  cfg.dist = SeqLenDist::kUniform;
-  cfg.bucket = 0;
-  expect_invalid([&] { tron.set_seqlen(0, cfg); }, "bucket");
-  cfg = SeqLenConfig{};
-  cfg.dist = SeqLenDist::kUniform;
-  cfg.min_len = 512;
-  cfg.max_len = 16;
-  expect_invalid([&] { tron.set_seqlen(0, cfg); }, "min_len <= max_len");
-  cfg = SeqLenConfig{};
-  cfg.dist = SeqLenDist::kLogNormal;
-  cfg.log_sigma = 0.0;
-  expect_invalid([&] { tron.set_seqlen(0, cfg); }, "log_sigma");
-
-  // GNN entries have no sequence dimension: only kFixed is accepted.
+TEST(Validation, SeqLenDistsSampleTransformerEntriesOnly) {
+  // A catalog of GNN entries only has nothing to sample lengths for.
   WorkloadCatalog ghost = WorkloadCatalog::ghost_default();
-  cfg = SeqLenConfig{};
-  cfg.dist = SeqLenDist::kUniform;
-  expect_invalid([&] { ghost.set_seqlen(0, cfg); }, "cannot sample sequence lengths");
-  EXPECT_NO_THROW(ghost.set_seqlen(0, SeqLenConfig{}));
-  // ... and a catalog of GNN entries only has nothing to sample lengths for.
   expect_invalid([&] { ghost.apply_seqlen_dist(SeqLenDist::kLogNormal); },
                  "no transformer entry");
   // apply_seqlen_dist over a mixed catalog touches only transformer entries.
@@ -830,7 +778,9 @@ TEST(Validation, CatalogRejectsBadSeqLenConfigs) {
   for (std::size_t i = 0; i < mixed.size(); ++i) {
     const bool is_transformer =
         mixed.workload(i).kind() == arch::WorkloadKind::kTransformer;
-    EXPECT_EQ(mixed.at(i).seqlen.dist != SeqLenDist::kFixed, is_transformer);
+    EXPECT_EQ(mixed.at(i).seqlen != SeqLenDist::kFixed, is_transformer);
+    EXPECT_EQ(mixed.at(i).prompt().center,
+              is_transformer ? mixed.workload(i).transformer_config().seq_len : 0u);
   }
 }
 
@@ -922,7 +872,6 @@ TEST(Campaign, ParallelSweepMatchesSerialSimulation) {
   policy.max_batch = 8;
   policy.max_wait_s = cfg.base.batch.max_wait_s;
   SimConfig sim_cfg;
-  sim_cfg.slo_scale = cfg.base.sim.slo_scale;
   const FleetMetrics serial =
       simulate_trace(FleetConfig::homogeneous("tron", 2), catalog,
                      generate_trace(catalog, trace_cfg), SchedulerKind::kDynamicBatch,

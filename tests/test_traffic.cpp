@@ -1,8 +1,8 @@
 // Tests for the traffic layer: TrafficSource pull semantics, open-loop parity
 // (Scenario traffic knobs vs an explicit materialised trace), closed-loop
 // determinism and session accounting, trace statistics (MMPP long-run offered
-// rate and burst-fraction occupancy), per-request sequence-length samplers
-// (moments, bounds, bucket grid), the seq-aware estimate cache / scheduler
+// rate and burst-fraction occupancy), per-request prompt-length sampling
+// (moments, bounds, bucket grid, pinned draws), the seq-aware estimate cache / scheduler
 // buckets, and the shared string<->enum name tables.
 #include <gtest/gtest.h>
 
@@ -183,14 +183,14 @@ TEST(ClosedLoop, SeqLenDistributionsFlowThroughSessions) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceStats, MmppLongRunRateMatchesOfferedQps) {
+  // The rate's error shrinks with the number of burst cycles the trace spans:
+  // 300k requests at 200 QPS span about 6,000 cycles (0.25 s each), and the
+  // error's spread over seeds is 0.5%, a tenth of the band.
   const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
   TraceConfig cfg;
-  cfg.offered_qps = 20000.0;
+  cfg.offered_qps = 200.0;
   cfg.request_count = 300000;
   cfg.process = ArrivalProcess::kBursty;
-  cfg.burst_multiplier = 8.0;
-  cfg.burst_fraction = 0.25;
-  cfg.mean_burst_s = 0.05;
   cfg.seed = 101;
   const std::vector<Request> trace = generate_trace(catalog, cfg);
   const double rate = static_cast<double>(trace.size()) / trace.back().arrival_s;
@@ -199,21 +199,18 @@ TEST(TraceStats, MmppLongRunRateMatchesOfferedQps) {
 
 TEST(TraceStats, MmppBurstOccupancyMatchesBurstFraction) {
   // Classify fixed windows as high/low by arrival count; the time fraction
-  // spent high must track burst_fraction.  The 8x rate separation makes the
-  // two states unambiguous at this window size (low ~73/window, high ~582).
+  // spent high must track kBurstFraction.  The 4x rate separation makes the
+  // two states unambiguous at this window size (low ~125/window, high ~500).
   const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
   TraceConfig cfg;
   cfg.offered_qps = 20000.0;
   cfg.request_count = 400000;
   cfg.process = ArrivalProcess::kBursty;
-  cfg.burst_multiplier = 8.0;
-  cfg.burst_fraction = 0.25;
-  cfg.mean_burst_s = 0.05;
   cfg.seed = 7;
   const std::vector<Request> trace = generate_trace(catalog, cfg);
 
-  const double low_qps = cfg.offered_qps / (1.0 + cfg.burst_fraction * (cfg.burst_multiplier - 1.0));
-  const double high_qps = cfg.burst_multiplier * low_qps;
+  const double low_qps = cfg.offered_qps / (1.0 + kBurstFraction * (kBurstMultiplier - 1.0));
+  const double high_qps = kBurstMultiplier * low_qps;
   const double window_s = 0.01;
   const double threshold = 0.5 * (low_qps + high_qps) * window_s;
   const double duration = trace.back().arrival_s;
@@ -227,77 +224,125 @@ TEST(TraceStats, MmppBurstOccupancyMatchesBurstFraction) {
     if (static_cast<double>(counts[w]) > threshold) ++high_windows;
   }
   const double occupancy = static_cast<double>(high_windows) / static_cast<double>(windows);
-  EXPECT_NEAR(occupancy, cfg.burst_fraction, 0.05);
+  EXPECT_NEAR(occupancy, kBurstFraction, 0.05);
 }
 
 // ---------------------------------------------------------------------------
-// Sequence-length samplers (satellite): moments, bounds, bucket grid
+// Prompt-length sampling (LengthDist at kPromptFloor and kPromptGrid):
+// moments, bounds, bucket grid
 // ---------------------------------------------------------------------------
 
 TEST(SeqLenSampler, FixedDrawsNothingAndReturnsZero) {
   Rng a(1, 2);
   Rng b(1, 2);
-  const SeqLenConfig fixed;
-  EXPECT_EQ(sample_seq_len(fixed, a), 0u);
+  const LengthDist fixed = WorkloadCatalog::tron_default().at(0).prompt();
+  EXPECT_EQ(fixed.shape, SeqLenDist::kFixed);
+  EXPECT_EQ(fixed.sample(a, kPromptFloor, kPromptGrid), 0u);
   // No draw was consumed: the streams stay aligned.
   EXPECT_EQ(a.next_u32(), b.next_u32());
 }
 
 TEST(SeqLenSampler, UniformMomentsBoundsAndGrid) {
-  SeqLenConfig cfg;
-  cfg.dist = SeqLenDist::kUniform;
-  cfg.min_len = 64;
-  cfg.max_len = 256;
-  cfg.bucket = 32;
+  // Around 128: uniform over [64, 256].
+  const LengthDist dist{SeqLenDist::kUniform, 128};
   Rng rng(42, 7);
   const std::size_t n = 50000;
   double sum = 0.0;
   double sum_sq = 0.0;
+  std::uint32_t lowest = 0xFFFFFFFFu;
+  std::uint32_t highest = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t len = sample_seq_len(cfg, rng);
-    ASSERT_GE(len, cfg.min_len);
-    ASSERT_LE(len, cfg.max_len);
-    ASSERT_EQ(len % cfg.bucket, 0u);  // on the bucket grid (256 is a multiple)
+    const std::uint32_t len = dist.sample(rng, kPromptFloor, kPromptGrid);
+    ASSERT_EQ(len % kPromptGrid, 0u);  // on the grid (256 is a multiple)
+    lowest = std::min(lowest, len);
+    highest = std::max(highest, len);
     sum += len;
     sum_sq += static_cast<double>(len) * len;
   }
+  EXPECT_EQ(lowest, 64u);
+  EXPECT_EQ(highest, 256u);
   const double mean = sum / static_cast<double>(n);
   const double stddev = std::sqrt(sum_sq / static_cast<double>(n) - mean * mean);
   // Round-up bucketing shifts the uniform mean from the midpoint (160) by up
   // to one bucket; the spread stays ~span/sqrt(12).
   EXPECT_GT(mean, 160.0);
-  EXPECT_LT(mean, 160.0 + static_cast<double>(cfg.bucket));
+  EXPECT_LT(mean, 160.0 + static_cast<double>(kPromptGrid));
   EXPECT_NEAR(stddev, (256.0 - 64.0) / std::sqrt(12.0), 6.0);
 }
 
 TEST(SeqLenSampler, LogNormalMedianBoundsAndGrid) {
-  SeqLenConfig cfg;
-  cfg.dist = SeqLenDist::kLogNormal;
-  cfg.min_len = 16;
-  cfg.max_len = 512;
-  cfg.bucket = 16;
-  cfg.log_mean = std::log(128.0);
-  cfg.log_sigma = 0.4;
+  // Around 128: median 128, clamped to [16, 512].
+  const LengthDist dist{SeqLenDist::kLogNormal, 128};
   Rng rng(11, 3);
   const std::size_t n = 50000;
   std::vector<double> samples;
   samples.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t len = sample_seq_len(cfg, rng);
-    ASSERT_GE(len, cfg.min_len);
-    ASSERT_LE(len, cfg.max_len);
-    ASSERT_EQ(len % cfg.bucket, 0u);
+    const std::uint32_t len = dist.sample(rng, kPromptFloor, kPromptGrid);
+    ASSERT_GE(len, kPromptFloor);
+    ASSERT_LE(len, 512u);
+    ASSERT_EQ(len % kPromptGrid, 0u);
     samples.push_back(len);
   }
-  // The log-normal median exp(log_mean) = 128 lands in [128, 128 + bucket)
-  // after round-up bucketing.
+  // The log-normal median 128 lands in [128, 128 + grid] after round-up
+  // bucketing.
   const double median = percentile(samples, 0.5);
   EXPECT_GE(median, 128.0);
-  EXPECT_LE(median, 128.0 + static_cast<double>(cfg.bucket));
+  EXPECT_LE(median, 128.0 + static_cast<double>(kPromptGrid));
   // Mean of a log-normal exceeds its median (right skew) even after clamping.
   double sum = 0.0;
   for (const double v : samples) sum += v;
   EXPECT_GT(sum / static_cast<double>(n), median);
+}
+
+// Prompt and decode lengths of every request of a generated trace, pinned as
+// FNV-1a 64 digests (each value widened to 64 bits, low byte first) for each
+// prompt shape x {decode off, fixed 16, uniform 15, log-normal 32}.  Recorded
+// when prompts and decode drew from two samplers with their own bound fields;
+// vit's native 197 and the 15 tokens are odd, so rounding a uniform lower
+// bound up instead of down moves the uniform rows.
+TEST(PinnedBits, LengthDraws) {
+  const SeqLenDist shapes[] = {SeqLenDist::kFixed, SeqLenDist::kUniform,
+                               SeqLenDist::kLogNormal};
+  const struct {
+    SeqLenDist dist;
+    std::size_t tokens;  // 0: decode off
+  } decodes[] = {{SeqLenDist::kFixed, 0},
+                 {SeqLenDist::kFixed, 16},
+                 {SeqLenDist::kUniform, 15},
+                 {SeqLenDist::kLogNormal, 32}};
+  const std::uint64_t pins[3][4] = {
+      {0xdd14fcc6528cab25ull, 0x1935c37df3fbeb25ull, 0xf3aed17035ae4d4cull,
+       0xa9dcd738b8e8d360ull},
+      {0x4a66b44d03e9e70cull, 0xa1057028811dd08cull, 0xa5f3ebd959f397f1ull,
+       0xead8f82e58c353f5ull},
+      {0x3fe47a0e2ca13436ull, 0xc19af38d8ae01eb6ull, 0xd93bec6b97a4435bull,
+       0x1992a61a5c7350dbull},
+  };
+  for (std::size_t p = 0; p < std::size(shapes); ++p) {
+    for (std::size_t d = 0; d < std::size(decodes); ++d) {
+      WorkloadCatalog catalog = WorkloadCatalog::tron_default();
+      catalog.apply_seqlen_dist(shapes[p]);
+      if (decodes[d].tokens > 0) catalog.apply_decode(decodes[d].dist, decodes[d].tokens);
+      TraceConfig cfg;
+      cfg.offered_qps = 1000.0;
+      cfg.request_count = 4000;
+      cfg.seed = 7;
+      std::uint64_t h = 0xcbf29ce484222325ull;
+      const auto add = [&h](std::uint64_t value) {
+        for (int byte = 0; byte < 8; ++byte) {
+          h ^= (value >> (8 * byte)) & 0xff;
+          h *= 0x100000001b3ull;
+        }
+      };
+      for (const Request& r : generate_trace(catalog, cfg)) {
+        add(r.seq_len);
+        add(r.decode_tokens);
+      }
+      EXPECT_EQ(h, pins[p][d]) << seqlen_dist_name(shapes[p]) << " prompts, decode row " << d
+                               << std::hex << ": digest " << h;
+    }
+  }
 }
 
 TEST(SeqLenSampler, SeqStreamIsIndependentOfArrivalsAndMix) {
