@@ -6,6 +6,7 @@
 //     paper's LLM motivation implies).
 #include <iostream>
 
+#include "arch/accelerator.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "ghost/accelerator.hpp"
@@ -65,12 +66,13 @@ void print_batch_scaling() {
 }
 
 void print_generation() {
-  const tron::TronAccelerator acc(tron::default_tron_config());
+  const arch::TronAdapter acc(tron::default_tron_config());
   const auto model = nn::gpt2_small();
+  const arch::Workload workload = arch::Workload::transformer(model.name, model);
   Table t("TRON autoregressive decoding (GPT-2, 64-token prompt)");
   t.add_row({"generated tokens", "total latency", "ms/token", "GOPS", "stall share"});
   for (const std::size_t tokens : {16u, 64u, 128u, 256u}) {
-    const PerfReport r = acc.estimate_generation(model, 64, tokens);
+    const PerfReport r = acc.estimate_generation(workload, 64, tokens);
     t.add_row({std::to_string(tokens), Table::num(r.latency_s * 1e3, 3) + " ms",
                Table::num(r.latency_s * 1e3 / static_cast<double>(tokens), 4),
                Table::num(units::to_gops(r.ops_per_second()), 1),

@@ -11,9 +11,12 @@
 // swaps the open-loop trace for a session pool (per-tenant clients with
 // exponential think times and log-normal per-request sequence lengths) and
 // records end-to-end session latencies — the feedback path through
-// serve::ClosedLoopSource.  Throughput of the serial and sharded TRON paths
-// is fleetbench's job (medians, provenance, a ledger); the simulated results
-// here are gated field by field by tools/bench_check.py.
+// serve::ClosedLoopSource.  Throughput of the serial and sharded TRON paths,
+// and of the closed-loop, continuous-batching and hybrid paths
+// (serve_hybrid_closed), is fleetbench's job (medians, provenance, a
+// ledger); monolithic decode, which only continuous_batching runs here, is
+// timed nowhere.  The simulated results here are gated field by field by
+// tools/bench_check.py.
 // Self-contained like bench_kernels (steady_clock, no framework); each
 // section prints its table or summary and writes its BENCH_serve.json object
 // (through common/json's JsonWriter) as it runs.
@@ -141,23 +144,16 @@ void write_closed_loop(JsonWriter& w, bool smoke) {
   closed.requests_per_session = smoke ? 50 : 200;
   closed.think_time_mean_s = 2e-3;
   closed.seed = 23;
-  const auto t0 = std::chrono::steady_clock::now();
   const serve::FleetMetrics m = serve::simulate(scenario);
-  const double wall_s = seconds_since(t0);
-  const double requests_per_s = static_cast<double>(m.completed) / wall_s;
   m.to_table(label).print(std::cout);
-  std::printf("%s: %zu sessions x %zu requests in %.3f s (%.0f req/s, "
-              "p99 session %.2f ms)\n\n",
-              label.c_str(), m.sessions, closed.requests_per_session, wall_s, requests_per_s,
-              m.p99_session_s * 1e3);
+  std::printf("%s: %zu sessions x %zu requests (p99 session %.2f ms)\n\n", label.c_str(),
+              m.sessions, closed.requests_per_session, m.p99_session_s * 1e3);
   w.begin_object()
       .field("label", label)
       .field("sessions", m.sessions)
       .field("requests_per_session", closed.requests_per_session)
       .field("think_time_mean_s", closed.think_time_mean_s)
       .field("completed", m.completed)
-      .field("wall_s", wall_s)
-      .field("requests_per_s", requests_per_s)
       .field("throughput_qps", m.throughput_qps)
       .field("goodput_qps", m.goodput_qps)
       .field("slo_attainment", m.slo_attainment)
@@ -331,8 +327,9 @@ void write_sharded(JsonWriter& w, bool smoke) {
 // continuous batching admits them into freed lanes at token boundaries.  The
 // acceptance contract — continuous mean TTFT no worse than monolithic at
 // every load — is gated in-file by bench_check.py; the per-mode simulated
-// metrics are deterministic (det tolerance), the wall time sits in the
-// timing band.
+// metrics are deterministic (det tolerance).  fleetbench's
+// serve_hybrid_closed times token steps under continuous batching; no
+// fleetbench workload runs the monolithic mode, so its speed is unmeasured.
 void write_continuous_batching(JsonWriter& w, bool smoke) {
   const std::string label = "TRON continuous batching";
   serve::WorkloadCatalog catalog = serve::WorkloadCatalog::tron_default();
@@ -346,9 +343,8 @@ void write_continuous_batching(JsonWriter& w, bool smoke) {
   const std::size_t requests = smoke ? 20000 : 200000;
   const std::vector<double> loads{1.0, 2.0};
 
-  // Monolithic then continuous at each load; the wall time covers all runs.
+  // Monolithic then continuous at each load.
   std::vector<serve::FleetMetrics> runs;
-  const auto t0 = std::chrono::steady_clock::now();
   for (const double x : loads) {
     for (const serve::DecodeMode mode :
          {serve::DecodeMode::kMonolithic, serve::DecodeMode::kContinuous}) {
@@ -364,19 +360,15 @@ void write_continuous_batching(JsonWriter& w, bool smoke) {
       runs.push_back(serve::simulate(scenario));
     }
   }
-  const double wall_s = seconds_since(t0);
-  const double requests_per_s = static_cast<double>(runs.size() * requests) / wall_s;
   std::printf("%s: %zu requests, %zu-slot fleet, lognormal decode (median %zu tokens), "
-              "capacity %.0f QPS, %.3f s total\n",
-              label.c_str(), requests, fleet, decode_tokens, capacity, wall_s);
+              "capacity %.0f QPS\n",
+              label.c_str(), requests, fleet, decode_tokens, capacity);
   w.begin_object()
       .field("label", label)
       .field("requests", requests)
       .field("fleet", fleet)
       .field("decode_tokens", decode_tokens)
       .field("capacity_qps", capacity)
-      .field("wall_s", wall_s)
-      .field("requests_per_s", requests_per_s)
       .begin_array("points");
   for (std::size_t i = 0; i < loads.size(); ++i) {
     const serve::FleetMetrics& mono = runs[2 * i];
@@ -459,9 +451,8 @@ void write_hybrid_fleet(JsonWriter& w, bool smoke) {
       catalog, serve::FleetConfig::cycled({"tron", "v100"}, fleet), max_batch);
   const std::size_t requests = smoke ? 20000 : 200000;
 
-  // 3 fleets x 2 loads, fleet-major; the wall time covers all runs.
+  // 3 fleets x 2 loads, fleet-major.
   std::vector<serve::FleetMetrics> runs;
-  const auto t0 = std::chrono::steady_clock::now();
   for (const auto& [fleet_label, fleet_template] : fleets) {
     for (const double x : loads) {
       serve::Scenario scenario;
@@ -476,17 +467,13 @@ void write_hybrid_fleet(JsonWriter& w, bool smoke) {
       runs.push_back(serve::simulate(scenario));
     }
   }
-  const double wall_s = seconds_since(t0);
-  const double requests_per_s = static_cast<double>(runs.size() * requests) / wall_s;
-  std::printf("%s: %zu requests/fleet, %zu slots, hybrid capacity %.0f QPS, %.3f s total\n",
-              label.c_str(), requests, fleet, capacity, wall_s);
+  std::printf("%s: %zu requests/fleet, %zu slots, hybrid capacity %.0f QPS\n", label.c_str(),
+              requests, fleet, capacity);
   w.begin_object()
       .field("label", label)
       .field("requests", requests)
       .field("fleet", fleet)
       .field("capacity_qps", capacity)
-      .field("wall_s", wall_s)
-      .field("requests_per_s", requests_per_s)
       .begin_array("points");
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const serve::FleetMetrics& m = runs[i];

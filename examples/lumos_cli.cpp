@@ -53,6 +53,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -223,7 +224,7 @@ struct ServeRun {
   std::string trace_path;     // --trace-out
   std::string timeline_path;  // --timeline-out
   serve::SeqLenDist seqlen_dist = serve::SeqLenDist::kFixed;
-  std::size_t decode_tokens = 0;  // 0: decode off
+  std::optional<std::string> decode;  // --decode's count, read once its shape is known
   serve::SeqLenDist decode_dist = serve::SeqLenDist::kFixed;
   double ttft_slo_s = 0.0;
   double tpot_slo_s = 0.0;
@@ -369,7 +370,7 @@ constexpr Mode kTransformers{"a fleet that serves transformers", [](const ServeR
                                using arch::WorkloadKind;
                                return r.cfg.base.catalog.has_kind(WorkloadKind::kTransformer);
                              }};
-constexpr Mode kDecode{"--decode", [](const ServeRun& r) { return r.decode_tokens > 0; }};
+constexpr Mode kDecode{"--decode", [](const ServeRun& r) { return r.decode.has_value(); }};
 constexpr Mode kAutoscale{"--autoscale queue|util", [](const ServeRun& r) {
                             return r.cfg.autoscalers.front() != serve::AutoscalerPolicy::kNone;
                           }};
@@ -425,7 +426,7 @@ const ServeFlag kServeFlags[] = {
      "sequence lengths of transformer tenants (default fixed)", &kTransformers,
      [](ServeRun& r, const Arg& v) { r.seqlen_dist = serve::seqlen_dist_from_name(v.text); }},
     {"--decode", "n", "mean tokens each transformer request generates after its prefill",
-     &kTransformers, [](ServeRun& r, const Arg& v) { r.decode_tokens = v.count(1); }},
+     &kTransformers, [](ServeRun& r, const Arg& v) { r.decode = v.text; }},
     {"--decode-dist", "fixed|uniform|lognormal", "decode-length shape (default fixed)",
      &kDecode,
      [](ServeRun& r, const Arg& v) { r.decode_dist = serve::seqlen_dist_from_name(v.text); }},
@@ -642,8 +643,10 @@ int run_serve(const std::vector<std::string>& args, bool json) {
   if (run.seqlen_dist != serve::SeqLenDist::kFixed) {
     base.catalog.apply_seqlen_dist(run.seqlen_dist);
   }
-  if (run.decode_tokens > 0) {
-    base.catalog.apply_decode(run.decode_dist, run.decode_tokens);
+  if (run.decode) {
+    const std::size_t tokens =
+        Arg{"--decode", *run.decode}.count(1, serve::LengthDist::max_center(run.decode_dist));
+    base.catalog.apply_decode(run.decode_dist, tokens);
     if (run.ttft_slo_s > 0.0 || run.tpot_slo_s > 0.0) {
       base.catalog.apply_token_slos(run.ttft_slo_s, run.tpot_slo_s);
     }
@@ -766,11 +769,10 @@ int main(int argc, char** argv) {
       at_most(4);
       const std::size_t prompt = Arg{"prompt_len", args[2]}.count(1);
       const std::size_t tokens = Arg{"tokens", args[3]}.count(1);
-      // Autoregressive decoding is a TRON-only face: reach the concrete
-      // device through the adapter.
-      const arch::TronAdapter acc(arch::tron_config_by_name("tron"));
-      const PerfReport r = acc.device().estimate_generation(
-          sim::transformer_by_name(args[1], prompt + tokens), prompt, tokens);
+      const nn::TransformerConfig model = sim::transformer_by_name(args[1], prompt + tokens);
+      const std::unique_ptr<arch::Accelerator> acc = arch::make_accelerator("tron");
+      const PerfReport r = acc->estimate_generation(
+          arch::Workload::transformer(model.name, model), prompt, tokens);
       json ? print_report_json(r) : print_report(r);
       return 0;
     }

@@ -1,5 +1,7 @@
 #include "arch/accelerator.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace lumos::arch {
@@ -32,6 +34,24 @@ PerfReport Accelerator::estimate_decode_step(const Workload& workload, std::size
   throw InvalidArgument("accelerator '" + spec().name + "' (" + spec().family +
                         ") has no autoregressive decode path for workload '" +
                         workload.name() + "'");
+}
+
+PerfReport Accelerator::estimate_generation(const Workload& workload, std::size_t prompt_len,
+                                            std::size_t tokens) const {
+  LUMOS_EXPECTS(prompt_len >= 1);
+  LUMOS_EXPECTS(tokens >= 1);
+  PerfReport r = estimate_decode_step(workload, 1, prompt_len);
+  r.workload = workload.name() + " (generate " + std::to_string(tokens) + ")";
+  for (std::size_t t = 1; t < tokens; ++t) {
+    const PerfReport step = estimate_decode_step(workload, 1, prompt_len + t);
+    r.latency_s += step.latency_s;
+    r.dynamic_energy_j += step.dynamic_energy_j;
+    r.static_energy_j += step.static_energy_j;
+    r.total_energy_j += step.total_energy_j;
+    r.op_count += step.op_count;
+    r.breakdown.add(step.breakdown);
+  }
+  return r;
 }
 
 TronAdapter::TronAdapter(const tron::TronConfig& config, SpecInfo info)

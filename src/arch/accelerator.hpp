@@ -79,6 +79,17 @@ class Accelerator {
                                                         std::size_t batch,
                                                         std::size_t context_len) const;
 
+  // A whole generation of `tokens` tokens after a `prompt_len`-token prompt:
+  // the field-wise sum of the batch-1 decode steps at contexts `prompt_len`
+  // .. `prompt_len + tokens - 1` (latency, op count, every breakdown field,
+  // and the dynamic, static and total energies), so the steps the serving
+  // simulator schedules add up to it by construction.  Throws
+  // `InvalidArgument` for a zero prompt or token count, and wherever
+  // `estimate_decode_step` throws.
+  [[nodiscard]] PerfReport estimate_generation(const Workload& workload,
+                                               std::size_t prompt_len,
+                                               std::size_t tokens) const;
+
   // Fabric-wide static (hold) power.
   [[nodiscard]] virtual double static_power_w() const = 0;
 
@@ -100,7 +111,7 @@ class TronAdapter final : public Accelerator {
                                                 std::size_t context_len) const override;
   [[nodiscard]] double static_power_w() const override;
 
-  // The concrete device, for TRON-only faces (area, generation, forward).
+  // The concrete device, for TRON-only faces (area, forward).
   [[nodiscard]] const tron::TronAccelerator& device() const noexcept { return device_; }
 
  private:

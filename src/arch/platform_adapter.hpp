@@ -3,17 +3,17 @@
 // `PlatformAdapter` wraps a `baselines::PlatformModel` (the paper's Section VI
 // comparison set: V100, A100, TPU v2/v4, Xeon, and the FPGA/PIM accelerators)
 // as a third fabric next to TRON and GHOST, so serving fleets, campaigns, and
-// the CLI can mix photonic and electronic slots.  Single-inference estimates
-// delegate to `estimate_transformer` / `estimate_gnn` bit-for-bit; unlike the
-// photonic fabrics, every platform prices both workload kinds (the roofline
-// has a utilisation figure for each), so `can_serve` accepts both and the
-// spec's `serves` only records the platform's primary comparison set.
+// the CLI can mix photonic and electronic slots.  Every estimate, at any
+// batch, is the roofline's own `estimate_transformer` / `estimate_gnn`; the
+// adapter adds no formula.  Unlike the photonic fabrics, every platform
+// prices both workload kinds (the roofline has a utilisation figure for
+// each), so `can_serve` accepts both and the spec's `serves` only records the
+// platform's primary comparison set.
 //
 // Decode: electronic slots join continuous batching through a roofline-priced
 // `estimate_decode_step` (one token of `batch` lanes re-streams the weights
-// once and reads each lane's KV cache), and `estimate_generation` is defined
-// as the sum of batch-1 decode steps — so the step-sum pin that holds for
-// TRON holds here by construction.
+// once and reads each lane's KV cache); a whole generation is the sum of
+// batch-1 steps, as on every accelerator (`Accelerator::estimate_generation`).
 #pragma once
 
 #include <cstddef>
@@ -42,11 +42,6 @@ class PlatformAdapter final : public Accelerator {
   [[nodiscard]] bool can_generate() const noexcept override { return true; }
   [[nodiscard]] PerfReport estimate_decode_step(const Workload& workload, std::size_t batch,
                                                 std::size_t context_len) const override;
-  // Full autoregressive generation, defined as the sum of batch-1 decode
-  // steps at growing context (the decode-serving conservation pin).
-  [[nodiscard]] PerfReport estimate_generation(const Workload& workload,
-                                               std::size_t prompt_len,
-                                               std::size_t generated_tokens) const;
   [[nodiscard]] double static_power_w() const override;
 
   // The concrete roofline model, for platform-only faces (figure benches).

@@ -47,28 +47,36 @@ PerfReport PlatformModel::estimate(const std::string& workload, std::size_t op_c
   return r;
 }
 
-PerfReport PlatformModel::estimate_transformer(const nn::TransformerConfig& model) const {
-  // Bytes: weights once + activations per layer (several reads/writes each).
+PerfReport PlatformModel::estimate_transformer(const nn::TransformerConfig& model,
+                                               std::size_t batch) const {
+  LUMOS_EXPECTS(batch >= 1);
+  // Bytes: weights once + activations per layer (several reads/writes each)
+  // and per inference.
   const double weight_bytes = static_cast<double>(model.parameter_count());
   const double act_bytes = static_cast<double>(model.layers) *
                            static_cast<double>(model.seq_len) *
                            static_cast<double>(model.d_model) * 4.0;
-  return estimate(model.name, model.op_count(), weight_bytes + act_bytes,
+  return estimate(model.name, model.op_count() * batch,
+                  weight_bytes + act_bytes * static_cast<double>(batch),
                   WorkloadClass::kTransformer);
 }
 
 PerfReport PlatformModel::estimate_gnn(const gnn::GnnModelConfig& model,
-                                       const graph::GraphDataset& dataset) const {
+                                       const graph::GraphDataset& dataset,
+                                       std::size_t batch) const {
+  LUMOS_EXPECTS(batch >= 1);
   // Irregular gathers: every edge re-fetches its neighbour's feature vector
-  // (caches are ineffective at citation-graph reuse distances), plus weights.
+  // (caches are ineffective at citation-graph reuse distances) in every
+  // inference, plus weights once.
+  const double bd = static_cast<double>(batch);
   double bytes = 0.0;
   for (const gnn::GnnLayerConfig& l : model.layers_for(dataset)) {
-    bytes += static_cast<double>(dataset.graph.edge_count()) * static_cast<double>(l.in_dim);
-    bytes += static_cast<double>(dataset.graph.node_count()) * static_cast<double>(l.in_dim);
+    bytes += static_cast<double>(dataset.graph.edge_count()) * static_cast<double>(l.in_dim) * bd;
+    bytes += static_cast<double>(dataset.graph.node_count()) * static_cast<double>(l.in_dim) * bd;
     bytes += static_cast<double>(l.in_dim) * static_cast<double>(l.out_dim);
   }
-  return estimate(model.name + "/" + dataset.name, gnn::model_op_count(model, dataset), bytes,
-                  WorkloadClass::kGnn);
+  return estimate(model.name + "/" + dataset.name, gnn::model_op_count(model, dataset) * batch,
+                  bytes, WorkloadClass::kGnn);
 }
 
 // ---------------------------------------------------------------------------

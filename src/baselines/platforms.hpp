@@ -56,15 +56,20 @@ class PlatformModel {
   [[nodiscard]] PerfReport estimate(const std::string& workload, std::size_t op_count,
                                     double bytes_moved, WorkloadClass cls) const;
 
+  // `batch` inferences price as one pass: the weights stream once, while the
+  // ops and the activation or gather traffic count per inference.
+  //
   // Transformer inference: ops from the model config; bytes = parameters +
   // activations streamed per pass.
-  [[nodiscard]] PerfReport estimate_transformer(const nn::TransformerConfig& model) const;
+  [[nodiscard]] PerfReport estimate_transformer(const nn::TransformerConfig& model,
+                                                std::size_t batch = 1) const;
 
   // GNN inference: ops from the model/dataset; bytes = features re-fetched
   // per edge (electronic platforms suffer the irregular access pattern) +
   // weights.
   [[nodiscard]] PerfReport estimate_gnn(const gnn::GnnModelConfig& model,
-                                        const graph::GraphDataset& dataset) const;
+                                        const graph::GraphDataset& dataset,
+                                        std::size_t batch = 1) const;
 
   [[nodiscard]] const PlatformSpec& spec() const noexcept { return spec_; }
 

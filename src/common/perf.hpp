@@ -3,6 +3,7 @@
 // compare EPB and GOPS uniformly.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 
@@ -24,6 +25,24 @@ struct PerfBreakdown {
   double aggregation_energy_j = 0.0;
   double sram_energy_j = 0.0;
   double dram_energy_j = 0.0;
+
+  // Adds `other` scaled by `factor`, field by field, each field as one fused
+  // multiply-add: the rounding is the same whatever the compiler contracts,
+  // and a factor of 1 is a plain sum.
+  void add(const PerfBreakdown& other, double factor = 1.0) noexcept {
+    matmul_time_s = std::fma(other.matmul_time_s, factor, matmul_time_s);
+    softmax_time_s = std::fma(other.softmax_time_s, factor, softmax_time_s);
+    elementwise_time_s = std::fma(other.elementwise_time_s, factor, elementwise_time_s);
+    aggregation_time_s = std::fma(other.aggregation_time_s, factor, aggregation_time_s);
+    memory_stall_s = std::fma(other.memory_stall_s, factor, memory_stall_s);
+    laser_dac_adc_energy_j = std::fma(other.laser_dac_adc_energy_j, factor, laser_dac_adc_energy_j);
+    partial_sum_energy_j = std::fma(other.partial_sum_energy_j, factor, partial_sum_energy_j);
+    softmax_energy_j = std::fma(other.softmax_energy_j, factor, softmax_energy_j);
+    elementwise_energy_j = std::fma(other.elementwise_energy_j, factor, elementwise_energy_j);
+    aggregation_energy_j = std::fma(other.aggregation_energy_j, factor, aggregation_energy_j);
+    sram_energy_j = std::fma(other.sram_energy_j, factor, sram_energy_j);
+    dram_energy_j = std::fma(other.dram_energy_j, factor, dram_energy_j);
+  }
 };
 
 struct PerfReport {
@@ -49,6 +68,19 @@ struct PerfReport {
   }
   [[nodiscard]] double average_power_w() const noexcept {
     return latency_s > 0.0 ? total_energy_j / latency_s : 0.0;
+  }
+
+  // Closes the energy account of a priced pass: dynamic energy is the sum of
+  // the breakdown's energies, static energy is `static_w` held over the
+  // latency, and the total is their sum.
+  void set_energy_totals(double static_w) noexcept {
+    const PerfBreakdown& b = breakdown;
+    dynamic_energy_j = b.laser_dac_adc_energy_j + b.partial_sum_energy_j + b.softmax_energy_j +
+                       b.elementwise_energy_j + b.aggregation_energy_j + b.sram_energy_j +
+                       b.dram_energy_j;
+    static_power_w = static_w;
+    static_energy_j = static_power_w * latency_s;
+    total_energy_j = dynamic_energy_j + static_energy_j;
   }
 };
 

@@ -290,12 +290,7 @@ PerfReport GhostAccelerator::estimate(const gnn::GnnModelConfig& model,
   }
 
   r.latency_s = total_latency;
-  r.dynamic_energy_j = b.laser_dac_adc_energy_j + b.partial_sum_energy_j +
-                       b.softmax_energy_j + b.elementwise_energy_j +
-                       b.aggregation_energy_j + b.sram_energy_j + b.dram_energy_j;
-  r.static_power_w = static_power_w();
-  r.static_energy_j = r.static_power_w * r.latency_s;
-  r.total_energy_j = r.dynamic_energy_j + r.static_energy_j;
+  r.set_energy_totals(static_power_w());
   return r;
 }
 

@@ -47,10 +47,10 @@ CellPlan CellPlan::build(const Scenario& scenario, std::size_t cells) {
         "CellPlan: observers are per event loop and unsupported for cells > 1; "
         "run cells=1 to trace");
   }
-  if (!scenario.trace.empty() && scenario.trace.size() < cells) {
-    throw InvalidArgument("CellPlan: explicit trace holds " +
-                          std::to_string(scenario.trace.size()) +
-                          " requests, fewer than " + std::to_string(cells) + " cells");
+  if (!scenario.trace.empty()) {
+    throw InvalidArgument(
+        "CellPlan: an explicit trace is unsupported for cells > 1; cells draw their own "
+        "traffic");
   }
 
   plan.cells.reserve(cells);
@@ -70,14 +70,7 @@ CellPlan CellPlan::build(const Scenario& scenario, std::size_t cells) {
     cell.sim.keep_latency_state = true;
     cell.sim.faults.seed += cell_salt(c);
     cell.sim.retry.seed += cell_salt(c);
-    if (!scenario.trace.empty()) {
-      // Round-robin deal: request i -> cell i % cells.  A slice of an
-      // arrival-ordered trace stays arrival-ordered.
-      cell.trace.clear();
-      for (std::size_t i = c; i < scenario.trace.size(); i += cells) {
-        cell.trace.push_back(scenario.trace[i]);
-      }
-    } else if (scenario.traffic.mode == LoopMode::kClosed) {
+    if (scenario.traffic.mode == LoopMode::kClosed) {
       const std::size_t share =
           balanced_share(scenario.traffic.closed.sessions, cells, c);
       if (share == 0) {

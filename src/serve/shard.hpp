@@ -18,9 +18,8 @@
 //     counts split proportionally to each cell's slot share, offered QPS
 //     scales by the same share, and each cell's trace seed is salted by its
 //     cell index, so cells see independent arrival processes at the same
-//     per-slot load.  Closed-loop session pools split the same way.  Explicit
-//     traces deal requests round-robin (request i -> cell i % K), which keeps
-//     each cell's slice arrival-ordered.
+//     per-slot load.  Closed-loop session pools split the same way.  Cells
+//     serve generated traffic only: an explicit trace is rejected for K > 1.
 //   * seeds    — every seeded process a cell owns (traffic, faults, retry
 //     jitter) is salted with `(0xCE11 + cell) * golden-ratio`, so no two
 //     cells share an rng stream.
@@ -40,7 +39,7 @@
 //     8 cells, while its p99 grows to 1.70x serial at 8 cells (ROADMAP M4).
 //
 // Observers are per-event-loop and unsupported for K > 1 (throws; run K == 1
-// to trace).
+// to trace), and so is an explicit trace (throws; generate the traffic).
 #pragma once
 
 #include <cstddef>
@@ -58,8 +57,8 @@ struct CellPlan {
 
   // Partitions `scenario` into `cells` independent cells (see file comment
   // for the split rules).  Throws InvalidArgument for cells == 0, more cells
-  // than fleet slots, fewer requests / sessions / trace entries than cells
-  // (a cell would be empty), or observers with cells > 1.  cells == 1
+  // than fleet slots, fewer requests / sessions than cells (a cell would be
+  // empty), or an explicit trace or observers with cells > 1.  cells == 1
   // returns the scenario unchanged (no seed salt — the serial run).
   [[nodiscard]] static CellPlan build(const Scenario& scenario, std::size_t cells);
 };

@@ -10,26 +10,30 @@ namespace lumos::serve {
 
 namespace {
 
+// How far above its center a shape's draws reach, as a multiple of it.
+std::uint32_t reach(SeqLenDist shape) {
+  return shape == SeqLenDist::kUniform ? 2 : shape == SeqLenDist::kLogNormal ? 4 : 1;
+}
+
 // `shape` around `center`, rejected unless the center is at least 1 and every
 // draw fits 32 bits.
-LengthDist checked_dist(SeqLenDist shape, std::size_t center, std::uint32_t floor,
-                        const char* caller) {
-  constexpr std::uint64_t kMax = 0xFFFFFFFFull;
-  const LengthDist dist{shape, static_cast<std::uint32_t>(std::min<std::uint64_t>(center, kMax))};
-  if (center < 1 || center > kMax || dist.upper(floor) > kMax) {
+LengthDist checked_dist(SeqLenDist shape, std::size_t center, const char* caller) {
+  const std::uint32_t most = LengthDist::max_center(shape);
+  if (center < 1 || center > most) {
     throw InvalidArgument(std::string(caller) + ": lengths around " + std::to_string(center) +
-                          " must be >= 1 and fit 32 bits");
+                          " must be in [1, " + std::to_string(most) + "] to fit 32 bits");
   }
-  return dist;
+  return {shape, static_cast<std::uint32_t>(center)};
 }
 
 }  // namespace
 
 std::uint64_t LengthDist::upper(std::uint32_t floor) const noexcept {
-  const std::uint64_t scale = shape == SeqLenDist::kUniform     ? 2
-                              : shape == SeqLenDist::kLogNormal ? 4
-                                                                : 1;
-  return std::max<std::uint64_t>(floor, scale * center);
+  return std::max<std::uint64_t>(floor, std::uint64_t{reach(shape)} * center);
+}
+
+std::uint32_t LengthDist::max_center(SeqLenDist shape) noexcept {
+  return 0xFFFFFFFFu / reach(shape);
 }
 
 std::uint32_t LengthDist::sample(Rng& rng, std::uint32_t floor, std::uint32_t grid) const {
@@ -123,8 +127,7 @@ void WorkloadCatalog::apply_seqlen_dist(SeqLenDist dist) {
   for (CatalogEntry& e : entries_) {
     if (e.workload.kind() != arch::WorkloadKind::kTransformer) continue;
     any = true;
-    (void)checked_dist(dist, e.workload.transformer_config().seq_len, kPromptFloor,
-                       "apply_seqlen_dist");
+    (void)checked_dist(dist, e.workload.transformer_config().seq_len, "apply_seqlen_dist");
     e.seqlen = dist;
   }
   if (!any) {
@@ -134,7 +137,7 @@ void WorkloadCatalog::apply_seqlen_dist(SeqLenDist dist) {
 }
 
 void WorkloadCatalog::apply_decode(SeqLenDist dist, std::size_t tokens) {
-  const LengthDist length = checked_dist(dist, tokens, 1, "apply_decode");
+  const LengthDist length = checked_dist(dist, tokens, "apply_decode");
   bool any = false;
   for (CatalogEntry& e : entries_) {
     if (e.workload.kind() != arch::WorkloadKind::kTransformer) continue;

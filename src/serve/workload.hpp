@@ -49,6 +49,9 @@ struct LengthDist {
 
   // The largest draw: max(floor, c), max(floor, 2c) or max(floor, 4c).
   [[nodiscard]] std::uint64_t upper(std::uint32_t floor = 1) const noexcept;
+  // The largest center whose draws all fit 32 bits under `shape`: 2^32 - 1,
+  // half that or a quarter (a floor never binds, since it fits 32 bits too).
+  [[nodiscard]] static std::uint32_t max_center(SeqLenDist shape) noexcept;
   // One draw.  kFixed returns the center and consumes no draw, so fixed
   // entries never perturb the rng stream they share with sampled entries.
   [[nodiscard]] std::uint32_t sample(Rng& rng, std::uint32_t floor = 1,

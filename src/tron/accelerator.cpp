@@ -58,8 +58,10 @@ double TronAccelerator::static_power_w() const {
          dram_.static_power_w() + soa_bias;
 }
 
-double TronAccelerator::map_trace(const std::vector<nn::OpSpec>& trace, std::size_t batch,
-                                  PerfBreakdown& b) const {
+void TronAccelerator::add_layers(PerfReport& r, const std::vector<nn::OpSpec>& trace,
+                                 std::size_t batch, std::size_t layers,
+                                 double stream_s) const {
+  PerfBreakdown pass;
   const phot::MrBankArray::PassEnergies& pe = pass_energies_;
   const SoftmaxLut& softmax = mapping_softmax_;
   const double rate = config_.symbol_rate_hz;
@@ -84,7 +86,7 @@ double TronAccelerator::map_trace(const std::vector<nn::OpSpec>& trace, std::siz
         const double t = std::ceil(static_cast<double>(passes) / static_cast<double>(arrays)) /
                          rate;
         compute_s += t;
-        b.matmul_time_s += t;
+        pass.matmul_time_s += t;
         // Weight-stationary dataflow: read-outs and laser per row pass; input
         // rows imprinted once per K-tile and broadcast to the arrays working
         // the parallel column tiles; weight imprints once per tile reprogram.
@@ -94,26 +96,26 @@ double TronAccelerator::map_trace(const std::vector<nn::OpSpec>& trace, std::siz
         const double input_charges = static_cast<double>(m * tiles_k * op.repeat);
         const double tile_reprograms =
             static_cast<double>(tiles_k * tiles_n * op.repeat);
-        b.laser_dac_adc_energy_j +=
+        pass.laser_dac_adc_energy_j +=
             input_charges * pe.input_dac_j * frac_k +
             static_cast<double>(passes) * (pe.adc_j * frac_n + pe.laser_j * frac_k * frac_n) +
             tile_reprograms * pe.weight_dac_j * frac_k * frac_n;
         // Digital partial-sum accumulation across K tiles.
         const double psums = static_cast<double>(m * op.n * op.repeat) *
                              static_cast<double>(tiles_k > 0 ? tiles_k - 1 : 0);
-        b.partial_sum_energy_j += psums * config_.partial_sum_add_energy_j;
+        pass.partial_sum_energy_j += psums * config_.partial_sum_add_energy_j;
         // SRAM traffic: read inputs + weights, write outputs (int8).
         const double bytes = static_cast<double>(m * op.k + op.k * op.n + m * op.n) *
                              static_cast<double>(op.repeat);
         const double words = bytes / static_cast<double>(config_.activation_buffer.word_bytes);
-        b.sram_energy_j += words * activation_buffer_.read_energy_j();
+        pass.sram_energy_j += words * activation_buffer_.read_energy_j();
         break;
       }
       case nn::OpKind::kSoftmax: {
         const std::size_t elems = op.elements() * batch;
         compute_s += softmax.latency_s(elems);
-        b.softmax_time_s += softmax.latency_s(elems);
-        b.softmax_energy_j += softmax.energy_j(elems);
+        pass.softmax_time_s += softmax.latency_s(elems);
+        pass.softmax_energy_j += softmax.energy_j(elems);
         break;
       }
       case nn::OpKind::kLayerNorm:
@@ -124,29 +126,20 @@ double TronAccelerator::map_trace(const std::vector<nn::OpSpec>& trace, std::siz
         const double t =
             std::ceil(static_cast<double>(elems) / static_cast<double>(nh)) / rate;
         compute_s += t;
-        b.elementwise_time_s += t;
+        pass.elementwise_time_s += t;
         const phot::DacModel dac(config_.bank.dac);
-        b.elementwise_energy_j += static_cast<double>(elems) * dac.energy_per_conversion_j();
+        pass.elementwise_energy_j += static_cast<double>(elems) * dac.energy_per_conversion_j();
         break;
       }
     }
   }
-  return compute_s;
+  // Each layer double-buffers its weight stream against its compute, so it
+  // stalls only for the part of the stream its compute does not hide.
+  const double stack = static_cast<double>(layers);
+  r.latency_s += std::max(compute_s, stream_s) * stack;
+  r.breakdown.memory_stall_s += std::max(0.0, stream_s - compute_s) * stack;
+  r.breakdown.add(pass, stack);
 }
-
-namespace {
-// Accumulates `src` scaled by `factor` into `dst` (dynamic energies + times).
-void merge_scaled(PerfBreakdown& dst, const PerfBreakdown& src, double factor) {
-  dst.matmul_time_s += src.matmul_time_s * factor;
-  dst.softmax_time_s += src.softmax_time_s * factor;
-  dst.elementwise_time_s += src.elementwise_time_s * factor;
-  dst.laser_dac_adc_energy_j += src.laser_dac_adc_energy_j * factor;
-  dst.partial_sum_energy_j += src.partial_sum_energy_j * factor;
-  dst.softmax_energy_j += src.softmax_energy_j * factor;
-  dst.elementwise_energy_j += src.elementwise_energy_j * factor;
-  dst.sram_energy_j += src.sram_energy_j * factor;
-}
-}  // namespace
 
 PerfReport TronAccelerator::estimate(const nn::TransformerConfig& model,
                                      std::size_t batch) const {
@@ -156,99 +149,21 @@ PerfReport TronAccelerator::estimate(const nn::TransformerConfig& model,
   r.platform = "TRON";
   r.bits = config_.bits;
   r.op_count = model.op_count() * batch;
-  PerfBreakdown& b = r.breakdown;
 
-  // Per-layer weight streaming from DRAM (int8), double-buffered against
-  // compute and amortised over the whole batch: a layer stalls only for the
-  // part of the stream not hidden behind its batched compute.
+  // Per-layer weight streaming from DRAM (int8), amortised over the whole
+  // batch: the stream is paid once per layer, whatever the batch.
   const double total_layers =
       static_cast<double>(model.layers + model.decoder_layers);
-  const double layer_weight_bytes =
-      static_cast<double>(model.parameter_count()) / total_layers;
-  const double dram_stream_s =
-      dram_.transfer_latency_s(static_cast<std::size_t>(layer_weight_bytes));
-  const double dram_stream_j =
-      dram_.transfer_energy_j(static_cast<std::size_t>(layer_weight_bytes));
-
-  PerfBreakdown enc_b;
-  const double enc_compute_s = map_trace(nn::layer_trace(model), batch, enc_b);
-  const double enc_layers = static_cast<double>(model.layers);
-  double latency = std::max(enc_compute_s, dram_stream_s) * enc_layers;
-  b.memory_stall_s = std::max(0.0, dram_stream_s - enc_compute_s) * enc_layers;
-  merge_scaled(b, enc_b, enc_layers);
-
+  const auto layer_weight_bytes = static_cast<std::size_t>(
+      static_cast<double>(model.parameter_count()) / total_layers);
+  const double stream_s = dram_.transfer_latency_s(layer_weight_bytes);
+  add_layers(r, nn::layer_trace(model), batch, model.layers, stream_s);
   // Seq2seq decoders (paper Fig. 1) add cross-attention layers.
   if (model.decoder_layers > 0) {
-    PerfBreakdown dec_b;
-    const double dec_compute_s =
-        map_trace(nn::decoder_layer_trace(model), batch, dec_b);
-    const double dec_layers = static_cast<double>(model.decoder_layers);
-    latency += std::max(dec_compute_s, dram_stream_s) * dec_layers;
-    b.memory_stall_s += std::max(0.0, dram_stream_s - dec_compute_s) * dec_layers;
-    merge_scaled(b, dec_b, dec_layers);
+    add_layers(r, nn::decoder_layer_trace(model), batch, model.decoder_layers, stream_s);
   }
-  b.dram_energy_j = dram_stream_j * total_layers;
-  r.latency_s = latency;
-
-  r.dynamic_energy_j = b.laser_dac_adc_energy_j + b.partial_sum_energy_j +
-                       b.softmax_energy_j + b.elementwise_energy_j + b.sram_energy_j +
-                       b.dram_energy_j;
-  r.static_power_w = static_power_w();
-  r.static_energy_j = r.static_power_w * r.latency_s;
-  r.total_energy_j = r.dynamic_energy_j + r.static_energy_j;
-  return r;
-}
-
-PerfReport TronAccelerator::estimate_generation(const nn::TransformerConfig& model,
-                                                std::size_t prompt_len,
-                                                std::size_t generated_tokens) const {
-  LUMOS_EXPECTS(prompt_len >= 1);
-  LUMOS_EXPECTS(generated_tokens >= 1);
-  PerfReport r;
-  r.workload = model.name + " (generate " + std::to_string(generated_tokens) + ")";
-  r.platform = "TRON";
-  r.bits = config_.bits;
-  PerfBreakdown& b = r.breakdown;
-
-  const double layers = static_cast<double>(model.layers);
-  const double layer_weight_bytes =
-      static_cast<double>(model.parameter_count()) / static_cast<double>(model.layers);
-  const double dram_stream_s =
-      dram_.transfer_latency_s(static_cast<std::size_t>(layer_weight_bytes));
-  const double dram_stream_j =
-      dram_.transfer_energy_j(static_cast<std::size_t>(layer_weight_bytes));
-
-  std::size_t ops = 0;
-  double latency = 0.0;
-  for (std::size_t t = 0; t < generated_tokens; ++t) {
-    const std::size_t ctx = prompt_len + t;
-    PerfBreakdown step;
-    const double step_compute = map_trace(nn::generation_layer_trace(model, ctx), 1, step);
-    // Single-token decode: weights re-stream each step (the KV cache stays
-    // resident, the 85+ MB of weights do not) — the memory-bound regime.
-    const double step_latency = std::max(step_compute, dram_stream_s) * layers;
-    latency += step_latency;
-    b.memory_stall_s += std::max(0.0, dram_stream_s - step_compute) * layers;
-    b.dram_energy_j += dram_stream_j * layers;
-    b.matmul_time_s += step.matmul_time_s * layers;
-    b.softmax_time_s += step.softmax_time_s * layers;
-    b.elementwise_time_s += step.elementwise_time_s * layers;
-    b.laser_dac_adc_energy_j += step.laser_dac_adc_energy_j * layers;
-    b.partial_sum_energy_j += step.partial_sum_energy_j * layers;
-    b.softmax_energy_j += step.softmax_energy_j * layers;
-    b.elementwise_energy_j += step.elementwise_energy_j * layers;
-    b.sram_energy_j += step.sram_energy_j * layers;
-    ops += 2 * nn::generation_step_macs(model, ctx);
-  }
-
-  r.op_count = ops;
-  r.latency_s = latency;
-  r.dynamic_energy_j = b.laser_dac_adc_energy_j + b.partial_sum_energy_j +
-                       b.softmax_energy_j + b.elementwise_energy_j + b.sram_energy_j +
-                       b.dram_energy_j;
-  r.static_power_w = static_power_w();
-  r.static_energy_j = r.static_power_w * r.latency_s;
-  r.total_energy_j = r.dynamic_energy_j + r.static_energy_j;
+  r.breakdown.dram_energy_j = dram_.transfer_energy_j(layer_weight_bytes) * total_layers;
+  r.set_energy_totals(static_power_w());
   return r;
 }
 
@@ -261,32 +176,19 @@ PerfReport TronAccelerator::estimate_decode_step(const nn::TransformerConfig& mo
   r.workload = model.name + " (decode step @" + std::to_string(context_len) + ")";
   r.platform = "TRON";
   r.bits = config_.bits;
-  PerfBreakdown& b = r.breakdown;
-
-  const double layers = static_cast<double>(model.layers);
-  const double layer_weight_bytes =
-      static_cast<double>(model.parameter_count()) / static_cast<double>(model.layers);
-  const double dram_stream_s =
-      dram_.transfer_latency_s(static_cast<std::size_t>(layer_weight_bytes));
-  const double dram_stream_j =
-      dram_.transfer_energy_j(static_cast<std::size_t>(layer_weight_bytes));
-
-  PerfBreakdown step;
-  const double step_compute =
-      map_trace(nn::generation_layer_trace(model, context_len), batch, step);
-  // The weight re-stream is paid once per step no matter how many lanes
-  // decode; only the compute side scales with the batch.
-  r.latency_s = std::max(step_compute, dram_stream_s) * layers;
-  b.memory_stall_s = std::max(0.0, dram_stream_s - step_compute) * layers;
-  b.dram_energy_j = dram_stream_j * layers;
-  merge_scaled(b, step, layers);
   r.op_count = 2 * nn::generation_step_macs(model, context_len) * batch;
-  r.dynamic_energy_j = b.laser_dac_adc_energy_j + b.partial_sum_energy_j +
-                       b.softmax_energy_j + b.elementwise_energy_j + b.sram_energy_j +
-                       b.dram_energy_j;
-  r.static_power_w = static_power_w();
-  r.static_energy_j = r.static_power_w * r.latency_s;
-  r.total_energy_j = r.dynamic_energy_j + r.static_energy_j;
+
+  // Single-token decode re-streams every layer's weights each step (the KV
+  // cache stays resident, the weights do not): the memory-bound regime.  The
+  // stream is paid once per step no matter how many lanes decode; only the
+  // compute side scales with the batch.
+  const double layers = static_cast<double>(model.layers);
+  const auto layer_weight_bytes =
+      static_cast<std::size_t>(static_cast<double>(model.parameter_count()) / layers);
+  add_layers(r, nn::generation_layer_trace(model, context_len), batch, model.layers,
+             dram_.transfer_latency_s(layer_weight_bytes));
+  r.breakdown.dram_energy_j = dram_.transfer_energy_j(layer_weight_bytes) * layers;
+  r.set_energy_totals(static_power_w());
   return r;
 }
 

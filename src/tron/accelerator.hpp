@@ -3,7 +3,9 @@
 // Two faces, matching the paper's own Python simulator:
 //   * `estimate()` — analytic performance/energy mapping of a transformer
 //     configuration onto the photonic fabric (latency, energy, power, GOPS,
-//     EPB, with per-stage breakdowns);
+//     EPB, with per-stage breakdowns), and `estimate_decode_step()`, one
+//     autoregressive token step.  Both price each layer stack through one
+//     mapping pass overlapped with the layer's DRAM weight stream;
 //   * `forward()` — functional execution of a (small) transformer through the
 //     noisy analog device models, validated against the exact reference.
 #pragma once
@@ -33,20 +35,12 @@ class TronAccelerator {
   [[nodiscard]] PerfReport estimate(const nn::TransformerConfig& model,
                                     std::size_t batch = 1) const;
 
-  // Autoregressive decoding: generates `generated_tokens` tokens after a
-  // `prompt_len`-token prompt with a resident KV cache.  Each step is a
-  // single-token pass whose weights must re-stream (batch-1 decode is the
-  // classic memory-bound regime).
-  [[nodiscard]] PerfReport estimate_generation(const nn::TransformerConfig& model,
-                                               std::size_t prompt_len,
-                                               std::size_t generated_tokens) const;
-
   // ONE autoregressive decode step at context length `context_len`, batched
   // over `batch` concurrent sequences (decode lanes) sharing the step's
   // per-layer weight re-stream.  Batch-1 decode is memory-bound, so batching
   // lanes amortises the DRAM stream — the continuous-batching win the serving
-  // simulator schedules around.  At batch 1 the per-step latency/energies are
-  // exactly one iteration of `estimate_generation`'s loop (pinned by test).
+  // simulator schedules around.  A whole generation is the sum of its
+  // batch-1 steps (`arch::Accelerator::estimate_generation`).
   [[nodiscard]] PerfReport estimate_decode_step(const nn::TransformerConfig& model,
                                                 std::size_t batch,
                                                 std::size_t context_len) const;
@@ -68,11 +62,11 @@ class TronAccelerator {
   [[nodiscard]] double static_power_w() const;
 
  private:
-  // Maps one pass of `trace` (scaled by `batch` rows) onto the fabric,
-  // accumulating compute time and dynamic energies into `breakdown`.
-  // Returns the pass's compute latency.
-  [[nodiscard]] double map_trace(const std::vector<nn::OpSpec>& trace, std::size_t batch,
-                                 PerfBreakdown& breakdown) const;
+  // Prices a stack of `layers` identical layers of `trace`, each mapped at
+  // `batch` rows and overlapped with one `stream_s` weight stream from DRAM:
+  // adds the stack's latency, its stall and its scaled breakdown to `r`.
+  void add_layers(PerfReport& r, const std::vector<nn::OpSpec>& trace, std::size_t batch,
+                  std::size_t layers, double stream_s) const;
 
   TronConfig config_;
   AttentionHeadUnit head_;

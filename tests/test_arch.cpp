@@ -9,11 +9,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "arch/platform_adapter.hpp"
 #include "arch/registry.hpp"
+#include "baselines/platforms.hpp"
 #include "common/error.hpp"
 #include "perf_report_matchers.hpp"
 #include "serve/campaign.hpp"
@@ -148,6 +151,144 @@ TEST(Adapters, BreakdownEntriesCoverTheBreakdownFields) {
                    b.laser_dac_adc_energy_j + b.partial_sum_energy_j + b.softmax_energy_j +
                        b.elementwise_energy_j + b.aggregation_energy_j + b.sram_energy_j +
                        b.dram_energy_j);
+}
+
+// ---------------------------------------------------------------------------
+// Generation: the sum of batch-1 decode steps on every accelerator
+// ---------------------------------------------------------------------------
+
+// The field-wise sum of the batch-1 decode steps at contexts `prompt` ..
+// `prompt + tokens - 1`, added in context order.
+PerfReport summed_steps(const Accelerator& acc, const Workload& w, std::size_t prompt,
+                        std::size_t tokens) {
+  PerfReport sum;
+  PerfBreakdown& b = sum.breakdown;
+  for (std::size_t t = 0; t < tokens; ++t) {
+    const PerfReport step = acc.estimate_decode_step(w, 1, prompt + t);
+    const PerfBreakdown& s = step.breakdown;
+    sum.static_power_w = step.static_power_w;
+    sum.bits = step.bits;
+    sum.latency_s += step.latency_s;
+    sum.dynamic_energy_j += step.dynamic_energy_j;
+    sum.static_energy_j += step.static_energy_j;
+    sum.total_energy_j += step.total_energy_j;
+    sum.op_count += step.op_count;
+    b.matmul_time_s += s.matmul_time_s;
+    b.softmax_time_s += s.softmax_time_s;
+    b.elementwise_time_s += s.elementwise_time_s;
+    b.aggregation_time_s += s.aggregation_time_s;
+    b.memory_stall_s += s.memory_stall_s;
+    b.laser_dac_adc_energy_j += s.laser_dac_adc_energy_j;
+    b.partial_sum_energy_j += s.partial_sum_energy_j;
+    b.softmax_energy_j += s.softmax_energy_j;
+    b.elementwise_energy_j += s.elementwise_energy_j;
+    b.aggregation_energy_j += s.aggregation_energy_j;
+    b.sram_energy_j += s.sram_energy_j;
+    b.dram_energy_j += s.dram_energy_j;
+  }
+  return sum;
+}
+
+// What the serving simulator schedules (one decode step per token) adds up
+// to the generation estimate bit for bit, on TRON and on every electronic
+// LLM baseline, at 64 tokens.
+TEST(Generation, SumsTheBatchOneDecodeStepsBitForBit) {
+  const Workload w = Workload::transformer("bert-base", sim::transformer_by_name("bert-base", 128));
+  constexpr std::size_t kPrompt = 64;
+  constexpr std::size_t kTokens = 64;
+  std::vector<std::unique_ptr<Accelerator>> accs;
+  accs.push_back(make_accelerator("tron"));
+  accs.push_back(make_accelerator("tron-eco"));
+  for (const baselines::PlatformModel& platform : baselines::llm_baselines()) {
+    accs.push_back(std::make_unique<PlatformAdapter>(platform));
+  }
+  for (const std::unique_ptr<Accelerator>& acc : accs) {
+    SCOPED_TRACE(acc->spec().name);
+    ASSERT_TRUE(acc->can_generate());
+    const PerfReport generation = acc->estimate_generation(w, kPrompt, kTokens);
+    expect_reports_identical(generation, summed_steps(*acc, w, kPrompt, kTokens));
+    EXPECT_EQ(generation.workload, "bert-base (generate 64)");
+  }
+  const auto tron = make_accelerator("tron");
+  EXPECT_THROW((void)tron->estimate_generation(w, 0, 8), InvalidArgument);
+  EXPECT_THROW((void)tron->estimate_generation(w, 8, 0), InvalidArgument);
+  const auto ghost = make_accelerator("ghost");
+  EXPECT_THROW((void)ghost->estimate_generation(
+                   Workload::gnn("gcn/cora", sim::gnn_by_name("gcn"), sim::dataset_by_name("cora")),
+                   kPrompt, kTokens),
+               InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned bits of the TRON and roofline estimates
+// ---------------------------------------------------------------------------
+
+// Hex-float latency and total energy: TRON and tron-eco full passes on an
+// encoder, a decoder-only model and the seq2seq decoder-stack path; TRON
+// decode steps at two contexts; and the roofline on one transformer and one
+// GNN workload, for a compute-bound platform (V100) and one memory-bound on
+// both (FPGA_Acc2).  Each at batch 1 and at a larger batch.  Recorded while
+// TRON priced each estimate's layer stacks with its own copy of the weight
+// overlap and the adapter priced roofline batches with its own formulas.
+// Every row reads the same bits with and without FMA contraction (Release
+// -march=native and Debug builds); some roofline points do not, such as
+// FPGA_Acc2 on GCN/Cora at batch 4, whose energy moves by one ULP.  Every
+// multiply-add that a compiler may fuse on these paths sits inside one
+// expression (or multiplies exactly), so a compiler that fuses only within
+// an expression reads the bits of one that fuses across statements.
+TEST(PinnedBits, TronAndRooflineEstimates) {
+  const struct Pin {
+    const char* spec;
+    const char* workload;
+    std::size_t batch;
+    std::size_t context;  // 0: a full-pass estimate; else one decode step
+    double latency_s;
+    double total_energy_j;
+  } pins[] = {
+      {"tron", "bert-base/128", 1, 0, 0x1.5e8f57765e812p-13, 0x1.409cceeb5cba6p-6},
+      {"tron", "bert-base/128", 8, 0, 0x1.f62571e5b1b14p-12, 0x1.0065c19d79538p-3},
+      {"tron", "gpt2/256", 1, 0, 0x1.5e8f57765e812p-13, 0x1.1d8613488066p-5},
+      {"tron", "gpt2/256", 8, 0, 0x1.49dad0acbc724p-10, 0x1.083881851f4a4p-2},
+      {"tron", "transformer", 1, 0, 0x1.6e0fe434d98cbp-14, 0x1.5383a410c4ae8p-7},
+      {"tron", "transformer", 8, 0, 0x1.645d4aff6fc6cp-12, 0x1.15ac65cfd7e6p-4},
+      {"tron-eco", "bert-base/128", 1, 0, 0x1.5e8f57765e812p-13, 0x1.33e79cb578a99p-6},
+      {"tron-eco", "bert-base/128", 8, 0, 0x1.6afcf2303df34p-11, 0x1.ff81f2c7476cep-4},
+      {"tron-eco", "gpt2/256", 1, 0, 0x1.bb3ee37335098p-13, 0x1.1a67d21c7adf4p-5},
+      {"tron-eco", "gpt2/256", 8, 0, 0x1.bb3dc2d4069a1p-10, 0x1.0633542818c6p-2},
+      {"tron-eco", "transformer", 1, 0, 0x1.6e0fe434d98cbp-14, 0x1.463e95b68850cp-7},
+      {"tron-eco", "transformer", 8, 0, 0x1.d155bff26b396p-12, 0x1.1304bfdff5927p-4},
+      {"tron", "gpt2/256", 1, 128, 0x1.5e8f57765e812p-13, 0x1.549845f37b227p-8},
+      {"tron", "gpt2/256", 8, 128, 0x1.5e8f57765e812p-13, 0x1.888212fdbb2f6p-8},
+      {"tron", "gpt2/256", 1, 1024, 0x1.5e8f57765e812p-13, 0x1.580ba926d1bc1p-8},
+      {"tron", "gpt2/256", 8, 1024, 0x1.5e8f57765e812p-13, 0x1.95f23cb822ec1p-8},
+      {"v100", "bert-base/4", 1, 0, 0x1.ddd429447572fp-12, 0x1.4056ee2f2b4cbp-4},
+      {"v100", "bert-base/4", 4, 0, 0x1.e3cc5e00ee2ccp-11, 0x1.bf24a5128ff16p-3},
+      {"v100", "gcn/pubmed", 1, 0, 0x1.6182dcf4a8b85p-9, 0x1.267681d82e8dp-1},
+      {"v100", "gcn/pubmed", 4, 0, 0x1.d717bfa553141p-8, 0x1.ec28680a79c61p+0},
+      {"fpga-acc2", "bert-base/4", 1, 0, 0x1.9c981843cb8fep-10, 0x1.1533ed5ff3381p-4},
+      {"fpga-acc2", "bert-base/4", 4, 0, 0x1.9e9a26f48a489p-10, 0x1.169d5fb43951fp-4},
+      {"fpga-acc2", "gcn/pubmed", 1, 0, 0x1.579e1e6a79753p-9, 0x1.c96853664afa9p-4},
+      {"fpga-acc2", "gcn/pubmed", 4, 0, 0x1.43ec2fb038893p-7, 0x1.c110a137f38c6p-2},
+  };
+  const Workload workloads[] = {
+      Workload::transformer("bert-base/128", sim::transformer_by_name("bert-base", 128)),
+      Workload::transformer("gpt2/256", sim::transformer_by_name("gpt2", 256)),
+      Workload::transformer("transformer", nn::original_transformer()),
+      Workload::transformer("bert-base/4", sim::transformer_by_name("bert-base", 4)),
+      Workload::gnn("gcn/pubmed", sim::gnn_by_name("gcn"), sim::dataset_by_name("pubmed")),
+  };
+  for (const Pin& pin : pins) {
+    const Workload* w = std::find_if(std::begin(workloads), std::end(workloads),
+                                     [&](const Workload& x) { return x.name() == pin.workload; });
+    ASSERT_NE(w, std::end(workloads)) << pin.workload;
+    SCOPED_TRACE(std::string(pin.spec) + " " + pin.workload + " batch " +
+                 std::to_string(pin.batch) + " context " + std::to_string(pin.context));
+    const auto acc = make_accelerator(pin.spec);
+    const PerfReport r = pin.context == 0 ? acc->estimate(*w, pin.batch)
+                                          : acc->estimate_decode_step(*w, pin.batch, pin.context);
+    EXPECT_EQ(r.latency_s, pin.latency_s);
+    EXPECT_EQ(r.total_energy_j, pin.total_energy_j);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-// Tests for autoregressive decode serving: the TRON per-step cost model's
-// consistency with `estimate_generation`, decode-length sampling, catalog
-// decode plumbing, the event loop's prefill+decode split
-// (TTFT/TPOT accounting, token conservation under faults), the
-// monolithic-vs-continuous scheduling contract, scheduler `pop_joiners`
-// semantics, and parity across the sharded and campaign drivers.
+// Tests for autoregressive decode serving: the TRON per-step cost model,
+// decode-length sampling, catalog decode plumbing, the event loop's
+// prefill+decode split (TTFT/TPOT accounting, token conservation under
+// faults), the monolithic-vs-continuous scheduling contract, scheduler
+// `pop_joiners` semantics, and parity across the sharded and campaign entry
+// points.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,32 +56,6 @@ Scenario decode_scenario(double qps_fraction, std::size_t requests, DecodeMode m
 // ---------------------------------------------------------------------------
 // TRON decode-step cost model
 // ---------------------------------------------------------------------------
-
-// The header pins it: at batch 1, `estimate_decode_step` is exactly one
-// iteration of `estimate_generation`'s loop, so stepping the contexts
-// reproduces the whole generation bit for bit.
-TEST(TronDecode, BatchOneStepsSumToGenerationEstimate) {
-  const auto accel = arch::make_accelerator("tron");
-  ASSERT_TRUE(accel->can_generate());
-  const auto* adapter = dynamic_cast<const arch::TronAdapter*>(accel.get());
-  ASSERT_NE(adapter, nullptr);
-
-  const nn::TransformerConfig model = sim::transformer_by_name("bert-base", 128);
-  constexpr std::size_t kPrompt = 128;
-  constexpr std::size_t kTokens = 6;
-  const PerfReport generation =
-      adapter->device().estimate_generation(model, kPrompt, kTokens);
-
-  double latency = 0.0;
-  double dynamic_energy = 0.0;
-  for (std::size_t t = 0; t < kTokens; ++t) {
-    const PerfReport step = adapter->device().estimate_decode_step(model, 1, kPrompt + t);
-    latency += step.latency_s;
-    dynamic_energy += step.dynamic_energy_j;
-  }
-  EXPECT_DOUBLE_EQ(latency, generation.latency_s);
-  EXPECT_DOUBLE_EQ(dynamic_energy, generation.dynamic_energy_j);
-}
 
 // Decode is memory-bound: the per-step weight re-stream is paid once no
 // matter how many lanes share the step, so a batched step costs far less
@@ -190,6 +164,10 @@ TEST(CatalogDecode, CentersKeepEveryDrawIn32Bits) {
   EXPECT_THROW(catalog.apply_decode(SeqLenDist::kUniform, 0x80000000ull), InvalidArgument);
   EXPECT_NO_THROW(catalog.apply_decode(SeqLenDist::kLogNormal, 0x3FFFFFFFull));
   EXPECT_THROW(catalog.apply_decode(SeqLenDist::kLogNormal, 0x40000000ull), InvalidArgument);
+  // The bound the CLI reports for --decode is the one the catalog applies.
+  EXPECT_EQ(LengthDist::max_center(SeqLenDist::kFixed), 0xFFFFFFFFu);
+  EXPECT_EQ(LengthDist::max_center(SeqLenDist::kUniform), 0x7FFFFFFFu);
+  EXPECT_EQ(LengthDist::max_center(SeqLenDist::kLogNormal), 0x3FFFFFFFu);
 }
 
 TEST(CatalogDecode, TokenSlosApplyToDecodingEntriesOnly) {

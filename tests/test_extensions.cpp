@@ -2,6 +2,7 @@
 // autoregressive generation, and the design-space sensitivity sweeps.
 #include <gtest/gtest.h>
 
+#include "arch/accelerator.hpp"
 #include "photonics/area.hpp"
 #include "sim/sensitivity.hpp"
 
@@ -93,32 +94,27 @@ TEST(Generation, StepMacsMatchClosedForm) {
   EXPECT_EQ(nn::generation_step_macs(model, ctx), per_layer * model.layers);
 }
 
+// TRON generation through the arch sum of batch-1 decode steps.
+arch::Workload gpt2_workload() { return arch::Workload::transformer("gpt2", nn::gpt2_small()); }
+
 TEST(Generation, DecodeIsMemoryBound) {
-  const tron::TronAccelerator acc(tron::default_tron_config());
-  const PerfReport r = acc.estimate_generation(nn::gpt2_small(), 64, 32);
+  const arch::TronAdapter acc(tron::default_tron_config());
+  const PerfReport r = acc.estimate_generation(gpt2_workload(), 64, 32);
   // Single-token decode streams the full weights per step: stalls dominate.
   EXPECT_GT(r.breakdown.memory_stall_s, 0.5 * r.latency_s);
 }
 
 TEST(Generation, LatencyScalesWithTokens) {
-  const tron::TronAccelerator acc(tron::default_tron_config());
-  const auto model = nn::gpt2_small();
-  const PerfReport t16 = acc.estimate_generation(model, 64, 16);
-  const PerfReport t64 = acc.estimate_generation(model, 64, 64);
+  const arch::TronAdapter acc(tron::default_tron_config());
+  const PerfReport t16 = acc.estimate_generation(gpt2_workload(), 64, 16);
+  const PerfReport t64 = acc.estimate_generation(gpt2_workload(), 64, 64);
   EXPECT_NEAR(t64.latency_s, 4.0 * t16.latency_s, 0.2 * t64.latency_s);
 }
 
 TEST(Generation, ThroughputFarBelowBatchedInference) {
-  const tron::TronAccelerator acc(tron::default_tron_config());
-  const auto model = nn::gpt2_small();
-  EXPECT_LT(acc.estimate_generation(model, 64, 32).ops_per_second(),
-            0.2 * acc.estimate(model, 16).ops_per_second());
-}
-
-TEST(Generation, InvalidArgsRejected) {
-  const tron::TronAccelerator acc(tron::default_tron_config());
-  EXPECT_THROW((void)acc.estimate_generation(nn::gpt2_small(), 0, 8), InvalidArgument);
-  EXPECT_THROW((void)acc.estimate_generation(nn::gpt2_small(), 8, 0), InvalidArgument);
+  const arch::TronAdapter acc(tron::default_tron_config());
+  EXPECT_LT(acc.estimate_generation(gpt2_workload(), 64, 32).ops_per_second(),
+            0.2 * acc.estimate(gpt2_workload(), 16).ops_per_second());
 }
 
 TEST(Seq2Seq, OriginalTransformerConfig) {

@@ -1,7 +1,7 @@
 // Tests for the electronic platform adapter (arch/platform_adapter.hpp) and
 // the hybrid-fleet serving features built on it: registry coverage of the
 // paper's comparison set, bit-identical delegation to the concrete roofline
-// entry points, the decode step-sum pin, cost-aware routing, dollar-cost
+// entry points, batched decode steps, cost-aware routing, dollar-cost
 // metrics (attribution, merge, shard parity), and the campaign fleet-template
 // axis.
 #include <gtest/gtest.h>
@@ -59,31 +59,6 @@ TEST(PlatformAdapter, StaticPowerIsIdleFractionOfBoardPower) {
   const arch::PlatformAdapter adapter(v100);
   EXPECT_DOUBLE_EQ(adapter.static_power_w(),
                    v100.spec().idle_power_fraction * v100.spec().board_power_w);
-}
-
-// The decode-serving conservation pin, same contract the TRON device honours
-// (see test_decode.cpp): at batch 1, `estimate_decode_step` is exactly one
-// iteration of `estimate_generation`'s loop.
-TEST(PlatformAdapter, BatchOneStepsSumToGenerationEstimate) {
-  const nn::TransformerConfig model = sim::transformer_by_name("gpt2", 256);
-  const arch::Workload w = arch::Workload::transformer("gpt2/256", model);
-  constexpr std::size_t kPrompt = 256;
-  constexpr std::size_t kTokens = 6;
-  for (const baselines::PlatformModel& platform : baselines::llm_baselines()) {
-    const arch::PlatformAdapter adapter(platform);
-    SCOPED_TRACE(platform.spec().name);
-    ASSERT_TRUE(adapter.can_generate());
-    const PerfReport generation = adapter.estimate_generation(w, kPrompt, kTokens);
-    double latency = 0.0;
-    double dynamic_energy = 0.0;
-    for (std::size_t t = 0; t < kTokens; ++t) {
-      const PerfReport step = adapter.estimate_decode_step(w, 1, kPrompt + t);
-      latency += step.latency_s;
-      dynamic_energy += step.dynamic_energy_j;
-    }
-    EXPECT_DOUBLE_EQ(latency, generation.latency_s);
-    EXPECT_DOUBLE_EQ(dynamic_energy, generation.dynamic_energy_j);
-  }
 }
 
 // A decode step of B lanes re-streams the weights once, so it must cost less

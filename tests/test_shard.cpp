@@ -139,27 +139,11 @@ TEST(Shard, BuildRejectsBadPlans) {
   closed.traffic.closed.sessions = 2;
   EXPECT_THROW(CellPlan::build(closed, 3), InvalidArgument);  // a cell would be empty
 
+  // Cells draw their own traffic: an explicit trace shards to no cell.
   Scenario traced = s;
   traced.trace = {{0, 0.0, 0}, {1, 1e-5, 0}};
-  EXPECT_THROW(CellPlan::build(traced, 3), InvalidArgument);
-}
-
-TEST(Shard, ExplicitTraceDealsRoundRobin) {
-  Scenario s = open_loop_scenario(4, 1000);
-  for (std::size_t i = 0; i < 10; ++i) {
-    s.trace.push_back({i, static_cast<double>(i) * 1e-5, 0});
-  }
-  const CellPlan plan = CellPlan::build(s, 4);
-  ASSERT_EQ(plan.cells[0].trace.size(), 3u);  // 0, 4, 8
-  EXPECT_EQ(plan.cells[0].trace[1].id, 4u);
-  ASSERT_EQ(plan.cells[3].trace.size(), 2u);  // 3, 7
-  EXPECT_EQ(plan.cells[3].trace[0].id, 3u);
-  // Each slice stays arrival-ordered.
-  for (const Scenario& cell : plan.cells) {
-    EXPECT_TRUE(std::is_sorted(
-        cell.trace.begin(), cell.trace.end(),
-        [](const Request& a, const Request& b) { return a.arrival_s < b.arrival_s; }));
-  }
+  EXPECT_THROW(CellPlan::build(traced, 2), InvalidArgument);
+  EXPECT_NO_THROW(CellPlan::build(traced, 1));
 }
 
 // ---------------------------------------------------------------------------

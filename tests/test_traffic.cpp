@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -201,29 +202,35 @@ TEST(TraceStats, MmppBurstOccupancyMatchesBurstFraction) {
   // Classify fixed windows as high/low by arrival count; the time fraction
   // spent high must track kBurstFraction.  The 4x rate separation makes the
   // two states unambiguous at this window size (low ~125/window, high ~500).
+  // One trace spans only about 80 burst cycles, so the occupancy is the mean
+  // over 8 seeded traces: over 40 disjoint groups of 8 seeds its error has a
+  // standard deviation of 0.007 against the 0.05 band (one trace: 0.021).
   const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
   TraceConfig cfg;
   cfg.offered_qps = 20000.0;
   cfg.request_count = 400000;
   cfg.process = ArrivalProcess::kBursty;
-  cfg.seed = 7;
-  const std::vector<Request> trace = generate_trace(catalog, cfg);
-
   const double low_qps = cfg.offered_qps / (1.0 + kBurstFraction * (kBurstMultiplier - 1.0));
   const double high_qps = kBurstMultiplier * low_qps;
   const double window_s = 0.01;
   const double threshold = 0.5 * (low_qps + high_qps) * window_s;
-  const double duration = trace.back().arrival_s;
-  const auto windows = static_cast<std::size_t>(duration / window_s);
-  std::vector<std::size_t> counts(windows + 1, 0);
-  for (const Request& r : trace) {
-    ++counts[static_cast<std::size_t>(r.arrival_s / window_s)];
+  constexpr std::uint64_t kTraces = 8;
+  double occupancy = 0.0;
+  for (cfg.seed = 1; cfg.seed <= kTraces; ++cfg.seed) {
+    const std::vector<Request> trace = generate_trace(catalog, cfg);
+    const double duration = trace.back().arrival_s;
+    const auto windows = static_cast<std::size_t>(duration / window_s);
+    std::vector<std::size_t> counts(windows + 1, 0);
+    for (const Request& r : trace) {
+      ++counts[static_cast<std::size_t>(r.arrival_s / window_s)];
+    }
+    std::size_t high_windows = 0;
+    for (std::size_t w = 0; w < windows; ++w) {
+      if (static_cast<double>(counts[w]) > threshold) ++high_windows;
+    }
+    occupancy += static_cast<double>(high_windows) / static_cast<double>(windows) /
+                 static_cast<double>(kTraces);
   }
-  std::size_t high_windows = 0;
-  for (std::size_t w = 0; w < windows; ++w) {
-    if (static_cast<double>(counts[w]) > threshold) ++high_windows;
-  }
-  const double occupancy = static_cast<double>(high_windows) / static_cast<double>(windows);
   EXPECT_NEAR(occupancy, kBurstFraction, 0.05);
 }
 

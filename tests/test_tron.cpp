@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "arch/accelerator.hpp"
 #include "nn/ops.hpp"
 #include "tron/accelerator.hpp"
 
@@ -281,13 +282,14 @@ TEST(EstimateBatch, AmortisesWeightStreamEnergy) {
 }
 
 TEST(EstimateGeneration, LatencyAndEnergyMonotoneInTokens) {
-  const TronAccelerator acc(default_tron_config());
+  const arch::TronAdapter acc(default_tron_config());
   double prev_latency = 0.0;
   double prev_energy = 0.0;
   std::size_t prev_ops = 0;
   for (const std::size_t tokens : {std::size_t{8}, std::size_t{16}, std::size_t{64}}) {
     const auto model = nn::gpt2_small(64 + tokens);
-    const PerfReport r = acc.estimate_generation(model, 64, tokens);
+    const PerfReport r =
+        acc.estimate_generation(arch::Workload::transformer("gpt2", model), 64, tokens);
     EXPECT_GT(r.latency_s, prev_latency);
     EXPECT_GT(r.total_energy_j, prev_energy);
     EXPECT_GT(r.op_count, prev_ops);
@@ -298,9 +300,9 @@ TEST(EstimateGeneration, LatencyAndEnergyMonotoneInTokens) {
 }
 
 TEST(EstimateGeneration, DecodeIsMemoryBound) {
-  const TronAccelerator acc(default_tron_config());
+  const arch::TronAdapter acc(default_tron_config());
   const auto model = nn::gpt2_small(128);
-  const PerfReport r = acc.estimate_generation(model, 64, 64);
+  const PerfReport r = acc.estimate_generation(arch::Workload::transformer("gpt2", model), 64, 64);
   // Single-token decode re-streams the weights every step: the stall should
   // dominate the latency (the classic memory-bound regime).
   EXPECT_GT(r.breakdown.memory_stall_s, 0.5 * r.latency_s);
