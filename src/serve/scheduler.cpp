@@ -127,18 +127,15 @@ class DynamicBatchScheduler final : public Scheduler {
     std::deque<Request>& bucket = buckets_[key_of(request.workload, request.seq_len)];
     bucket.push_back(request);
     ++queued_;
+    if (request.workload >= queued_of_.size()) queued_of_.resize(request.workload + 1, 0);
+    ++queued_of_[request.workload];
     return bucket.size() == 1 || bucket.size() == policy_.max_batch;
   }
 
   [[nodiscard]] std::size_t queued() const noexcept override { return queued_; }
 
   [[nodiscard]] std::size_t queued(std::uint32_t workload) const noexcept override {
-    std::size_t n = 0;
-    for (auto it = buckets_.lower_bound(key_of(workload, 0));
-         it != buckets_.end() && workload_of(it->first) == workload; ++it) {
-      n += it->second.size();
-    }
-    return n;
+    return workload < queued_of_.size() ? queued_of_[workload] : 0;
   }
 
   [[nodiscard]] bool ready(double now_s, const WorkloadMask& mask) const noexcept override {
@@ -191,6 +188,7 @@ class DynamicBatchScheduler final : public Scheduler {
       bucket.pop_front();
     }
     queued_ -= take;
+    queued_of_[workload_of(best->first)] -= take;
     if (bucket.empty()) buckets_.erase(best);
   }
 
@@ -216,6 +214,7 @@ class DynamicBatchScheduler final : public Scheduler {
       --queued_;
       ++taken;
     }
+    if (taken > 0) queued_of_[workload] -= taken;
     return taken;
   }
 
@@ -235,6 +234,9 @@ class DynamicBatchScheduler final : public Scheduler {
   // never holds an empty bucket.
   std::map<std::uint64_t, std::deque<Request>> buckets_;
   std::size_t queued_ = 0;
+  // Waiting requests per workload, kept so that `queued(workload)` — read at
+  // every token boundary of a continuous decode — is O(1).
+  std::vector<std::size_t> queued_of_;
 };
 
 }  // namespace

@@ -71,7 +71,8 @@ class Scheduler {
   // empty.  A false return lets the event loop skip its dispatch round.
   virtual bool enqueue(const Request& request, double now_s) = 0;
   [[nodiscard]] virtual std::size_t queued() const noexcept = 0;
-  // Waiting requests of one workload (the autoscaler's per-family backlog).
+  // Waiting requests of one workload, in O(1): the autoscaler's per-family
+  // backlog, and whether a joiner could board a decoding slot.
   [[nodiscard]] virtual std::size_t queued(std::uint32_t workload) const noexcept = 0;
   // True if `pop` would return a non-empty batch at `now_s` under `mask`.
   [[nodiscard]] virtual bool ready(double now_s,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -132,6 +133,14 @@ struct Slot {
   bool decoding = false;
   std::uint32_t decode_workload = 0;
   std::vector<DecodeLane> lanes;
+  // The current decode step: its cached price, the widest lane's KV context,
+  // that context's kDecodeContextGrid bucket, and the fewest tokens any lane
+  // still has to generate.  schedule_decode_step sets them whenever the
+  // lanes change; a counter-only boundary advances them (repeat_decode_step).
+  const PerfReport* step = nullptr;
+  std::uint32_t step_context = 0;
+  std::uint32_t step_bucket = 0;
+  std::uint32_t fewest_remaining = 0;
 
   // Availability bookkeeping under fault injection.
   std::size_t failures = 0;
@@ -143,6 +152,13 @@ struct Slot {
 
 bool can_dispatch_to(const Slot& s) noexcept {
   return s.idle && !s.draining && !s.retired && !s.failed;
+}
+
+// The KV context a decode step prices at: `context` rounded up to
+// kDecodeContextGrid, so the step cache stays small while contexts grow
+// token by token.
+std::uint32_t context_bucket(std::uint32_t context) noexcept {
+  return (context + kDecodeContextGrid - 1) / kDecodeContextGrid * kDecodeContextGrid;
 }
 
 // `validate_scenario`'s checks.  Returns whether the explicit trace holds a
@@ -706,29 +722,73 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     }
   };
 
-  // Prices and schedules the next decode step of slot `idx` at `now_s`;
-  // `extra_s`/`extra_j` fold in the joiners' prefill.  The step keys on the
-  // widest lane's context, rounded up to kDecodeContextGrid so the step
-  // cache stays small while contexts grow token by token.
+  // The widest lane context of decoding slot `s` (at least 1) and the fewest
+  // tokens any of its lanes still has to generate.
+  const auto scan_lanes = [&](const Slot& s) {
+    std::uint32_t context = 1;
+    std::uint32_t fewest = static_cast<std::uint32_t>(-1);
+    for (const DecodeLane& lane : s.lanes) {
+      const std::uint32_t base =
+          lane.request.seq_len != 0 ? lane.request.seq_len : native_seq_of[s.decode_workload];
+      context = std::max(context, base + lane.generated);
+      fewest = std::min(fewest, lane.remaining);
+    }
+    return std::pair{context, fewest};
+  };
+
+  // Prices and schedules the next decode step of slot `idx` at `now_s` after
+  // its lanes changed; `extra_s`/`extra_j` fold in the joiners' prefill.  The
+  // step keys on the widest lane's context bucket.
   const auto schedule_decode_step = [&](std::size_t idx, double now_s, double extra_s,
                                         double extra_j) {
     Slot& s = slots[idx];
-    const std::uint32_t w = s.decode_workload;
-    std::uint32_t ctx = 1;
-    for (const DecodeLane& lane : s.lanes) {
-      const std::uint32_t base =
-          lane.request.seq_len != 0 ? lane.request.seq_len : native_seq_of[w];
-      ctx = std::max(ctx, base + lane.generated);
-    }
-    ctx = (ctx + kDecodeContextGrid - 1) / kDecodeContextGrid * kDecodeContextGrid;
-    const PerfReport& r =
-        caches[s.cache].decode_step(w, s.lanes.size(), ctx);
-    start_step(idx, now_s, r.latency_s + extra_s, r.total_energy_j + extra_j);
+    std::tie(s.step_context, s.fewest_remaining) = scan_lanes(s);
+    s.step_bucket = context_bucket(s.step_context);
+    s.step = &caches[s.cache].decode_step(s.decode_workload, s.lanes.size(), s.step_bucket);
+    start_step(idx, now_s, s.step->latency_s + extra_s, s.step->total_energy_j + extra_j);
   };
 
-  // The one after-step path of slot `idx` (a finished batch or decode step):
-  // admit waiting prefills into free lanes (continuous mode, non-draining
-  // slots), then either run another step or — every lane drained — go idle
+  // Schedules the next decode step of slot `idx` at `now_s` after a
+  // counter-only boundary: every lane generated one token, so the widest
+  // context grows by one and the fewest remaining count falls by one.  The
+  // step keeps its cached price until the context enters a new bucket.
+  const auto repeat_decode_step = [&](std::size_t idx, double now_s) {
+    Slot& s = slots[idx];
+    ++s.step_context;
+    --s.fewest_remaining;
+    if (s.step_context > s.step_bucket) {
+      s.step_bucket += kDecodeContextGrid;
+      s.step = &caches[s.cache].decode_step(s.decode_workload, s.lanes.size(), s.step_bucket);
+    }
+#ifndef NDEBUG
+    // The advanced state matches a rescan of the lanes.  The cache is not
+    // asked, so Debug counts the lookups Release does.
+    const auto [context, fewest] = scan_lanes(s);
+    LUMOS_ENSURES(context == s.step_context && fewest == s.fewest_remaining &&
+                  context_bucket(context) == s.step_bucket);
+#endif
+    start_step(idx, now_s, s.step->latency_s, s.step->total_energy_j);
+  };
+
+  // True when a waiting request could join decoding slot `s` at a token
+  // boundary: continuous mode, a slot that is not draining, a free lane, and
+  // a waiting request of the slot's workload.
+  const auto joiner_can_board = [&](const Slot& s) {
+    return continuous && !s.draining && !s.lanes.empty() && s.lanes.size() < lane_capacity &&
+           sched->queued(s.decode_workload) > 0;
+  };
+
+  // True when the pending token boundary of decoding slot `s` changes only
+  // counters: every lane has at least two tokens to go, so none finishes,
+  // and no joiner can board.
+  const auto counter_only = [&](const Slot& s) {
+    return s.fewest_remaining >= 2 && !joiner_can_board(s);
+  };
+
+  // The after-step path of slot `idx` (a finished batch, or a decode step
+  // whose boundary is not counter-only, see repeat_decode_step): admit
+  // waiting prefills into free lanes (continuous mode, non-draining slots),
+  // then either run another step or — every lane drained — go idle
   // (retiring a draining slot).  Decode steps carry no observer
   // dispatch/complete batch hooks: the traced lifecycle stays arrival ->
   // dispatch -> completion with the decode phase inside the request's span.
@@ -736,8 +796,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     Slot& s = slots[idx];
     double extra_s = 0.0;
     double extra_j = 0.0;
-    if (continuous && !s.draining && !s.lanes.empty() &&
-        s.lanes.size() < lane_capacity) {
+    if (joiner_can_board(s)) {
       const std::uint32_t w = s.decode_workload;
       joiner_buf.clear();
       if (sched->pop_joiners(w, lane_capacity - s.lanes.size(), now_s, joiner_buf) > 0) {
@@ -1045,7 +1104,11 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       if (acc.decoding) {
         // Token boundary: the decode step finished; each active lane emits
         // one token, drained lanes complete, and the slot decides whether
-        // another step runs (see continue_decode).
+        // another step runs (see continue_decode).  A counter-only boundary
+        // (no lane drains, no joiner can board) starts the next step through
+        // repeat_decode_step instead, at the cached price and without the
+        // joiner scan.
+        const bool counters_only = counter_only(acc);
         charge(acc.decode_workload, acc.inflight_done_s - acc.inflight_start_s,
                acc.inflight_energy_j, acc.cache);
         ++m.decode_steps;
@@ -1065,7 +1128,11 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
           }
         }
         acc.lanes.resize(kept);
-        continue_decode(done.acc, done.time_s);
+        if (counters_only) {
+          repeat_decode_step(done.acc, done.time_s);
+        } else {
+          continue_decode(done.acc, done.time_s);
+        }
         continue;
       }
       if constexpr (kObs) {

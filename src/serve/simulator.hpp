@@ -32,8 +32,11 @@
 // and re-enters the event loop at every token boundary through the same
 // completion heap; under `DecodeMode::kContinuous` the scheduler admits
 // waiting prefills of the same workload into free lanes at those boundaries
-// (continuous batching).  Decode-free runs are bit-identical to the
-// pre-decode event loop.
+// (continuous batching).  A boundary that changes only counters (no lane
+// finishes, no joiner can board) starts the next step at the slot's cached
+// price without the joiner scan; only the estimate cache's lookup count
+// differs from re-pricing the step.  Decode-free runs are bit-identical to
+// the pre-decode event loop.
 //
 // Elastic fleets: an enabled autoscaler grows per-spec-family slot counts by
 // instantiating registry-named accelerators mid-simulation and shrinks them

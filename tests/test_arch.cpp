@@ -291,6 +291,99 @@ TEST(PinnedBits, TronAndRooflineEstimates) {
   }
 }
 
+// Hex-float pins of every breakdown field of TRON full passes (an encoder, a
+// decoder-only model and the seq2seq path at several batches, on tron,
+// tron-eco and tron@0.5) and decode steps.  Each row reads the same bits with
+// the cost models built with and without FMA contraction (Release and Debug
+// builds), unlike, for example, tron on `original_transformer` at batch 3.
+// The seq2seq rows add a second layer stack to a non-zero breakdown, where
+// `PerfBreakdown::add` rounding its product apart from its sum moves a last
+// bit.
+TEST(PinnedBits, TronBreakdowns) {
+  const struct Pin {
+    const char* spec;
+    const char* workload;
+    std::size_t batch;
+    std::size_t context;  // 0: a full-pass estimate; else one decode step
+    PerfBreakdown breakdown;
+  } pins[] = {
+      {"tron", "bert-base/128", 2, 0,
+       {0x1.bfb0a01489af2p-15, 0x1.353cd652bb167p-15, 0x1.eec7bd512b572p-16, 0x0p+0,
+        0x1.8dec08c99f934p-15, 0x1.d9d2dd544bd1p-6, 0x1.1ef8f80b3cfa3p-14, 0x1.bb52b5ea850a9p-19,
+        0x1.4442592c440d9p-16, 0x0p+0, 0x1.feac2dc802bdp-14, 0x1.5b7c89ba6f822p-9}},
+      {"tron", "gpt2/256", 3, 0,
+       {0x1.542be5dcca383p-13, 0x1.cfdb417c18a1ap-13, 0x1.7315cdfce0816p-14, 0x0p+0, 0x0p+0,
+        0x1.6c451d7a837ap-4, 0x1.b8d964545a959p-13, 0x1.4c7e086fe3c7ep-16, 0x1.e66385c266146p-15,
+        0x0p+0, 0x1.feac2dc802bdp-13, 0x1.5b7c89ba6f822p-9}},
+      {"tron", "gpt2/256", 8, 0,
+       {0x1.c58db764e5f0ap-12, 0x1.353cd652bb167p-11, 0x1.eec7bd512b572p-13, 0x0p+0, 0x0p+0,
+        0x1.e56144394a59cp-3, 0x1.25e642e2e70e6p-11, 0x1.bb52b5ea850a9p-15, 0x1.4442592c440d9p-13,
+        0x0p+0, 0x1.122c2d901aa68p-11, 0x1.5b7c89ba6f822p-9}},
+      {"tron", "transformer", 1, 0,
+       {0x1.b42767e28d348p-17, 0x1.353cd652bb168p-16, 0x1.7315cdfce0816p-17, 0x0p+0,
+        0x1.77b20fc87a20bp-15, 0x1.f993101f91a95p-8, 0x1.2d27ff01c9fefp-16, 0x1.bb52b5ea850a8p-20,
+        0x1.e66385c266146p-18, 0x0p+0, 0x1.f64d0742a22b4p-15, 0x1.68738617cc686p-10}},
+      {"tron", "transformer", 6, 0,
+       {0x1.46ef2b302a4b4p-14, 0x1.cfdb417c18a1bp-14, 0x1.16505a7da861p-14, 0x0p+0, 0x0p+0,
+        0x1.793c1626aa913p-5, 0x1.c3bbfe82aefe6p-14, 0x1.4c7e086fe3c7fp-17, 0x1.6ccaa451cc8f4p-15,
+        0x0p+0, 0x1.55d7fa463c965p-13, 0x1.68738617cc686p-10}},
+      {"tron-eco", "transformer", 9, 0,
+       {0x1.ea5f05a94a2c4p-13, 0x1.5be4711d12794p-13, 0x1.a17887bc7c918p-14, 0x0p+0, 0x0p+0,
+        0x1.1ad427842630fp-4, 0x1.52ccfee2033ecp-13, 0x1.f2bd0ca7d5abdp-17, 0x1.1197fb3d596b7p-14,
+        0x0p+0, 0x1.d79acf59956ap-13, 0x1.68738617cc686p-10}},
+      {"tron@0.5", "transformer", 12, 0,
+       {0x1.46ea563cd1006p-12, 0x1.cfdb417c18a1bp-13, 0x1.16505a7da861p-13, 0x0p+0, 0x0p+0,
+        0x1.790a43f4f7195p-4, 0x1.c3bbfe82aefe6p-13, 0x1.4c7e086fe3c7fp-16, 0x1.6ccaa451cc8f4p-14,
+        0x0p+0, 0x1.2caed236771edp-12, 0x1.68738617cc686p-10}},
+      {"tron", "gpt2/256", 1, 128,
+       {0x1.c58c6d8a67ba8p-23, 0x1.353cd652bb167p-23, 0x1.eec7bd512b572p-24, 0x0p+0,
+        0x1.5d92cc2dbd13p-13, 0x1.a7a453dc2fa9p-13, 0x1.1ef8f80b3cfa3p-22, 0x1.bb52b5ea850a9p-27,
+        0x1.4442592c440d9p-24, 0x0p+0, 0x1.36897ce3761fdp-14, 0x1.5b7c89ba6f822p-9}},
+      {"tron", "gpt2/256", 2, 1024,
+       {0x1.ec340854bf1d5p-22, 0x1.353cd652bb167p-19, 0x1.eec7bd512b572p-23, 0x0p+0,
+        0x1.5848982994ea6p-13, 0x1.888ef51fd5b8ap-12, 0x1.4f7603f0e3876p-21, 0x1.bb52b5ea850a9p-23,
+        0x1.4442592c440d9p-23, 0x0p+0, 0x1.73c14692c849ep-14, 0x1.5b7c89ba6f822p-9}},
+      {"tron-eco", "bert-base/128", 3, 1024,
+       {0x1.6fdd2bc159392p-20, 0x1.cfdb417c18a1ap-19, 0x1.7315cdfce0816p-22, 0x0p+0,
+        0x1.53b6a531ecfbep-13, 0x1.0a8d842e12714p-11, 0x1.f73105e9554b1p-21, 0x1.4c7e086fe3c7ep-22,
+        0x1.e66385c266146p-23, 0x0p+0, 0x1.75749a65dfe78p-14, 0x1.5b7c89ba6f822p-9}},
+      {"tron", "vit", 2, 128,
+       {0x1.c2f8b88dfb80bp-22, 0x1.353cd652bb167p-22, 0x1.eec7bd512b572p-23, 0x0p+0,
+        0x1.5c978abf99dafp-13, 0x1.49e9261563fd2p-12, 0x1.1ef8f80b3cfa3p-21, 0x1.bb52b5ea850a9p-26,
+        0x1.4442592c440d9p-23, 0x0p+0, 0x1.3752687ff72d6p-14, 0x1.5b7c89ba6f822p-9}},
+  };
+  const Workload workloads[] = {
+      Workload::transformer("bert-base/128", sim::transformer_by_name("bert-base", 128)),
+      Workload::transformer("gpt2/256", sim::transformer_by_name("gpt2", 256)),
+      Workload::transformer("transformer", nn::original_transformer()),
+      Workload::transformer("vit", sim::transformer_by_name("vit")),
+  };
+  for (const Pin& pin : pins) {
+    const Workload* w = std::find_if(std::begin(workloads), std::end(workloads),
+                                     [&](const Workload& x) { return x.name() == pin.workload; });
+    ASSERT_NE(w, std::end(workloads)) << pin.workload;
+    SCOPED_TRACE(std::string(pin.spec) + " " + pin.workload + " batch " +
+                 std::to_string(pin.batch) + " context " + std::to_string(pin.context));
+    const auto acc = make_accelerator(pin.spec);
+    const PerfBreakdown b = pin.context == 0
+                                ? acc->estimate(*w, pin.batch).breakdown
+                                : acc->estimate_decode_step(*w, pin.batch, pin.context).breakdown;
+    const PerfBreakdown& e = pin.breakdown;
+    EXPECT_EQ(b.matmul_time_s, e.matmul_time_s);
+    EXPECT_EQ(b.softmax_time_s, e.softmax_time_s);
+    EXPECT_EQ(b.elementwise_time_s, e.elementwise_time_s);
+    EXPECT_EQ(b.aggregation_time_s, e.aggregation_time_s);
+    EXPECT_EQ(b.memory_stall_s, e.memory_stall_s);
+    EXPECT_EQ(b.laser_dac_adc_energy_j, e.laser_dac_adc_energy_j);
+    EXPECT_EQ(b.partial_sum_energy_j, e.partial_sum_energy_j);
+    EXPECT_EQ(b.softmax_energy_j, e.softmax_energy_j);
+    EXPECT_EQ(b.elementwise_energy_j, e.elementwise_energy_j);
+    EXPECT_EQ(b.aggregation_energy_j, e.aggregation_energy_j);
+    EXPECT_EQ(b.sram_energy_j, e.sram_energy_j);
+    EXPECT_EQ(b.dram_energy_j, e.dram_energy_j);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Spec registry
 // ---------------------------------------------------------------------------

@@ -471,6 +471,44 @@ TEST(Observe, ProfilerEventCountsMatchTheRun) {
   EXPECT_NE(table.str().find("loop total"), std::string::npos);
 }
 
+// A fault-free continuous-decode run, profiled and with a timeline: every
+// loop iteration records each source once, every completion event is a
+// prefill batch or a decode step, and the timeline's queue-depth gauges keep
+// the sums recorded before counter-only token steps kept their cached price
+// (the lanes stay full, so the queue is non-empty at most token boundaries).
+TEST(Observe, DecodeRunCountsEveryTokenStep) {
+  Scenario scenario;
+  scenario.catalog = WorkloadCatalog::tron_default();
+  scenario.catalog.apply_decode(SeqLenDist::kLogNormal, 16);
+  scenario.fleet = FleetConfig::homogeneous("tron", 2);
+  scenario.batch.max_batch = 8;
+  scenario.sim.decode_mode = DecodeMode::kContinuous;
+  scenario.traffic.open.offered_qps = 2000.0;
+  scenario.traffic.open.request_count = 4000;
+  scenario.traffic.open.seed = 29;
+  scenario.observe.profile = true;
+  scenario.observe.timeline.enabled = true;
+  Observation obs;
+  const FleetMetrics m = simulate(scenario, &obs);
+  ASSERT_NE(obs.profiler, nullptr);
+  ASSERT_NE(obs.timeline, nullptr);
+  const EventLoopProfiler& prof = *obs.profiler;
+  EXPECT_EQ(m.decode_steps, 12386u);
+  EXPECT_EQ(prof.calls(LoopSource::kCompletions), prof.iterations());
+  EXPECT_EQ(prof.calls(LoopSource::kArrivals), prof.iterations());
+  EXPECT_EQ(prof.events(LoopSource::kCompletions), m.dispatches + m.decode_steps);
+
+  std::size_t depth_last = 0;
+  std::size_t depth_max = 0;
+  for (const TimelineWindow& w : obs.timeline->windows()) {
+    depth_last += w.queue_depth_last;
+    depth_max += w.queue_depth_max;
+  }
+  EXPECT_EQ(obs.timeline->windows().size(), 1990u);
+  EXPECT_EQ(depth_last, 119237u);
+  EXPECT_EQ(depth_max, 121655u);
+}
+
 // ---------------------------------------------------------------------------
 // HdrHistogram
 // ---------------------------------------------------------------------------

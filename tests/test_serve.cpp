@@ -436,6 +436,61 @@ TEST(Scheduler, EnqueueReportsOpenAndFillOnly) {
   EXPECT_TRUE(fifo->enqueue(make_request(5, 0.5, 1), 0.5));  // empty again
 }
 
+// `queued(workload)` and `queued()` equal a count of the requests the test
+// still holds after every operation of a seeded mix: enqueues across
+// workloads and seq buckets, masked pops, and joiner pops (one workload past
+// the enqueued ones asks about work that never arrived).
+TEST(Scheduler, QueuedMatchesABruteForceCount) {
+  constexpr std::uint32_t kWorkloads = 4;
+  BatchPolicy policy;
+  policy.max_batch = 3;
+  policy.max_wait_s = 2e-3;
+  for (const SchedulerKind kind : {SchedulerKind::kFifo, SchedulerKind::kDynamicBatch}) {
+    SCOPED_TRACE(kind == SchedulerKind::kFifo ? "fifo" : "dynamic batching");
+    const auto sched = make_scheduler(kind, policy, {0, 1, 0, 1});
+    Rng rng(17, 0x0E0E);
+    std::vector<Request> held;
+    std::size_t popped = 0;
+    std::size_t joined = 0;
+    double now_s = 0.0;
+    for (std::uint64_t id = 0; id < 4000; ++id) {
+      now_s += rng.uniform(0.0, 1e-3);
+      std::vector<Request> out;
+      const std::uint64_t roll = rng.next_below(10);
+      if (roll < 6) {
+        const auto workload = static_cast<std::uint32_t>(rng.next_below(kWorkloads));
+        const auto seq_len = static_cast<std::uint32_t>(32 * (1 + rng.next_below(3)));
+        const Request r = make_request(id, now_s, workload, seq_len);
+        sched->enqueue(r, now_s);
+        held.push_back(r);
+      } else if (roll < 8) {
+        std::vector<char> allowed(kWorkloads);
+        for (char& a : allowed) a = static_cast<char>(rng.next_below(2));
+        sched->pop(now_s, WorkloadMask(&allowed), out);
+        popped += out.size();
+      } else {
+        joined += sched->pop_joiners(static_cast<std::uint32_t>(rng.next_below(kWorkloads + 1)),
+                                     1 + rng.next_below(4), now_s, out);
+      }
+      for (const Request& r : out) {
+        const auto it = std::find_if(held.begin(), held.end(),
+                                     [&](const Request& h) { return h.id == r.id; });
+        ASSERT_NE(it, held.end()) << "request " << r.id << " popped twice";
+        held.erase(it);
+      }
+      ASSERT_EQ(sched->queued(), held.size()) << "after operation " << id;
+      for (std::uint32_t w = 0; w <= kWorkloads; ++w) {
+        const auto count = static_cast<std::size_t>(std::count_if(
+            held.begin(), held.end(), [&](const Request& h) { return h.workload == w; }));
+        ASSERT_EQ(sched->queued(w), count) << "workload " << w << " after operation " << id;
+      }
+    }
+    EXPECT_GT(popped, 0u);
+    EXPECT_GT(joined, 0u);
+    EXPECT_GT(held.size(), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Percentiles
 // ---------------------------------------------------------------------------
@@ -916,6 +971,21 @@ TEST(Campaign, MixedFleetTemplateSweepCompletes) {
 // Pinned bits
 // ---------------------------------------------------------------------------
 
+// A small TRON decode run: two slots, the default transformer mix decoding
+// log-normal 16-token tails, under `mode`.
+Scenario pinned_decode_run(DecodeMode mode) {
+  Scenario decode;
+  decode.catalog = WorkloadCatalog::tron_default();
+  decode.catalog.apply_decode(SeqLenDist::kLogNormal, 16);
+  decode.fleet = FleetConfig::homogeneous("tron", 2);
+  decode.batch.max_batch = 8;
+  decode.sim.decode_mode = mode;
+  decode.traffic.open.offered_qps = 2000.0;
+  decode.traffic.open.request_count = 4000;
+  decode.traffic.open.seed = 29;
+  return decode;
+}
+
 // Latency statistics recorded as hex floats before the end-of-run sample runs
 // sorted on the pool: every percentile, maximum and arrival-order mean keeps
 // its bits whichever thread sorts which run (ctest runs this under one and
@@ -963,16 +1033,7 @@ TEST(PinnedBits, SerialAndDecodeLatencies) {
   }
 
   // A small continuous-batching decode run: the TTFT and TPOT runs.
-  Scenario decode;
-  decode.catalog = WorkloadCatalog::tron_default();
-  decode.catalog.apply_decode(SeqLenDist::kLogNormal, 16);
-  decode.fleet = FleetConfig::homogeneous("tron", 2);
-  decode.batch.max_batch = 8;
-  decode.sim.decode_mode = DecodeMode::kContinuous;
-  decode.traffic.open.offered_qps = 2000.0;
-  decode.traffic.open.request_count = 4000;
-  decode.traffic.open.seed = 29;
-  const FleetMetrics d = simulate(decode);
+  const FleetMetrics d = simulate(pinned_decode_run(DecodeMode::kContinuous));
   ASSERT_EQ(d.decode_requests, 4000u);
   EXPECT_EQ(d.p50_ttft_s, 0x1.38a0bc0a9914p-6);
   EXPECT_EQ(d.p99_ttft_s, 0x1.1b2c62a2f3ffcp-3);
@@ -980,6 +1041,89 @@ TEST(PinnedBits, SerialAndDecodeLatencies) {
   EXPECT_EQ(d.p50_tpot_s, 0x1.cb59d7a31a186p-13);
   EXPECT_EQ(d.p99_tpot_s, 0x1.c5f2e994634ecp-11);
   EXPECT_EQ(d.mean_tpot_s, 0x1.49909f54051bdp-12);
+}
+
+// The decode loop's outcomes, recorded as hex floats before counter-only
+// token boundaries kept their step's cached price: the decode run above in
+// monolithic mode, the continuous run with slot faults aborting it mid-step,
+// a FIFO decode run whose requests time out and retry, and a small cost-aware
+// TRON+V100 closed loop.  Each row holds only fields that read the same bits
+// with and without FMA contraction (Release and Debug builds), so the hybrid
+// row pins times and counters and no roofline energy.
+TEST(PinnedBits, DecodeLoops) {
+  Scenario faulted = pinned_decode_run(DecodeMode::kContinuous);
+  faulted.sim.faults.mtbf_s = 0.05;
+  faulted.sim.faults.mttr_s = 0.005;
+  faulted.sim.faults.seed = 3;
+  Scenario fifo = pinned_decode_run(DecodeMode::kContinuous);
+  fifo.scheduler = SchedulerKind::kFifo;
+  fifo.traffic.open.offered_qps = 300.0;
+  fifo.catalog.apply_timeout(0.015);
+  fifo.sim.retry.max_attempts = 3;
+  fifo.sim.retry.base_backoff_s = 1e-3;
+  fifo.sim.retry.seed = 5;
+  Scenario hybrid;
+  hybrid.fleet = FleetConfig::cycled({"tron", "v100"}, 4, RoutingPolicy::kCostAware);
+  hybrid.catalog = WorkloadCatalog::tron_default();
+  hybrid.catalog.apply_seqlen_dist(SeqLenDist::kLogNormal);
+  hybrid.catalog.apply_decode(SeqLenDist::kLogNormal, 16);
+  hybrid.batch.max_batch = 8;
+  hybrid.sim.decode_mode = DecodeMode::kContinuous;
+  hybrid.traffic.mode = LoopMode::kClosed;
+  hybrid.traffic.closed.sessions = 32;
+  hybrid.traffic.closed.requests_per_session = 50;
+  hybrid.traffic.closed.think_time_mean_s = 1e-3;
+  hybrid.traffic.closed.seed = 31;
+
+  const struct Pin {
+    const char* name;
+    Scenario scenario;
+    std::size_t completed, generated_tokens, aborted_decode_tokens, decode_steps, dispatches,
+        attempt_timeouts, retried_attempts, within_slo, estimate_misses;
+    double duration_s, p99_latency_s, mean_latency_s, p50_ttft_s, p99_ttft_s, mean_ttft_s,
+        p50_tpot_s, p99_tpot_s, mean_tpot_s, busy_slot_s;
+  } pins[] = {
+      {"monolithic", pinned_decode_run(DecodeMode::kMonolithic), 4000, 74468, 0, 17170, 510, 0,
+       0, 22, 67, 0x1.30bbd0e9b4439p+1, 0x1.a744300a5d51cp-2, 0x1.d6e2bed4e2589p-3,
+       0x1.e8124de62aa84p-3, 0x1.a42aad1edc9e8p-2, 0x1.cdebfc4731f74p-3, 0x1.5e8f57765e8p-13,
+       0x1.3698bac3d84p-11, 0x1.053ad04289f11p-12, 0x1.304eef4253cf4p+2},
+      {"faulted continuous", faulted, 4000, 74468, 5225, 10966, 105, 0, 0, 156, 90,
+       0x1.0920388d1f3d8p+1, 0x1.7dd8cf59cf664p-3, 0x1.1af220609dc76p-4, 0x1.e76ebceed675p-5,
+       0x1.620b40a121418p-3, 0x1.0419c4fc8b585p-4, 0x1.d1b01aec3daabp-13, 0x1.be7b8c7986cp-11,
+       0x1.4c0857f010fe6p-12, 0x1.d6f2f400c3157p+1},
+      {"fifo with timeouts", fifo, 1895, 30113, 67901, 92995, 5448, 7096, 4991, 346, 13,
+       0x1.a46fc7a5ebfdfp+3, 0x1.b34efd362334p-5, 0x1.24d9c84bfa196p-6, 0x1.58e05795fb5p-7,
+       0x1.971588a494bcp-5, 0x1.eaa88cf52aacdp-7, 0x1.5e8f57766p-13, 0x1.3698bac3d82p-11,
+       0x1.a9637deb5e1b9p-13, 0x1.90e5d2c921fd7p+4},
+      {"tron+v100 closed loop", hybrid, 1600, 29700, 0, 6313, 42, 0, 0, 825, 604,
+       0x1.24b8ca9b9ad4fp+0, 0x1.f48413aebca3cp-4, 0x1.b6bd21880c1aep-7, 0x1.85cccb765ebp-11,
+       0x1.0616b94fa6dbcp-4, 0x1.d4dc51c9adc57p-9, 0x1.e6fe16583ad55p-13, 0x1.e474fba6ef895p-9,
+       0x1.228c6327f6b71p-11, 0x1.dd3c9c302d5ddp+1},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const FleetMetrics m = simulate(pin.scenario);
+    EXPECT_EQ(m.completed, pin.completed);
+    EXPECT_EQ(m.decode_requests, pin.completed);
+    EXPECT_EQ(m.generated_tokens, pin.generated_tokens);
+    EXPECT_EQ(m.aborted_decode_tokens, pin.aborted_decode_tokens);
+    EXPECT_EQ(m.decode_steps, pin.decode_steps);
+    EXPECT_EQ(m.dispatches, pin.dispatches);
+    EXPECT_EQ(m.attempt_timeouts, pin.attempt_timeouts);
+    EXPECT_EQ(m.retried_attempts, pin.retried_attempts);
+    EXPECT_EQ(m.within_slo, pin.within_slo);
+    EXPECT_EQ(m.estimate_misses, pin.estimate_misses);
+    EXPECT_EQ(m.duration_s, pin.duration_s);
+    EXPECT_EQ(m.p99_latency_s, pin.p99_latency_s);
+    EXPECT_EQ(m.mean_latency_s, pin.mean_latency_s);
+    EXPECT_EQ(m.p50_ttft_s, pin.p50_ttft_s);
+    EXPECT_EQ(m.p99_ttft_s, pin.p99_ttft_s);
+    EXPECT_EQ(m.mean_ttft_s, pin.mean_ttft_s);
+    EXPECT_EQ(m.p50_tpot_s, pin.p50_tpot_s);
+    EXPECT_EQ(m.p99_tpot_s, pin.p99_tpot_s);
+    EXPECT_EQ(m.mean_tpot_s, pin.mean_tpot_s);
+    EXPECT_EQ(m.tally.busy_slot_s, pin.busy_slot_s);
+  }
 }
 
 }  // namespace

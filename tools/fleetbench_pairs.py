@@ -6,8 +6,13 @@ usage: python3 tools/fleetbench_pairs.py --parent <ref> --workload <name>
 
 Run from anywhere inside the repository.  The script
   1. exports <ref> with `git archive` into a work directory (a fresh temp
-     dir, removed afterwards, unless --work-dir names one to keep);
-  2. builds the parent and this working tree through fleetbench/run.py, each
+     dir, removed afterwards, unless --work-dir names one to keep), and
+     copies this working tree there too: its tracked files as they are on
+     disk, uncommitted edits included, and the untracked files git does not
+     ignore, without `.git`.  Both sides then run from an export, so
+     fleetbench/run.py gives both the same kind of source id (a hash of the
+     sources), and the id's length cannot move one side's memory;
+  2. builds the parent and the change through fleetbench/run.py, each
      under its own CARGO_TARGET_DIR, with one short discarded run;
   3. runs --pairs pairs of BENCHMARK.json's run_seconds each, alternating
      which side goes first: untraced (--trace 0, the default) or traced
@@ -19,7 +24,8 @@ Run from anywhere inside the repository.  The script
      how many pairs the change was better.
 
 Each pair line and the summary name the pool's thread count, read from each
-run's provenance.  A failed check does not stop the pairs; the script exits 1
+run's provenance; the summary names the change by `git describe --always
+--dirty`.  A failed check does not stop the pairs; the script exits 1
 after printing if any run failed one, or if the two sides ran with different
 thread counts (a speedup is only comparable at one core count).  A speed
 claim also needs its median gain to exceed the parent's interquartile range;
@@ -48,6 +54,22 @@ def export(commit, dest):
                              stdout=subprocess.PIPE, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
+
+
+def export_worktree(dest):
+    """Copies the working tree's files into `dest`, replacing what was there."""
+    if os.path.exists(dest):
+        shutil.rmtree(dest)
+    listed = subprocess.run(
+        ["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        stdout=subprocess.PIPE, check=True).stdout.decode()
+    for rel in sorted(set(listed.split("\0")) - {""}):
+        source = os.path.join(ROOT, rel)
+        if not os.path.lexists(source):
+            continue  # a tracked file deleted in the working tree
+        target = os.path.join(dest, rel)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target, follow_symlinks=False)
 
 
 def run(tree, target_dir, workload, seed, seconds, trace):
@@ -115,12 +137,16 @@ def main():
     commit = subprocess.run(
         ["git", "-C", ROOT, "rev-parse", "--verify", args.parent + "^{commit}"],
         stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+    change = subprocess.run(["git", "-C", ROOT, "describe", "--always", "--dirty"],
+                            stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
     work = args.work_dir or tempfile.mkdtemp(prefix="fleetbench_pairs_")
     try:
         parent_tree = os.path.join(work, "parent-" + commit[:12])
         export(commit, parent_tree)
+        change_tree = os.path.join(work, "change")
+        export_worktree(change_tree)
         sides = {"parent": (parent_tree, parent_tree + "_build"),
-                 "change": (ROOT, os.path.join(work, "change_build"))}
+                 "change": (change_tree, change_tree + "_build")}
         for name, (tree, target) in sides.items():
             print(f"building {name} ...", flush=True)
             run(tree, target, args.workload, args.seed, 1, args.trace)
@@ -149,7 +175,7 @@ def main():
 
     mode = "traced" if args.trace else "untraced"
     print(f"\n{args.workload} seed {args.seed}: {args.pairs} {mode} pairs of {seconds:g} s, "
-          f"parent {args.parent} ({commit[:12]})")
+          f"parent {args.parent} ({commit[:12]}), change {change}")
     for name in samples:
         print(f"  {name} threads {' '.join(map(str, sorted(threads[name])))}  "
               f"digest {' '.join(sorted(digests[name]))}")
