@@ -1,9 +1,42 @@
 #include "serve/cache.hpp"
 
+#include <bit>
+#include <utility>
+
 #include "arch/registry.hpp"
 #include "common/error.hpp"
 
 namespace lumos::serve {
+
+namespace {
+constexpr std::size_t kFirstIndexSlots = 16;
+}  // namespace
+
+EstimateCache::ReportIndex::ReportIndex()
+    : slots_(kFirstIndexSlots), shift_(64 - std::countr_zero(kFirstIndexSlots)) {}
+
+const PerfReport& EstimateCache::ReportIndex::insert(std::uint64_t key, PerfReport report) {
+  LUMOS_EXPECTS(key != 0);
+  if (2 * (reports_.size() + 1) > slots_.size()) {
+    // Double the index; the reports stay where they are.
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    --shift_;
+    for (const Slot& slot : old) {
+      if (slot.key != 0) place(slot.key, slot.report);
+    }
+  }
+  reports_.push_back(std::move(report));
+  place(key, &reports_.back());
+  return reports_.back();
+}
+
+void EstimateCache::ReportIndex::place(std::uint64_t key, const PerfReport* report) noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = (key * 0x9E3779B97F4A7C15ull) >> shift_;
+  while (slots_[i].key != 0) i = (i + 1) & mask;
+  slots_[i] = {key, report};
+}
 
 EstimateCache::EstimateCache(std::unique_ptr<arch::Accelerator> accelerator,
                              const WorkloadCatalog& catalog)
@@ -24,14 +57,13 @@ const PerfReport& EstimateCache::estimate(std::uint32_t workload, std::size_t ba
   const std::uint64_t key = (static_cast<std::uint64_t>(workload) << 48) |
                             (static_cast<std::uint64_t>(seq_len) << 16) |
                             static_cast<std::uint64_t>(batch);
-  const auto it = reports_.find(key);
-  if (it != reports_.end()) return it->second;
+  if (const PerfReport* hit = reports_.find(key)) return *hit;
   ++misses_;
   PerfReport r =
       seq_len == 0
           ? acc_->estimate(catalog_->workload(workload), batch)
           : acc_->estimate(catalog_->workload(workload).with_seq_len(seq_len), batch);
-  return reports_.emplace(key, std::move(r)).first->second;
+  return reports_.insert(key, std::move(r));
 }
 
 const PerfReport& EstimateCache::decode_step(std::uint32_t workload, std::size_t batch,
@@ -44,12 +76,10 @@ const PerfReport& EstimateCache::decode_step(std::uint32_t workload, std::size_t
   const std::uint64_t key = (static_cast<std::uint64_t>(workload) << 48) |
                             (static_cast<std::uint64_t>(context_len) << 16) |
                             static_cast<std::uint64_t>(batch);
-  const auto it = decode_reports_.find(key);
-  if (it != decode_reports_.end()) return it->second;
+  if (const PerfReport* hit = decode_reports_.find(key)) return *hit;
   ++misses_;
-  PerfReport r =
-      acc_->estimate_decode_step(catalog_->workload(workload), batch, context_len);
-  return decode_reports_.emplace(key, std::move(r)).first->second;
+  return decode_reports_.insert(
+      key, acc_->estimate_decode_step(catalog_->workload(workload), batch, context_len));
 }
 
 bool EstimateCache::can_serve(std::uint32_t workload) const {

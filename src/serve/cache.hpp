@@ -9,12 +9,20 @@
 // distinct keys number in the dozens-to-hundreds while dispatches number in
 // the millions.  Cached reports are bit-identical to uncached calls; seq 0
 // (the fixed-length default) scores the entry's native config.
+//
+// Each keyspace (prefill estimates, decode steps) is an open-addressing index
+// over one 64-bit key: linear probing from a Fibonacci-hashed home slot, at
+// most half full, key 0 marking an empty slot (no key is 0: every batch is at
+// least 1).  A hit usually takes the one probe at its home slot.  The reports
+// live apart from the index, in storage whose addresses never move, so a
+// returned reference survives the index's growth.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "arch/accelerator.hpp"
 #include "common/perf.hpp"
@@ -58,10 +66,38 @@ class EstimateCache {
   [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
 
  private:
+  // One keyspace: nonzero keys to reports (see the file comment).
+  class ReportIndex {
+   public:
+    ReportIndex();
+    // The report under `key`, or nullptr.
+    [[nodiscard]] const PerfReport* find(std::uint64_t key) const noexcept {
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t i = (key * 0x9E3779B97F4A7C15ull) >> shift_;; i = (i + 1) & mask) {
+        if (slots_[i].key == key) return slots_[i].report;
+        if (slots_[i].key == 0) return nullptr;
+      }
+    }
+    // Stores `report` under `key`, which must be absent; returns the stored
+    // report, whose address never changes.
+    const PerfReport& insert(std::uint64_t key, PerfReport report);
+
+   private:
+    struct Slot {
+      std::uint64_t key = 0;
+      const PerfReport* report = nullptr;
+    };
+    void place(std::uint64_t key, const PerfReport* report) noexcept;
+
+    std::vector<Slot> slots_;
+    int shift_;
+    std::deque<PerfReport> reports_;
+  };
+
   std::unique_ptr<arch::Accelerator> acc_;
   const WorkloadCatalog* catalog_;
-  mutable std::unordered_map<std::uint64_t, PerfReport> reports_;
-  mutable std::unordered_map<std::uint64_t, PerfReport> decode_reports_;
+  mutable ReportIndex reports_;
+  mutable ReportIndex decode_reports_;
   mutable std::size_t lookups_ = 0;
   mutable std::size_t misses_ = 0;
 };

@@ -90,17 +90,33 @@ struct RetryLater {
   }
 };
 
-// One decode lane: a request generating tokens on a slot.  The prefill
-// produced the first token (generated starts at 1); each decode step the
-// slot runs generates one more until `remaining` hits zero.  Joiners admitted
-// at a token boundary start at generated 0 (their first token appears at the
-// end of the step that prefills them).
+// One decode lane: a request generating tokens on a slot.  Each decode step
+// the slot runs generates one token per lane, so a lane stores no counters:
+// it records the slot's step count when it joined, the tokens it still had to
+// generate then and those it had generated then.  A lane its own prefill
+// opened starts at 1 generated (the prefill produced its first token); a
+// joiner admitted at a token boundary starts at 0, and its first token
+// appears at the end of the step that prefills it.
 struct DecodeLane {
   Request request;
-  std::uint32_t remaining = 0;   // tokens still to generate
-  std::uint32_t generated = 0;   // tokens generated so far
-  double first_token_s = 0.0;    // absolute time of the first token (TTFT anchor)
+  std::uint64_t joined_step = 0;     // the slot's step count when the lane joined
+  std::uint32_t budget = 0;          // tokens still to generate then
+  std::uint32_t generated_then = 0;  // tokens generated by then
+  double first_token_s = 0.0;        // absolute time of the first token (TTFT anchor)
 };
+
+// The slot step count at whose end `lane` finishes: after its budget, or
+// after the one step that prefills a joiner with no tokens to generate.
+std::uint64_t finish_step(const DecodeLane& lane) noexcept {
+  return lane.joined_step + std::max<std::uint32_t>(lane.budget, 1);
+}
+
+// The tokens `lane` has generated once its slot has completed `steps` steps
+// (at most its finishing step).
+std::uint32_t generated(const DecodeLane& lane, std::uint64_t steps) noexcept {
+  return lane.generated_then +
+         static_cast<std::uint32_t>(std::min<std::uint64_t>(steps - lane.joined_step, lane.budget));
+}
 
 // One fleet slot.  Slots are append-only: growth pushes a new slot, shrink
 // marks one draining (no new dispatches) and retires it once idle, so slot
@@ -133,14 +149,17 @@ struct Slot {
   bool decoding = false;
   std::uint32_t decode_workload = 0;
   std::vector<DecodeLane> lanes;
-  // The current decode step: its cached price, the widest lane's KV context,
-  // that context's kDecodeContextGrid bucket, and the fewest tokens any lane
-  // still has to generate.  schedule_decode_step sets them whenever the
-  // lanes change; a counter-only boundary advances them (repeat_decode_step).
+  // Decode steps the slot has completed (its lanes' counters derive from
+  // it), and the earliest count at which one of its lanes finishes.
+  std::uint64_t steps = 0;
+  std::uint64_t finish_step = 0;
+  // The current decode step: its cached price, the widest lane's KV context
+  // and that context's kDecodeContextGrid bucket.  schedule_decode_step sets
+  // them, and finish_step, whenever the lanes change; a counter-only boundary
+  // advances them (repeat_decode_step).
   const PerfReport* step = nullptr;
   std::uint32_t step_context = 0;
   std::uint32_t step_bucket = 0;
-  std::uint32_t fewest_remaining = 0;
 
   // Availability bookkeeping under fault injection.
   std::size_t failures = 0;
@@ -722,18 +741,18 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     }
   };
 
-  // The widest lane context of decoding slot `s` (at least 1) and the fewest
-  // tokens any of its lanes still has to generate.
+  // The widest lane context of decoding slot `s` (at least 1) and the
+  // earliest step count at which one of its lanes finishes.
   const auto scan_lanes = [&](const Slot& s) {
     std::uint32_t context = 1;
-    std::uint32_t fewest = static_cast<std::uint32_t>(-1);
+    std::uint64_t finish = static_cast<std::uint64_t>(-1);
     for (const DecodeLane& lane : s.lanes) {
       const std::uint32_t base =
           lane.request.seq_len != 0 ? lane.request.seq_len : native_seq_of[s.decode_workload];
-      context = std::max(context, base + lane.generated);
-      fewest = std::min(fewest, lane.remaining);
+      context = std::max(context, base + generated(lane, s.steps));
+      finish = std::min(finish, finish_step(lane));
     }
-    return std::pair{context, fewest};
+    return std::pair{context, finish};
   };
 
   // Prices and schedules the next decode step of slot `idx` at `now_s` after
@@ -742,7 +761,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   const auto schedule_decode_step = [&](std::size_t idx, double now_s, double extra_s,
                                         double extra_j) {
     Slot& s = slots[idx];
-    std::tie(s.step_context, s.fewest_remaining) = scan_lanes(s);
+    std::tie(s.step_context, s.finish_step) = scan_lanes(s);
     s.step_bucket = context_bucket(s.step_context);
     s.step = &caches[s.cache].decode_step(s.decode_workload, s.lanes.size(), s.step_bucket);
     start_step(idx, now_s, s.step->latency_s + extra_s, s.step->total_energy_j + extra_j);
@@ -750,12 +769,12 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
 
   // Schedules the next decode step of slot `idx` at `now_s` after a
   // counter-only boundary: every lane generated one token, so the widest
-  // context grows by one and the fewest remaining count falls by one.  The
-  // step keeps its cached price until the context enters a new bucket.
+  // context grows by one, and no lane finished, so the earliest finishing
+  // step stands.  The step keeps its cached price until the context enters a
+  // new bucket.
   const auto repeat_decode_step = [&](std::size_t idx, double now_s) {
     Slot& s = slots[idx];
     ++s.step_context;
-    --s.fewest_remaining;
     if (s.step_context > s.step_bucket) {
       s.step_bucket += kDecodeContextGrid;
       s.step = &caches[s.cache].decode_step(s.decode_workload, s.lanes.size(), s.step_bucket);
@@ -763,8 +782,8 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
 #ifndef NDEBUG
     // The advanced state matches a rescan of the lanes.  The cache is not
     // asked, so Debug counts the lookups Release does.
-    const auto [context, fewest] = scan_lanes(s);
-    LUMOS_ENSURES(context == s.step_context && fewest == s.fewest_remaining &&
+    const auto [context, finish] = scan_lanes(s);
+    LUMOS_ENSURES(context == s.step_context && finish == s.finish_step &&
                   context_bucket(context) == s.step_bucket);
 #endif
     start_step(idx, now_s, s.step->latency_s, s.step->total_energy_j);
@@ -778,11 +797,10 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
            sched->queued(s.decode_workload) > 0;
   };
 
-  // True when the pending token boundary of decoding slot `s` changes only
-  // counters: every lane has at least two tokens to go, so none finishes,
-  // and no joiner can board.
+  // True when the token boundary decoding slot `s` has just counted changes
+  // only counters: no lane finishes at it, and no joiner can board.
   const auto counter_only = [&](const Slot& s) {
-    return s.fewest_remaining >= 2 && !joiner_can_board(s);
+    return s.steps < s.finish_step && !joiner_can_board(s);
   };
 
   // The after-step path of slot `idx` (a finished batch, or a decode step
@@ -794,6 +812,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
   // dispatch -> completion with the decode phase inside the request's span.
   const auto continue_decode = [&](std::size_t idx, double now_s) {
     Slot& s = slots[idx];
+    const std::size_t first_joiner = s.lanes.size();
     double extra_s = 0.0;
     double extra_j = 0.0;
     if (joiner_can_board(s)) {
@@ -807,14 +826,14 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
         std::uint32_t max_seq = 0;
         for (Request& req : joiner_buf) {
           DecodeLane lane;
-          lane.remaining = req.decode_tokens;
+          lane.joined_step = s.steps;
+          lane.budget = req.decode_tokens;
           max_seq = std::max(max_seq, req.seq_len);
           lane.request = std::move(req);
           s.lanes.push_back(std::move(lane));
         }
         // The joining step pays the joiners' prefill on top of the decode
-        // step: running lanes stall for it (TPOT interference), joiners get
-        // their first token at the step's end.
+        // step: running lanes stall for it (TPOT interference).
         const PerfReport& pr = caches[s.cache].estimate(w, joiner_buf.size(), max_seq);
         extra_s = pr.latency_s;
         extra_j = pr.total_energy_j;
@@ -822,6 +841,11 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
     }
     if (!s.lanes.empty()) {
       schedule_decode_step(idx, now_s, extra_s, extra_j);
+      // Joiners get their first token at the joining step's end: the instant
+      // the completion heap pops for it, unless a fault aborts the step.
+      for (std::size_t i = first_joiner; i < s.lanes.size(); ++i) {
+        s.lanes[i].first_token_s = s.inflight_done_s;
+      }
       return;
     }
     s.decoding = false;
@@ -976,7 +1000,7 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
             // request requeues as a fresh prefill (decode length intact) and
             // its generated-so-far tokens count as aborted work.
             for (const DecodeLane& lane : s.lanes) {
-              m.aborted_decode_tokens += lane.generated;
+              m.aborted_decode_tokens += generated(lane, s.steps);
               requeue(lane.request, t_ev);
             }
             s.lanes.clear();
@@ -1082,7 +1106,8 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
                                       live.begin(), live.end(),
                                       [&](std::size_t i) { return can_dispatch_to(slots[i]); })));
 #endif
-    const double t = std::min({t_arr, t_retry, t_done, t_dead, t_fault, next_eval_s});
+    const double t = std::min(std::min(std::min(t_arr, t_retry), std::min(t_done, t_dead)),
+                              std::min(t_fault, next_eval_s));
     LUMOS_ENSURES(t >= now_s && t < kNever);
     m.tally.queue_depth_s += static_cast<double>(sched->queued()) * (t - now_s);
     if (scaling && t > now_s) {
@@ -1102,37 +1127,37 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
       if (acc.inflight_seq != done.seq) continue;  // batch aborted by a failure
       ++completion_events;
       if (acc.decoding) {
-        // Token boundary: the decode step finished; each active lane emits
-        // one token, drained lanes complete, and the slot decides whether
-        // another step runs (see continue_decode).  A counter-only boundary
-        // (no lane drains, no joiner can board) starts the next step through
-        // repeat_decode_step instead, at the cached price and without the
-        // joiner scan.
-        const bool counters_only = counter_only(acc);
+        // Token boundary: the decode step finished and each lane emitted one
+        // token, which the slot's step count records.  A counter-only
+        // boundary (no lane finishes, no joiner can board) starts the next
+        // step through repeat_decode_step, at the cached price and without
+        // touching a lane.  Otherwise finished lanes complete and the slot
+        // decides whether another step runs (see continue_decode).
         charge(acc.decode_workload, acc.inflight_done_s - acc.inflight_start_s,
                acc.inflight_energy_j, acc.cache);
         ++m.decode_steps;
         ++m.decode_occupancy[acc.lanes.size()];
-        std::size_t kept = 0;
-        for (DecodeLane& lane : acc.lanes) {
-          if (lane.remaining > 0) {
-            --lane.remaining;
-            ++lane.generated;
-            if (lane.generated == 1) lane.first_token_s = done.time_s;
-          }
-          if (lane.remaining == 0) {
-            finish_decode_request(lane.request, done.time_s, lane.first_token_s,
-                                  lane.generated);
-          } else {
-            acc.lanes[kept++] = std::move(lane);
-          }
-        }
-        acc.lanes.resize(kept);
-        if (counters_only) {
+        ++acc.steps;
+        if (counter_only(acc)) {
           repeat_decode_step(done.acc, done.time_s);
-        } else {
-          continue_decode(done.acc, done.time_s);
+          continue;
         }
+        LUMOS_ENSURES(acc.steps <= acc.finish_step);  // no lane outlives its finishing step
+        if (acc.steps == acc.finish_step) {
+          std::size_t kept = 0;
+          for (std::size_t i = 0; i < acc.lanes.size(); ++i) {
+            DecodeLane& lane = acc.lanes[i];
+            if (finish_step(lane) == acc.steps) {
+              finish_decode_request(lane.request, done.time_s, lane.first_token_s,
+                                    generated(lane, acc.steps));
+            } else {
+              if (kept != i) acc.lanes[kept] = std::move(lane);
+              ++kept;
+            }
+          }
+          acc.lanes.resize(kept);
+        }
+        continue_decode(done.acc, done.time_s);
         continue;
       }
       if constexpr (kObs) {
@@ -1160,8 +1185,9 @@ FleetMetrics simulate_impl(const Scenario& scenario, Observation* observation) {
           } else {
             DecodeLane lane;
             lane.request = req;
-            lane.remaining = req.decode_tokens - 1;
-            lane.generated = 1;
+            lane.joined_step = acc.steps;
+            lane.budget = req.decode_tokens - 1;
+            lane.generated_then = 1;
             lane.first_token_s = done.time_s;
             acc.lanes.push_back(std::move(lane));
           }

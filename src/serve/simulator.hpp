@@ -32,11 +32,14 @@
 // and re-enters the event loop at every token boundary through the same
 // completion heap; under `DecodeMode::kContinuous` the scheduler admits
 // waiting prefills of the same workload into free lanes at those boundaries
-// (continuous batching).  A boundary that changes only counters (no lane
-// finishes, no joiner can board) starts the next step at the slot's cached
-// price without the joiner scan; only the estimate cache's lookup count
-// differs from re-pricing the step.  Decode-free runs are bit-identical to
-// the pre-decode event loop.
+// (continuous batching).  Lanes store no token counters: a slot counts its
+// completed steps and keeps the earliest count at which a lane finishes, and
+// each lane derives its tokens from that count and the count when it joined.
+// So a boundary that changes only counters (no lane finishes, no joiner can
+// board) counts the step, moves no lane, and starts the next step at the
+// slot's cached price without the joiner scan; only the estimate cache's
+// lookup count differs from re-pricing the step.  Decode-free runs are
+// bit-identical to the pre-decode event loop.
 //
 // Elastic fleets: an enabled autoscaler grows per-spec-family slot counts by
 // instantiating registry-named accelerators mid-simulation and shrinks them
@@ -46,10 +49,10 @@
 // to the static single-tier simulator.
 //
 // Service times and energies come from the per-spec `EstimateCache`, so the
-// loop's cost per request is a queue push, a heap push/pop, and a hash
-// lookup: millions of requests simulate in seconds.  The loop itself is
-// serial and allocation-light; campaigns parallelise over grid points (see
-// campaign.hpp).  Results are bit-reproducible for a fixed scenario across
+// loop's cost per request is a queue push, a heap push/pop, and one probe of
+// an open-addressing index: millions of requests simulate in seconds.  The
+// loop itself is serial and allocation-light; campaigns parallelise over grid
+// points (see campaign.hpp).  Results are bit-reproducible for a fixed scenario across
 // runs and `LUMOS_THREADS` settings — seeded sources keep that true through
 // the closed-loop feedback path.
 #pragma once

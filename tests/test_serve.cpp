@@ -9,6 +9,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -198,6 +199,47 @@ TEST(EstimateCache, MissesOncePerKey) {
   (void)cache.estimate(0, 1);
   EXPECT_EQ(cache.lookups(), 4u);
   EXPECT_EQ(cache.misses(), 2u);
+}
+
+// The event loop holds reports across later lookups (a decoding slot keeps
+// its step's price), so 640 keys, which grow each keyspace's index several
+// times, must leave every earlier reference at its address and its bits; a
+// prefill and a decode key of the same (workload, batch, length) stay apart.
+TEST(EstimateCache, ReferencesSurviveGrowth) {
+  const WorkloadCatalog catalog = WorkloadCatalog::tron_default();
+  const EstimateCache cache("tron", catalog);
+  const std::unique_ptr<arch::Accelerator> acc = arch::make_accelerator("tron");
+  struct Held {
+    std::uint32_t workload;
+    std::size_t batch;
+    std::uint32_t length;
+    const PerfReport* prefill;
+    const PerfReport* step;
+  };
+  std::vector<Held> held;
+  for (std::uint32_t length = 32; length <= 512; length += 32) {
+    for (const std::size_t batch : {1, 2, 3, 5, 8}) {
+      for (std::uint32_t w = 0; w < catalog.size(); ++w) {
+        held.push_back({w, batch, length, &cache.estimate(w, batch, length),
+                        &cache.decode_step(w, batch, length)});
+      }
+    }
+  }
+  ASSERT_EQ(held.size(), 320u);
+  EXPECT_EQ(cache.lookups(), 640u);
+  EXPECT_EQ(cache.misses(), 640u);
+  for (const Held& h : held) {
+    SCOPED_TRACE(std::to_string(h.workload) + " x" + std::to_string(h.batch) + " @" +
+                 std::to_string(h.length));
+    EXPECT_EQ(&cache.estimate(h.workload, h.batch, h.length), h.prefill);
+    EXPECT_EQ(&cache.decode_step(h.workload, h.batch, h.length), h.step);
+    EXPECT_NE(h.prefill, h.step);
+    const arch::Workload& wl = catalog.workload(h.workload);
+    expect_reports_identical(*h.prefill, acc->estimate(wl.with_seq_len(h.length), h.batch));
+    expect_reports_identical(*h.step, acc->estimate_decode_step(wl, h.batch, h.length));
+  }
+  EXPECT_EQ(cache.lookups(), 1280u);
+  EXPECT_EQ(cache.misses(), 640u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1049,7 +1091,9 @@ TEST(PinnedBits, SerialAndDecodeLatencies) {
 // a FIFO decode run whose requests time out and retry, and a small cost-aware
 // TRON+V100 closed loop.  Each row holds only fields that read the same bits
 // with and without FMA contraction (Release and Debug builds), so the hybrid
-// row pins times and counters and no roofline energy.
+// row pins times and counters and no roofline energy.  The lookup counts were
+// recorded later, once counter-only boundaries looked their price up only at a
+// bucket crossing, from the code before lanes derived their counters.
 TEST(PinnedBits, DecodeLoops) {
   Scenario faulted = pinned_decode_run(DecodeMode::kContinuous);
   faulted.sim.faults.mtbf_s = 0.05;
@@ -1079,23 +1123,23 @@ TEST(PinnedBits, DecodeLoops) {
     const char* name;
     Scenario scenario;
     std::size_t completed, generated_tokens, aborted_decode_tokens, decode_steps, dispatches,
-        attempt_timeouts, retried_attempts, within_slo, estimate_misses;
+        attempt_timeouts, retried_attempts, within_slo, estimate_misses, estimate_lookups;
     double duration_s, p99_latency_s, mean_latency_s, p50_ttft_s, p99_ttft_s, mean_ttft_s,
         p50_tpot_s, p99_tpot_s, mean_tpot_s, busy_slot_s;
   } pins[] = {
       {"monolithic", pinned_decode_run(DecodeMode::kMonolithic), 4000, 74468, 0, 17170, 510, 0,
-       0, 22, 67, 0x1.30bbd0e9b4439p+1, 0x1.a744300a5d51cp-2, 0x1.d6e2bed4e2589p-3,
+       0, 22, 67, 4300, 0x1.30bbd0e9b4439p+1, 0x1.a744300a5d51cp-2, 0x1.d6e2bed4e2589p-3,
        0x1.e8124de62aa84p-3, 0x1.a42aad1edc9e8p-2, 0x1.cdebfc4731f74p-3, 0x1.5e8f57765e8p-13,
        0x1.3698bac3d84p-11, 0x1.053ad04289f11p-12, 0x1.304eef4253cf4p+2},
-      {"faulted continuous", faulted, 4000, 74468, 5225, 10966, 105, 0, 0, 156, 90,
+      {"faulted continuous", faulted, 4000, 74468, 5225, 10966, 105, 0, 0, 156, 90, 6853,
        0x1.0920388d1f3d8p+1, 0x1.7dd8cf59cf664p-3, 0x1.1af220609dc76p-4, 0x1.e76ebceed675p-5,
        0x1.620b40a121418p-3, 0x1.0419c4fc8b585p-4, 0x1.d1b01aec3daabp-13, 0x1.be7b8c7986cp-11,
        0x1.4c0857f010fe6p-12, 0x1.d6f2f400c3157p+1},
-      {"fifo with timeouts", fifo, 1895, 30113, 67901, 92995, 5448, 7096, 4991, 346, 13,
+      {"fifo with timeouts", fifo, 1895, 30113, 67901, 92995, 5448, 7096, 4991, 346, 13, 10965,
        0x1.a46fc7a5ebfdfp+3, 0x1.b34efd362334p-5, 0x1.24d9c84bfa196p-6, 0x1.58e05795fb5p-7,
        0x1.971588a494bcp-5, 0x1.eaa88cf52aacdp-7, 0x1.5e8f57766p-13, 0x1.3698bac3d82p-11,
        0x1.a9637deb5e1b9p-13, 0x1.90e5d2c921fd7p+4},
-      {"tron+v100 closed loop", hybrid, 1600, 29700, 0, 6313, 42, 0, 0, 825, 604,
+      {"tron+v100 closed loop", hybrid, 1600, 29700, 0, 6313, 42, 0, 0, 825, 604, 3988,
        0x1.24b8ca9b9ad4fp+0, 0x1.f48413aebca3cp-4, 0x1.b6bd21880c1aep-7, 0x1.85cccb765ebp-11,
        0x1.0616b94fa6dbcp-4, 0x1.d4dc51c9adc57p-9, 0x1.e6fe16583ad55p-13, 0x1.e474fba6ef895p-9,
        0x1.228c6327f6b71p-11, 0x1.dd3c9c302d5ddp+1},
@@ -1113,6 +1157,7 @@ TEST(PinnedBits, DecodeLoops) {
     EXPECT_EQ(m.retried_attempts, pin.retried_attempts);
     EXPECT_EQ(m.within_slo, pin.within_slo);
     EXPECT_EQ(m.estimate_misses, pin.estimate_misses);
+    EXPECT_EQ(m.estimate_lookups, pin.estimate_lookups);
     EXPECT_EQ(m.duration_s, pin.duration_s);
     EXPECT_EQ(m.p99_latency_s, pin.p99_latency_s);
     EXPECT_EQ(m.mean_latency_s, pin.mean_latency_s);
@@ -1123,6 +1168,83 @@ TEST(PinnedBits, DecodeLoops) {
     EXPECT_EQ(m.p99_tpot_s, pin.p99_tpot_s);
     EXPECT_EQ(m.mean_tpot_s, pin.mean_tpot_s);
     EXPECT_EQ(m.tally.busy_slot_s, pin.busy_slot_s);
+  }
+}
+
+// Two TRON slots of four lanes over an explicit trace of 900 gpt2/256
+// requests whose decode lengths mix 0, 1, 2, 5 and 17 tokens (and prompts of
+// the native 256, 96 and 240 tokens), under `mode`.  A 0- or 1-token request
+// that boards at a token boundary is a joiner that finishes at the end of the
+// step that prefills it; with `faults`, slot failures abort decode steps,
+// joining steps among them.
+Scenario pinned_lane_run(DecodeMode mode, bool faults) {
+  Scenario s;
+  s.catalog = WorkloadCatalog::tron_default();
+  s.fleet = FleetConfig::homogeneous("tron", 2);
+  s.batch.max_batch = 4;
+  s.sim.decode_mode = mode;
+  if (faults) {
+    s.sim.faults.mtbf_s = 0.03;
+    s.sim.faults.mttr_s = 0.003;
+    s.sim.faults.seed = 7;
+  }
+  Rng rng(43);
+  const std::uint32_t lengths[] = {0, 1, 2, 5, 17};
+  const std::uint32_t prompts[] = {0, 96, 240};
+  double t = 0.0;
+  for (std::uint64_t id = 0; id < 900; ++id) {
+    t += rng.exponential(3e-4);
+    Request r;
+    r.id = id;
+    r.arrival_s = t;
+    r.workload = 2;
+    r.seq_len = prompts[rng.next_below(3)];
+    r.decode_tokens = lengths[rng.next_below(5)];
+    s.trace.push_back(r);
+  }
+  return s;
+}
+
+// The decode lanes' edge cases, recorded as hex floats before lanes derived
+// their token counters from their slot's step count: the same bits in the
+// Release and the Debug+ASan build.
+TEST(PinnedBits, DecodeLanes) {
+  const struct Pin {
+    const char* name;
+    Scenario scenario;
+    std::size_t decode_requests, aborted_decode_tokens, decode_steps, estimate_lookups,
+        estimate_misses;
+    double duration_s, p50_ttft_s, p99_ttft_s, mean_ttft_s, p50_tpot_s, p99_tpot_s,
+        mean_tpot_s;
+  } pins[] = {
+      {"continuous", pinned_lane_run(DecodeMode::kContinuous, false), 724, 0, 1498, 1547, 27,
+       0x1.2297902ac00f8p-2, 0x1.49dad0acbc7p-11, 0x1.2f604193862p-9, 0x1.ab1942ab947d7p-11,
+       0x1.e2051842c1fp-13, 0x1.db6049a7fafp-12, 0x1.00db3b1f8a58p-12},
+      {"faulted continuous", pinned_lane_run(DecodeMode::kContinuous, true), 724, 261, 1403,
+       1467, 27, 0x1.22ebf426a522cp-2, 0x1.0b0f29a7131p-10, 0x1.c2993ec2882cp-8,
+       0x1.a8eba93549047p-10, 0x1.e2051842c1fp-13, 0x1.db6049a7fafp-12,
+       0x1.034d30ff80fb9p-12},
+      {"monolithic", pinned_lane_run(DecodeMode::kMonolithic, false), 724, 0, 2438, 671, 27,
+       0x1.2365f50761ea4p-2, 0x1.f5b20c295109p-9, 0x1.9ee082e815358p-7, 0x1.4180681a14c02p-8,
+       0x1.5e8f57765e8p-13, 0x1.5e8f57765e82p-13, 0x1.5e8f57765e8p-13},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const FleetMetrics m = simulate(pin.scenario);
+    EXPECT_EQ(m.completed, 900u);
+    EXPECT_EQ(m.decode_requests, pin.decode_requests);
+    EXPECT_EQ(m.generated_tokens, 4367u);
+    EXPECT_EQ(m.aborted_decode_tokens, pin.aborted_decode_tokens);
+    EXPECT_EQ(m.decode_steps, pin.decode_steps);
+    EXPECT_EQ(m.estimate_lookups, pin.estimate_lookups);
+    EXPECT_EQ(m.estimate_misses, pin.estimate_misses);
+    EXPECT_EQ(m.duration_s, pin.duration_s);
+    EXPECT_EQ(m.p50_ttft_s, pin.p50_ttft_s);
+    EXPECT_EQ(m.p99_ttft_s, pin.p99_ttft_s);
+    EXPECT_EQ(m.mean_ttft_s, pin.mean_ttft_s);
+    EXPECT_EQ(m.p50_tpot_s, pin.p50_tpot_s);
+    EXPECT_EQ(m.p99_tpot_s, pin.p99_tpot_s);
+    EXPECT_EQ(m.mean_tpot_s, pin.mean_tpot_s);
   }
 }
 

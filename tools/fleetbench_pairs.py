@@ -3,6 +3,7 @@
 
 usage: python3 tools/fleetbench_pairs.py --parent <ref> --workload <name>
            [--seed N] [--pairs N] [--trace 0|1] [--work-dir DIR]
+       python3 tools/fleetbench_pairs.py --self-test
 
 Run from anywhere inside the repository.  The script
   1. exports <ref> with `git archive` into a work directory (a fresh temp
@@ -20,16 +21,24 @@ Run from anywhere inside the repository.  The script
   4. prints both sides' digests and failed checks and, per metric of
      BENCHMARK.json (the end-to-end metrics untraced, the per-layer ones
      traced, leaving out a layer that reads 0 on both sides), each side's
-     median and quartiles, the change/parent ratio of the medians, and in
-     how many pairs the change was better.
+     median and quartiles, the change/parent ratio of the medians, in how
+     many pairs the change was better, and the median and quartiles of the
+     per-pair change/parent ratios.
 
 Each pair line and the summary name the pool's thread count, read from each
 run's provenance; the summary names the change by `git describe --always
 --dirty`.  A failed check does not stop the pairs; the script exits 1
 after printing if any run failed one, or if the two sides ran with different
-thread counts (a speedup is only comparable at one core count).  A speed
-claim also needs its median gain to exceed the parent's interquartile range;
-the `>IQR` column says whether it does.
+thread counts (a speedup is only comparable at one core count).
+
+A claim holds when the per-pair ratios' first quartile is above 1 (a
+higher-is-better metric) or their third quartile is below 1 (lower is
+better): the `holds` column.  Each ratio compares two runs taken back to
+back, so a host whose speed drifts between pairs moves both sides of a pair
+together and leaves the ratios tight.  The older rule, the median gain above
+the parent's interquartile range (the `>IQR` column), reads that drift as
+noise in the parent's runs and can hide a gain every pair shows.
+`--self-test` checks both rules on canned samples.
 """
 import argparse
 import io
@@ -118,15 +127,63 @@ def spread(q):
     return f"{number(q[1])} [{number(q[0])}, {number(q[2])}]"
 
 
+def summarize(higher, parent, change):
+    """One metric's summary over aligned pairs: each side's quartiles, the
+    ratio of the medians, the change's wins, whether the median gain beats
+    the parent's IQR, and the per-pair ratios' quartiles with the claim rule."""
+    p, c = quartiles(parent), quartiles(change)
+    wins = sum((b > a) if higher else (b < a) for a, b in zip(parent, change))
+    gain = (c[1] - p[1]) if higher else (p[1] - c[1])
+    ratios = [b / a for a, b in zip(parent, change) if a]
+    pair = quartiles(ratios) if ratios else (float("nan"),) * 3
+    return {"parent": p, "change": c, "ratio": c[1] / p[1] if p[1] else float("nan"),
+            "wins": wins, "beats_iqr": gain > p[2] - p[0], "pair": pair,
+            "holds": pair[0] > 1 if higher else pair[2] < 1}
+
+
+def self_test():
+    """Feeds canned pairs to `summarize`; returns the exit code."""
+    # A host that drifted between 20 s windows: the parent read 325k-525k
+    # req/s while every pair's change/parent ratio read 1.16-1.43.
+    drift_parent = [325e3, 525e3, 352e3, 498e3, 371e3, 463e3, 389e3, 441e3, 402e3, 517e3]
+    drift_ratios = [1.16, 1.43, 1.18, 1.21, 1.37, 1.17, 1.30, 1.19, 1.24, 1.16]
+    drift_change = [a * r for a, r in zip(drift_parent, drift_ratios)]
+    # No change: the pairs scatter on both sides of 1.
+    same_ratios = [0.95, 1.05, 1.02, 0.97, 1.0, 1.03, 0.98, 0.96, 1.04, 1.01]
+    same_change = [a * r for a, r in zip(drift_parent, same_ratios)]
+    cases = [  # (case, higher is better, parent, change, >IQR expected, holds expected)
+        ("drifting host, higher is better", True, drift_parent, drift_change, False, True),
+        ("drifting host, lower is better", False, drift_parent,
+         [a / r for a, r in zip(drift_parent, drift_ratios)], False, True),
+        ("no change", True, drift_parent, same_change, False, False),
+        ("no change, lower is better", False, drift_parent, same_change, False, False),
+    ]
+    failed = 0
+    for name, higher, parent, change, beats_iqr, holds in cases:
+        row = summarize(higher, parent, change)
+        ok = row["beats_iqr"] == beats_iqr and row["holds"] == holds
+        failed += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: >IQR {row['beats_iqr']} (want {beats_iqr}), "
+              f"pair ratios {spread(row['pair'])} holds {row['holds']} (want {holds})")
+    print(f"fleetbench_pairs self-test {'FAILED' if failed else 'OK'}: {len(cases)} cases")
+    return 1 if failed else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True, help="git ref to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--parent", help="git ref to compare against")
+    parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--work-dir", help="keep the export and builds here")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check the claim rules on canned samples and exit")
     args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if not args.parent or not args.workload:
+        parser.error("--parent and --workload are required")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
@@ -188,19 +245,21 @@ def main():
         print("  THREAD COUNTS DIFFER: the ratios below compare different core counts")
     width = max(len(spec["name"]) for spec in metric_specs)
     print(f"  {'metric':{width}} {'better':6} {'parent median [q1, q3]':>36} "
-          f"{'change median [q1, q3]':>36} {'ratio':>7} {'wins':>6} {'>IQR':>5}")
+          f"{'change median [q1, q3]':>36} {'ratio':>7} {'wins':>6} {'>IQR':>5} "
+          f"{'pair ratios median [q1, q3]':>28} {'holds':>5}")
     for spec in metric_specs:
-        name, higher = spec["name"], spec["better"] == "higher"
+        name = spec["name"]
         parent = [s[name] for s in samples["parent"]]
         change = [s[name] for s in samples["change"]]
         if not any(parent + change):
             continue
-        p, c = quartiles(parent), quartiles(change)
-        wins = sum((b > a) if higher else (b < a) for a, b in zip(parent, change))
-        gain = (c[1] - p[1]) if higher else (p[1] - c[1])
-        ratio = c[1] / p[1] if p[1] else float("nan")
-        print(f"  {name:{width}} {spec['better']:6} {spread(p):>36} {spread(c):>36} {ratio:7.3f} "
-              f"{f'{wins}/{len(parent)}':>6} {'yes' if gain > p[2] - p[0] else 'no':>5}")
+        row = summarize(spec["better"] == "higher", parent, change)
+        wins = f"{row['wins']}/{len(parent)}"
+        pair = "{:.3f} [{:.3f}, {:.3f}]".format(row["pair"][1], row["pair"][0], row["pair"][2])
+        print(f"  {name:{width}} {spec['better']:6} {spread(row['parent']):>36} "
+              f"{spread(row['change']):>36} {row['ratio']:7.3f} {wins:>6} "
+              f"{'yes' if row['beats_iqr'] else 'no':>5} {pair:>28} "
+              f"{'yes' if row['holds'] else 'no':>5}")
     return 1 if any(failures.values()) or mixed_threads else 0
 
 
