@@ -1,7 +1,10 @@
 #include "serve/metrics.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -19,6 +22,70 @@ std::size_t rank_index(std::size_t n, double q) {
   return std::min(index, n - 1);
 }
 
+// Order-preserving 64-bit key of a double: keys ascend as the values do, and
+// -0.0 sorts before +0.0.
+std::uint64_t sort_key(double v) noexcept {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  // Negative: every bit flips.  Positive: only the sign bit does.
+  const auto flip = static_cast<std::uint64_t>(static_cast<std::int64_t>(bits) >> 63) |
+                    (std::uint64_t{1} << 63);
+  return bits ^ flip;
+}
+
+bool key_less(double a, double b) noexcept { return sort_key(a) < sort_key(b); }
+
+// Below this many elements a range sorts by comparison.
+constexpr std::size_t kRadixCutoff = 48;
+
+// American flag sort (McIlroy, Bostic & McIlroy, "Engineering Radix Sort",
+// 1993): an in-place MSD radix sort on the 8-bit digit of every key at
+// `shift`, then on the next lower digit within each bucket.  The lowest
+// digit starts at bit 0 and may overlap bits an earlier digit sorted, which
+// are equal within its bucket.
+void flag_sort(double* first, std::size_t n, int shift) {
+  if (n < kRadixCutoff) {
+    std::sort(first, first + n, key_less);
+    return;
+  }
+  const auto digit = [shift](double v) {
+    return static_cast<std::size_t>((sort_key(v) >> shift) & 0xFF);
+  };
+  std::array<std::size_t, 257> start{};
+  for (std::size_t i = 0; i < n; ++i) ++start[digit(first[i]) + 1];
+  const bool one_bucket = std::find(start.begin(), start.end(), n) != start.end();
+  for (std::size_t b = 1; b <= 256; ++b) start[b] += start[b - 1];
+  if (!one_bucket) {
+    // Each bucket's next unplaced slot; an element found out of place is
+    // swapped into its own bucket until the slot holds one that belongs.
+    std::array<std::size_t, 256> next{};
+    std::copy(start.begin(), start.end() - 1, next.begin());
+    for (std::size_t b = 0; b < 256; ++b) {
+      while (next[b] < start[b + 1]) {
+        double v = first[next[b]];
+        for (std::size_t d = digit(v); d != b; d = digit(v)) std::swap(v, first[next[d]++]);
+        first[next[b]++] = v;
+      }
+    }
+  }
+  if (shift == 0) return;
+  const int lower = std::max(shift - 8, 0);
+  for (std::size_t b = 0; b < 256; ++b) {
+    if (start[b + 1] - start[b] > 1) flag_sort(first + start[b], start[b + 1] - start[b], lower);
+  }
+}
+
+// Sorts `values` ascending by key in place, with no scratch buffer: the
+// first digit starts at the highest bit on which two keys differ.
+void radix_sort(std::vector<double>& values) {
+  if (values.empty()) return;
+  const std::uint64_t key0 = sort_key(values.front());
+  std::uint64_t differ = 0;
+  for (const double v : values) differ |= sort_key(v) ^ key0;
+  if (differ == 0) return;  // every value has the same bits
+  const int top = 63 - std::countl_zero(differ);
+  flag_sort(values.data(), values.size(), std::max(top - 7, 0));
+}
+
 }  // namespace
 
 double percentile(std::vector<double>& samples, double q) {
@@ -30,7 +97,7 @@ double percentile(std::vector<double>& samples, double q) {
 
 SampleRun::SampleRun(std::vector<double> samples) : values_(std::move(samples)) {
   for (const double v : values_) sum_ += v;
-  std::sort(values_.begin(), values_.end());
+  radix_sort(values_);
 }
 
 void SampleRun::merge(const SampleRun& other) {

@@ -22,8 +22,12 @@ namespace lumos::serve {
 
 // An ascending run of latency samples and their sum.  Built from samples in
 // arrival order: the sum adds them in that order (bit-identical to a running
-// sum), then the run sorts once.  Percentiles are index reads and merging is
-// linear, so no later step ever re-sorts.
+// sum), then the run sorts once, in place, by an MSD radix sort on each
+// double's order-preserving 64-bit key (no scratch buffer the size of the
+// run; short ranges sort by comparison on the same key).  The values are
+// those `std::sort` gives, bit for bit, except that -0.0 sorts before +0.0.
+// Percentiles are index reads and merging is linear, so no later step ever
+// re-sorts.
 class SampleRun {
  public:
   SampleRun() = default;

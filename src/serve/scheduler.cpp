@@ -1,5 +1,6 @@
 #include "serve/scheduler.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <map>
 
@@ -101,15 +102,18 @@ class FifoScheduler final : public Scheduler {
   std::size_t queued_ = 0;
 };
 
-// Per-(workload, seq-bucket) batching buckets, keyed workload-major so the
-// map iterates (workload, seq) ascending and masks/tiers — which bind per
-// workload — test only the key's high half.  A bucket lives only while it
-// holds requests: the pop that empties it erases it, so every scan walks the
-// waiting work, never every bucket the run has touched.  Readiness and
-// deadlines ignore tiers (a lower-priority bucket's deadline must still wake
-// the event loop so the tier eventually dispatches); the pop respects strict
-// tier order among the ready buckets, falling back to longest-waiting-head
-// order within a tier.
+// Per-(workload, seq-bucket) batching buckets, keyed workload-major so keys
+// order (workload, seq) ascending and masks/tiers — which bind per workload —
+// test only the key's high half.  The map indexes every bucket the run has
+// opened and never erases one: a bucket keeps its storage, so a batch that
+// drains it leaves its vector's capacity for the next opening, and a run
+// allocates per bucket, not per batch.  The scans walk `open_`, the
+// non-empty buckets in ascending key order, so they see the waiting work and
+// never every bucket the run has touched.  Readiness and deadlines ignore
+// tiers (a lower-priority bucket's deadline must still wake the event loop
+// so the tier eventually dispatches); the pop respects strict tier order
+// among the ready buckets, falling back to longest-waiting-head order within
+// a tier.
 class DynamicBatchScheduler final : public Scheduler {
  public:
   DynamicBatchScheduler(const BatchPolicy& policy, std::vector<std::uint32_t> priorities)
@@ -120,12 +124,17 @@ class DynamicBatchScheduler final : public Scheduler {
                           std::to_string(policy.max_batch));
     LUMOS_EXPECTS_MSG(policy.max_wait_s >= 0.0, "BatchPolicy.max_wait_s must be >= 0");
   }
+  // `open_` points into `buckets_`, so a copy would point into its source.
+  DynamicBatchScheduler(const DynamicBatchScheduler&) = delete;
+  DynamicBatchScheduler& operator=(const DynamicBatchScheduler&) = delete;
 
   bool enqueue(const Request& request, double) override {
     // A push behind a bucket's head moves neither its deadline nor, short of
     // filling it, its readiness.
-    std::deque<Request>& bucket = buckets_[key_of(request.workload, request.seq_len)];
-    bucket.push_back(request);
+    const std::uint64_t key = key_of(request.workload, request.seq_len);
+    Bucket& bucket = buckets_.try_emplace(key, key).first->second;
+    if (bucket.empty()) open_.insert(open_.begin() + open_from(key), &bucket);
+    bucket.requests.push_back(request);
     ++queued_;
     if (request.workload >= queued_of_.size()) queued_of_.resize(request.workload + 1, 0);
     ++queued_of_[request.workload];
@@ -139,19 +148,19 @@ class DynamicBatchScheduler final : public Scheduler {
   }
 
   [[nodiscard]] bool ready(double now_s, const WorkloadMask& mask) const noexcept override {
-    for (const auto& [key, bucket] : buckets_) {
-      if (!mask.allows(workload_of(key))) continue;
-      if (bucket.size() >= policy_.max_batch) return true;
-      if (bucket.front().arrival_s + policy_.max_wait_s <= now_s) return true;
+    for (const Bucket* bucket : open_) {
+      if (!mask.allows(workload_of(bucket->key))) continue;
+      if (bucket->size() >= policy_.max_batch) return true;
+      if (bucket->front().arrival_s + policy_.max_wait_s <= now_s) return true;
     }
     return false;
   }
 
   [[nodiscard]] double next_deadline_s(const WorkloadMask& mask) const noexcept override {
     double deadline = kNever;
-    for (const auto& [key, bucket] : buckets_) {
-      if (!mask.allows(workload_of(key))) continue;
-      deadline = std::min(deadline, bucket.front().arrival_s + policy_.max_wait_s);
+    for (const Bucket* bucket : open_) {
+      if (!mask.allows(workload_of(bucket->key))) continue;
+      deadline = std::min(deadline, bucket->front().arrival_s + policy_.max_wait_s);
     }
     return deadline;
   }
@@ -160,65 +169,99 @@ class DynamicBatchScheduler final : public Scheduler {
     out.clear();
     // Among ready allowed buckets, serve the lowest tier; within a tier, the
     // bucket whose oldest request has waited longest (tie: lowest
-    // (workload id, seq bucket) via the map's iteration order).
-    auto best = buckets_.end();
-    for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {
-      if (!mask.allows(workload_of(it->first))) continue;
-      const std::deque<Request>& bucket = it->second;
+    // (workload id, seq bucket), the first in `open_`).
+    std::size_t best = open_.size();
+    for (std::size_t i = 0; i < open_.size(); ++i) {
+      const Bucket& bucket = *open_[i];
+      if (!mask.allows(workload_of(bucket.key))) continue;
       const bool is_ready = bucket.size() >= policy_.max_batch ||
                             bucket.front().arrival_s + policy_.max_wait_s <= now_s;
       if (!is_ready) continue;
-      if (best == buckets_.end()) {
-        best = it;
+      if (best == open_.size()) {
+        best = i;
         continue;
       }
-      const std::uint32_t tier = tier_of(tiers_, workload_of(it->first));
-      const std::uint32_t best_tier = tier_of(tiers_, workload_of(best->first));
+      const Bucket& incumbent = *open_[best];
+      const std::uint32_t tier = tier_of(tiers_, workload_of(bucket.key));
+      const std::uint32_t best_tier = tier_of(tiers_, workload_of(incumbent.key));
       if (tier < best_tier ||
-          (tier == best_tier && bucket.front().arrival_s < best->second.front().arrival_s)) {
-        best = it;
+          (tier == best_tier && bucket.front().arrival_s < incumbent.front().arrival_s)) {
+        best = i;
       }
     }
-    if (best == buckets_.end()) return;
-    std::deque<Request>& bucket = best->second;
-    const std::size_t take = std::min(policy_.max_batch, bucket.size());
-    out.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      out.push_back(bucket.front());
-      bucket.pop_front();
+    if (best < open_.size()) {
+      take_from(best, std::min(policy_.max_batch, open_[best]->size()), out);
     }
-    queued_ -= take;
-    queued_of_[workload_of(best->first)] -= take;
-    if (bucket.empty()) buckets_.erase(best);
   }
 
   std::size_t pop_joiners(std::uint32_t workload, std::size_t max_n, double,
                           std::vector<Request>& out) override {
     // One joiner at a time: always the oldest head across the workload's seq
-    // buckets (tie: lowest seq bucket via map order).  max_n is a lane count
-    // — small — so the repeated scan over the workload's buckets stays cheap.
+    // buckets (tie: lowest seq bucket, the first in `open_`).  max_n is a
+    // lane count — small — so the repeated scan over the workload's buckets
+    // stays cheap.
+    const auto begin = static_cast<std::size_t>(open_from(key_of(workload, 0)));
     std::size_t taken = 0;
     while (taken < max_n) {
-      auto best = buckets_.end();
-      for (auto it = buckets_.lower_bound(key_of(workload, 0));
-           it != buckets_.end() && workload_of(it->first) == workload; ++it) {
-        if (best == buckets_.end() ||
-            it->second.front().arrival_s < best->second.front().arrival_s) {
-          best = it;
+      std::size_t best = open_.size();
+      for (std::size_t i = begin; i < open_.size() && workload_of(open_[i]->key) == workload;
+           ++i) {
+        if (best == open_.size() || open_[i]->front().arrival_s < open_[best]->front().arrival_s) {
+          best = i;
         }
       }
-      if (best == buckets_.end()) break;
-      out.push_back(best->second.front());
-      best->second.pop_front();
-      if (best->second.empty()) buckets_.erase(best);
-      --queued_;
+      if (best == open_.size()) break;
+      take_from(best, 1, out);
       ++taken;
     }
-    if (taken > 0) queued_of_[workload] -= taken;
     return taken;
   }
 
  private:
+  // One (workload, seq) bucket: its waiting requests are `requests[head..]`,
+  // in arrival order.
+  struct Bucket {
+    explicit Bucket(std::uint64_t k) : key(k) {}
+    [[nodiscard]] std::size_t size() const noexcept { return requests.size() - head; }
+    [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+    [[nodiscard]] const Request& front() const noexcept { return requests[head]; }
+
+    std::uint64_t key;
+    std::vector<Request> requests;
+    std::size_t head = 0;
+  };
+
+  // A bucket that never drains drops its consumed prefix once the head has
+  // passed this many requests and half the vector.
+  static constexpr std::size_t kCompactHead = 64;
+
+  // Index in `open_` of the first open bucket whose key is at least `key`.
+  [[nodiscard]] std::ptrdiff_t open_from(std::uint64_t key) const {
+    return std::lower_bound(open_.begin(), open_.end(), key,
+                            [](const Bucket* b, std::uint64_t k) { return b->key < k; }) -
+           open_.begin();
+  }
+
+  // Moves the `n` oldest requests of `open_[i]` to `out`.  A bucket that
+  // this drains clears its vector, keeping the capacity, and leaves `open_`.
+  void take_from(std::size_t i, std::size_t n, std::vector<Request>& out) {
+    Bucket& bucket = *open_[i];
+    const auto first = bucket.requests.begin() + static_cast<std::ptrdiff_t>(bucket.head);
+    out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(n));
+    bucket.head += n;
+    queued_ -= n;
+    queued_of_[workload_of(bucket.key)] -= n;
+    if (bucket.head == bucket.requests.size()) {
+      bucket.requests.clear();
+      bucket.head = 0;
+      open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (bucket.head >= kCompactHead && 2 * bucket.head >= bucket.requests.size()) {
+      bucket.requests.erase(bucket.requests.begin(),
+                            bucket.requests.begin() + static_cast<std::ptrdiff_t>(bucket.head));
+      bucket.head = 0;
+    }
+  }
+
   // Workload-major bucket key: high 32 bits workload, low 32 bits seq bucket.
   [[nodiscard]] static std::uint64_t key_of(std::uint32_t workload,
                                             std::uint32_t seq_len) noexcept {
@@ -230,9 +273,12 @@ class DynamicBatchScheduler final : public Scheduler {
 
   BatchPolicy policy_;
   std::vector<std::uint32_t> tiers_;
-  // std::map for deterministic iteration order (ascending workload, seq);
-  // never holds an empty bucket.
-  std::map<std::uint64_t, std::deque<Request>> buckets_;
+  // Every bucket the run has opened, by key; a node never moves, so `open_`
+  // holds pointers into it.
+  std::map<std::uint64_t, Bucket> buckets_;
+  // The non-empty buckets, ascending key: the order every scan and tie-break
+  // reads.
+  std::vector<Bucket*> open_;
   std::size_t queued_ = 0;
   // Waiting requests per workload, kept so that `queued(workload)` — read at
   // every token boundary of a continuous decode — is O(1).

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <deque>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -356,8 +360,9 @@ Request make_request(std::uint64_t id, double arrival_s, std::uint32_t workload,
   return r;
 }
 
-// The pop that empties a bucket erases it: nothing of it is left to wake the
-// event loop, to report ready, or to count as queued.
+// The pop that empties a bucket closes it (the bucket keeps only its
+// storage): nothing of it is left to wake the event loop, to report ready,
+// or to count as queued.
 TEST(Scheduler, DrainedBucketLeavesNoDeadlineReadinessOrQueue) {
   BatchPolicy policy;
   policy.max_batch = 2;
@@ -406,7 +411,7 @@ TEST(Scheduler, LongestWaitingOrderHoldsAcrossThousandDrainedBuckets) {
   policy.max_wait_s = 0.5;
   const auto sched = make_scheduler(SchedulerKind::kDynamicBatch, policy);
   // Bucket (s % 4, s) arrives at (1000 - s) ms: the longest-waiting order is
-  // descending s, against the map's key order.
+  // descending s, against the ascending key order of the open buckets.
   constexpr std::uint32_t kBuckets = 1000;
   for (std::uint32_t s = 1; s <= kBuckets; ++s) {
     const double arrival_s = (kBuckets - s) * 1e-3;
@@ -452,7 +457,7 @@ TEST(Scheduler, EnqueueReportsOpenAndFillOnly) {
   EXPECT_TRUE(sched->enqueue(make_request(5, 1.0, 2, 128), 1.0));  // second seq bucket
   EXPECT_EQ(sched->pop(1.0).size(), 4u);  // the full bucket leaves one behind
   EXPECT_FALSE(sched->enqueue(make_request(6, 1.1, 2, 64), 1.1));
-  EXPECT_EQ(sched->pop(1.5).size(), 2u);  // deadline pop drains and erases it
+  EXPECT_EQ(sched->pop(1.5).size(), 2u);  // deadline pop drains and closes it
   EXPECT_TRUE(sched->enqueue(make_request(7, 1.6, 2, 64), 1.6));
 
   policy.max_batch = 1;
@@ -533,6 +538,228 @@ TEST(Scheduler, QueuedMatchesABruteForceCount) {
   }
 }
 
+// The dynamic-batching scheduler as it was before its buckets kept their
+// storage: a std::map of std::deques, the pop that empties a bucket erasing
+// it.  Kept as the reference `BucketsKeepStorageMatchMapAndDequeReference`
+// drives beside `make_scheduler`'s scheduler.
+class MapDequeBatchScheduler final : public Scheduler {
+ public:
+  MapDequeBatchScheduler(const BatchPolicy& policy, std::vector<std::uint32_t> priorities)
+      : policy_(policy), tiers_(std::move(priorities)) {}
+
+  bool enqueue(const Request& request, double) override {
+    std::deque<Request>& bucket = buckets_[key_of(request.workload, request.seq_len)];
+    bucket.push_back(request);
+    ++queued_;
+    if (request.workload >= queued_of_.size()) queued_of_.resize(request.workload + 1, 0);
+    ++queued_of_[request.workload];
+    return bucket.size() == 1 || bucket.size() == policy_.max_batch;
+  }
+
+  [[nodiscard]] std::size_t queued() const noexcept override { return queued_; }
+
+  [[nodiscard]] std::size_t queued(std::uint32_t workload) const noexcept override {
+    return workload < queued_of_.size() ? queued_of_[workload] : 0;
+  }
+
+  [[nodiscard]] bool ready(double now_s, const WorkloadMask& mask) const noexcept override {
+    for (const auto& [key, bucket] : buckets_) {
+      if (!mask.allows(workload_of(key))) continue;
+      if (bucket.size() >= policy_.max_batch) return true;
+      if (bucket.front().arrival_s + policy_.max_wait_s <= now_s) return true;
+    }
+    return false;
+  }
+
+  [[nodiscard]] double next_deadline_s(const WorkloadMask& mask) const noexcept override {
+    double deadline = kNever;
+    for (const auto& [key, bucket] : buckets_) {
+      if (!mask.allows(workload_of(key))) continue;
+      deadline = std::min(deadline, bucket.front().arrival_s + policy_.max_wait_s);
+    }
+    return deadline;
+  }
+
+  void pop(double now_s, const WorkloadMask& mask, std::vector<Request>& out) override {
+    out.clear();
+    // Lowest tier among the ready allowed buckets; within it the longest
+    // waiting head (tie: the lowest key, the map's iteration order).
+    auto best = buckets_.end();
+    for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {
+      if (!mask.allows(workload_of(it->first))) continue;
+      const std::deque<Request>& bucket = it->second;
+      const bool is_ready = bucket.size() >= policy_.max_batch ||
+                            bucket.front().arrival_s + policy_.max_wait_s <= now_s;
+      if (!is_ready) continue;
+      if (best == buckets_.end()) {
+        best = it;
+        continue;
+      }
+      const std::uint32_t tier = tier_of(workload_of(it->first));
+      const std::uint32_t best_tier = tier_of(workload_of(best->first));
+      if (tier < best_tier ||
+          (tier == best_tier && bucket.front().arrival_s < best->second.front().arrival_s)) {
+        best = it;
+      }
+    }
+    if (best == buckets_.end()) return;
+    std::deque<Request>& bucket = best->second;
+    const std::size_t take = std::min(policy_.max_batch, bucket.size());
+    for (std::size_t i = 0; i < take; ++i) {
+      out.push_back(bucket.front());
+      bucket.pop_front();
+    }
+    queued_ -= take;
+    queued_of_[workload_of(best->first)] -= take;
+    if (bucket.empty()) buckets_.erase(best);
+  }
+
+  std::size_t pop_joiners(std::uint32_t workload, std::size_t max_n, double,
+                          std::vector<Request>& out) override {
+    // The oldest head across the workload's buckets, one joiner at a time
+    // (tie: the lowest seq bucket).
+    std::size_t taken = 0;
+    while (taken < max_n) {
+      auto best = buckets_.end();
+      for (auto it = buckets_.lower_bound(key_of(workload, 0));
+           it != buckets_.end() && workload_of(it->first) == workload; ++it) {
+        if (best == buckets_.end() ||
+            it->second.front().arrival_s < best->second.front().arrival_s) {
+          best = it;
+        }
+      }
+      if (best == buckets_.end()) break;
+      out.push_back(best->second.front());
+      best->second.pop_front();
+      if (best->second.empty()) buckets_.erase(best);
+      --queued_;
+      ++taken;
+    }
+    if (taken > 0) queued_of_[workload] -= taken;
+    return taken;
+  }
+
+ private:
+  static std::uint64_t key_of(std::uint32_t workload, std::uint32_t seq_len) {
+    return (static_cast<std::uint64_t>(workload) << 32) | seq_len;
+  }
+  static std::uint32_t workload_of(std::uint64_t key) {
+    return static_cast<std::uint32_t>(key >> 32);
+  }
+  std::uint32_t tier_of(std::uint32_t workload) const {
+    return workload < tiers_.size() ? tiers_[workload] : 0;
+  }
+
+  BatchPolicy policy_;
+  std::vector<std::uint32_t> tiers_;
+  std::map<std::uint64_t, std::deque<Request>> buckets_;  // never holds an empty bucket
+  std::size_t queued_ = 0;
+  std::vector<std::size_t> queued_of_;
+};
+
+std::vector<std::uint64_t> ids_of(const std::vector<Request>& batch) {
+  std::vector<std::uint64_t> ids;
+  for (const Request& r : batch) ids.push_back(r.id);
+  return ids;
+}
+
+// One seeded sequence of 120k operations, 20k under each of six batching
+// policies, applied to the scheduler and to the map-and-deque reference:
+// enqueues over 4 workloads x 40 seq buckets (so buckets open, drain and
+// reopen), masked pops, and `pop_joiners` (workload 4 never has anything
+// waiting).  Every return and every query (under no mask or a random one)
+// must agree after every operation, deadlines bit for bit.  One hot bucket
+// is topped up before each pop so that it never drains: its head passes the
+// point where the consumed prefix is dropped (64 requests and half the
+// vector) again and again.
+TEST(Scheduler, BucketsKeepStorageMatchMapAndDequeReference) {
+  constexpr std::uint32_t kWorkloads = 4;
+  const std::pair<std::uint32_t, std::uint32_t> hot{2, 8};
+  constexpr std::uint64_t kOps = 20000;
+  for (const std::size_t max_batch : {1u, 3u, 8u}) {
+    for (const double max_wait_s : {0.0, 2e-3}) {
+      SCOPED_TRACE("max_batch " + std::to_string(max_batch) + ", max_wait_s " +
+                   std::to_string(max_wait_s));
+      BatchPolicy policy;
+      policy.max_batch = max_batch;
+      policy.max_wait_s = max_wait_s;
+      const auto sched = make_scheduler(SchedulerKind::kDynamicBatch, policy, {0, 1, 0, 1});
+      const std::unique_ptr<Scheduler> ref =
+          std::make_unique<MapDequeBatchScheduler>(policy, std::vector<std::uint32_t>{0, 1, 0, 1});
+      Rng rng(23, max_batch * 2 + (max_wait_s > 0.0 ? 1 : 0));
+      double now_s = 0.0;
+      std::uint64_t next_id = 0;
+      // Waiting requests per (workload, seq) bucket, as the test counts them.
+      std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> waiting;
+      std::size_t reopened = 0;
+      std::size_t hot_popped = 0;
+      const auto push = [&](std::uint32_t workload, std::uint32_t seq_len, std::uint64_t op) {
+        const Request r = make_request(next_id++, now_s, workload, seq_len);
+        const auto [it, fresh] = waiting.try_emplace({workload, seq_len}, 0);
+        if (!fresh && it->second == 0) ++reopened;
+        ++it->second;
+        const bool reported = sched->enqueue(r, now_s);
+        ASSERT_EQ(reported, ref->enqueue(r, now_s)) << "enqueue at operation " << op;
+      };
+      std::vector<Request> out;
+      std::vector<Request> ref_out;
+      std::vector<char> allowed(kWorkloads);
+      for (std::uint64_t op = 0; op < kOps; ++op) {
+        // Half the operations share the previous one's instant, so that
+        // heads and deadlines tie across buckets.
+        if (rng.next_below(2) == 0) now_s += rng.uniform(0.0, 2e-3);
+        const std::uint64_t roll = rng.next_below(20);
+        if (roll < 11) {
+          if (rng.next_below(8) == 0) {
+            push(hot.first, hot.second, op);
+          } else {
+            push(static_cast<std::uint32_t>(rng.next_below(kWorkloads)),
+                 static_cast<std::uint32_t>(16 * rng.next_below(40)), op);
+          }
+        } else {
+          // More hot requests wait than this pop can take.
+          while (waiting[hot] <= max_batch + 4) push(hot.first, hot.second, op);
+          out.clear();
+          ref_out.clear();
+          if (roll < 16) {
+            for (char& a : allowed) a = static_cast<char>(rng.next_below(4) != 0);
+            const WorkloadMask mask =
+                rng.next_below(4) == 0 ? WorkloadMask() : WorkloadMask(&allowed);
+            sched->pop(now_s, mask, out);
+            ref->pop(now_s, mask, ref_out);
+          } else {
+            const auto workload = static_cast<std::uint32_t>(rng.next_below(kWorkloads + 1));
+            const std::size_t max_n = 1 + rng.next_below(4);
+            ASSERT_EQ(sched->pop_joiners(workload, max_n, now_s, out),
+                      ref->pop_joiners(workload, max_n, now_s, ref_out))
+                << "pop_joiners at operation " << op;
+          }
+          ASSERT_EQ(ids_of(out), ids_of(ref_out)) << "popped ids at operation " << op;
+          for (const Request& r : out) --waiting[{r.workload, r.seq_len}];
+          hot_popped += static_cast<std::size_t>(
+              std::count_if(out.begin(), out.end(), [&](const Request& r) {
+                return r.workload == hot.first && r.seq_len == hot.second;
+              }));
+          ASSERT_GT(waiting[hot], 0u) << "the hot bucket drained at operation " << op;
+        }
+        // The queries run under no mask or a random one.
+        for (char& a : allowed) a = static_cast<char>(rng.next_below(2));
+        const WorkloadMask mask = rng.next_below(2) == 0 ? WorkloadMask() : WorkloadMask(&allowed);
+        ASSERT_EQ(sched->ready(now_s, mask), ref->ready(now_s, mask)) << "after operation " << op;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(sched->next_deadline_s(mask)),
+                  std::bit_cast<std::uint64_t>(ref->next_deadline_s(mask)))
+            << "after operation " << op;
+        ASSERT_EQ(sched->queued(), ref->queued()) << "after operation " << op;
+        for (std::uint32_t w = 0; w <= kWorkloads; ++w) {
+          ASSERT_EQ(sched->queued(w), ref->queued(w)) << "workload " << w << " after " << op;
+        }
+      }
+      EXPECT_GT(hot_popped, 1000u);
+      EXPECT_GT(reopened, 1000u);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Percentiles
 // ---------------------------------------------------------------------------
@@ -564,6 +791,78 @@ TEST(Percentile, SampleRunSumsInArrivalOrderSortsAndMerges) {
   EXPECT_EQ(none.mean(), 0.0);
   EXPECT_EQ(none.max(), 0.0);
   EXPECT_EQ(none.percentile(0.99), 0.0);
+}
+
+// A SampleRun sorts in place by radix on each double's order-preserving key.
+// Its values must be std::sort's, bit for bit, and its mean the arrival-order
+// sum's, over sizes around the comparison-sort cutoff (48 in metrics.cpp) and
+// up to 10^5, for inputs whose keys share long prefixes (all equal, two
+// values, values a few last bits apart, whose runs reach the lowest digit)
+// or span the sign and the exponent range
+// (subnormals, negatives, +inf); and at 10^6 for the log-normal input, the
+// shape of serving latencies (one tenant of the serial benchmark holds 400k).
+TEST(Percentile, SampleRunRadixSortMatchesStdSort) {
+  const double base = 1.2345e-3;
+  const auto draw = [base](const std::string& input, Rng& r) {
+    if (input == "log-normal") return 1e-3 * std::exp(r.normal(0.0, 1.0));
+    if (input == "all-equal") return base;
+    if (input == "two-valued") return r.next_below(2) == 0 ? base : 2.0 * base;
+    if (input == "last-bit-apart") {  // keys that differ in their 12 lowest bits only
+      return std::bit_cast<double>(std::bit_cast<std::uint64_t>(base) + r.next_below(4096));
+    }
+    if (input == "subnormal") {
+      return std::bit_cast<double>(r.next_u64() & ((std::uint64_t{1} << 52) - 1));
+    }
+    if (input == "negative") return -1e-3 * std::exp(r.normal(0.0, 4.0));
+    return r.next_below(16) == 0 ? std::numeric_limits<double>::infinity() : r.uniform(0.0, 1.0);
+  };
+  for (const std::string input : {"log-normal", "all-equal", "two-valued", "last-bit-apart",
+                                  "subnormal", "negative", "+inf"}) {
+    for (const std::size_t n : {0u, 1u, 2u, 47u, 48u, 49u, 1000u, 100000u, 1000000u}) {
+      if (n == 1000000 && input != "log-normal") continue;
+      SCOPED_TRACE(input + ", n " + std::to_string(n));
+      Rng rng(29, n);
+      std::vector<double> samples(n);
+      double sum = 0.0;
+      for (double& x : samples) {
+        x = draw(input, rng);
+        sum += x;
+      }
+      std::vector<double> sorted = samples;
+      std::sort(sorted.begin(), sorted.end());
+      const SampleRun run(std::move(samples));
+      ASSERT_EQ(run.size(), n);
+      ASSERT_TRUE(n == 0 || std::memcmp(run.values().data(), sorted.data(),
+                                        n * sizeof(double)) == 0);
+      EXPECT_EQ(run.mean(), n == 0 ? 0.0 : sum / static_cast<double>(n));
+    }
+  }
+}
+
+// The radix order puts -0.0 before +0.0, above the cutoff and below it;
+// std::sort compares the two equal and leaves them in either order.  No
+// serving sample is -0.0: each is t - t0 with t >= t0, and t - t0 rounds to
+// +0.0 when the two are equal.
+TEST(Percentile, SampleRunSortsNegativeZeroFirst) {
+  for (const std::size_t n : {3u, 100u, 1000u}) {
+    std::vector<double> samples;
+    for (std::size_t i = 0; i < n; ++i) {
+      samples.push_back(i % 3 == 0 ? 0.0 : i % 3 == 1 ? -0.0 : 1.0);
+    }
+    const SampleRun run(std::move(samples));
+    const std::size_t zeros = (n + 2) / 3;
+    const std::size_t negative_zeros = (n + 1) / 3;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = run.values()[i];
+      if (i < negative_zeros) {
+        EXPECT_TRUE(v == 0.0 && std::signbit(v)) << "n " << n << ", index " << i;
+      } else if (i < negative_zeros + zeros) {
+        EXPECT_TRUE(v == 0.0 && !std::signbit(v)) << "n " << n << ", index " << i;
+      } else {
+        EXPECT_EQ(v, 1.0) << "n " << n << ", index " << i;
+      }
+    }
+  }
 }
 
 // The fleet percentiles select across the tenants' sorted runs instead of
